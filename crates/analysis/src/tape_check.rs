@@ -334,7 +334,6 @@ mod tests {
     use super::*;
     use sod2_fusion::{fuse, FusionPolicy};
     use sod2_ir::{BinaryOp, DType, Op, UnaryOp};
-    use sod2_plan::plan_tape_layout;
     use sod2_runtime::compile_tape;
     use sod2_sym::DimExpr;
 
@@ -361,9 +360,7 @@ mod tests {
             .iter()
             .flat_map(|&u| ug.units[u].nodes.iter().copied())
             .collect();
-        let layout = plan_tape_layout(&g, &order);
-        let tape = compile_tape(&g, &layout, &order, Some(&fusion), true, None, None, None)
-            .expect("compile");
+        let tape = compile_tape(&g, &order, Some(&fusion), None, None, None).expect("compile");
         let diags = verify_tape(&g, &order, Some(&fusion), &tape);
         assert!(diags.is_empty(), "{diags:?}");
     }
@@ -372,9 +369,7 @@ mod tests {
     fn unfused_tape_verifies_clean() {
         let g = diamond();
         let order: Vec<NodeId> = (0..g.num_nodes() as u32).map(NodeId).collect();
-        let layout = plan_tape_layout(&g, &order);
-        let tape =
-            compile_tape(&g, &layout, &order, None, false, None, None, None).expect("compile");
+        let tape = compile_tape(&g, &order, None, None, None, None).expect("compile");
         let diags = verify_tape(&g, &order, None, &tape);
         assert!(diags.is_empty(), "{diags:?}");
     }
@@ -384,9 +379,7 @@ mod tests {
         let g = diamond();
         let order: Vec<NodeId> = (0..g.num_nodes() as u32).map(NodeId).collect();
         let short = &order[..order.len() - 1];
-        let layout = plan_tape_layout(&g, short);
-        let tape =
-            compile_tape(&g, &layout, short, None, false, None, None, None).expect("compile");
+        let tape = compile_tape(&g, short, None, None, None, None).expect("compile");
         let diags = verify_tape(&g, &order, None, &tape);
         assert!(
             diags.iter().any(|d| d.code == "tape/node-missing"),

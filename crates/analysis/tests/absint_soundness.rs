@@ -26,7 +26,7 @@ use sod2_pool::with_threads;
 use sod2_prng::rngs::StdRng;
 use sod2_prng::{Rng, SeedableRng};
 use sod2_rdp::analyze;
-use sod2_runtime::{execute, execute_with_arena, ArenaBacking, ExecConfig, RunOutcome};
+use sod2_runtime::{compile_tape, execute, execute_tape, ArenaBacking, ExecConfig, RunOutcome};
 use sod2_sym::{Bindings, DimExpr, ShapeValue};
 use sod2_tensor::Tensor;
 use std::collections::{HashMap, HashSet};
@@ -271,8 +271,9 @@ fn build_random_graph(rng: &mut StdRng) -> (Graph, Vec<Tensor>) {
     (g, inputs)
 }
 
-/// Per-tensor private arena slots sized from a reference heap run, so the
-/// arena path cannot legitimately diverge from the heap path.
+/// Runs the graph on the tape with per-tensor private arena slots sized
+/// from a reference heap run, so the arena path cannot legitimately
+/// diverge from the heap path.
 fn run_on_arena(g: &Graph, inputs: &[Tensor], heap: &RunOutcome) -> RunOutcome {
     let keys: Vec<(usize, usize)> = heap
         .concrete_shapes
@@ -299,7 +300,16 @@ fn run_on_arena(g: &Graph, inputs: &[Tensor], heap: &RunOutcome) -> RunOutcome {
         sizes: &sizes,
         bounded: &bounded,
     };
-    execute_with_arena(g, inputs, &ExecConfig::default(), Some(backing)).expect("arena run")
+    let tape = compile_tape(g, &g.topo_order(), None, None, None, None).expect("compile tape");
+    execute_tape(
+        g,
+        inputs,
+        &tape,
+        &ExecConfig::default(),
+        Some(backing),
+        false,
+    )
+    .expect("arena run")
 }
 
 proptest! {

@@ -9,14 +9,12 @@
 //!   `arena_backed`, `tape_len` (register-machine instruction count) —
 //!   which are identical across hosts and runs, and
 //! - informational wallclock numbers — `wall_ms_best`, `kernel_ms`,
-//!   `kernel_coverage` (kernel-span wall over infer-span wall),
-//!   `dispatch_ns_per_node` (non-kernel infer wall per node per run) plus
-//!   their `_tree` counterparts from a tree-walking interpreter run of the
-//!   same model — which the gate ignores.
+//!   `kernel_coverage` (kernel wall over infer wall, both on the thread
+//!   that called `infer`), `dispatch_ns_per_node` (non-kernel infer wall
+//!   per node per run) — which the gate ignores.
 //!
-//! Every model is executed three ways per bench run — serial tree-walk,
-//! wavefront tree-walk, and wavefront tape — and all three must agree
-//! bitwise.
+//! Every model's engine outputs must agree bitwise with the serial heap
+//! reference interpreter (`sod2_runtime::execute`) run on the model graph.
 //!
 //! Inputs are fixed (seed 42, mid-range size) so the gated numbers are
 //! reproducible bit-for-bit.
@@ -24,8 +22,11 @@
 use sod2_device::DeviceProfile;
 use sod2_frameworks::{Engine, Sod2Engine, Sod2Options};
 use sod2_models::{all_models, ModelScale};
+use sod2_obs::Profile;
 use sod2_prng::rngs::StdRng;
 use sod2_prng::SeedableRng;
+use sod2_runtime::{execute, ExecConfig};
+use std::collections::BTreeMap;
 use std::time::Instant;
 
 struct ZooEntry {
@@ -50,9 +51,6 @@ struct ZooEntry {
     kernel_ms: f64,
     kernel_coverage: f64,
     dispatch_ns_per_node: f64,
-    wall_ms_best_tree: f64,
-    kernel_coverage_tree: f64,
-    dispatch_ns_per_node_tree: f64,
 }
 
 impl ZooEntry {
@@ -69,10 +67,7 @@ impl ZooEntry {
                 "\"pruned_arms\": {}, \"tape_len\": {}, ",
                 "\"wall_ms_best\": {:.4}, ",
                 "\"kernel_ms\": {:.4}, \"kernel_coverage\": {:.4}, ",
-                "\"dispatch_ns_per_node\": {:.1}, ",
-                "\"wall_ms_best_tree\": {:.4}, ",
-                "\"kernel_coverage_tree\": {:.4}, ",
-                "\"dispatch_ns_per_node_tree\": {:.1}}}"
+                "\"dispatch_ns_per_node\": {:.1}}}"
             ),
             self.model,
             self.size,
@@ -95,9 +90,6 @@ impl ZooEntry {
             self.kernel_ms,
             self.kernel_coverage,
             self.dispatch_ns_per_node,
-            self.wall_ms_best_tree,
-            self.kernel_coverage_tree,
-            self.dispatch_ns_per_node_tree,
         )
     }
 }
@@ -110,49 +102,34 @@ fn measure(model: &sod2_models::DynModel, iters: usize, absint: bool) -> ZooEntr
     let mut rng = StdRng::seed_from_u64(42);
     let inputs = model.make_inputs(size, &mut rng);
 
-    // Serial tree-walk reference: both tape lowering and wavefront
-    // scheduling must be bitwise-identical to it, so every zoo model is
-    // checked against the plain interpreter on every bench run.
-    // `nan_guard` is on so the per-node fence (and its certificate-driven
-    // elision) is on the measured path.
-    let serial_outputs = {
-        let mut serial = Sod2Engine::new(
-            model.graph.clone(),
-            DeviceProfile::s888_cpu(),
-            Sod2Options {
-                tape_exec: false,
-                wavefront_exec: false,
-                nan_guard: true,
-                absint,
-                ..Sod2Options::default()
-            },
-            &Default::default(),
-        );
-        serial.infer(&inputs).expect("serial infer").outputs
-    };
-    let assert_bitwise = |outputs: &[sod2_tensor::Tensor], mode: &str| {
+    // Serial heap reference over the model graph as built: the engine —
+    // folding, pruning, fusion, tape lowering, arena backing, wavefront
+    // scheduling — must be bitwise identical to it on every bench run.
+    let reference = execute(&model.graph, &inputs, &ExecConfig::default())
+        .expect("reference run")
+        .outputs;
+    let assert_bitwise = |outputs: &[sod2_tensor::Tensor]| {
         assert_eq!(
-            serial_outputs.len(),
+            reference.len(),
             outputs.len(),
-            "{}: {mode} output count diverged from serial tree-walk",
+            "{}: output count diverged from the reference",
             model.name
         );
-        for (s, w) in serial_outputs.iter().zip(outputs) {
+        for (r, o) in reference.iter().zip(outputs) {
             assert_eq!(
-                s.payload_le_bytes(),
-                w.payload_le_bytes(),
-                "{}: {mode} outputs diverged bitwise from serial tree-walk",
+                r.payload_le_bytes(),
+                o.payload_le_bytes(),
+                "{}: outputs diverged bitwise from the reference",
                 model.name
             );
         }
     };
-    let node_count = model.graph.nodes().len();
-    // Non-kernel inference wall time per node per run — the interpreter
-    // overhead the tape exists to shrink. Wallclock, informational only.
-    let dispatch_ns = |infer_ns: u64, kernel_ns: u64, runs: usize| {
-        (infer_ns.saturating_sub(kernel_ns)) as f64 / (node_count * runs.max(1)) as f64
-    };
 
+    // The capture window opens before compilation so compile-time
+    // counters (`absint.pruned_arms`) are recorded; compile-time kernel
+    // spans are kept out of the wallclock split by `infer_kernel_ns`.
+    // `nan_guard` is on so the per-node fence (and its certificate-driven
+    // elision) is on the measured path.
     let _session = sod2_obs::session_guard();
     sod2_obs::set_enabled(true);
     sod2_obs::begin();
@@ -160,7 +137,6 @@ fn measure(model: &sod2_models::DynModel, iters: usize, absint: bool) -> ZooEntr
         model.graph.clone(),
         DeviceProfile::s888_cpu(),
         Sod2Options {
-            tape_exec: true,
             wavefront_exec: true,
             nan_guard: true,
             absint,
@@ -171,7 +147,7 @@ fn measure(model: &sod2_models::DynModel, iters: usize, absint: bool) -> ZooEntr
     let tape_len = engine.tape_stats().map(|s| s.tape_len).unwrap_or(0);
     // Warmup: first inference pays DMP plan construction.
     let mut stats = engine.infer(&inputs).expect("warmup infer");
-    assert_bitwise(&stats.outputs, "tape+wavefront");
+    assert_bitwise(&stats.outputs);
     let mut wall_best = f64::INFINITY;
     for _ in 0..iters {
         let t0 = Instant::now();
@@ -182,38 +158,25 @@ fn measure(model: &sod2_models::DynModel, iters: usize, absint: bool) -> ZooEntr
         .last_wave_stats()
         .expect("wavefront stats after wavefront-mode inference");
     let prof = sod2_obs::take();
-
-    // Tree-walking interpreter under the same schedule, profiled in its
-    // own window: the tape-vs-tree dispatch/coverage comparison is the
-    // bench's whole point, and its outputs must stay bitwise identical.
-    sod2_obs::begin();
-    let mut tree_engine = Sod2Engine::new(
-        model.graph.clone(),
-        DeviceProfile::s888_cpu(),
-        Sod2Options {
-            tape_exec: false,
-            wavefront_exec: true,
-            nan_guard: true,
-            absint,
-            ..Sod2Options::default()
-        },
-        &Default::default(),
-    );
-    let tree_stats = tree_engine.infer(&inputs).expect("tree warmup infer");
-    assert_bitwise(&tree_stats.outputs, "tree+wavefront");
-    let mut tree_wall_best = f64::INFINITY;
-    for _ in 0..iters {
-        let t0 = Instant::now();
-        tree_engine.infer(&inputs).expect("tree infer");
-        tree_wall_best = tree_wall_best.min(t0.elapsed().as_secs_f64());
-    }
-    let tree_prof = sod2_obs::take();
     sod2_obs::set_enabled(false);
 
     let infer_ns = prof.cat_total_ns("infer");
-    let kernel_ns = prof.cat_total_ns("kernel");
-    let tree_infer_ns = tree_prof.cat_total_ns("infer");
-    let tree_kernel_ns = tree_prof.cat_total_ns("kernel");
+    let kernel_ns = infer_kernel_ns(&prof);
+    let kernel_coverage = if infer_ns > 0 {
+        kernel_ns as f64 / infer_ns as f64
+    } else {
+        0.0
+    };
+    assert!(
+        (0.0..=1.0).contains(&kernel_coverage),
+        "{}: kernel coverage {kernel_coverage} outside [0, 1]",
+        model.name
+    );
+    // Non-kernel inference wall time per node per run: the dispatch
+    // overhead the tape exists to shrink. Wallclock, informational only.
+    let runs = iters + 1;
+    let dispatch_ns_per_node =
+        infer_ns.saturating_sub(kernel_ns) as f64 / (model.graph.nodes().len() * runs) as f64;
     let counter = |name: &str| prof.counters.get(name).copied().unwrap_or(0);
     ZooEntry {
         model: model.name.to_string(),
@@ -243,20 +206,31 @@ fn measure(model: &sod2_models::DynModel, iters: usize, absint: bool) -> ZooEntr
         tape_len,
         wall_ms_best: wall_best * 1e3,
         kernel_ms: kernel_ns as f64 / 1e6,
-        kernel_coverage: if infer_ns > 0 {
-            kernel_ns as f64 / infer_ns as f64
-        } else {
-            0.0
-        },
-        dispatch_ns_per_node: dispatch_ns(infer_ns, kernel_ns, iters + 1),
-        wall_ms_best_tree: tree_wall_best * 1e3,
-        kernel_coverage_tree: if tree_infer_ns > 0 {
-            tree_kernel_ns as f64 / tree_infer_ns as f64
-        } else {
-            0.0
-        },
-        dispatch_ns_per_node_tree: dispatch_ns(tree_infer_ns, tree_kernel_ns, iters + 1),
+        kernel_coverage,
+        dispatch_ns_per_node,
     }
+}
+
+/// Kernel wall time booked to inference: outermost `kernel` spans nested
+/// in an `infer` span on the same thread — the thread that called
+/// `infer`. Kernel spans at compile time (constant folding, arm-prune
+/// verification) and on pool workers (wave units evaluated in parallel)
+/// are excluded, so the sum never exceeds the infer wall it is compared
+/// with.
+fn infer_kernel_ns(prof: &Profile) -> u64 {
+    let mut stacks: BTreeMap<u64, Vec<&str>> = BTreeMap::new();
+    let mut total = 0;
+    // Spans are start-sorted, outermost first on ties, so a per-thread
+    // stack truncated to each span's depth holds exactly its ancestors.
+    for s in &prof.spans {
+        let stack = stacks.entry(s.tid).or_default();
+        stack.truncate(s.depth as usize);
+        if s.cat == "kernel" && stack.contains(&"infer") && !stack.contains(&"kernel") {
+            total += s.dur_ns;
+        }
+        stack.push(s.cat);
+    }
+    total
 }
 
 /// Best-of-5 cost of a *disarmed* `sod2-faults` probe over 100k calls.
@@ -331,7 +305,7 @@ fn main() {
             "{:<24} size {:<3} priced {:>8.3} ms  peak {:>8.2} MB  \
              allocs {:<4} slab {:<4} waves {:<3} width {:<2} speedup {:>4.2}x \
              (bound {:>4.2}x)  elide {:<4} nac {:<2} tape {:<4} wall {:>7.3} ms  \
-             kernels {:>5.1}%  disp {:>6.0}ns/node (tree {:>6.0})",
+             kernels {:>5.1}%  disp {:>6.0}ns/node",
             e.model,
             e.size,
             e.priced_ms,
@@ -348,7 +322,6 @@ fn main() {
             e.wall_ms_best,
             e.kernel_coverage * 100.0,
             e.dispatch_ns_per_node,
-            e.dispatch_ns_per_node_tree,
         );
         // Certificate-driven nac bounds must keep the arena path fully
         // residual-free: with the NMS/Gather special cases deleted, every
@@ -421,8 +394,8 @@ fn main() {
             "tape_len are deterministic (cost model + static schedule + abstract ",
             "interpretation + tape lowering + fixed seed 42 inputs) and gated by ",
             "perf_gate; wall_ms_best, kernel_ms, kernel_coverage, ",
-            "dispatch_ns_per_node, their _tree counterparts and faults_probe_ns ",
-            "are host wallclock and informational only\",\n"
+            "dispatch_ns_per_node and faults_probe_ns are host wallclock and ",
+            "informational only\",\n"
         ));
         s.push_str(&format!("  \"faults_probe_ns\": {faults_probe_ns:.1},\n"));
         s.push_str("  \"models\": [\n");

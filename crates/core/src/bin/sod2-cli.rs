@@ -38,6 +38,11 @@
 //! `kernel.error` across several dispatch positions and two device
 //! profiles, so faults land under different selected kernel variants.
 //!
+//! Every engine the CLI builds runs with `Sod2Options::default()` except
+//! for wavefront execution, which the `SOD2_WAVEFRONT` environment
+//! variable sets once for the whole process (`0`/`false`/`off`/`no` runs
+//! serially; unset or any other value keeps the default, on).
+//!
 //! `tune` runs the two-stage multi-version tuner (hierarchized space →
 //! GA → wallclock playoff) for a device and prints the per-class version
 //! table: selected parameters, modeled efficiency, informational wallclock
@@ -51,8 +56,28 @@ use sod2_models::{all_models, model_by_name, DynModel, ModelScale};
 use sod2_prng::rngs::StdRng;
 use sod2_prng::SeedableRng;
 use sod2_rdp::ShapeClass;
+use std::sync::OnceLock;
+
+/// Whether engines run wavefront execution, parsed from `SOD2_WAVEFRONT`
+/// once in `main`.
+static WAVEFRONT: OnceLock<bool> = OnceLock::new();
+
+/// The options every engine the CLI builds starts from.
+fn engine_options() -> Sod2Options {
+    Sod2Options {
+        wavefront_exec: WAVEFRONT.get().copied().unwrap_or(true),
+        ..Sod2Options::default()
+    }
+}
 
 fn main() {
+    let wavefront = std::env::var("SOD2_WAVEFRONT").map_or(true, |v| {
+        !matches!(
+            v.trim().to_ascii_lowercase().as_str(),
+            "0" | "false" | "off" | "no"
+        )
+    });
+    let _ = WAVEFRONT.set(wavefront);
     let args: Vec<String> = std::env::args().collect();
     let cmd = args.get(1).map(String::as_str).unwrap_or("help");
     match cmd {
@@ -165,7 +190,7 @@ fn analyze(args: &[String]) {
     let engine = Sod2Engine::new(
         model.graph.clone(),
         DeviceProfile::s888_cpu(),
-        Sod2Options::default(),
+        engine_options(),
         &Default::default(),
     );
     println!(
@@ -391,7 +416,7 @@ fn diagnose_model(model: &DynModel) -> sod2_analysis::Report {
     let mut engine = Sod2Engine::new(
         model.graph.clone(),
         DeviceProfile::s888_cpu(),
-        Sod2Options::default(),
+        engine_options(),
         &Default::default(),
     );
     let mut rng = StdRng::seed_from_u64(42);
@@ -417,7 +442,7 @@ fn run(args: &[String]) {
     let mut engine = Sod2Engine::new(
         model.graph.clone(),
         profile.clone(),
-        Sod2Options::default(),
+        engine_options(),
         &Default::default(),
     );
     match engine.infer(&inputs) {
@@ -481,7 +506,7 @@ fn profile_cmd(args: &[String]) {
         profile.clone(),
         Sod2Options {
             nan_guard: true,
-            ..Sod2Options::default()
+            ..engine_options()
         },
         &Default::default(),
     );
@@ -776,7 +801,7 @@ fn profile_serve_session(
     let template = Sod2Engine::new(
         model.graph.clone(),
         device.clone(),
-        Sod2Options::default(),
+        engine_options(),
         &Default::default(),
     );
     let tenants = vec![
@@ -969,7 +994,7 @@ fn chaos_cell_body(
     let mut reference = Sod2Engine::new(
         graph.clone(),
         DeviceProfile::s888_cpu(),
-        Sod2Options::default(),
+        engine_options(),
         &Default::default(),
     );
     let reference_out = match reference.infer(&inputs) {
@@ -981,7 +1006,7 @@ fn chaos_cell_body(
         deadline: cell.deadline,
         memory_budget: cell.budget,
         nan_guard: cell.nan_guard,
-        ..Sod2Options::default()
+        ..engine_options()
     };
     let mut engine = Sod2Engine::new(graph, DeviceProfile::s888_cpu(), opts, &Default::default());
 
@@ -1042,7 +1067,7 @@ fn chaos_dispatch_body(graph: sod2::Graph, inputs: Vec<sod2::Tensor>, seed: u64)
         let mut reference = Sod2Engine::new(
             graph.clone(),
             device.clone(),
-            Sod2Options::default(),
+            engine_options(),
             &Default::default(),
         );
         let reference_out = match reference.infer(&inputs) {
@@ -1053,7 +1078,7 @@ fn chaos_dispatch_body(graph: sod2::Graph, inputs: Vec<sod2::Tensor>, seed: u64)
             let mut engine = Sod2Engine::new(
                 graph.clone(),
                 device.clone(),
-                Sod2Options::default(),
+                engine_options(),
                 &Default::default(),
             );
             match sod2_faults::FaultPlan::parse(&format!("seed={seed};kernel.error:nth={nth}")) {
@@ -1386,7 +1411,7 @@ fn compare(args: &[String]) {
         Box::new(Sod2Engine::new(
             model.graph.clone(),
             profile.clone(),
-            Sod2Options::default(),
+            engine_options(),
             &Default::default(),
         )),
         Box::new(OrtLike::new(model.graph.clone(), profile.clone())),

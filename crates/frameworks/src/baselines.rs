@@ -82,9 +82,7 @@ impl Compiled {
             fused_interpreter: true,
             nan_guard: false,
             memory_budget: None,
-            wave_plan: None,
             finite_outputs: None,
-            uses_template: None,
         };
         execute(&self.graph, inputs, &cfg)
     }

@@ -15,9 +15,8 @@ use sod2_plan::{
 };
 use sod2_rdp::{analyze, RdpResult};
 use sod2_runtime::{
-    compile_tape, execute, execute_tape, execute_with_arena, ArenaBacking, BakedVariant,
-    ExecConfig, ExecError, ExecutionTrace, RunOutcome, TapeProgram, TapeStats, TraceEvent,
-    WaveExecPlan,
+    compile_tape, execute, execute_tape, ArenaBacking, BakedVariant, ExecConfig, ExecError,
+    ExecutionTrace, RunOutcome, TapeProgram, TapeStats, TraceEvent, WaveExecPlan,
 };
 use sod2_sym::Bindings;
 use sod2_tensor::Tensor;
@@ -57,14 +56,10 @@ pub struct Sod2Options {
     pub nan_guard: bool,
     /// Execute independent SEP units of one wavefront concurrently on the
     /// shared worker pool (inter-op parallelism). Results stay bitwise
-    /// identical to serial execution; only scheduling changes. Defaults to
-    /// the `SOD2_WAVEFRONT` environment variable (unset/`1` → on,
-    /// `0`/`false`/`off`/`no` → off).
+    /// identical to serial execution; only scheduling changes. Waves are
+    /// planned with [`WavefrontOptions::default`]: the concurrent peak may
+    /// exceed the serial SEP peak by at most half.
     pub wavefront_exec: bool,
-    /// Memory-slack knob for wavefront planning: the concurrent peak may
-    /// exceed the serial SEP peak by at most this fraction (waves are split
-    /// until the bound holds). Defaults to `SOD2_WAVE_SLACK` or `0.5`.
-    pub wavefront_slack: f64,
     /// Consume abstract-interpretation certificates: prune `Switch` arms
     /// with proven-constant selectors at compile time (requires
     /// `native_control_flow`; the pruned graph is verified
@@ -72,15 +67,6 @@ pub struct Sod2Options {
     /// from proven element bounds, and elide the per-node NaN fence for
     /// proven-finite tensors when `nan_guard` is on.
     pub absint: bool,
-    /// Execute through the compiled register-machine tape (the plan
-    /// lowered once to a flat instruction stream with precompiled
-    /// operand/result registers, release lists, and wave ranges) instead
-    /// of the tree-walking executor. Outputs, traces, and counters are
-    /// bitwise identical between the two; the tape just dispatches with
-    /// zero hashing and zero per-node bookkeeping allocations. Defaults
-    /// to the `SOD2_TAPE` environment variable (unset/`1` → on,
-    /// `0`/`false`/`off`/`no` → off).
-    pub tape_exec: bool,
     /// Capacity of the per-engine DMP pre-plan cache (entries keyed by
     /// bindings). Serving replicas bound this to cap per-replica plan
     /// memory; `0` disables caching entirely (every inference re-plans,
@@ -88,18 +74,6 @@ pub struct Sod2Options {
     /// cache is semantically transparent — outputs and memory metrics are
     /// identical at any capacity.
     pub pre_plan_cache_cap: usize,
-}
-
-/// Reads a boolean environment flag: `0`/`false`/`off`/`no` disable, any
-/// other set value enables, unset keeps the default.
-fn env_flag(name: &str, default: bool) -> bool {
-    match std::env::var(name) {
-        Ok(v) => !matches!(
-            v.trim().to_ascii_lowercase().as_str(),
-            "0" | "false" | "off" | "no"
-        ),
-        Err(_) => default,
-    }
 }
 
 impl Default for Sod2Options {
@@ -114,13 +88,8 @@ impl Default for Sod2Options {
             deadline: None,
             memory_budget: None,
             nan_guard: false,
-            wavefront_exec: env_flag("SOD2_WAVEFRONT", true),
-            wavefront_slack: std::env::var("SOD2_WAVE_SLACK")
-                .ok()
-                .and_then(|v| v.trim().parse().ok())
-                .unwrap_or(0.5),
+            wavefront_exec: true,
             absint: true,
-            tape_exec: env_flag("SOD2_TAPE", true),
             pre_plan_cache_cap: DEFAULT_PRE_PLAN_CACHE_CAP,
         }
     }
@@ -193,7 +162,8 @@ pub struct CostPrediction {
     pub total_nodes: usize,
 }
 
-/// The SoD² execution engine.
+/// The SoD² execution engine: compiles a graph once, then runs every
+/// inference through the compiled register-machine tape.
 pub struct Sod2Engine {
     graph: Graph,
     profile: DeviceProfile,
@@ -216,18 +186,11 @@ pub struct Sod2Engine {
     arena: Option<Arena>,
     /// The static wavefront schedule (unit granularity), when enabled.
     wave_schedule: Option<WavefrontSchedule>,
-    /// The same schedule lowered to node granularity for the executor.
-    wave_exec: Option<WaveExecPlan>,
     /// Wavefront statistics of the most recent inference.
     last_wave: Option<WaveStats>,
-    /// The plan compiled to a flat instruction tape (`None` when
-    /// `tape_exec` is off or lowering failed; the tree-walking executor is
-    /// the fallback either way).
-    tape: Option<std::sync::Arc<TapeProgram>>,
-    /// Static remaining-use counts per tensor key, shared with the
-    /// tree-walking executor so neither mode rebuilds refcounts from the
-    /// consumer index per inference.
-    uses_template: Vec<u32>,
+    /// The plan compiled to a flat instruction tape, or why lowering
+    /// failed (every inference then fails with [`ExecError::Internal`]).
+    tape: Result<std::sync::Arc<TapeProgram>, String>,
     /// Pre-execution DMP results keyed by this inference's bindings: the
     /// RDP size evaluation, bounded-`nac` lookup, liveness extraction,
     /// offset planning, and plan re-verification depend only on the
@@ -379,10 +342,7 @@ impl Sod2Engine {
         // within `serial_peak × (1 + slack)`. The executed unit order
         // becomes the flattened wave order (still a valid topological
         // order — outputs are order-independent).
-        let wave_opts = WavefrontOptions {
-            slack: opts.wavefront_slack,
-            ..WavefrontOptions::default()
-        };
+        let wave_opts = WavefrontOptions::default();
         let wave_schedule = if opts.wavefront_exec {
             let _s = sod2_obs::span!("stage", "wavefront_plan");
             Some(plan_wavefronts(
@@ -436,16 +396,6 @@ impl Sod2Engine {
         } else {
             None
         };
-        // Lower the compiled plan to the execution tape: a flat instruction
-        // stream with registers, release lists, group tails, and wave
-        // ranges all resolved at compile time. Lowering failure is not
-        // fatal — the tree-walking executor remains a full interpreter for
-        // the same plan — but it is counted, so CI can notice.
-        let tape_layout = {
-            let _s = sod2_obs::span!("stage", "tape_compile");
-            sod2_plan::plan_tape_layout(&graph, &node_order)
-        };
-        let uses_template = tape_layout.uses_template.clone();
         // Bake tuned kernel variants into the tape for hotspot nodes whose
         // output shapes RDP proves concrete under empty bindings: their
         // shape class — hence their tuned version — is a compile-time
@@ -477,26 +427,26 @@ impl Sod2Engine {
             }
             baked
         });
-        let tape = if opts.tape_exec {
+        // Lower the compiled plan to the execution tape: a flat instruction
+        // stream with registers, release lists, group tails, and wave
+        // ranges all resolved at compile time. A lowering failure is kept
+        // and returned by every inference as a typed error; there is no
+        // other executor to fall back to.
+        let tape = {
             let _s = sod2_obs::span!("stage", "tape_compile");
-            match compile_tape(
+            compile_tape(
                 &graph,
-                &tape_layout,
                 &node_order,
                 Some(&fusion_plan),
-                true,
                 opts.absint.then_some(certs.finite.as_slice()),
                 wave_exec.as_ref(),
                 baked_variants.as_ref(),
-            ) {
-                Ok(tp) => Some(std::sync::Arc::new(tp)),
-                Err(_) => {
-                    sod2_obs::counter_add("tape.compile_failures", 1);
-                    None
-                }
-            }
-        } else {
-            None
+            )
+            .map(std::sync::Arc::new)
+            .map_err(|e| {
+                sod2_obs::counter_add("tape.compile_failures", 1);
+                e.to_string()
+            })
         };
         // Debug-mode verification stage: the compiled artifacts must pass
         // the static verifiers before the engine is allowed to run.
@@ -522,7 +472,7 @@ impl Sod2Engine {
                     Some(&wave_plan),
                 ));
             }
-            if let Some(tp) = &tape {
+            if let Ok(tp) = &tape {
                 stage.extend(sod2_analysis::verify_tape(
                     &graph,
                     &node_order,
@@ -551,10 +501,8 @@ impl Sod2Engine {
             table,
             arena: None,
             wave_schedule,
-            wave_exec,
             last_wave: None,
             tape,
-            uses_template,
             pre_plan_cache: Vec::new(),
         }
     }
@@ -585,23 +533,22 @@ impl Sod2Engine {
             table: self.table.clone(),
             arena: None,
             wave_schedule: self.wave_schedule.clone(),
-            wave_exec: self.wave_exec.clone(),
             last_wave: None,
             tape: self.tape.clone(),
-            uses_template: self.uses_template.clone(),
             pre_plan_cache: self.pre_plan_cache.clone(),
         }
     }
 
-    /// Static statistics of the compiled execution tape (`None` when tape
-    /// execution is off or lowering failed).
+    /// Static statistics of the compiled execution tape (`None` when
+    /// lowering failed).
     pub fn tape_stats(&self) -> Option<TapeStats> {
-        self.tape.as_deref().map(TapeProgram::stats)
+        self.tape().map(TapeProgram::stats)
     }
 
-    /// The compiled execution tape itself, for external verification.
+    /// The compiled execution tape itself, for external verification
+    /// (`None` when lowering failed).
     pub fn tape(&self) -> Option<&TapeProgram> {
-        self.tape.as_deref()
+        self.tape.as_deref().ok()
     }
 
     /// The planned node order the tape was lowered from.
@@ -865,7 +812,7 @@ impl Sod2Engine {
         // re-plan at serial (unit) granularity.
         let mut wave_fallback = false;
         let mut pre_plan = arena_on.then(|| plan_sod2(&pre_lives));
-        if let (Some(p), Some(_)) = (&pre_plan, &self.wave_exec) {
+        if let (Some(p), Some(_)) = (&pre_plan, &self.wave_schedule) {
             if !verify_plan(&pre_lives, p).is_empty() {
                 wave_fallback = true;
                 pre_lives =
@@ -895,6 +842,12 @@ impl Sod2Engine {
     ) -> Result<(InferenceStats, MemoryPlan), ExecError> {
         let _infer_span = sod2_obs::span!("infer", "Sod2Engine::infer");
         sod2_obs::counter_add("infer.count", 1);
+        // A plan that failed to lower cannot run: there is no second
+        // executor to fall back to.
+        let tape = self
+            .tape
+            .as_deref()
+            .map_err(|e| ExecError::Internal(format!("tape lowering failed: {e}")))?;
         let mut bindings = {
             let _s = sod2_obs::span!("phase", "bindings");
             bindings_from_inputs(&self.graph, inputs).map_err(ExecError::BadInputs)?
@@ -953,12 +906,10 @@ impl Sod2Engine {
             pre_sizes,
             ..
         } = entry;
-        let wave_plan_ref: Option<&WaveExecPlan> = if wave_fallback {
-            None
-        } else {
-            self.wave_exec.as_ref()
-        };
-        let runtime_fallback = self.wave_exec.is_some() && wave_plan_ref.is_none();
+        // The tape carries the wave ranges; only the per-inference
+        // serial-fallback decision is made here.
+        let wavefront = self.wave_schedule.is_some() && !wave_fallback;
+        let runtime_fallback = self.wave_schedule.is_some() && wave_fallback;
         let backing = if let Some(pre_plan) = pre_plan_opt {
             // Budget admission at DMP time: the plan's peak is known before
             // any kernel runs, so an over-budget inference is rejected
@@ -1002,41 +953,23 @@ impl Sod2Engine {
             None
         };
         drop(dmp_span);
+        // The plan fields (fusion, order, chains, certificates) are baked
+        // into the tape; only the runtime knobs are passed per inference.
         let cfg = ExecConfig {
-            fusion: Some(&self.fusion_plan),
-            node_order: Some(&self.node_order),
             version_table: self.table.as_deref(),
             execute_all_branches: !self.opts.native_control_flow,
-            fused_interpreter: true,
             nan_guard: self.opts.nan_guard,
             memory_budget: self.opts.memory_budget,
-            wave_plan: wave_plan_ref,
-            finite_outputs: self.opts.absint.then_some(self.certs.finite.as_slice()),
-            uses_template: Some(&self.uses_template),
+            ..ExecConfig::default()
         };
         let deadline = self.opts.deadline.map(|d| std::time::Instant::now() + d);
-        let tape = self.tape.clone();
         let outcome = {
             let _s = sod2_obs::span!("phase", "execute");
             // Panics from kernels or pool chunks are converted to a typed
             // error here so a failed inference can never wedge the engine.
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                sod2_pool::with_deadline(deadline, || match &tape {
-                    // Register-machine path: the tape already carries the
-                    // wave ranges, so only the per-inference serial-fallback
-                    // decision is passed down.
-                    Some(tp) => execute_tape(
-                        &self.graph,
-                        inputs,
-                        tp,
-                        &cfg,
-                        backing,
-                        wave_plan_ref.is_some(),
-                    ),
-                    None if backing.is_some() => {
-                        execute_with_arena(&self.graph, inputs, &cfg, backing)
-                    }
-                    None => execute(&self.graph, inputs, &cfg),
+                sod2_pool::with_deadline(deadline, || {
+                    execute_tape(&self.graph, inputs, tape, &cfg, backing, wavefront)
                 })
             }));
             match result {
@@ -1210,7 +1143,7 @@ impl Sod2Engine {
         report.extend(an::verify_fusion(&self.graph, &self.fusion_plan));
         report.extend(an::verify_unit_order(&self.unit_graph, &self.unit_order));
         report.extend(an::verify_node_order(&self.graph, &self.node_order));
-        if let Some(tp) = &self.tape {
+        if let Some(tp) = self.tape() {
             report.extend(an::verify_tape(
                 &self.graph,
                 &self.node_order,
@@ -1226,9 +1159,7 @@ impl Sod2Engine {
             fused_interpreter: true,
             nan_guard: self.opts.nan_guard,
             memory_budget: self.opts.memory_budget,
-            wave_plan: None,
             finite_outputs: self.opts.absint.then_some(self.certs.finite.as_slice()),
-            uses_template: Some(&self.uses_template),
         };
         let outcome = execute(&self.graph, inputs, &cfg)?;
         report.extend(an::verify_observed_shapes(

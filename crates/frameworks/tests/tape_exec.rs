@@ -1,14 +1,24 @@
-//! Tape-mode equivalence on the full zoo: compiling a plan down to the
-//! register-machine tape must change *nothing observable* — outputs,
-//! priced latency, memory metrics, and arena residency all stay bitwise
-//! identical to the tree-walking interpreter, across arena/heap backing
-//! and wavefront on/off.
+//! The tape on the full zoo, checked against the serial heap reference.
+//!
+//! - Engine level: compiling a model and running it on the register-machine
+//!   tape — with folding, pruning, fusion, arena backing, and wavefront
+//!   scheduling — must produce the reference interpreter's outputs bitwise,
+//!   and the engine's memory metrics must not depend on the schedule.
+//! - Runtime level: given the same fusion plan, order, and fused chains, a
+//!   serial heap tape run must reproduce the reference's whole accounting —
+//!   outputs, trace events, priced latency, live peak, allocation stream,
+//!   and branch count — under every fusion policy, with native and
+//!   execute-all control flow.
 
 use sod2_device::DeviceProfile;
 use sod2_frameworks::{Engine, Sod2Engine, Sod2Options};
-use sod2_models::{all_models, codebert, DynModel, ModelScale};
+use sod2_fusion::{fuse, FusionPolicy};
+use sod2_models::{all_models, branchy_demo, DynModel, ModelScale};
+use sod2_mvc::VersionTable;
+use sod2_plan::{naive_unit_order, UnitGraph};
 use sod2_prng::rngs::StdRng;
 use sod2_prng::SeedableRng;
+use sod2_runtime::{compile_tape, execute, execute_tape, ExecConfig, RunOutcome};
 use sod2_tensor::Tensor;
 
 fn inputs_for(model: &DynModel, seed: u64, n: usize) -> Vec<Vec<Tensor>> {
@@ -54,103 +64,125 @@ fn tape_compiles_for_every_zoo_model() {
     }
 }
 
-/// Tape execution is observationally identical to the tree-walker on all
-/// 10 zoo models: bitwise-equal outputs and identical priced latency,
-/// peak memory, allocation events, and arena residency — under both
-/// arena and heap backing.
+/// The engine's outputs equal the reference interpreter's bitwise on all
+/// 10 zoo models plus the branchy demo, under arena and heap backing and
+/// with wavefront scheduling on and off; peak memory, allocation events,
+/// and arena residency do not depend on the schedule.
 #[test]
-fn tape_matches_tree_walker_on_zoo() {
-    for model in all_models(ModelScale::Tiny) {
+fn engine_matches_reference_on_zoo() {
+    let mut models = all_models(ModelScale::Tiny);
+    models.push(branchy_demo(ModelScale::Tiny));
+    for model in models {
         let samples = inputs_for(&model, 23, 2);
         for arena in [true, false] {
-            let mut tape = engine_with(
-                &model,
-                Sod2Options {
-                    tape_exec: true,
-                    arena_exec: arena,
-                    ..Sod2Options::default()
-                },
-            );
-            let mut tree = engine_with(
-                &model,
-                Sod2Options {
-                    tape_exec: false,
-                    arena_exec: arena,
-                    ..Sod2Options::default()
-                },
-            );
-            assert!(tape.tape_stats().is_some());
-            assert!(tree.tape_stats().is_none());
+            let mut engines = [false, true].map(|wavefront| {
+                engine_with(
+                    &model,
+                    Sod2Options {
+                        arena_exec: arena,
+                        wavefront_exec: wavefront,
+                        ..Sod2Options::default()
+                    },
+                )
+            });
             for inputs in &samples {
-                let a = tape.infer(inputs).expect("tape infer");
-                let b = tree.infer(inputs).expect("tree infer");
-                assert_eq!(a.outputs.len(), b.outputs.len());
-                for (x, y) in a.outputs.iter().zip(&b.outputs) {
-                    assert_eq!(
-                        x.payload_le_bytes(),
-                        y.payload_le_bytes(),
-                        "{} (arena={arena}): outputs diverged",
-                        model.name
-                    );
+                let reference =
+                    execute(&model.graph, inputs, &ExecConfig::default()).expect("reference run");
+                let [serial, waves] = &mut engines;
+                let a = serial.infer(inputs).expect("serial infer");
+                let b = waves.infer(inputs).expect("wavefront infer");
+                for stats in [&a, &b] {
+                    assert_eq!(stats.outputs.len(), reference.outputs.len());
+                    for (x, y) in stats.outputs.iter().zip(&reference.outputs) {
+                        assert_eq!(
+                            x.payload_le_bytes(),
+                            y.payload_le_bytes(),
+                            "{} (arena={arena}): outputs diverged from the reference",
+                            model.name
+                        );
+                    }
                 }
-                assert_eq!(
-                    a.latency.total(),
-                    b.latency.total(),
-                    "{} (arena={arena}): priced latency diverged",
-                    model.name
-                );
-                assert_eq!(
-                    a.peak_memory_bytes, b.peak_memory_bytes,
-                    "{} (arena={arena}): peak memory diverged",
-                    model.name
-                );
-                assert_eq!(
-                    a.alloc_events, b.alloc_events,
-                    "{} (arena={arena}): alloc events diverged",
-                    model.name
-                );
-                assert_eq!(
-                    a.arena_backed, b.arena_backed,
-                    "{} (arena={arena}): arena residency diverged",
-                    model.name
-                );
+                let ctx = format!("{} (arena={arena})", model.name);
+                assert_eq!(a.peak_memory_bytes, b.peak_memory_bytes, "{ctx}: peak");
+                assert_eq!(a.alloc_events, b.alloc_events, "{ctx}: alloc events");
+                assert_eq!(a.arena_backed, b.arena_backed, "{ctx}: arena residency");
             }
         }
     }
 }
 
-/// Same equivalence with wavefront scheduling disabled (pure serial tape
-/// vs. pure serial tree-walk) — isolates the phase-A/phase-B split from
-/// the comparison.
+/// A serial heap tape run reproduces the reference's accounting exactly
+/// for the same plan: every zoo model plus the branchy demo, under
+/// `FusionPolicy::{None, Static, Rdp}` in naive unit order with fused
+/// chains, with native and execute-all control flow.
 #[test]
-fn tape_matches_tree_walker_serial() {
-    let model = codebert(ModelScale::Tiny);
-    let samples = inputs_for(&model, 41, 3);
-    let mut tape = engine_with(
-        &model,
-        Sod2Options {
-            tape_exec: true,
-            wavefront_exec: false,
-            ..Sod2Options::default()
-        },
-    );
-    let mut tree = engine_with(
-        &model,
-        Sod2Options {
-            tape_exec: false,
-            wavefront_exec: false,
-            ..Sod2Options::default()
-        },
-    );
-    for inputs in &samples {
-        let a = tape.infer(inputs).expect("tape infer");
-        let b = tree.infer(inputs).expect("tree infer");
-        for (x, y) in a.outputs.iter().zip(&b.outputs) {
-            assert_eq!(x.payload_le_bytes(), y.payload_le_bytes());
+fn serial_tape_accounting_matches_reference() {
+    let profile = DeviceProfile::s888_cpu();
+    let (table, _) =
+        VersionTable::load_or_tune(&profile, 0xC0DE, sod2_mvc::cache::cache_dir().as_deref());
+    let mut models = all_models(ModelScale::Tiny);
+    models.push(branchy_demo(ModelScale::Tiny));
+    for model in models {
+        let g = &model.graph;
+        let inputs = &inputs_for(&model, 41, 1)[0];
+        let rdp = sod2_rdp::analyze(g);
+        for policy in [FusionPolicy::None, FusionPolicy::Static, FusionPolicy::Rdp] {
+            let fusion = fuse(g, &rdp, policy);
+            let units = UnitGraph::build(g, &fusion);
+            let order: Vec<_> = naive_unit_order(&units)
+                .iter()
+                .flat_map(|&u| units.units[u].nodes.iter().copied())
+                .collect();
+            let tape = compile_tape(g, &order, Some(&fusion), None, None, None)
+                .unwrap_or_else(|e| panic!("{}: lowering failed: {e}", model.name));
+            for execute_all_branches in [false, true] {
+                let cfg = ExecConfig {
+                    fusion: Some(&fusion),
+                    node_order: Some(&order),
+                    version_table: Some(&table),
+                    execute_all_branches,
+                    fused_interpreter: true,
+                    ..ExecConfig::default()
+                };
+                let ctx = format!(
+                    "{} ({policy:?}, execute_all={execute_all_branches})",
+                    model.name
+                );
+                let want = execute(g, inputs, &cfg).expect("reference run");
+                let got = execute_tape(g, inputs, &tape, &cfg, None, false).expect("tape run");
+                assert_same_accounting(&ctx, &profile, &got, &want);
+            }
         }
-        assert_eq!(a.latency.total(), b.latency.total());
-        assert_eq!(a.peak_memory_bytes, b.peak_memory_bytes);
     }
+}
+
+fn assert_same_accounting(ctx: &str, profile: &DeviceProfile, got: &RunOutcome, want: &RunOutcome) {
+    let payloads = |r: &RunOutcome| -> Vec<Vec<u8>> {
+        r.outputs.iter().map(Tensor::payload_le_bytes).collect()
+    };
+    assert_eq!(payloads(got), payloads(want), "{ctx}: outputs");
+    assert_eq!(
+        format!("{:?}", got.trace.events),
+        format!("{:?}", want.trace.events),
+        "{ctx}: trace events"
+    );
+    assert_eq!(
+        got.trace.price(profile),
+        want.trace.price(profile),
+        "{ctx}: priced latency"
+    );
+    assert_eq!(
+        got.peak_live_bytes, want.peak_live_bytes,
+        "{ctx}: live peak"
+    );
+    assert_eq!(
+        got.alloc_sizes, want.alloc_sizes,
+        "{ctx}: allocation stream"
+    );
+    assert_eq!(
+        got.branches_executed, want.branches_executed,
+        "{ctx}: branches executed"
+    );
 }
 
 /// The engine's debug verification runs `verify_tape` over every compiled

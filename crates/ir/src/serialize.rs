@@ -2,13 +2,13 @@
 //!
 //! Lets compiled pipelines persist and reload models (weights included)
 //! without a textual format dependency. The encoding is a simple
-//! tag-length-value layout over [`bytes`]; it round-trips every graph the
-//! builder can produce, including symbolic input annotations.
+//! little-endian tag-length-value layout over plain byte slices; it
+//! round-trips every graph the builder can produce, including symbolic
+//! input annotations.
 
 use crate::dtype::{ConstData, DType};
 use crate::graph::{Graph, TensorId};
 use crate::op::{BinaryOp, CompareOp, Op, ReduceOp, Spatial2d, UnaryOp};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use sod2_sym::{DimExpr, DimValue, ShapeValue};
 use std::fmt;
 
@@ -46,7 +46,76 @@ impl fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-fn need(buf: &Bytes, n: usize) -> Result<(), DecodeError> {
+/// Little-endian appends onto the encoder's output buffer.
+trait PutLe {
+    fn put_u8(&mut self, v: u8);
+    fn put_u32_le(&mut self, v: u32);
+    fn put_u64_le(&mut self, v: u64);
+    fn put_i64_le(&mut self, v: i64);
+    fn put_f32_le(&mut self, v: f32);
+}
+
+impl PutLe for Vec<u8> {
+    fn put_u8(&mut self, v: u8) {
+        self.push(v);
+    }
+    fn put_u32_le(&mut self, v: u32) {
+        self.extend_from_slice(&v.to_le_bytes());
+    }
+    fn put_u64_le(&mut self, v: u64) {
+        self.extend_from_slice(&v.to_le_bytes());
+    }
+    fn put_i64_le(&mut self, v: i64) {
+        self.extend_from_slice(&v.to_le_bytes());
+    }
+    fn put_f32_le(&mut self, v: f32) {
+        self.extend_from_slice(&v.to_le_bytes());
+    }
+}
+
+/// A consuming little-endian cursor over the decoder's input. Reads do
+/// not bounds-check: the input comes from outside the program, so every
+/// read is preceded by a [`need`] check that turns a short buffer into
+/// [`DecodeError::Truncated`].
+struct Reader<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> Reader<'a> {
+    fn remaining(&self) -> usize {
+        self.rest.len()
+    }
+
+    fn get_slice(&mut self, n: usize) -> &'a [u8] {
+        let (head, rest) = self.rest.split_at(n);
+        self.rest = rest;
+        head
+    }
+
+    fn get_array<const N: usize>(&mut self) -> [u8; N] {
+        let mut out = [0u8; N];
+        out.copy_from_slice(self.get_slice(N));
+        out
+    }
+
+    fn get_u8(&mut self) -> u8 {
+        self.get_array::<1>()[0]
+    }
+    fn get_u32_le(&mut self) -> u32 {
+        u32::from_le_bytes(self.get_array())
+    }
+    fn get_u64_le(&mut self) -> u64 {
+        u64::from_le_bytes(self.get_array())
+    }
+    fn get_i64_le(&mut self) -> i64 {
+        i64::from_le_bytes(self.get_array())
+    }
+    fn get_f32_le(&mut self) -> f32 {
+        f32::from_le_bytes(self.get_array())
+    }
+}
+
+fn need(buf: &Reader<'_>, n: usize) -> Result<(), DecodeError> {
     if buf.remaining() < n {
         Err(DecodeError::Truncated)
     } else {
@@ -56,25 +125,24 @@ fn need(buf: &Bytes, n: usize) -> Result<(), DecodeError> {
 
 /// Bounds check for `count` elements of `elem` bytes each, guarding the
 /// multiplication against corrupted (huge) length fields.
-fn need_elems(buf: &Bytes, count: usize, elem: usize) -> Result<(), DecodeError> {
+fn need_elems(buf: &Reader<'_>, count: usize, elem: usize) -> Result<(), DecodeError> {
     let total = count.checked_mul(elem).ok_or(DecodeError::Truncated)?;
     need(buf, total)
 }
 
-fn put_str(out: &mut BytesMut, s: &str) {
+fn put_str(out: &mut Vec<u8>, s: &str) {
     out.put_u32_le(s.len() as u32);
-    out.put_slice(s.as_bytes());
+    out.extend_from_slice(s.as_bytes());
 }
 
-fn get_str(buf: &mut Bytes) -> Result<String, DecodeError> {
+fn get_str(buf: &mut Reader<'_>) -> Result<String, DecodeError> {
     need(buf, 4)?;
     let n = buf.get_u32_le() as usize;
     need(buf, n)?;
-    let raw = buf.copy_to_bytes(n);
-    String::from_utf8(raw.to_vec()).map_err(|_| DecodeError::Corrupt("utf8 string"))
+    String::from_utf8(buf.get_slice(n).to_vec()).map_err(|_| DecodeError::Corrupt("utf8 string"))
 }
 
-fn put_expr(out: &mut BytesMut, e: &DimExpr) {
+fn put_expr(out: &mut Vec<u8>, e: &DimExpr) {
     match e {
         DimExpr::Const(v) => {
             out.put_u8(0);
@@ -108,7 +176,7 @@ fn put_expr(out: &mut BytesMut, e: &DimExpr) {
     }
 }
 
-fn get_expr(buf: &mut Bytes) -> Result<DimExpr, DecodeError> {
+fn get_expr(buf: &mut Reader<'_>) -> Result<DimExpr, DecodeError> {
     need(buf, 1)?;
     let tag = buf.get_u8();
     Ok(match tag {
@@ -161,7 +229,7 @@ fn get_expr(buf: &mut Bytes) -> Result<DimExpr, DecodeError> {
     })
 }
 
-fn put_shape(out: &mut BytesMut, s: &ShapeValue) {
+fn put_shape(out: &mut Vec<u8>, s: &ShapeValue) {
     match s {
         ShapeValue::Undef => out.put_u8(0),
         ShapeValue::Nac => out.put_u8(2),
@@ -182,7 +250,7 @@ fn put_shape(out: &mut BytesMut, s: &ShapeValue) {
     }
 }
 
-fn get_shape(buf: &mut Bytes) -> Result<ShapeValue, DecodeError> {
+fn get_shape(buf: &mut Reader<'_>) -> Result<ShapeValue, DecodeError> {
     need(buf, 1)?;
     Ok(match buf.get_u8() {
         0 => ShapeValue::Undef,
@@ -243,7 +311,7 @@ fn dtype_from(tag: u8) -> Result<DType, DecodeError> {
     })
 }
 
-fn put_const(out: &mut BytesMut, d: &ConstData) {
+fn put_const(out: &mut Vec<u8>, d: &ConstData) {
     match d {
         ConstData::F32(v) => {
             out.put_u8(0);
@@ -269,12 +337,12 @@ fn put_const(out: &mut BytesMut, d: &ConstData) {
         ConstData::U8(v) => {
             out.put_u8(3);
             out.put_u64_le(v.len() as u64);
-            out.put_slice(v);
+            out.extend_from_slice(v);
         }
     }
 }
 
-fn get_const(buf: &mut Bytes) -> Result<ConstData, DecodeError> {
+fn get_const(buf: &mut Reader<'_>) -> Result<ConstData, DecodeError> {
     need(buf, 9)?;
     let tag = buf.get_u8();
     let n = buf.get_u64_le() as usize;
@@ -293,9 +361,7 @@ fn get_const(buf: &mut Bytes) -> Result<ConstData, DecodeError> {
         }
         3 => {
             need(buf, n)?;
-            let mut v = vec![0u8; n];
-            buf.copy_to_slice(&mut v);
-            ConstData::U8(v)
+            ConstData::U8(buf.get_slice(n).to_vec())
         }
         t => {
             return Err(DecodeError::BadTag {
@@ -306,21 +372,21 @@ fn get_const(buf: &mut Bytes) -> Result<ConstData, DecodeError> {
     })
 }
 
-fn put_i64s(out: &mut BytesMut, v: &[i64]) {
+fn put_i64s(out: &mut Vec<u8>, v: &[i64]) {
     out.put_u32_le(v.len() as u32);
     for x in v {
         out.put_i64_le(*x);
     }
 }
 
-fn get_i64s(buf: &mut Bytes) -> Result<Vec<i64>, DecodeError> {
+fn get_i64s(buf: &mut Reader<'_>) -> Result<Vec<i64>, DecodeError> {
     need(buf, 4)?;
     let n = buf.get_u32_le() as usize;
     need_elems(buf, n, 8)?;
     Ok((0..n).map(|_| buf.get_i64_le()).collect())
 }
 
-fn put_spatial(out: &mut BytesMut, s: &Spatial2d) {
+fn put_spatial(out: &mut Vec<u8>, s: &Spatial2d) {
     for v in [
         s.kernel[0],
         s.kernel[1],
@@ -333,7 +399,7 @@ fn put_spatial(out: &mut BytesMut, s: &Spatial2d) {
     }
 }
 
-fn get_spatial(buf: &mut Bytes) -> Result<Spatial2d, DecodeError> {
+fn get_spatial(buf: &mut Reader<'_>) -> Result<Spatial2d, DecodeError> {
     need(buf, 24)?;
     let mut v = [0usize; 6];
     for slot in &mut v {
@@ -413,7 +479,7 @@ fn unary_from(tag: u8) -> Result<UnaryOp, DecodeError> {
 }
 
 #[allow(clippy::too_many_lines)]
-fn put_op(out: &mut BytesMut, op: &Op) {
+fn put_op(out: &mut Vec<u8>, op: &Op) {
     match op {
         Op::Shape => out.put_u8(0),
         Op::Size => out.put_u8(1),
@@ -571,7 +637,7 @@ fn put_op(out: &mut BytesMut, op: &Op) {
 }
 
 #[allow(clippy::too_many_lines)]
-fn get_op(buf: &mut Bytes) -> Result<Op, DecodeError> {
+fn get_op(buf: &mut Reader<'_>) -> Result<Op, DecodeError> {
     fn binary_from(tag: u8) -> Result<BinaryOp, DecodeError> {
         use BinaryOp::*;
         Ok(match tag {
@@ -825,8 +891,8 @@ fn get_op(buf: &mut Bytes) -> Result<Op, DecodeError> {
 
 /// Encodes a graph (structure, annotations, and constant payloads).
 pub fn encode_graph(g: &Graph) -> Vec<u8> {
-    let mut out = BytesMut::new();
-    out.put_slice(MAGIC);
+    let mut out = Vec::new();
+    out.extend_from_slice(MAGIC);
     out.put_u8(VERSION);
     // Tensors.
     out.put_u32_le(g.num_tensors() as u32);
@@ -866,7 +932,7 @@ pub fn encode_graph(g: &Graph) -> Vec<u8> {
     for t in g.outputs() {
         out.put_u32_le(t.0);
     }
-    out.to_vec()
+    out
 }
 
 /// Decodes a graph produced by [`encode_graph`].
@@ -876,11 +942,9 @@ pub fn encode_graph(g: &Graph) -> Vec<u8> {
 /// Returns [`DecodeError`] on malformed input; the decoded graph is
 /// revalidated structurally before being returned.
 pub fn decode_graph(data: &[u8]) -> Result<Graph, DecodeError> {
-    let mut buf = Bytes::copy_from_slice(data);
+    let mut buf = Reader { rest: data };
     need(&buf, 5)?;
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC || buf.get_u8() != VERSION {
+    if buf.get_array::<4>() != *MAGIC || buf.get_u8() != VERSION {
         return Err(DecodeError::BadHeader);
     }
     need(&buf, 4)?;

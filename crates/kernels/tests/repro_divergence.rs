@@ -26,8 +26,12 @@ fn find_divergence() {
     let b = fill(12, k * n);
     let naive = gemm_naive(&a, &b, m, k, n);
     let params = GemmParams {
-        tile_m: 16, tile_n: 16, tile_k: 8, unroll: 4,
-        loop_order: LoopOrder::Ikj, micro: MicroKernel::Scalar,
+        tile_m: 16,
+        tile_n: 16,
+        tile_k: 8,
+        unroll: 4,
+        loop_order: LoopOrder::Ikj,
+        micro: MicroKernel::Scalar,
     };
     let out = with_threads(1, || gemm_tiled(&a, &b, m, k, n, params));
     let mut count = 0;
@@ -42,9 +46,15 @@ fn find_divergence() {
                     let mut trail = String::new();
                     for p in 0..k {
                         acc += a[i * k + p] * b[p * n + j];
-                        if p < 12 { trail.push_str(&format!("p{p}:{acc:e} ")); }
+                        if p < 12 {
+                            trail.push_str(&format!("p{p}:{acc:e} "));
+                        }
                     }
-                    println!("i={i} j={j} naive={x:e}({:#x}) tiled={y:e}({:#x}) manual={acc:e}", x.to_bits(), y.to_bits());
+                    println!(
+                        "i={i} j={j} naive={x:e}({:#x}) tiled={y:e}({:#x}) manual={acc:e}",
+                        x.to_bits(),
+                        y.to_bits()
+                    );
                 }
                 count += 1;
             }

@@ -1,20 +1,17 @@
-//! The graph executor.
+//! The reference graph executor.
 //!
 //! Executes an extended computational graph on concrete input tensors,
-//! resolving `<Switch, Combine>` control flow (either natively — dead
+//! one node at a time in the planned order, with every tensor on the heap:
+//! it resolves `<Switch, Combine>` control flow (either natively — dead
 //! branches are skipped — or in the baselines' "execute all paths, strip
-//! invalid results" mode), accounting live intermediate memory, and
-//! emitting kernel [`TraceEvent`]s at fused-group granularity.
+//! invalid results" mode), accounts live intermediate memory, and emits
+//! kernel [`TraceEvent`]s at fused-group granularity.
 //!
-//! Two execution modes share one commit path:
-//!
-//! - **serial**: nodes run one at a time in the planned order;
-//! - **wavefront** (a [`WaveExecPlan`] in [`ExecConfig`]): each wave's
-//!   units *evaluate* concurrently on the shared worker pool, then their
-//!   results *commit* serially in the planned order. Evaluation is pure
-//!   (reads the committed environment, writes a unit-local overlay), so
-//!   outputs are bitwise identical to the serial mode's regardless of
-//!   worker count or timing.
+//! The engine's production executor is the register-machine tape
+//! ([`crate::tape`]); this interpreter is the serial reference the
+//! baselines price and the differential suites check the tape against.
+//! The pieces both executors share — fused chains, control-flow routing,
+//! NaN fences, group cost accounting, variant selection — live here.
 
 use crate::trace::{ExecutionTrace, TraceEvent};
 use sod2_fusion::FusionPlan;
@@ -23,30 +20,10 @@ use sod2_kernels::{
     execute_op_with_variants, fused::FusedStep, fused_elementwise, ConvParams, GemmParams,
     KernelError,
 };
-use sod2_mem::Arena;
 use sod2_mvc::VersionTable;
 use sod2_tensor::{Data, Tensor};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-
-/// A static parallel schedule at node granularity: `waves[w][j]` is the
-/// node list of job `j` of wave `w` (one schedulable unit, in execution
-/// order). Units within a wave are mutually independent by construction
-/// (they come from distinct units of one SEP wavefront), so their
-/// evaluation may run concurrently; waves execute in order with a barrier
-/// between them. The flattened plan must equal the executor's node order.
-#[derive(Debug, Clone, Default)]
-pub struct WaveExecPlan {
-    /// wave → job/unit → nodes (each inner list in execution order).
-    pub waves: Vec<Vec<Vec<NodeId>>>,
-}
-
-impl WaveExecPlan {
-    /// Widest wave (number of concurrent units).
-    pub fn max_width(&self) -> usize {
-        self.waves.iter().map(Vec::len).max().unwrap_or(0)
-    }
-}
 
 /// Execution configuration.
 #[derive(Default)]
@@ -65,7 +42,8 @@ pub struct ExecConfig<'a> {
     pub execute_all_branches: bool,
     /// Execute eligible fused groups through the single-pass fused
     /// element-wise interpreter (`sod2_kernels::fused`): intermediates are
-    /// genuinely never materialized, not just unaccounted.
+    /// genuinely never materialized, not just unaccounted. Off, every
+    /// member runs node-wise — the oracle the chains are tested against.
     pub fused_interpreter: bool,
     /// Scan tensors for non-finite values and fail with
     /// [`ExecError::NumericFault`] instead of returning poisoned results
@@ -86,37 +64,6 @@ pub struct ExecConfig<'a> {
     /// enforcement — the engine also rejects over-budget DMP plans before
     /// execution starts.
     pub memory_budget: Option<usize>,
-    /// Wavefront execution plan: when present, each wave's units evaluate
-    /// concurrently before committing serially. Must flatten to exactly
-    /// the execution order (`node_order`), else the run aborts with
-    /// [`ExecError::Internal`].
-    pub wave_plan: Option<&'a WaveExecPlan>,
-    /// Precomputed remaining-use counts per tensor key (`TensorId.0`),
-    /// as produced by [`remaining_uses_template`]. When absent (or sized
-    /// wrong for the graph) the executor rebuilds the counts from the
-    /// consumer index — correct but ~one graph walk per inference.
-    pub uses_template: Option<&'a [u32]>,
-}
-
-/// Initial remaining-use count per tensor key (`TensorId.0 as usize`):
-/// one per consumer *occurrence* (a node listing a tensor twice counts
-/// twice, matching the per-occurrence decrements of the release path)
-/// plus one for graph outputs, which are held to the end of the run.
-///
-/// Compute once per compiled plan and hand to executions through
-/// [`ExecConfig::uses_template`] so the per-inference cost is a memcpy
-/// instead of a consumer-index walk.
-pub fn remaining_uses_template(graph: &Graph) -> Vec<u32> {
-    let consumer_index = graph.consumer_index();
-    let mut uses = vec![0u32; graph.num_tensors()];
-    for t in graph.tensor_ids() {
-        let mut n = consumer_index.get(&t).map(Vec::len).unwrap_or(0);
-        if graph.outputs().contains(&t) {
-            n += 1; // held to the end
-        }
-        uses[t.0 as usize] = n as u32;
-    }
-    uses
 }
 
 /// Execution errors.
@@ -189,7 +136,7 @@ pub struct RunOutcome {
     pub trace: ExecutionTrace,
     /// Peak bytes of simultaneously live materialized intermediates.
     pub peak_live_bytes: usize,
-    /// Sizes (bytes) of every materialized intermediate tensor, in
+    /// Sizes (bytes) of every heap-allocated intermediate tensor, in
     /// allocation order — the allocation stream engines price.
     pub alloc_sizes: Vec<usize>,
     /// Concrete shape of every tensor that was produced.
@@ -197,139 +144,11 @@ pub struct RunOutcome {
     /// How many `Switch` branches executed (live + dead-but-executed).
     pub branches_executed: usize,
     /// How many materialized intermediates were served from the arena slab
-    /// instead of the heap (always 0 without an [`ArenaBacking`]).
+    /// instead of the heap (always 0 in the heap-only reference).
     pub arena_backed: usize,
 }
 
-/// Pre-planned arena memory handed to [`execute_with_arena`].
-///
-/// `sizes` holds the exact byte size the offset plan assumed for each
-/// planned tensor key ([`MemoryPlan`](sod2_mem::MemoryPlan) stores only
-/// offsets): the executor arena-backs a tensor only when its runtime size
-/// matches the planned size exactly, falling back to the heap otherwise —
-/// so a stale or partial plan degrades gracefully instead of corrupting
-/// memory. Keys in `bounded` relax the match to "at most the planned
-/// size": their plans reserve a static upper bound for an
-/// execution-determined (`nac`) payload, so any smaller runtime size still
-/// fits its slot without aliasing a neighbour.
-pub struct ArenaBacking<'a> {
-    /// The slab, already reset to the current inference's plan.
-    pub arena: &'a mut Arena,
-    /// Planned byte size per tensor key (`TensorId.0 as usize`).
-    pub sizes: &'a HashMap<usize, usize>,
-    /// Keys planned at an upper bound rather than an exact size.
-    pub bounded: &'a HashSet<usize>,
-}
-
-/// Copies a freshly produced tensor into its planned arena slot. Returns
-/// `true` when the tensor is now arena-backed, `false` when the executor
-/// must treat it as a heap allocation (no backing, unplanned key, or a
-/// size mismatch against the plan).
-pub(crate) fn arena_install(
-    backing: &mut Option<ArenaBacking<'_>>,
-    planned: &mut [bool],
-    t: TensorId,
-    tensor: &Tensor,
-) -> bool {
-    let Some(b) = backing.as_mut() else {
-        return false;
-    };
-    let key = t.0 as usize;
-    let fits = match b.sizes.get(&key) {
-        Some(&sz) if b.bounded.contains(&key) => tensor.byte_size() <= sz,
-        Some(&sz) => tensor.byte_size() == sz,
-        None => false,
-    };
-    if !fits {
-        return false;
-    }
-    if b.arena.try_write(key, &tensor.payload_le_bytes()) {
-        planned[key] = true;
-        true
-    } else {
-        false
-    }
-}
-
-/// Decrements the remaining-use counts of a node's inputs, releasing slots
-/// whose uses are exhausted. Arena-backed tensors are readback-verified at
-/// death: their slab bytes must still equal the tensor payload, otherwise
-/// the offset plan aliased two live tensors and the run is corrupt.
-#[allow(clippy::too_many_arguments)]
-fn release_inputs(
-    graph: &Graph,
-    node_inputs: &[TensorId],
-    internal: &HashSet<TensorId>,
-    remaining_uses: &mut [u32],
-    env: &mut [Slot],
-    live_bytes: &mut usize,
-    planned: &mut [bool],
-    backing: &Option<ArenaBacking<'_>>,
-) -> Result<(), ExecError> {
-    for &t in node_inputs {
-        let uses = remaining_uses
-            .get_mut(t.0 as usize)
-            .ok_or_else(|| ExecError::Internal(format!("untracked tensor {t} released")))?;
-        *uses = uses.saturating_sub(1);
-        if *uses == 0 {
-            let is_intermediate = graph.producer(t).is_some() && !internal.contains(&t);
-            let is_output = graph.outputs().contains(&t);
-            release_slot(
-                t,
-                is_intermediate,
-                is_output,
-                env,
-                live_bytes,
-                planned,
-                backing,
-            )?;
-        }
-    }
-    Ok(())
-}
-
-/// Releases one tensor slot whose uses are exhausted: readback-verifies an
-/// arena-backed payload at death, un-accounts a materialized intermediate
-/// from live memory, and clears the slot (outputs are held to the end of
-/// the run; dead slots stay dead so later readers still observe deadness).
-/// The tape executor calls this directly with flags precompiled per
-/// instruction; the tree-walking path derives them from the graph above.
-pub(crate) fn release_slot(
-    t: TensorId,
-    is_intermediate: bool,
-    is_output: bool,
-    env: &mut [Slot],
-    live_bytes: &mut usize,
-    planned: &mut [bool],
-    backing: &Option<ArenaBacking<'_>>,
-) -> Result<(), ExecError> {
-    let key = t.0 as usize;
-    if planned.get(key).copied().unwrap_or(false) {
-        planned[key] = false;
-        if let (Slot::Live(ten), Some(b)) = (&env[key], backing.as_ref()) {
-            sod2_obs::counter_add("exec.arena_readback_verifies", 1);
-            let want = ten.payload_le_bytes();
-            if b.arena.try_read(key, want.len()) != Some(want.as_slice()) {
-                return Err(ExecError::Memory(format!(
-                    "arena slot for tensor {t} was clobbered while live"
-                )));
-            }
-        }
-    }
-    if is_intermediate {
-        if let Slot::Live(ten) = &env[key] {
-            *live_bytes = live_bytes.saturating_sub(ten.byte_size());
-        }
-    }
-    if !is_output {
-        env[key] = match env[key] {
-            Slot::Dead => Slot::Dead,
-            _ => Slot::Missing,
-        };
-    }
-    Ok(())
-}
-
+/// One tensor slot (= tape register) of an executing graph.
 #[derive(Clone)]
 pub(crate) enum Slot {
     Missing,
@@ -337,67 +156,31 @@ pub(crate) enum Slot {
     Dead,
 }
 
-/// Reusable scratch overlay for unit-local results awaiting commit: a
-/// flat `(key, slot)` list scanned back-to-front so the latest write of a
-/// key wins. Units are a handful of nodes, so a linear scan beats a
-/// `HashMap` — and reusing one overlay across units removes the per-unit
-/// allocation the map incurred.
-#[derive(Default)]
-pub(crate) struct Overlay {
-    entries: Vec<(usize, Slot)>,
+/// Read access to tensor slots: the committed environment itself, or the
+/// tape's wave-phase view of it through a unit-local overlay.
+pub(crate) trait SlotView {
+    /// The slot of tensor `t`.
+    fn slot(&self, t: TensorId) -> &Slot;
 }
 
-impl Overlay {
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
-    pub(crate) fn clear(&mut self) {
-        self.entries.clear();
-    }
-
-    pub(crate) fn insert(&mut self, key: usize, slot: Slot) {
-        self.entries.push((key, slot));
-    }
-
-    pub(crate) fn get(&self, key: usize) -> Option<&Slot> {
-        self.entries
-            .iter()
-            .rev()
-            .find(|(k, _)| *k == key)
-            .map(|(_, s)| s)
+impl SlotView for [Slot] {
+    fn slot(&self, t: TensorId) -> &Slot {
+        &self[t.0 as usize]
     }
 }
 
-/// Read-only view of the environment used during node *evaluation*: the
-/// committed base plus an optional unit-local overlay holding results
-/// produced earlier in the same unit that have not been committed yet.
-/// The serial commit path uses a view with no overlay — identical reads
-/// to indexing the environment directly.
-pub(crate) struct EnvView<'e> {
-    pub(crate) base: &'e [Slot],
-    pub(crate) overlay: Option<&'e Overlay>,
-}
-
-impl EnvView<'_> {
-    pub(crate) fn get(&self, t: TensorId) -> &Slot {
-        let key = t.0 as usize;
-        if let Some(o) = self.overlay {
-            if let Some(s) = o.get(key) {
-                return s;
-            }
-        }
-        &self.base[key]
+/// The live tensor in `t`'s slot, or the control-flow error naming why
+/// there is none.
+pub(crate) fn live<V: SlotView + ?Sized>(env: &V, t: TensorId) -> Result<&Tensor, ExecError> {
+    match env.slot(t) {
+        Slot::Live(ten) => Ok(ten),
+        Slot::Dead => Err(ExecError::ControlFlow(format!("{t} is dead"))),
+        Slot::Missing => Err(ExecError::ControlFlow(format!("{t} was never produced"))),
     }
 }
 
 /// Converts an IR constant payload into a runtime tensor.
-pub(crate) fn const_tensor_pub(shape: &[i64], data: &ConstData) -> Tensor {
-    const_tensor(shape, data)
-}
-
-/// Converts an IR constant payload into a runtime tensor.
-fn const_tensor(shape: &[i64], data: &ConstData) -> Tensor {
+pub(crate) fn const_tensor(shape: &[i64], data: &ConstData) -> Tensor {
     let dims: Vec<usize> = shape.iter().map(|&d| d as usize).collect();
     let payload = match data {
         ConstData::F32(v) => Data::F32(v.clone()),
@@ -411,288 +194,95 @@ fn const_tensor(shape: &[i64], data: &ConstData) -> Tensor {
     Tensor::new(&dims, payload).expect("validated const payload")
 }
 
-/// Executes a graph on concrete inputs.
-///
-/// # Errors
-///
-/// Returns [`ExecError`] on kernel failures, input mismatches, or malformed
-/// control flow.
-pub fn execute(
+/// Every constant of the graph as a prebuilt tensor.
+pub(crate) fn const_tensors(graph: &Graph) -> Result<Vec<(TensorId, Tensor)>, ExecError> {
+    let mut out = Vec::new();
+    for t in graph.tensor_ids() {
+        let info = graph.tensor(t);
+        if let Some(data) = &info.const_data {
+            let shape = info
+                .shape
+                .as_known()
+                .ok_or_else(|| ExecError::BadInputs("constant with unknown shape".into()))?;
+            out.push((t, const_tensor(&shape, data)));
+        }
+    }
+    Ok(out)
+}
+
+/// Checks the input count and, under the NaN guard, fences the graph
+/// inputs: the guard's contract (and the finite-inputs premise behind
+/// certificate-based elision) starts at the boundary.
+pub(crate) fn check_inputs(
     graph: &Graph,
     inputs: &[Tensor],
-    cfg: &ExecConfig<'_>,
-) -> Result<RunOutcome, ExecError> {
-    execute_with_arena(graph, inputs, cfg, None)
-}
-
-/// The outcome of evaluating a fused chain: the final tensor (`None` when
-/// an input branch was dead) plus the cost attribution its trace event
-/// needs.
-pub(crate) struct ChainEval {
-    pub(crate) result: Option<Tensor>,
-    pub(crate) flops: f64,
-    pub(crate) ext_read: f64,
-}
-
-/// Evaluates (or kills) a whole fused chain. Pure: reads tensors through
-/// the view, produces an owned result.
-pub(crate) fn eval_chain(env: &EnvView<'_>, chain: &ChainPlan) -> Result<ChainEval, ExecError> {
-    let mut dead = matches!(env.get(chain.seed), Slot::Dead);
-    for st in &chain.steps {
-        if let ChainStep::Binary { other, .. } = st {
-            dead |= matches!(env.get(*other), Slot::Dead);
-        }
-    }
-    if dead {
-        return Ok(ChainEval {
-            result: None,
-            flops: 0.0,
-            ext_read: 0.0,
-        });
-    }
-    let seed = match env.get(chain.seed) {
-        Slot::Live(t) => t,
-        _ => {
-            return Err(ExecError::ControlFlow(format!(
-                "fused chain seed {} unavailable",
-                chain.seed
-            )))
-        }
-    };
-    let mut steps: Vec<FusedStep<'_>> = Vec::with_capacity(chain.steps.len());
-    let mut ext_read = seed.byte_size() as f64;
-    let mut flops_per_elem = 0.0f64;
-    for st in &chain.steps {
-        steps.push(match st {
-            ChainStep::Unary(u) => {
-                flops_per_elem += 4.0;
-                FusedStep::Unary(*u)
-            }
-            ChainStep::Clip { min, max } => {
-                flops_per_elem += 1.0;
-                FusedStep::Clip {
-                    min: *min,
-                    max: *max,
-                }
-            }
-            ChainStep::Binary {
-                op,
-                other,
-                chain_is_lhs,
-            } => {
-                flops_per_elem += 1.0;
-                let t = match env.get(*other) {
-                    Slot::Live(t) => t,
-                    _ => {
-                        return Err(ExecError::ControlFlow(format!(
-                            "fused chain operand {other} unavailable"
-                        )))
-                    }
-                };
-                ext_read += t.byte_size() as f64;
-                FusedStep::Binary {
-                    op: *op,
-                    other: t,
-                    chain_is_lhs: *chain_is_lhs,
-                }
-            }
-        });
-    }
-    let out = fused_elementwise(seed, &steps)?;
-    Ok(ChainEval {
-        flops: flops_per_elem * out.numel() as f64,
-        ext_read,
-        result: Some(out),
-    })
-}
-
-/// Precomputed evaluation of one node, produced by the parallel phase of a
-/// wave and consumed by the serial commit phase.
-enum NodeEval {
-    /// Fused-chain mid/tail member: all work happens at the head.
-    ChainMember,
-    /// Fused-chain head: the whole chain's evaluation.
-    ChainHead(ChainEval),
-    /// Plain node: per-output results plus `Switch` branches executed.
-    Plain {
-        results: Vec<Option<Tensor>>,
-        branches: usize,
-    },
-}
-
-/// Evaluates every node of one schedulable unit without touching shared
-/// state: unit-internal results thread through a local overlay, everything
-/// else reads the committed environment. Pure with respect to `env`, so
-/// units of one wave may evaluate concurrently (a legal wavefront schedule
-/// guarantees no cross-unit dependence within a wave).
-fn eval_unit(
-    graph: &Graph,
-    cfg: &ExecConfig<'_>,
-    env: &[Slot],
-    chain_member: &HashMap<NodeId, usize>,
-    chains: &[ChainPlan],
-    nodes: &[NodeId],
-    overlay: &mut Overlay,
-) -> Result<Vec<NodeEval>, ExecError> {
-    overlay.clear();
-    let mut out = Vec::with_capacity(nodes.len());
-    for &nid in nodes {
-        if sod2_pool::deadline_exceeded() {
-            return Err(ExecError::DeadlineExceeded);
-        }
-        let node = graph.node(nid);
-        if let Some(&cidx) = chain_member.get(&nid) {
-            let chain = &chains[cidx];
-            if nid == chain.members[0] {
-                let ev = {
-                    let view = EnvView {
-                        base: env,
-                        overlay: Some(overlay),
-                    };
-                    eval_chain(&view, chain)?
-                };
-                overlay.insert(
-                    chain.final_output.0 as usize,
-                    match &ev.result {
-                        Some(t) => Slot::Live(t.clone()),
-                        None => Slot::Dead,
-                    },
-                );
-                out.push(NodeEval::ChainHead(ev));
-            } else {
-                out.push(NodeEval::ChainMember);
-            }
-            continue;
-        }
-        let is_combine = matches!(node.op, Op::Combine { .. });
-        let mut branches = 0usize;
-        let results = {
-            let view = EnvView {
-                base: env,
-                overlay: Some(overlay),
-            };
-            let mut dead = false;
-            if !is_combine {
-                for &t in &node.inputs {
-                    if matches!(view.get(t), Slot::Dead) {
-                        dead = true;
-                        break;
-                    }
-                }
-            }
-            if dead {
-                vec![None; node.outputs.len()]
-            } else {
-                run_node(graph, node, &view, cfg, &mut branches)?
-            }
-        };
-        for (k, r) in results.iter().enumerate() {
-            overlay.insert(
-                node.outputs[k].0 as usize,
-                match r {
-                    Some(t) => Slot::Live(t.clone()),
-                    None => Slot::Dead,
-                },
-            );
-        }
-        out.push(NodeEval::Plain { results, branches });
-    }
-    Ok(out)
-}
-
-/// Evaluates all units of one wave, concurrently when the wave holds more
-/// than one. Each unit becomes one pool job chunk; kernels inside a unit
-/// still open nested pool regions, so inter-op jobs and intra-op chunks
-/// share the same workers. Thread-count and deadline overrides are
-/// captured on the submitting thread and re-installed inside each job
-/// (pool workers do not inherit submitter thread-locals).
-fn eval_wave(
-    graph: &Graph,
-    cfg: &ExecConfig<'_>,
-    env: &[Slot],
-    chain_member: &HashMap<NodeId, usize>,
-    chains: &[ChainPlan],
-    wave: &[Vec<NodeId>],
-    scratch: &mut Overlay,
-) -> Result<Vec<Vec<NodeEval>>, ExecError> {
-    if wave.len() <= 1 {
-        // Single-unit wave: no submission overhead, evaluate inline with
-        // the caller's reusable overlay.
-        let mut out = Vec::with_capacity(wave.len());
-        for unit in wave {
-            out.push(eval_unit(
-                graph,
-                cfg,
-                env,
-                chain_member,
-                chains,
-                unit,
-                scratch,
-            )?);
-        }
-        return Ok(out);
-    }
-    let threads = sod2_pool::current_threads();
-    let deadline = sod2_pool::current_deadline();
-    let mut slots: Vec<Option<Result<Vec<NodeEval>, ExecError>>> = Vec::new();
-    slots.resize_with(wave.len(), || None);
-    sod2_pool::scope_chunks(&mut slots, 1, |idx, chunk| {
-        chunk[0] = Some(sod2_pool::with_threads(threads, || {
-            sod2_pool::with_deadline(deadline, || {
-                let mut overlay = Overlay::new();
-                eval_unit(
-                    graph,
-                    cfg,
-                    env,
-                    chain_member,
-                    chains,
-                    &wave[idx],
-                    &mut overlay,
-                )
-            })
-        }));
-    });
-    let mut out = Vec::with_capacity(wave.len());
-    for (idx, slot) in slots.into_iter().enumerate() {
-        match slot {
-            Some(Ok(evals)) => out.push(evals),
-            // Deterministic error selection: first failing unit in job
-            // order, regardless of which finished first in wallclock.
-            Some(Err(e)) => return Err(e),
-            None => {
-                // The pool skipped this chunk — only an expired deadline
-                // does that.
-                if sod2_pool::deadline_exceeded() {
-                    return Err(ExecError::DeadlineExceeded);
-                }
-                return Err(ExecError::Internal(format!(
-                    "wave evaluation slot {idx} was never filled"
-                )));
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Per-node NaN fence: scans a freshly committed f32 result for non-finite
-/// values unless the certificate says the tensor is provably finite (the
-/// elision the abstract interpretation pays for).
-fn fence_output(
-    cfg: &ExecConfig<'_>,
-    node_name: &str,
-    t: TensorId,
-    tensor: &Tensor,
+    nan_guard: bool,
 ) -> Result<(), ExecError> {
-    let finite = cfg
-        .finite_outputs
-        .map(|f| f.get(t.0 as usize).copied().unwrap_or(false))
-        .unwrap_or(false);
-    fence_value(cfg.nan_guard, finite, node_name, t, tensor)
+    if inputs.len() != graph.inputs().len() {
+        return Err(ExecError::BadInputs(format!(
+            "expected {} inputs, got {}",
+            graph.inputs().len(),
+            inputs.len()
+        )));
+    }
+    if nan_guard {
+        for (&t, tensor) in graph.inputs().iter().zip(inputs) {
+            if let Ok(v) = tensor.as_f32() {
+                if !v.iter().all(|x| x.is_finite()) {
+                    return Err(ExecError::NumericFault(format!(
+                        "non-finite value in graph input {t}"
+                    )));
+                }
+            }
+        }
+    }
+    Ok(())
 }
 
-/// The fence body with the proven-finite bit already resolved — the tape
-/// executor precompiles the bit per instruction output and calls this
-/// directly.
+/// Closes a run: re-checks the deadline (an expiry inside the last node's
+/// pool region skipped chunk bodies with no later node boundary to catch
+/// it, so expired runs never return outputs) and publishes the run's
+/// memory and control-flow counters.
+pub(crate) fn finish_run(
+    peak: usize,
+    alloc_sizes: &[usize],
+    arena_backed: usize,
+    branches_executed: usize,
+) -> Result<(), ExecError> {
+    if sod2_pool::deadline_exceeded() {
+        return Err(ExecError::DeadlineExceeded);
+    }
+    sod2_obs::gauge_max("exec.peak_live_bytes", peak as u64);
+    sod2_obs::counter_add("exec.heap_fallback_allocs", alloc_sizes.len() as u64);
+    sod2_obs::counter_add(
+        "exec.heap_fallback_bytes",
+        alloc_sizes.iter().map(|&b| b as u64).sum(),
+    );
+    sod2_obs::counter_add("exec.arena_backed", arena_backed as u64);
+    sod2_obs::counter_add("exec.branches_executed", branches_executed as u64);
+    Ok(())
+}
+
+/// The output NaN fence: no poisoned result leaves a guarded run.
+pub(crate) fn fence_outputs(nan_guard: bool, outputs: &[Tensor]) -> Result<(), ExecError> {
+    if nan_guard {
+        for (i, out) in outputs.iter().enumerate() {
+            if let Ok(v) = out.as_f32() {
+                if !v.iter().all(|x| x.is_finite()) {
+                    return Err(ExecError::NumericFault(format!(
+                        "non-finite value in output {i}"
+                    )));
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Per-node NaN fence with the proven-finite bit already resolved:
+/// scans a freshly committed f32 result for non-finite values unless the
+/// certificate says the tensor is provably finite (the elision the
+/// abstract interpretation pays for).
 pub(crate) fn fence_value(
     nan_guard: bool,
     finite: bool,
@@ -717,47 +307,296 @@ pub(crate) fn fence_value(
     Ok(())
 }
 
-/// Mutable executor state threaded through the serial commit path. Both
-/// execution modes funnel every node through [`commit_node`], so wavefront
-/// runs install, account, trace, and release in exactly the serial order.
-struct ExecState<'a> {
+/// Adds a freshly materialized tensor to live memory, raising the peak
+/// and enforcing the runtime budget rung.
+pub(crate) fn charge_live(
+    live_bytes: &mut usize,
+    peak: &mut usize,
+    bytes: usize,
+    budget: Option<usize>,
+) -> Result<(), ExecError> {
+    *live_bytes += bytes;
+    *peak = (*peak).max(*live_bytes);
+    match budget {
+        Some(budget) if *live_bytes > budget => Err(ExecError::BudgetExceeded {
+            needed: *live_bytes,
+            budget,
+        }),
+        _ => Ok(()),
+    }
+}
+
+/// Releases one tensor slot whose uses are exhausted: un-accounts a
+/// materialized intermediate from live memory and clears the slot
+/// (outputs are held to the end of the run; dead slots stay dead so later
+/// readers still observe deadness).
+pub(crate) fn release_slot(
+    t: TensorId,
+    is_intermediate: bool,
+    is_output: bool,
+    env: &mut [Slot],
+    live_bytes: &mut usize,
+) {
+    let key = t.0 as usize;
+    if is_intermediate {
+        if let Slot::Live(ten) = &env[key] {
+            *live_bytes = live_bytes.saturating_sub(ten.byte_size());
+        }
+    }
+    if !is_output {
+        env[key] = match env[key] {
+            Slot::Dead => Slot::Dead,
+            _ => Slot::Missing,
+        };
+    }
+}
+
+/// Cost accumulated by one fusion group as its members commit; the group
+/// emits one kernel trace event when its last member retires.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct GroupAcc {
+    /// Flops of every countable member.
+    pub(crate) flops: f64,
+    /// Countable (live, non-control-flow) members so far.
+    pub(crate) ops: usize,
+    /// Lowest tuned-variant efficiency among the group's hotspot members.
+    pub(crate) eff: Option<f64>,
+    /// Bytes read from tensors produced outside the group.
+    pub(crate) ext_read: f64,
+    /// Bytes written to tensors that leave the group.
+    pub(crate) ext_write: f64,
+}
+
+impl GroupAcc {
+    /// Folds a hotspot member's tuned-variant efficiency (looked up by its
+    /// first live output) into the group's.
+    pub(crate) fn note_efficiency(
+        &mut self,
+        table: Option<&VersionTable>,
+        op: &Op,
+        first_out: Option<&Tensor>,
+    ) {
+        let (Some(table), Some(out)) = (table, first_out) else {
+            return;
+        };
+        if let Some((m, n)) = hotspot_mn(op, out) {
+            let e = match op {
+                Op::Conv2d { .. } => table.conv_efficiency_of(m, n),
+                _ => table.efficiency(m, n),
+            };
+            self.eff = Some(self.eff.map_or(e, |prev| prev.min(e)));
+        }
+    }
+
+    /// The group's kernel trace event.
+    pub(crate) fn event(&self, name: String, working_set: usize, group: usize) -> TraceEvent {
+        TraceEvent::Kernel {
+            name,
+            cost: sod2_device::OpCost {
+                flops: self.flops,
+                bytes_read: self.ext_read,
+                bytes_written: self.ext_write,
+            },
+            efficiency: self.eff,
+            working_set,
+            fused_ops: self.ops,
+            group,
+        }
+    }
+}
+
+/// Executes a graph on concrete inputs: the serial, heap-only reference.
+///
+/// # Errors
+///
+/// Returns [`ExecError`] on kernel failures, input mismatches, malformed
+/// control flow, an expired deadline, an exceeded memory budget, or a
+/// tripped NaN fence.
+pub fn execute(
+    graph: &Graph,
+    inputs: &[Tensor],
+    cfg: &ExecConfig<'_>,
+) -> Result<RunOutcome, ExecError> {
+    check_inputs(graph, inputs, cfg.nan_guard)?;
+    let mut env: Vec<Slot> = vec![Slot::Missing; graph.num_tensors()];
+    for (t, tensor) in const_tensors(graph)? {
+        env[t.0 as usize] = Slot::Live(tensor);
+    }
+    for (&t, tensor) in graph.inputs().iter().zip(inputs) {
+        env[t.0 as usize] = Slot::Live(tensor.clone());
+    }
+
+    let default_order;
+    let order: &[NodeId] = match cfg.node_order {
+        Some(o) => o,
+        None => {
+            default_order = graph.topo_order();
+            &default_order
+        }
+    };
+    let internal: HashSet<TensorId> = cfg
+        .fusion
+        .map(|f| f.internal_tensors(graph))
+        .unwrap_or_default();
+    let (chain_member, chains) = match (cfg.fused_interpreter, cfg.fusion) {
+        (true, Some(f)) => build_chains(graph, f),
+        _ => (HashMap::new(), Vec::new()),
+    };
+    // Refcounts for live-memory accounting: one per consumer *occurrence*
+    // (a node listing a tensor twice counts twice, matching the
+    // per-occurrence decrements of the release path) plus one for graph
+    // outputs, which are held to the end of the run.
+    let consumer_index = graph.consumer_index();
+    let mut remaining_uses = vec![0u32; graph.num_tensors()];
+    for t in graph.tensor_ids() {
+        let n = consumer_index.get(&t).map(Vec::len).unwrap_or(0);
+        remaining_uses[t.0 as usize] = (n + usize::from(graph.outputs().contains(&t))) as u32;
+    }
+    // Group nodes by fusion unit, preserving the given order: a unit's
+    // kernel event is emitted when its last member completes.
+    let mut group_members_left: HashMap<usize, usize> = HashMap::new();
+    for &n in order {
+        *group_members_left.entry(group_of(cfg, n)).or_insert(0) += 1;
+    }
+
+    let mut st = ExecState {
+        env,
+        chain_results: vec![None; chains.len()],
+        remaining_uses,
+        group_members_left,
+        groups: HashMap::new(),
+        trace: ExecutionTrace::new(),
+        live_bytes: 0,
+        peak: 0,
+        alloc_sizes: Vec::new(),
+        concrete_shapes: HashMap::new(),
+        branches_executed: 0,
+    };
+    for &nid in order {
+        commit_node(graph, cfg, &internal, &chain_member, &chains, &mut st, nid)?;
+    }
+
+    finish_run(st.peak, &st.alloc_sizes, 0, st.branches_executed)?;
+    let _outputs_span = sod2_obs::span!("mem", "outputs readback");
+    let outputs = graph
+        .outputs()
+        .iter()
+        .map(|&t| match &st.env[t.0 as usize] {
+            Slot::Live(ten) => Ok(ten.clone()),
+            _ => Err(ExecError::ControlFlow(format!(
+                "graph output {t} was never produced (dead branch?)"
+            ))),
+        })
+        .collect::<Result<Vec<Tensor>, ExecError>>()?;
+    fence_outputs(cfg.nan_guard, &outputs)?;
+    Ok(RunOutcome {
+        outputs,
+        trace: st.trace,
+        peak_live_bytes: st.peak,
+        alloc_sizes: st.alloc_sizes,
+        concrete_shapes: st.concrete_shapes,
+        branches_executed: st.branches_executed,
+        arena_backed: 0,
+    })
+}
+
+/// The fusion group a node belongs to (its own id without a plan).
+fn group_of(cfg: &ExecConfig<'_>, n: NodeId) -> usize {
+    match cfg.fusion {
+        Some(f) => f.group_of(n),
+        None => n.0 as usize,
+    }
+}
+
+/// Mutable reference-executor state, mutated only by [`commit_node`].
+struct ExecState {
     env: Vec<Slot>,
+    // Per-chain runtime state: computed final tensor or observed deadness.
     chain_results: Vec<Option<Option<Tensor>>>,
     remaining_uses: Vec<u32>,
     group_members_left: HashMap<usize, usize>,
+    groups: HashMap<usize, GroupAcc>,
     trace: ExecutionTrace,
     live_bytes: usize,
     peak: usize,
     alloc_sizes: Vec<usize>,
     concrete_shapes: HashMap<TensorId, Vec<usize>>,
     branches_executed: usize,
-    // Keys currently arena-backed (cleared at death after verification);
-    // dense over tensor keys so the hot path never hashes.
-    planned: Vec<bool>,
-    arena_backed: usize,
-    // Accumulated per-group cost (flops only; bytes use external I/O).
-    group_flops: HashMap<usize, f64>,
-    group_ops: HashMap<usize, usize>,
-    group_eff: HashMap<usize, Option<f64>>,
-    group_ext_read: HashMap<usize, f64>,
-    group_ext_write: HashMap<usize, f64>,
-    backing: Option<ArenaBacking<'a>>,
 }
 
-/// Commits one node: evaluate (or consume the wave phase's precomputed
-/// evaluation), account cost, install results, release exhausted inputs,
-/// and emit the group kernel event when its last member retires. This is
-/// the single mutation point of executor state in both execution modes.
-#[allow(clippy::too_many_arguments)]
+impl ExecState {
+    /// Fences, records, accounts, and publishes one live result.
+    fn install(
+        &mut self,
+        cfg: &ExecConfig<'_>,
+        node_name: &str,
+        t: TensorId,
+        materialized: bool,
+        tensor: Tensor,
+    ) -> Result<(), ExecError> {
+        let finite = cfg
+            .finite_outputs
+            .and_then(|f| f.get(t.0 as usize).copied())
+            .unwrap_or(false);
+        fence_value(cfg.nan_guard, finite, node_name, t, &tensor)?;
+        self.concrete_shapes.insert(t, tensor.shape().to_vec());
+        if materialized {
+            let b = tensor.byte_size();
+            self.alloc_sizes.push(b);
+            charge_live(&mut self.live_bytes, &mut self.peak, b, cfg.memory_budget)?;
+        }
+        self.env[t.0 as usize] = Slot::Live(tensor);
+        Ok(())
+    }
+
+    /// Decrements the remaining-use counts of a node's inputs, releasing
+    /// slots whose uses are exhausted, and retires the node from its
+    /// group; returns the members the group has left.
+    fn retire(
+        &mut self,
+        graph: &Graph,
+        internal: &HashSet<TensorId>,
+        node: &Node,
+        gid: usize,
+    ) -> Result<usize, ExecError> {
+        for &t in &node.inputs {
+            let uses = self
+                .remaining_uses
+                .get_mut(t.0 as usize)
+                .ok_or_else(|| ExecError::Internal(format!("untracked tensor {t} released")))?;
+            *uses = uses.saturating_sub(1);
+            if *uses == 0 {
+                let is_intermediate = graph.producer(t).is_some() && !internal.contains(&t);
+                let is_output = graph.outputs().contains(&t);
+                release_slot(
+                    t,
+                    is_intermediate,
+                    is_output,
+                    &mut self.env,
+                    &mut self.live_bytes,
+                );
+            }
+        }
+        let left = self
+            .group_members_left
+            .get_mut(&gid)
+            .ok_or_else(|| ExecError::Internal(format!("group {gid} missing from accounting")))?;
+        *left -= 1;
+        Ok(*left)
+    }
+}
+
+/// Commits one node: evaluate, account cost, install results, release
+/// exhausted inputs, and emit the group kernel event when its last member
+/// retires.
 fn commit_node(
     graph: &Graph,
     cfg: &ExecConfig<'_>,
     internal: &HashSet<TensorId>,
     chain_member: &HashMap<NodeId, usize>,
     chains: &[ChainPlan],
-    st: &mut ExecState<'_>,
+    st: &mut ExecState,
     nid: NodeId,
-    pre: Option<NodeEval>,
 ) -> Result<(), ExecError> {
     // Cooperative cancellation at node granularity: one thread-local
     // read when no deadline is installed.
@@ -765,13 +604,7 @@ fn commit_node(
         return Err(ExecError::DeadlineExceeded);
     }
     let node = graph.node(nid);
-    let group_of = |n: NodeId| -> usize {
-        match cfg.fusion {
-            Some(f) => f.group_of(n),
-            None => n.0 as usize,
-        }
-    };
-    let gid = group_of(nid);
+    let gid = group_of(cfg, nid);
     // Per-operator kernel span: covers execution, result installation,
     // and input release, all attributable to this operator. Fused-chain
     // mid-members do negligible work inside theirs.
@@ -781,34 +614,9 @@ fn commit_node(
         let chain = &chains[cidx];
         if nid == chain.members[0] {
             // Execute (or kill) the whole chain once, at its head.
-            let ev = match pre {
-                Some(NodeEval::ChainHead(ev)) => ev,
-                Some(_) => {
-                    return Err(ExecError::Internal(
-                        "precomputed evaluation mismatch at chain head".into(),
-                    ))
-                }
-                None => {
-                    let view = EnvView {
-                        base: &st.env,
-                        overlay: None,
-                    };
-                    eval_chain(&view, chain)?
-                }
-            };
-            if let Some(out) = &ev.result {
-                st.trace.push(TraceEvent::Kernel {
-                    name: format!("fused[{}]", chain.members.len()),
-                    cost: sod2_device::OpCost {
-                        flops: ev.flops,
-                        bytes_read: ev.ext_read,
-                        bytes_written: out.byte_size() as f64,
-                    },
-                    efficiency: None,
-                    working_set: st.live_bytes + out.byte_size(),
-                    fused_ops: chain.members.len(),
-                    group: gid,
-                });
+            let ev = eval_chain(st.env.as_slice(), chain)?;
+            if let Some(event) = ev.event(chain.members.len(), st.live_bytes, gid) {
+                st.trace.push(event);
             }
             st.chain_results[cidx] = Some(ev.result);
         }
@@ -822,469 +630,83 @@ fn commit_node(
                 .clone()
                 .ok_or_else(|| ExecError::Internal("fused chain tail ran before head".into()))?;
             match result {
-                Some(tensor) => {
-                    let t = chain.final_output;
-                    fence_output(cfg, &node.name, t, &tensor)?;
-                    st.concrete_shapes.insert(t, tensor.shape().to_vec());
-                    let b = tensor.byte_size();
-                    st.live_bytes += b;
-                    if arena_install(&mut st.backing, &mut st.planned, t, &tensor) {
-                        st.arena_backed += 1;
-                    } else {
-                        st.alloc_sizes.push(b);
-                    }
-                    st.peak = st.peak.max(st.live_bytes);
-                    if let Some(budget) = cfg.memory_budget {
-                        if st.live_bytes > budget {
-                            return Err(ExecError::BudgetExceeded {
-                                needed: st.live_bytes,
-                                budget,
-                            });
-                        }
-                    }
-                    st.env[t.0 as usize] = Slot::Live(tensor);
-                }
-                None => {
-                    st.env[chain.final_output.0 as usize] = Slot::Dead;
-                }
+                Some(tensor) => st.install(cfg, &node.name, chain.final_output, true, tensor)?,
+                None => st.env[chain.final_output.0 as usize] = Slot::Dead,
             }
-        } else if st.chain_results[cidx]
-            .as_ref()
-            .map(Option::is_none)
-            .unwrap_or(false)
-        {
+        } else if matches!(st.chain_results[cidx], Some(None)) {
             // Dead chain: every member output is dead.
             for &t in &node.outputs {
                 st.env[t.0 as usize] = Slot::Dead;
             }
         }
-        // Release inputs and retire the group-member counter.
-        release_inputs(
-            graph,
-            &node.inputs,
-            internal,
-            &mut st.remaining_uses,
-            &mut st.env,
-            &mut st.live_bytes,
-            &mut st.planned,
-            &st.backing,
-        )?;
-        let left = st
-            .group_members_left
-            .get_mut(&gid)
-            .ok_or_else(|| ExecError::Internal(format!("group {gid} missing from accounting")))?;
-        *left -= 1;
+        st.retire(graph, internal, node, gid)?;
         return Ok(());
     }
-    // Collect inputs; propagate deadness (Combine handles its own).
-    let (results, branches): (Vec<Option<Tensor>>, usize) = match pre {
-        Some(NodeEval::Plain { results, branches }) => (results, branches),
-        Some(_) => {
-            return Err(ExecError::Internal(
-                "precomputed evaluation mismatch at plain node".into(),
-            ))
-        }
-        None => {
-            let is_combine = matches!(node.op, Op::Combine { .. });
-            let mut dead = false;
-            if !is_combine {
-                for &t in &node.inputs {
-                    if matches!(st.env[t.0 as usize], Slot::Dead) {
-                        dead = true;
-                        break;
-                    }
-                }
-            }
-            let mut branches = 0usize;
-            // Per-output results: `None` marks a dead branch output.
-            let results = if dead {
-                vec![None; node.outputs.len()]
-            } else {
-                let view = EnvView {
-                    base: &st.env,
-                    overlay: None,
-                };
-                run_node(graph, node, &view, cfg, &mut branches)?
-            };
-            (results, branches)
-        }
+    // Propagate deadness (Combine handles its own).
+    let dead = !matches!(node.op, Op::Combine { .. })
+        && node
+            .inputs
+            .iter()
+            .any(|&t| matches!(st.env[t.0 as usize], Slot::Dead));
+    // Per-output results: `None` marks a dead branch output.
+    let results = if dead {
+        vec![None; node.outputs.len()]
+    } else {
+        run_node(node, st.env.as_slice(), cfg, &mut st.branches_executed)?
     };
-    st.branches_executed += branches;
 
     // Account flops and efficiency before moving results into env.
-    let any_live = results.iter().any(Option::is_some);
-    {
-        let res: Vec<&Tensor> = results.iter().flatten().collect();
-        if any_live && !node.op.is_control_flow() {
-            let in_shapes: Vec<Vec<usize>> = node
-                .inputs
-                .iter()
-                .map(|&t| match &st.env[t.0 as usize] {
-                    Slot::Live(ten) => ten.shape().to_vec(),
-                    _ => Vec::new(),
-                })
-                .collect();
-            let out_shapes: Vec<Vec<usize>> = res.iter().map(|t| t.shape().to_vec()).collect();
-            let cost = sod2_device::op_cost(&node.op, &in_shapes, &out_shapes, 4);
-            *st.group_flops.entry(gid).or_insert(0.0) += cost.flops;
-            *st.group_ops.entry(gid).or_insert(0) += 1;
-            // External reads: inputs produced outside the group.
-            for &t in &node.inputs {
-                let external = match graph.producer(t) {
-                    Some(p) => group_of(p) != gid,
-                    None => true,
-                };
-                if external {
-                    if let Slot::Live(ten) = &st.env[t.0 as usize] {
-                        *st.group_ext_read.entry(gid).or_insert(0.0) += ten.byte_size() as f64;
-                    }
-                }
+    if results.iter().any(Option::is_some) && !node.op.is_control_flow() {
+        let in_shapes: Vec<Vec<usize>> = node
+            .inputs
+            .iter()
+            .map(|&t| match &st.env[t.0 as usize] {
+                Slot::Live(ten) => ten.shape().to_vec(),
+                _ => Vec::new(),
+            })
+            .collect();
+        let out_shapes: Vec<Vec<usize>> = results
+            .iter()
+            .flatten()
+            .map(|t| t.shape().to_vec())
+            .collect();
+        let cost = sod2_device::op_cost(&node.op, &in_shapes, &out_shapes, 4);
+        let acc = st.groups.entry(gid).or_default();
+        acc.flops += cost.flops;
+        acc.ops += 1;
+        // External reads: inputs produced outside the group.
+        for &t in &node.inputs {
+            let external = graph.producer(t).is_none_or(|p| group_of(cfg, p) != gid);
+            if let (true, Slot::Live(ten)) = (external, &st.env[t.0 as usize]) {
+                acc.ext_read += ten.byte_size() as f64;
             }
-            for (k, ten) in results.iter().enumerate() {
-                if let Some(ten) = ten {
-                    if !internal.contains(&node.outputs[k]) {
-                        *st.group_ext_write.entry(gid).or_insert(0.0) += ten.byte_size() as f64;
-                    }
-                }
-            }
-            // Multi-version selection for hotspot ops.
-            if let Some(table) = cfg.version_table {
-                if let Some((m, n)) = hotspot_mn(&node.op, &res) {
-                    let e = match node.op {
-                        Op::Conv2d { .. } => table.conv_efficiency_of(m, n),
-                        _ => table.efficiency(m, n),
-                    };
-                    let slot = st.group_eff.entry(gid).or_insert(None);
-                    *slot = Some(slot.map_or(e, |prev: f64| prev.min(e)));
+        }
+        for (k, ten) in results.iter().enumerate() {
+            if let Some(ten) = ten {
+                if !internal.contains(&node.outputs[k]) {
+                    acc.ext_write += ten.byte_size() as f64;
                 }
             }
         }
+        // Multi-version selection for hotspot ops.
+        acc.note_efficiency(cfg.version_table, &node.op, results.iter().flatten().next());
     }
 
-    // Install results.
     for (k, result) in results.into_iter().enumerate() {
         let t = node.outputs[k];
         match result {
-            Some(tensor) => {
-                fence_output(cfg, &node.name, t, &tensor)?;
-                st.concrete_shapes.insert(t, tensor.shape().to_vec());
-                let materialized = !internal.contains(&t);
-                if materialized {
-                    let b = tensor.byte_size();
-                    st.live_bytes += b;
-                    if arena_install(&mut st.backing, &mut st.planned, t, &tensor) {
-                        st.arena_backed += 1;
-                    } else {
-                        st.alloc_sizes.push(b);
-                    }
-                    st.peak = st.peak.max(st.live_bytes);
-                    if let Some(budget) = cfg.memory_budget {
-                        if st.live_bytes > budget {
-                            return Err(ExecError::BudgetExceeded {
-                                needed: st.live_bytes,
-                                budget,
-                            });
-                        }
-                    }
-                }
-                st.env[t.0 as usize] = Slot::Live(tensor);
-            }
-            None => {
-                st.env[t.0 as usize] = Slot::Dead;
-            }
+            Some(tensor) => st.install(cfg, &node.name, t, !internal.contains(&t), tensor)?,
+            None => st.env[t.0 as usize] = Slot::Dead,
         }
     }
 
-    // Release inputs whose uses are exhausted.
-    release_inputs(
-        graph,
-        &node.inputs,
-        internal,
-        &mut st.remaining_uses,
-        &mut st.env,
-        &mut st.live_bytes,
-        &mut st.planned,
-        &st.backing,
-    )?;
-
-    // Emit the group kernel event when its last member retires.
-    let left = st
-        .group_members_left
-        .get_mut(&gid)
-        .ok_or_else(|| ExecError::Internal(format!("group {gid} missing from accounting")))?;
-    *left -= 1;
-    if *left == 0 && st.group_ops.get(&gid).copied().unwrap_or(0) > 0 {
-        st.trace.push(TraceEvent::Kernel {
-            name: node.name.clone(),
-            cost: sod2_device::OpCost {
-                flops: st.group_flops.get(&gid).copied().unwrap_or(0.0),
-                bytes_read: st.group_ext_read.get(&gid).copied().unwrap_or(0.0),
-                bytes_written: st.group_ext_write.get(&gid).copied().unwrap_or(0.0),
-            },
-            efficiency: st.group_eff.get(&gid).copied().flatten(),
-            working_set: st.live_bytes,
-            fused_ops: st.group_ops.get(&gid).copied().unwrap_or(1),
-            group: gid,
-        });
+    if st.retire(graph, internal, node, gid)? == 0 {
+        if let Some(acc) = st.groups.get(&gid).filter(|a| a.ops > 0) {
+            st.trace
+                .push(acc.event(node.name.clone(), st.live_bytes, gid));
+        }
     }
     Ok(())
-}
-
-/// [`execute`] with intermediate tensors served from a pre-planned arena
-/// slab (the paper's §4.4.1 operator-determined memory planning made
-/// operational): each planned tensor's payload lives at its plan offset,
-/// and only tensors the plan could not cover (unresolved `nac` sizes,
-/// size mismatches) fall back to heap allocations — the dynamic residue
-/// reported in [`RunOutcome::alloc_sizes`].
-///
-/// # Errors
-///
-/// In addition to [`execute`]'s errors, returns [`ExecError::Memory`] when
-/// readback verification detects that the plan aliased two simultaneously
-/// live tensors.
-pub fn execute_with_arena(
-    graph: &Graph,
-    inputs: &[Tensor],
-    cfg: &ExecConfig<'_>,
-    backing: Option<ArenaBacking<'_>>,
-) -> Result<RunOutcome, ExecError> {
-    if inputs.len() != graph.inputs().len() {
-        return Err(ExecError::BadInputs(format!(
-            "expected {} inputs, got {}",
-            graph.inputs().len(),
-            inputs.len()
-        )));
-    }
-    let mut env: Vec<Slot> = vec![Slot::Missing; graph.num_tensors()];
-    for t in graph.tensor_ids() {
-        let info = graph.tensor(t);
-        if let Some(data) = &info.const_data {
-            let shape = info
-                .shape
-                .as_known()
-                .ok_or_else(|| ExecError::BadInputs("constant with unknown shape".into()))?;
-            env[t.0 as usize] = Slot::Live(const_tensor(&shape, data));
-        }
-    }
-    for (&t, tensor) in graph.inputs().iter().zip(inputs) {
-        // Input fence: the guard's contract (and the finite-inputs premise
-        // behind certificate-based elision) starts at the boundary.
-        if cfg.nan_guard {
-            if let Ok(v) = tensor.as_f32() {
-                if !v.iter().all(|x| x.is_finite()) {
-                    return Err(ExecError::NumericFault(format!(
-                        "non-finite value in graph input {t}"
-                    )));
-                }
-            }
-        }
-        env[t.0 as usize] = Slot::Live(tensor.clone());
-    }
-
-    let default_order;
-    let order: &[NodeId] = match cfg.node_order {
-        Some(o) => o,
-        None => {
-            default_order = graph.topo_order();
-            &default_order
-        }
-    };
-    // A wave plan must flatten to exactly the execution order, or the
-    // commit phase would diverge from the serial semantics.
-    if let Some(wp) = cfg.wave_plan {
-        let flat: Vec<NodeId> = wp.waves.iter().flatten().flatten().copied().collect();
-        if flat != order {
-            return Err(ExecError::Internal(format!(
-                "wave plan flattens to {} node(s) that differ from the execution order ({})",
-                flat.len(),
-                order.len()
-            )));
-        }
-    }
-    let internal: HashSet<TensorId> = cfg
-        .fusion
-        .map(|f| f.internal_tensors(graph))
-        .unwrap_or_default();
-    let (chain_member, chains) = match (cfg.fused_interpreter, cfg.fusion) {
-        (true, Some(f)) => build_chains(graph, f),
-        _ => (HashMap::new(), Vec::new()),
-    };
-    // Refcounts over materialized tensors for live-memory accounting:
-    // copied from the caller's precomputed template when one is supplied,
-    // rebuilt from the consumer index otherwise.
-    let remaining_uses: Vec<u32> = match cfg.uses_template {
-        Some(t) if t.len() == graph.num_tensors() => t.to_vec(),
-        _ => remaining_uses_template(graph),
-    };
-
-    // Group nodes by fusion unit, preserving the given order: a unit's
-    // kernel event is emitted when its last member completes.
-    let group_of = |n: NodeId| -> usize {
-        match cfg.fusion {
-            Some(f) => f.group_of(n),
-            None => n.0 as usize,
-        }
-    };
-    let mut group_members_left: HashMap<usize, usize> = HashMap::new();
-    for &n in order {
-        *group_members_left.entry(group_of(n)).or_insert(0) += 1;
-    }
-
-    let mut st = ExecState {
-        env,
-        // Per-chain runtime state: computed final tensor or observed
-        // deadness.
-        chain_results: vec![None; chains.len()],
-        remaining_uses,
-        group_members_left,
-        trace: ExecutionTrace::new(),
-        live_bytes: 0,
-        peak: 0,
-        alloc_sizes: Vec::new(),
-        concrete_shapes: HashMap::new(),
-        branches_executed: 0,
-        planned: vec![false; graph.num_tensors()],
-        arena_backed: 0,
-        group_flops: HashMap::new(),
-        group_ops: HashMap::new(),
-        group_eff: HashMap::new(),
-        group_ext_read: HashMap::new(),
-        group_ext_write: HashMap::new(),
-        backing,
-    };
-
-    match cfg.wave_plan {
-        None => {
-            for &nid in order {
-                commit_node(
-                    graph,
-                    cfg,
-                    &internal,
-                    &chain_member,
-                    &chains,
-                    &mut st,
-                    nid,
-                    None,
-                )?;
-            }
-        }
-        Some(wp) => {
-            let mut max_width = 0usize;
-            let mut scratch = Overlay::new();
-            for wave in &wp.waves {
-                max_width = max_width.max(wave.len());
-                if sod2_pool::deadline_exceeded() {
-                    return Err(ExecError::DeadlineExceeded);
-                }
-                // Phase A: evaluate the wave's units concurrently against
-                // the committed environment.
-                let evals = eval_wave(
-                    graph,
-                    cfg,
-                    &st.env,
-                    &chain_member,
-                    &chains,
-                    wave,
-                    &mut scratch,
-                )?;
-                // Phase B: commit serially in plan order — installs,
-                // accounting, traces, and releases happen exactly as a
-                // serial run over the same order would do them.
-                for (unit, unit_evals) in wave.iter().zip(evals) {
-                    for (&nid, ev) in unit.iter().zip(unit_evals) {
-                        commit_node(
-                            graph,
-                            cfg,
-                            &internal,
-                            &chain_member,
-                            &chains,
-                            &mut st,
-                            nid,
-                            Some(ev),
-                        )?;
-                    }
-                }
-            }
-            sod2_obs::counter_add("exec.waves", wp.waves.len() as u64);
-            sod2_obs::gauge_max("exec.max_wave_width", max_width as u64);
-        }
-    }
-
-    // A deadline that expired inside the last node's pool region skipped
-    // chunk bodies (partial results) without a later node boundary to catch
-    // it — this final check guarantees expired runs never return outputs.
-    if sod2_pool::deadline_exceeded() {
-        return Err(ExecError::DeadlineExceeded);
-    }
-    sod2_obs::gauge_max("exec.peak_live_bytes", st.peak as u64);
-    sod2_obs::counter_add("exec.heap_fallback_allocs", st.alloc_sizes.len() as u64);
-    sod2_obs::counter_add(
-        "exec.heap_fallback_bytes",
-        st.alloc_sizes.iter().map(|&b| b as u64).sum(),
-    );
-    sod2_obs::counter_add("exec.arena_backed", st.arena_backed as u64);
-    sod2_obs::counter_add("exec.branches_executed", st.branches_executed as u64);
-    let _outputs_span = sod2_obs::span!("mem", "outputs readback");
-    let mut outputs = Vec::with_capacity(graph.outputs().len());
-    for &t in graph.outputs() {
-        match &st.env[t.0 as usize] {
-            Slot::Live(ten) => {
-                let key = t.0 as usize;
-                // Arena-backed outputs are rebuilt from slab bytes: the
-                // caller observes exactly what the plan preserved, and any
-                // end-of-run clobbering surfaces as a Memory error here.
-                if st.planned.get(key).copied().unwrap_or(false) {
-                    let b = st.backing.as_ref().ok_or_else(|| {
-                        ExecError::Internal("planned tensor without arena backing".into())
-                    })?;
-                    let bytes = b.arena.try_read(key, ten.byte_size()).ok_or_else(|| {
-                        ExecError::Memory(format!("arena slot for output {t} vanished"))
-                    })?;
-                    if bytes != ten.payload_le_bytes().as_slice() {
-                        return Err(ExecError::Memory(format!(
-                            "arena slot for output {t} was clobbered while live"
-                        )));
-                    }
-                    let label = match ten.data() {
-                        Data::F32(_) => "f32",
-                        Data::I64(_) => "i64",
-                        Data::Bool(_) => "bool",
-                        Data::U8(_) => "u8",
-                    };
-                    let rebuilt = Tensor::from_payload_le(ten.shape(), label, bytes)
-                        .map_err(|e| ExecError::Memory(format!("rebuild output {t}: {e}")))?;
-                    outputs.push(rebuilt);
-                } else {
-                    outputs.push(ten.clone());
-                }
-            }
-            _ => {
-                return Err(ExecError::ControlFlow(format!(
-                    "graph output {t} was never produced (dead branch?)"
-                )))
-            }
-        }
-    }
-    if cfg.nan_guard {
-        for (i, out) in outputs.iter().enumerate() {
-            if let Ok(v) = out.as_f32() {
-                if !v.iter().all(|x| x.is_finite()) {
-                    return Err(ExecError::NumericFault(format!(
-                        "non-finite value in output {i}"
-                    )));
-                }
-            }
-        }
-    }
-    Ok(RunOutcome {
-        outputs,
-        trace: st.trace,
-        peak_live_bytes: st.peak,
-        alloc_sizes: st.alloc_sizes,
-        concrete_shapes: st.concrete_shapes,
-        branches_executed: st.branches_executed,
-        arena_backed: st.arena_backed,
-    })
 }
 
 /// One step of a pre-planned fused chain (operand held by tensor id).
@@ -1317,7 +739,7 @@ pub(crate) struct ChainPlan {
 /// the group.
 pub(crate) fn build_chains(
     graph: &Graph,
-    fusion: &sod2_fusion::FusionPlan,
+    fusion: &FusionPlan,
 ) -> (HashMap<NodeId, usize>, Vec<ChainPlan>) {
     let mut member_of: HashMap<NodeId, usize> = HashMap::new();
     let mut plans: Vec<ChainPlan> = Vec::new();
@@ -1408,90 +830,167 @@ pub(crate) fn build_chains(
     (member_of, plans)
 }
 
-/// Output-matrix dimensions for multi-version hotspot kernels.
-pub(crate) fn hotspot_mn(op: &Op, outputs: &[&Tensor]) -> Option<(usize, usize)> {
+/// The outcome of evaluating a fused chain: the final tensor (`None` when
+/// an input branch was dead) plus the cost attribution its trace event
+/// needs.
+pub(crate) struct ChainEval {
+    pub(crate) result: Option<Tensor>,
+    pub(crate) flops: f64,
+    pub(crate) ext_read: f64,
+}
+
+impl ChainEval {
+    /// The chain's fused kernel event (`None` for a dead chain), with the
+    /// working set measured before any member releases.
+    pub(crate) fn event(
+        &self,
+        members: usize,
+        live_bytes: usize,
+        group: usize,
+    ) -> Option<TraceEvent> {
+        let out = self.result.as_ref()?;
+        Some(TraceEvent::Kernel {
+            name: format!("fused[{members}]"),
+            cost: sod2_device::OpCost {
+                flops: self.flops,
+                bytes_read: self.ext_read,
+                bytes_written: out.byte_size() as f64,
+            },
+            efficiency: None,
+            working_set: live_bytes + out.byte_size(),
+            fused_ops: members,
+            group,
+        })
+    }
+}
+
+/// Evaluates (or kills) a whole fused chain. Pure: reads tensors through
+/// the view, produces an owned result.
+pub(crate) fn eval_chain<V: SlotView + ?Sized>(
+    env: &V,
+    chain: &ChainPlan,
+) -> Result<ChainEval, ExecError> {
+    let mut dead = matches!(env.slot(chain.seed), Slot::Dead);
+    for st in &chain.steps {
+        if let ChainStep::Binary { other, .. } = st {
+            dead |= matches!(env.slot(*other), Slot::Dead);
+        }
+    }
+    if dead {
+        return Ok(ChainEval {
+            result: None,
+            flops: 0.0,
+            ext_read: 0.0,
+        });
+    }
+    let unavailable = |what: &str, t: TensorId| {
+        ExecError::ControlFlow(format!("fused chain {what} {t} unavailable"))
+    };
+    let seed = live(env, chain.seed).map_err(|_| unavailable("seed", chain.seed))?;
+    let mut steps: Vec<FusedStep<'_>> = Vec::with_capacity(chain.steps.len());
+    let mut ext_read = seed.byte_size() as f64;
+    let mut flops_per_elem = 0.0f64;
+    for st in &chain.steps {
+        steps.push(match st {
+            ChainStep::Unary(u) => {
+                flops_per_elem += 4.0;
+                FusedStep::Unary(*u)
+            }
+            ChainStep::Clip { min, max } => {
+                flops_per_elem += 1.0;
+                FusedStep::Clip {
+                    min: *min,
+                    max: *max,
+                }
+            }
+            ChainStep::Binary {
+                op,
+                other,
+                chain_is_lhs,
+            } => {
+                flops_per_elem += 1.0;
+                let t = live(env, *other).map_err(|_| unavailable("operand", *other))?;
+                ext_read += t.byte_size() as f64;
+                FusedStep::Binary {
+                    op: *op,
+                    other: t,
+                    chain_is_lhs: *chain_is_lhs,
+                }
+            }
+        });
+    }
+    let out = fused_elementwise(seed, &steps)?;
+    Ok(ChainEval {
+        flops: flops_per_elem * out.numel() as f64,
+        ext_read,
+        result: Some(out),
+    })
+}
+
+/// Output-matrix dimensions for multi-version hotspot kernels, from the
+/// first output.
+fn hotspot_mn(op: &Op, out: &Tensor) -> Option<(usize, usize)> {
+    let s = out.shape();
     match op {
-        Op::MatMul | Op::Gemm { .. } => {
-            let s = outputs.first()?.shape();
-            if s.len() >= 2 {
-                Some((s[s.len() - 2], s[s.len() - 1]))
-            } else {
-                None
-            }
-        }
-        Op::Conv2d { .. } => {
-            let s = outputs.first()?.shape();
-            if s.len() == 4 {
-                Some((s[1], s[2] * s[3]))
-            } else {
-                None
-            }
-        }
+        Op::MatMul | Op::Gemm { .. } if s.len() >= 2 => Some((s[s.len() - 2], s[s.len() - 1])),
+        Op::Conv2d { .. } if s.len() == 4 => Some((s[1], s[2] * s[3])),
         _ => None,
     }
 }
 
-pub(crate) fn run_node(
-    _graph: &Graph,
+/// `Switch` over slots: routes the data tensor to the selected branch
+/// output — to every output in execute-all mode — and marks the rest dead.
+/// Returns the per-output results and the branches executed.
+pub(crate) fn eval_switch<V: SlotView + ?Sized>(
+    env: &V,
+    inputs: &[TensorId],
+    num_branches: usize,
+    execute_all: bool,
+) -> Result<(Vec<Option<Tensor>>, usize), ExecError> {
+    let data = live(env, inputs[0])?;
+    let sel = selector(live(env, inputs[1])?, num_branches)?;
+    let out = (0..num_branches)
+        .map(|k| (execute_all || k == sel).then(|| data.clone()))
+        .collect();
+    Ok((out, if execute_all { num_branches } else { 1 }))
+}
+
+/// `Combine` over slots: publishes the selected branch's tensor. A dead
+/// selector means the whole merge region sits inside an outer dead branch
+/// (nested gating), so the merge result is dead.
+pub(crate) fn eval_combine<V: SlotView + ?Sized>(
+    env: &V,
+    inputs: &[TensorId],
+    num_branches: usize,
+) -> Result<Option<Tensor>, ExecError> {
+    if matches!(env.slot(inputs[num_branches]), Slot::Dead) {
+        return Ok(None);
+    }
+    let sel = selector(live(env, inputs[num_branches])?, num_branches)?;
+    Ok(Some(live(env, inputs[sel])?.clone()))
+}
+
+/// Evaluates one plain node against the committed environment.
+fn run_node(
     node: &Node,
-    env: &EnvView<'_>,
+    env: &[Slot],
     cfg: &ExecConfig<'_>,
     branches_executed: &mut usize,
 ) -> Result<Vec<Option<Tensor>>, ExecError> {
-    let live = |t: TensorId| -> Result<&Tensor, ExecError> {
-        match env.get(t) {
-            Slot::Live(ten) => Ok(ten),
-            Slot::Dead => Err(ExecError::ControlFlow(format!("{t} is dead"))),
-            Slot::Missing => Err(ExecError::ControlFlow(format!("{t} was never produced"))),
-        }
-    };
     match &node.op {
         Op::Switch { num_branches } => {
-            let data = live(node.inputs[0])?.clone();
-            let sel = selector(live(node.inputs[1])?)?;
-            if sel as usize >= *num_branches {
-                return Err(ExecError::ControlFlow(format!(
-                    "selector {sel} out of range for {num_branches} branches"
-                )));
-            }
-            *branches_executed += if cfg.execute_all_branches {
-                *num_branches
-            } else {
-                1
-            };
-            // All branches live in execute-all mode; otherwise only the
-            // selected branch's output exists and the rest are dead.
-            let out = (0..*num_branches)
-                .map(|k| {
-                    if cfg.execute_all_branches || k as i64 == sel {
-                        Some(data.clone())
-                    } else {
-                        None
-                    }
-                })
-                .collect();
+            let (out, branches) =
+                eval_switch(env, &node.inputs, *num_branches, cfg.execute_all_branches)?;
+            *branches_executed += branches;
             Ok(out)
         }
-        Op::Combine { num_branches } => {
-            // A dead selector means the whole merge region sits inside an
-            // outer dead branch (nested gating): the merge result is dead.
-            if matches!(env.get(node.inputs[*num_branches]), Slot::Dead) {
-                return Ok(vec![None]);
-            }
-            let sel = selector(live(node.inputs[*num_branches])?)?;
-            if sel as usize >= *num_branches {
-                return Err(ExecError::ControlFlow(format!(
-                    "selector {sel} out of range for {num_branches} branches"
-                )));
-            }
-            let chosen = node.inputs[sel as usize];
-            Ok(vec![Some(live(chosen)?.clone())])
-        }
+        Op::Combine { num_branches } => Ok(vec![eval_combine(env, &node.inputs, *num_branches)?]),
         op => {
-            let mut ins: Vec<&Tensor> = Vec::with_capacity(node.inputs.len());
-            for &t in &node.inputs {
-                ins.push(live(t)?);
-            }
+            let ins = node
+                .inputs
+                .iter()
+                .map(|&t| live(env, t))
+                .collect::<Result<Vec<&Tensor>, ExecError>>()?;
             let (gemm, conv) = select_variants(op, &ins, cfg.version_table);
             let outs = execute_op_with_variants(op, &ins, gemm, conv)?;
             Ok(outs.into_iter().map(Some).collect())
@@ -1553,10 +1052,20 @@ pub(crate) fn select_variants(
     }
 }
 
-pub(crate) fn selector(t: &Tensor) -> Result<i64, ExecError> {
-    t.as_i64()
+/// Reads a `Switch`/`Combine` selector and range-checks it.
+fn selector(t: &Tensor, num_branches: usize) -> Result<usize, ExecError> {
+    let sel = t
+        .as_i64()
         .map_err(|e| ExecError::ControlFlow(e.to_string()))?
         .first()
         .copied()
-        .ok_or_else(|| ExecError::ControlFlow("empty selector".into()))
+        .ok_or_else(|| ExecError::ControlFlow("empty selector".into()))?;
+    usize::try_from(sel)
+        .ok()
+        .filter(|&s| s < num_branches)
+        .ok_or_else(|| {
+            ExecError::ControlFlow(format!(
+                "selector {sel} out of range for {num_branches} branches"
+            ))
+        })
 }

@@ -2,10 +2,15 @@
 //!
 //! Executes extended computational graphs on concrete tensors:
 //!
-//! - [`execute`]: the interpreter, with native `<Switch, Combine>` control
-//!   flow (dead branches skipped) or the baselines' execute-all-branches
-//!   mode, fused-group kernel accounting, live-memory tracking, and
-//!   multi-version kernel selection,
+//! - [`compile_tape`] / [`execute_tape`]: the production executor — the
+//!   compiled plan lowered once to a register-machine tape, run serially
+//!   or in wavefronts, with intermediates served from a pre-planned arena
+//!   slab ([`ArenaBacking`]),
+//! - [`execute`]: the serial, heap-only reference interpreter, with native
+//!   `<Switch, Combine>` control flow (dead branches skipped) or the
+//!   baselines' execute-all-branches mode, fused-group kernel accounting,
+//!   live-memory tracking, and multi-version kernel selection — what the
+//!   baselines price and what the tape is differentially tested against,
 //! - [`ExecutionTrace`] / [`TraceEvent`] / [`LatencyBreakdown`]: priceable
 //!   event streams that the engines in `sod2-frameworks` extend with their
 //!   strategy-specific overhead events (re-initialization, shape functions,
@@ -40,13 +45,10 @@ pub mod passes;
 pub mod tape;
 mod trace;
 
-pub use executor::{
-    execute, execute_with_arena, remaining_uses_template, ArenaBacking, ExecConfig, ExecError,
-    RunOutcome, WaveExecPlan,
-};
+pub use executor::{execute, ExecConfig, ExecError, RunOutcome};
 pub use passes::{eliminate_dead_nodes, fold_constants, PassStats};
 pub use tape::{
-    compile_tape, execute_tape, BakedVariant, Instr, InstrKind, RegRelease, TapeChain, TapeProgram,
-    TapeStats,
+    compile_tape, execute_tape, ArenaBacking, BakedVariant, Instr, InstrKind, RegRelease,
+    TapeChain, TapeProgram, TapeStats, WaveExecPlan,
 };
 pub use trace::{ExecutionTrace, LatencyBreakdown, TraceEvent};

@@ -1,59 +1,166 @@
-//! Register-machine execution tape.
+//! Register-machine execution tape: the engine's executor.
 //!
 //! Compiles a planned graph **once** into a flat instruction stream
 //! executed by a thin VM loop — the Nimble-style answer to interpreter
-//! overhead for dynamic models. Everything the tree-walking executor
-//! re-derives per inference is precompiled into per-instruction fields:
+//! overhead for dynamic models. Everything the reference executor
+//! ([`crate::execute`]) re-derives per inference is precompiled into
+//! per-instruction fields:
 //!
 //! - **registers**: the register file is a dense `Vec<Slot>` indexed by
 //!   `TensorId`, so operand/result "slots" are plain indices and two
 //!   concurrently-live tensors can never alias a register by
 //!   construction. DMP arena offsets keyed by the same indices make a
-//!   register's backing store the planned slab slot; `nac`-sized residue
-//!   falls back to heap-backed registers exactly as in the tree-walker.
-//! - **releases**: the executor's per-occurrence refcount discipline is
+//!   register's backing store the planned slab slot ([`ArenaBacking`]);
+//!   `nac`-sized residue falls back to heap-backed registers.
+//! - **releases**: the reference's per-occurrence refcount discipline is
 //!   replayed at compile time (`sod2_plan::plan_tape_layout`), so each
 //!   instruction carries the list of registers whose last use it is —
 //!   zero refcounts, zero hashing at run time.
 //! - **fused chains** become single [`InstrKind::Chain`] instructions
 //!   with inlined member lists; `Switch`/`Combine` lower to
 //!   [`InstrKind::Branch`]/[`InstrKind::Select`] over register indices.
-//! - **waves**: a wavefront schedule becomes `(start, end)` index ranges
-//!   over the tape. Phase A submits tape slices to `sod2-pool`; phase B
-//!   publishes unit-local results into registers by moving `Arc`-backed
-//!   tensors (no payload copy; the DMP arena install is the one
-//!   deliberate memcpy, kept for offset-plan fidelity and readback
-//!   verification).
+//! - **waves**: a wavefront schedule ([`WaveExecPlan`]) becomes
+//!   `(start, end)` index ranges over the tape. Phase A evaluates the
+//!   units of a wave concurrently on `sod2-pool` against the committed
+//!   register file; phase B commits their results serially in tape order
+//!   by moving `Arc`-backed tensors (no payload copy; the DMP arena
+//!   install is the one deliberate memcpy, kept for offset-plan fidelity
+//!   and readback verification). Outputs are bitwise identical to serial
+//!   dispatch regardless of worker count or timing.
 //!
 //! The tape is immutable and intended to be `Arc`-shared across replicas;
 //! the register file and accounting scratch are per-inference. Execution
 //! semantics — deadline checks at instruction boundaries, memory-budget
-//! accounting, arena→heap degradation, NaN fences honoring absint
-//! certificates, fault-probe sites, and the priced trace-event stream —
-//! are bit-for-bit those of the tree-walking executor; the differential
-//! suite in `tests/tape_props.rs` and `bench_zoo` enforce it.
+//! accounting, NaN fences honoring absint certificates, fault-probe
+//! sites, and the priced trace-event stream — are bit-for-bit those of
+//! the serial heap reference given the same plan; the differential
+//! suites in `tests/tape_props.rs`, `crates/frameworks/tests/tape_exec.rs`
+//! and `bench_zoo` enforce it. Arena backing adds slab residency and
+//! readback verification on top.
 
 use crate::executor::{
-    arena_install, build_chains, eval_chain, fence_value, hotspot_mn, release_slot,
-    select_variants, selector, ArenaBacking, ChainEval, ChainPlan, EnvView, ExecConfig, ExecError,
-    Overlay, RunOutcome, Slot, WaveExecPlan,
+    build_chains, charge_live, check_inputs, const_tensors, eval_chain, eval_combine, eval_switch,
+    fence_outputs, fence_value, finish_run, live, release_slot, select_variants, ChainEval,
+    ChainPlan, ExecConfig, ExecError, GroupAcc, RunOutcome, Slot, SlotView,
 };
-use crate::trace::{ExecutionTrace, TraceEvent};
+use crate::trace::ExecutionTrace;
 use sod2_fusion::FusionPlan;
 use sod2_ir::{Graph, NodeId, Op, TensorId};
 use sod2_kernels::{execute_op_with_variants, ConvParams, GemmParams};
-use sod2_plan::TapeLayout;
+use sod2_mem::Arena;
 use sod2_tensor::{Data, Tensor};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+
+/// A static parallel schedule at node granularity: `waves[w][j]` is the
+/// node list of job `j` of wave `w` (one schedulable unit, in execution
+/// order). Units within a wave are mutually independent by construction
+/// (they come from distinct units of one SEP wavefront), so their
+/// evaluation may run concurrently; waves execute in order with a barrier
+/// between them. The flattened plan must equal the tape's node order.
+#[derive(Debug, Clone, Default)]
+pub struct WaveExecPlan {
+    /// wave → job/unit → nodes (each inner list in execution order).
+    pub waves: Vec<Vec<Vec<NodeId>>>,
+}
+
+/// Pre-planned arena memory handed to [`execute_tape`]: the paper's
+/// §4.4.1 operator-determined memory planning made operational. Each
+/// planned tensor's payload lives at its plan offset, and only tensors the
+/// plan could not cover (unresolved `nac` sizes, size mismatches) fall
+/// back to heap allocations — the dynamic residue reported in
+/// [`RunOutcome::alloc_sizes`].
+///
+/// `sizes` holds the exact byte size the offset plan assumed for each
+/// planned tensor key ([`MemoryPlan`](sod2_mem::MemoryPlan) stores only
+/// offsets): a tensor is arena-backed only when its runtime size matches
+/// the planned size exactly, falling back to the heap otherwise — so a
+/// stale or partial plan degrades gracefully instead of corrupting
+/// memory. Keys in `bounded` relax the match to "at most the planned
+/// size": their plans reserve a static upper bound for an
+/// execution-determined (`nac`) payload, so any smaller runtime size still
+/// fits its slot without aliasing a neighbour.
+pub struct ArenaBacking<'a> {
+    /// The slab, already reset to the current inference's plan.
+    pub arena: &'a mut Arena,
+    /// Planned byte size per tensor key (`TensorId.0 as usize`).
+    pub sizes: &'a HashMap<usize, usize>,
+    /// Keys planned at an upper bound rather than an exact size.
+    pub bounded: &'a HashSet<usize>,
+}
+
+/// Copies a freshly produced tensor into its planned arena slot. Returns
+/// `true` when the tensor is now arena-backed, `false` when it must be
+/// treated as a heap allocation (no backing, unplanned key, or a size
+/// mismatch against the plan).
+fn arena_install(
+    backing: &mut Option<ArenaBacking<'_>>,
+    planned: &mut [bool],
+    t: TensorId,
+    tensor: &Tensor,
+) -> bool {
+    let Some(b) = backing.as_mut() else {
+        return false;
+    };
+    let key = t.0 as usize;
+    let fits = match b.sizes.get(&key) {
+        Some(&sz) if b.bounded.contains(&key) => tensor.byte_size() <= sz,
+        Some(&sz) => tensor.byte_size() == sz,
+        None => false,
+    };
+    if fits && b.arena.try_write(key, &tensor.payload_le_bytes()) {
+        planned[key] = true;
+        true
+    } else {
+        false
+    }
+}
+
+/// Reusable scratch overlay for unit-local results awaiting commit: a
+/// flat `(key, slot)` list scanned back-to-front so the latest write of a
+/// key wins. Units are a handful of instructions, so a linear scan beats a
+/// `HashMap`.
+#[derive(Default)]
+struct Overlay {
+    entries: Vec<(usize, Slot)>,
+}
+
+impl Overlay {
+    fn insert(&mut self, key: usize, slot: Slot) {
+        self.entries.push((key, slot));
+    }
+
+    fn get(&self, key: usize) -> Option<&Slot> {
+        self.entries
+            .iter()
+            .rev()
+            .find(|(k, _)| *k == key)
+            .map(|(_, s)| s)
+    }
+}
+
+/// The committed register file seen through a unit-local overlay holding
+/// results produced earlier in the same unit: what a wave unit's phase-A
+/// evaluation reads.
+struct EnvView<'e> {
+    base: &'e [Slot],
+    overlay: &'e Overlay,
+}
+
+impl SlotView for EnvView<'_> {
+    fn slot(&self, t: TensorId) -> &Slot {
+        let key = t.0 as usize;
+        self.overlay.get(key).unwrap_or(&self.base[key])
+    }
+}
 
 /// Largest operand count marshalled through a stack array; rarer wider
 /// nodes fall back to a heap vector.
 const INLINE_ARITY: usize = 8;
 
 /// One register release precompiled into an instruction: the register
-/// index plus the flags the tree-walker derives from the graph per
-/// release (is the tensor a materialized intermediate? a graph output
-/// held to the end?).
+/// index plus the flags the reference derives from the graph per release
+/// (is the tensor a materialized intermediate? a graph output held to the
+/// end?).
 #[derive(Debug, Clone)]
 pub struct RegRelease {
     /// Register (= tensor id) to release.
@@ -66,7 +173,7 @@ pub struct RegRelease {
 
 /// A fused chain lowered to one instruction: the member list inlined,
 /// with each member's release list applied at its original commit
-/// position so live-memory accounting matches the tree-walker exactly.
+/// position so live-memory accounting matches the reference exactly.
 #[derive(Debug, Clone)]
 pub struct TapeChain {
     pub(crate) plan: ChainPlan,
@@ -82,7 +189,7 @@ pub struct TapeChain {
     /// Proven-finite bit for the final output (NaN-fence elision).
     pub final_finite: bool,
     /// The tail member (its name labels fence diagnostics, as in the
-    /// tree-walker where the tail performs the install).
+    /// reference where the tail performs the install).
     pub tail_nid: NodeId,
 }
 
@@ -149,7 +256,7 @@ pub struct Instr {
     pub releases: Vec<RegRelease>,
     /// Original fusion group id (the `group` field of trace events).
     pub gid: usize,
-    /// Dense group index into the per-inference accumulator arrays.
+    /// Dense group index into the per-inference accumulator array.
     pub gidx: u32,
     /// Statically the last member of its group in execution order: emits
     /// the group's kernel trace event when the group did countable work.
@@ -174,7 +281,7 @@ pub struct TapeProgram {
     /// Constant registers, prebuilt once (per-inference installation is
     /// an `Arc` clone, not a payload rebuild).
     consts: Vec<(TensorId, Tensor)>,
-    /// Dense group count (size of per-inference accumulator arrays).
+    /// Dense group count (size of the per-inference accumulator array).
     num_groups: usize,
     /// Graph nodes the tape covers (chain members included).
     node_count: usize,
@@ -234,40 +341,34 @@ impl TapeProgram {
     }
 }
 
-/// Compiles a planned graph into an execution tape. Mirrors the choices
-/// the tree-walking executor would make for the same configuration
-/// (fusion plan, fused-interpreter chains, finite-output certificates,
-/// wavefront schedule), so the two modes are differentially testable.
+/// Compiles a planned graph into an execution tape: the release schedule
+/// comes from `sod2_plan::plan_tape_layout` over `node_order`, every
+/// fusion group that forms an element-wise chain becomes one chain
+/// instruction, and the optional wavefront schedule becomes instruction
+/// ranges. Given the same fusion plan and order, serial heap execution
+/// of the tape is observationally identical to the reference
+/// [`crate::execute`] with `fused_interpreter` on.
 ///
 /// # Errors
 ///
 /// Returns [`ExecError::BadInputs`] for constants with unknown shapes
 /// and [`ExecError::Internal`] when the wave plan does not flatten to
 /// the execution order or a fused chain is malformed.
-#[allow(clippy::too_many_arguments)]
 pub fn compile_tape(
     graph: &Graph,
-    layout: &TapeLayout,
     node_order: &[NodeId],
     fusion: Option<&FusionPlan>,
-    fused_interpreter: bool,
     finite_outputs: Option<&[bool]>,
     wave_plan: Option<&WaveExecPlan>,
     baked_variants: Option<&HashMap<NodeId, BakedVariant>>,
 ) -> Result<TapeProgram, ExecError> {
-    if layout.releases.len() != node_order.len() {
-        return Err(ExecError::Internal(format!(
-            "tape layout covers {} positions but the order has {} nodes",
-            layout.releases.len(),
-            node_order.len()
-        )));
-    }
+    let layout = sod2_plan::plan_tape_layout(graph, node_order);
     let internal = fusion
         .map(|f| f.internal_tensors(graph))
         .unwrap_or_default();
-    let (chain_member, chains) = match (fused_interpreter, fusion) {
-        (true, Some(f)) => build_chains(graph, f),
-        _ => (HashMap::new(), Vec::new()),
+    let (chain_member, chains) = match fusion {
+        Some(f) => build_chains(graph, f),
+        None => (HashMap::new(), Vec::new()),
     };
     let group_of = |n: NodeId| -> usize {
         match fusion {
@@ -277,7 +378,7 @@ pub fn compile_tape(
     };
     let finite_of = |t: TensorId| -> bool {
         finite_outputs
-            .map(|f| f.get(t.0 as usize).copied().unwrap_or(false))
+            .and_then(|f| f.get(t.0 as usize).copied())
             .unwrap_or(false)
     };
     let decorate = |t: TensorId| -> RegRelease {
@@ -381,10 +482,7 @@ pub fn compile_tape(
         let in_external = node
             .inputs
             .iter()
-            .map(|&t| match graph.producer(t) {
-                Some(p) => group_of(p) != gid,
-                None => true,
-            })
+            .map(|&t| graph.producer(t).is_none_or(|p| group_of(p) != gid))
             .collect();
         let idx = instrs.len();
         instrs.push(Instr {
@@ -472,24 +570,11 @@ pub fn compile_tape(
         }
     }
 
-    // Prebuild constant registers once.
-    let mut consts = Vec::new();
-    for t in graph.tensor_ids() {
-        let info = graph.tensor(t);
-        if let Some(data) = &info.const_data {
-            let shape = info
-                .shape
-                .as_known()
-                .ok_or_else(|| ExecError::BadInputs("constant with unknown shape".into()))?;
-            consts.push((t, crate::executor::const_tensor_pub(&shape, data)));
-        }
-    }
-
     Ok(TapeProgram {
         instrs,
         waves,
-        register_count: layout.register_count.max(graph.num_tensors()),
-        consts,
+        register_count: layout.register_count,
+        consts: const_tensors(graph)?,
         num_groups: gidx_of.len(),
         node_count: node_order.len(),
     })
@@ -524,7 +609,7 @@ fn fill_shapes(bufs: &mut Vec<Vec<usize>>, count: usize) {
 }
 
 /// Mutable per-inference state of the tape VM (dense everywhere the
-/// tree-walker used maps).
+/// reference uses maps).
 struct TapeState<'a> {
     env: Vec<Slot>,
     trace: ExecutionTrace,
@@ -533,22 +618,12 @@ struct TapeState<'a> {
     alloc_sizes: Vec<usize>,
     concrete_shapes: HashMap<TensorId, Vec<usize>>,
     branches_executed: usize,
+    // Registers currently arena-backed (cleared at death after
+    // verification); dense over tensor keys so the hot path never hashes.
     planned: Vec<bool>,
     arena_backed: usize,
-    group_flops: Vec<f64>,
-    group_ops: Vec<u32>,
-    group_eff: Vec<Option<f64>>,
-    group_ext_read: Vec<f64>,
-    group_ext_write: Vec<f64>,
+    groups: Vec<GroupAcc>,
     backing: Option<ArenaBacking<'a>>,
-}
-
-fn live_slot<'e>(view: &'e EnvView<'e>, t: TensorId) -> Result<&'e Tensor, ExecError> {
-    match view.get(t) {
-        Slot::Live(ten) => Ok(ten),
-        Slot::Dead => Err(ExecError::ControlFlow(format!("{t} is dead"))),
-        Slot::Missing => Err(ExecError::ControlFlow(format!("{t} was never produced"))),
-    }
 }
 
 impl TapeState<'_> {
@@ -565,39 +640,83 @@ impl TapeState<'_> {
         self.concrete_shapes.insert(t, tensor.shape().to_vec());
         if materialized {
             let b = tensor.byte_size();
-            self.live_bytes += b;
             if arena_install(&mut self.backing, &mut self.planned, t, &tensor) {
                 self.arena_backed += 1;
             } else {
                 self.alloc_sizes.push(b);
             }
-            self.peak = self.peak.max(self.live_bytes);
-            if let Some(budget) = cfg.memory_budget {
-                if self.live_bytes > budget {
-                    return Err(ExecError::BudgetExceeded {
-                        needed: self.live_bytes,
-                        budget,
-                    });
-                }
-            }
+            charge_live(&mut self.live_bytes, &mut self.peak, b, cfg.memory_budget)?;
         }
         self.env[t.0 as usize] = Slot::Live(tensor);
         Ok(())
     }
 
+    /// Applies an instruction's precompiled releases. Arena-backed
+    /// registers are readback-verified at death: their slab bytes must
+    /// still equal the tensor payload, otherwise the offset plan aliased
+    /// two live tensors and the run is corrupt.
     fn apply_releases(&mut self, releases: &[RegRelease]) -> Result<(), ExecError> {
         for r in releases {
+            let key = r.reg.0 as usize;
+            if self.planned[key] {
+                self.planned[key] = false;
+                if let (Slot::Live(ten), Some(b)) = (&self.env[key], self.backing.as_ref()) {
+                    sod2_obs::counter_add("exec.arena_readback_verifies", 1);
+                    let want = ten.payload_le_bytes();
+                    if b.arena.try_read(key, want.len()) != Some(want.as_slice()) {
+                        return Err(ExecError::Memory(format!(
+                            "arena slot for tensor {} was clobbered while live",
+                            r.reg
+                        )));
+                    }
+                }
+            }
             release_slot(
                 r.reg,
                 r.is_intermediate,
                 r.is_output,
                 &mut self.env,
                 &mut self.live_bytes,
-                &mut self.planned,
-                &self.backing,
-            )?;
+            );
         }
         Ok(())
+    }
+
+    /// Reads a graph output back from its register. Arena-backed outputs
+    /// are rebuilt from slab bytes: the caller observes exactly what the
+    /// plan preserved, and any end-of-run clobbering surfaces as a
+    /// `Memory` error here.
+    fn read_output(&self, t: TensorId) -> Result<Tensor, ExecError> {
+        let key = t.0 as usize;
+        let Slot::Live(ten) = &self.env[key] else {
+            return Err(ExecError::ControlFlow(format!(
+                "graph output {t} was never produced (dead branch?)"
+            )));
+        };
+        if !self.planned[key] {
+            return Ok(ten.clone());
+        }
+        let b = self
+            .backing
+            .as_ref()
+            .ok_or_else(|| ExecError::Internal("planned tensor without arena backing".into()))?;
+        let bytes = b
+            .arena
+            .try_read(key, ten.byte_size())
+            .ok_or_else(|| ExecError::Memory(format!("arena slot for output {t} vanished")))?;
+        if bytes != ten.payload_le_bytes().as_slice() {
+            return Err(ExecError::Memory(format!(
+                "arena slot for output {t} was clobbered while live"
+            )));
+        }
+        let label = match ten.data() {
+            Data::F32(_) => "f32",
+            Data::I64(_) => "i64",
+            Data::Bool(_) => "bool",
+            Data::U8(_) => "u8",
+        };
+        Tensor::from_payload_le(ten.shape(), label, bytes)
+            .map_err(|e| ExecError::Memory(format!("rebuild output {t}: {e}")))
     }
 }
 
@@ -605,8 +724,8 @@ impl TapeState<'_> {
 /// precomputed evaluation), account group cost, install results, apply
 /// the precompiled releases, and emit the group trace event at the
 /// group's statically-known tail. The single mutation point of tape
-/// state in both execution modes — the exact analogue of the
-/// tree-walker's `commit_node`.
+/// state in both dispatch modes — the analogue of the reference's
+/// per-node commit.
 fn commit_instr(
     graph: &Graph,
     cfg: &ExecConfig<'_>,
@@ -620,10 +739,10 @@ fn commit_instr(
     }
     let node = graph.node(instr.nid);
     // Serial commits evaluate in place, so the kernel span covers
-    // execution, installation, and release — the tree-walker's span
-    // extent. Wave commits consumed a phase-A evaluation that already ran
-    // under its own kernel span; the bookkeeping here gets none, which is
-    // what makes `kernel_coverage` measure compute in wavefront mode.
+    // execution, installation, and release — the reference's span extent.
+    // Wave commits consumed a phase-A evaluation that already ran under
+    // its own kernel span; the bookkeeping here gets none, which is what
+    // makes `kernel_coverage` measure compute in wavefront mode.
     let _kernel_span = if pre.is_none() {
         Some(sod2_obs::span!("kernel", "{}", node.name))
     } else {
@@ -638,13 +757,7 @@ fn commit_instr(
                     "precomputed evaluation mismatch at chain instruction".into(),
                 ))
             }
-            None => {
-                let view = EnvView {
-                    base: &st.env,
-                    overlay: None,
-                };
-                eval_chain(&view, &tc.plan)?
-            }
+            None => eval_chain(st.env.as_slice(), &tc.plan)?,
         };
         return commit_chain(graph, cfg, st, instr, tc, ev);
     }
@@ -656,20 +769,13 @@ fn commit_instr(
                 "precomputed evaluation mismatch at plain instruction".into(),
             ))
         }
-        None => {
-            let view = EnvView {
-                base: &st.env,
-                overlay: None,
-            };
-            eval_plain_with_op(graph, cfg, instr, &view)?
-        }
+        None => eval_plain(graph, cfg, instr, st.env.as_slice())?,
     };
     st.branches_executed += branches;
 
     // Group cost accounting before results move into registers (input
-    // registers are still live at this point, as in the tree-walker).
-    let any_live = results.iter().any(Option::is_some);
-    if any_live && instr.count_cost {
+    // registers are still live at this point, as in the reference).
+    if instr.count_cost && results.iter().any(Option::is_some) {
         fill_shapes(&mut scratch.in_shapes, instr.inputs.len());
         for (k, &t) in instr.inputs.iter().enumerate() {
             if let Slot::Live(ten) = &st.env[t.0 as usize] {
@@ -687,147 +793,89 @@ fn commit_instr(
             &scratch.out_shapes[..n_live],
             4,
         );
-        let g = instr.gidx as usize;
-        st.group_flops[g] += cost.flops;
-        st.group_ops[g] += 1;
+        let acc = &mut st.groups[instr.gidx as usize];
+        acc.flops += cost.flops;
+        acc.ops += 1;
         for (k, &t) in instr.inputs.iter().enumerate() {
-            if instr.in_external[k] {
-                if let Slot::Live(ten) = &st.env[t.0 as usize] {
-                    st.group_ext_read[g] += ten.byte_size() as f64;
-                }
+            if let (true, Slot::Live(ten)) = (instr.in_external[k], &st.env[t.0 as usize]) {
+                acc.ext_read += ten.byte_size() as f64;
             }
         }
         for (k, ten) in results.iter().enumerate() {
-            if let Some(ten) = ten {
-                if !instr.out_internal[k] {
-                    st.group_ext_write[g] += ten.byte_size() as f64;
-                }
+            if let (Some(ten), false) = (ten, instr.out_internal[k]) {
+                acc.ext_write += ten.byte_size() as f64;
             }
         }
-        if let Some(table) = cfg.version_table {
-            if let Some(first) = results.iter().flatten().next() {
-                if let Some((m, n)) = hotspot_mn(&node.op, &[first]) {
-                    let e = match node.op {
-                        Op::Conv2d { .. } => table.conv_efficiency_of(m, n),
-                        _ => table.efficiency(m, n),
-                    };
-                    let slot = &mut st.group_eff[g];
-                    *slot = Some(slot.map_or(e, |prev: f64| prev.min(e)));
-                }
-            }
-        }
+        acc.note_efficiency(cfg.version_table, &node.op, results.iter().flatten().next());
     }
 
     // Install results into their registers.
     for (k, result) in results.into_iter().enumerate() {
         let t = instr.outputs[k];
         match result {
-            Some(tensor) => {
-                st.install_output(
-                    cfg,
-                    &node.name,
-                    t,
-                    instr.out_finite[k],
-                    !instr.out_internal[k],
-                    tensor,
-                )?;
-            }
-            None => {
-                st.env[t.0 as usize] = Slot::Dead;
-            }
+            Some(tensor) => st.install_output(
+                cfg,
+                &node.name,
+                t,
+                instr.out_finite[k],
+                !instr.out_internal[k],
+                tensor,
+            )?,
+            None => st.env[t.0 as usize] = Slot::Dead,
         }
     }
 
     st.apply_releases(&instr.releases)?;
 
-    if instr.group_tail && st.group_ops[instr.gidx as usize] > 0 {
-        let g = instr.gidx as usize;
-        st.trace.push(TraceEvent::Kernel {
-            name: node.name.clone(),
-            cost: sod2_device::OpCost {
-                flops: st.group_flops[g],
-                bytes_read: st.group_ext_read[g],
-                bytes_written: st.group_ext_write[g],
-            },
-            efficiency: st.group_eff[g],
-            working_set: st.live_bytes,
-            fused_ops: st.group_ops[g] as usize,
-            group: instr.gid,
-        });
+    let acc = &st.groups[instr.gidx as usize];
+    if instr.group_tail && acc.ops > 0 {
+        let event = acc.event(node.name.clone(), st.live_bytes, instr.gid);
+        st.trace.push(event);
     }
     Ok(())
 }
 
-/// [`eval_plain`] with the operator payload borrowed from the graph.
-fn eval_plain_with_op(
+/// Evaluates a plain (non-chain) instruction against a register view.
+fn eval_plain<V: SlotView + ?Sized>(
     graph: &Graph,
     cfg: &ExecConfig<'_>,
     instr: &Instr,
-    view: &EnvView<'_>,
+    view: &V,
 ) -> Result<(Vec<Option<Tensor>>, usize), ExecError> {
     // Dead-input propagation (Select handles its own deadness).
-    if !matches!(instr.kind, InstrKind::Select { .. }) {
-        for &t in &instr.inputs {
-            if matches!(view.get(t), Slot::Dead) {
-                return Ok((vec![None; instr.outputs.len()], 0));
-            }
-        }
+    if !matches!(instr.kind, InstrKind::Select { .. })
+        && instr
+            .inputs
+            .iter()
+            .any(|&t| matches!(view.slot(t), Slot::Dead))
+    {
+        return Ok((vec![None; instr.outputs.len()], 0));
     }
     match &instr.kind {
         InstrKind::Branch { num_branches } => {
-            let data = live_slot(view, instr.inputs[0])?.clone();
-            let sel = selector(live_slot(view, instr.inputs[1])?)?;
-            if sel as usize >= *num_branches {
-                return Err(ExecError::ControlFlow(format!(
-                    "selector {sel} out of range for {num_branches} branches"
-                )));
-            }
-            let branches = if cfg.execute_all_branches {
-                *num_branches
-            } else {
-                1
-            };
-            let out = (0..*num_branches)
-                .map(|k| {
-                    if cfg.execute_all_branches || k as i64 == sel {
-                        Some(data.clone())
-                    } else {
-                        None
-                    }
-                })
-                .collect();
-            Ok((out, branches))
+            eval_switch(view, &instr.inputs, *num_branches, cfg.execute_all_branches)
         }
         InstrKind::Select { num_branches } => {
-            if matches!(view.get(instr.inputs[*num_branches]), Slot::Dead) {
-                return Ok((vec![None], 0));
-            }
-            let sel = selector(live_slot(view, instr.inputs[*num_branches])?)?;
-            if sel as usize >= *num_branches {
-                return Err(ExecError::ControlFlow(format!(
-                    "selector {sel} out of range for {num_branches} branches"
-                )));
-            }
-            let chosen = instr.inputs[sel as usize];
-            Ok((vec![Some(live_slot(view, chosen)?.clone())], 0))
+            Ok((vec![eval_combine(view, &instr.inputs, *num_branches)?], 0))
         }
         InstrKind::Kernel => {
             let op = &graph.node(instr.nid).op;
             let n_in = instr.inputs.len();
             let outs = if n_in > 0 && n_in <= INLINE_ARITY {
-                let first = live_slot(view, instr.inputs[0])?;
+                let first = live(view, instr.inputs[0])?;
                 let mut arr: [&Tensor; INLINE_ARITY] = [first; INLINE_ARITY];
                 for (k, &t) in instr.inputs.iter().enumerate().skip(1) {
-                    arr[k] = live_slot(view, t)?;
+                    arr[k] = live(view, t)?;
                 }
                 let ins = &arr[..n_in];
                 let (gemm, conv) = instr_variants(instr, op, ins, cfg);
                 execute_op_with_variants(op, ins, gemm, conv)?
             } else {
-                let mut ins: Vec<&Tensor> = Vec::with_capacity(n_in);
-                for &t in &instr.inputs {
-                    ins.push(live_slot(view, t)?);
-                }
+                let ins = instr
+                    .inputs
+                    .iter()
+                    .map(|&t| live(view, t))
+                    .collect::<Result<Vec<&Tensor>, ExecError>>()?;
                 let (gemm, conv) = instr_variants(instr, op, &ins, cfg);
                 execute_op_with_variants(op, &ins, gemm, conv)?
             };
@@ -841,7 +889,7 @@ fn eval_plain_with_op(
 
 /// Resolves the GEMM/CONV configurations for a kernel instruction: the
 /// compile-time baked variant when the tape carries one (zero runtime
-/// selection work), else the tree-walker's runtime selection path.
+/// selection work), else runtime selection as in the reference.
 fn instr_variants(
     instr: &Instr,
     op: &Op,
@@ -861,7 +909,7 @@ fn instr_variants(
     }
 }
 
-/// Commits a fused-chain instruction, replaying the tree-walker's exact
+/// Commits a fused-chain instruction, replaying the reference's exact
 /// member-by-member sequence: the fused trace event at the head (working
 /// set measured before any release), each member's releases at its
 /// original position, and the final-output install at the tail.
@@ -874,20 +922,11 @@ fn commit_chain(
     ev: ChainEval,
 ) -> Result<(), ExecError> {
     let n = tc.member_releases.len();
+    if let Some(event) = ev.event(tc.members.len(), st.live_bytes, instr.gid) {
+        st.trace.push(event);
+    }
     match ev.result {
         Some(out) => {
-            st.trace.push(TraceEvent::Kernel {
-                name: format!("fused[{}]", tc.members.len()),
-                cost: sod2_device::OpCost {
-                    flops: ev.flops,
-                    bytes_read: ev.ext_read,
-                    bytes_written: out.byte_size() as f64,
-                },
-                efficiency: None,
-                working_set: st.live_bytes + out.byte_size(),
-                fused_ops: tc.members.len(),
-                group: instr.gid,
-            });
             // Head and mid members release at their original positions;
             // the tail installs the final output first, then releases.
             for releases in tc.member_releases.iter().take(n.saturating_sub(1)) {
@@ -901,7 +940,7 @@ fn commit_chain(
         }
         None => {
             // Dead chain: every member output dies, releases interleaved
-            // in member order as the tree-walker would.
+            // in member order as the reference does.
             for (k, releases) in tc.member_releases.iter().enumerate() {
                 st.env[tc.member_outputs[k].0 as usize] = Slot::Dead;
                 st.apply_releases(releases)?;
@@ -913,17 +952,17 @@ fn commit_chain(
 
 /// Pure phase-A evaluation of one unit's instruction range: reads the
 /// committed register file plus a unit-local overlay, never mutates
-/// shared state. The wavefront analogue of the tree-walker's
-/// `eval_unit`, at tape granularity.
+/// shared state, so the units of one wave may evaluate concurrently (a
+/// legal wavefront schedule guarantees no cross-unit dependence within a
+/// wave).
 fn eval_tape_unit(
     graph: &Graph,
     cfg: &ExecConfig<'_>,
     tape: &TapeProgram,
     env: &[Slot],
     range: (u32, u32),
-    overlay: &mut Overlay,
 ) -> Result<Vec<TapeEval>, ExecError> {
-    overlay.clear();
+    let mut overlay = Overlay::default();
     let (start, end) = (range.0 as usize, range.1 as usize);
     let mut out = Vec::with_capacity(end - start);
     for instr in &tape.instrs[start..end] {
@@ -932,58 +971,47 @@ fn eval_tape_unit(
         }
         let node = graph.node(instr.nid);
         let _kernel_span = sod2_obs::span!("kernel", "{}", node.name);
-        if let InstrKind::Chain(tc) = &instr.kind {
-            let ev = {
-                let view = EnvView {
-                    base: env,
-                    overlay: Some(overlay),
-                };
-                eval_chain(&view, &tc.plan)?
-            };
-            overlay.insert(
-                tc.final_reg.0 as usize,
-                match &ev.result {
-                    Some(t) => Slot::Live(t.clone()),
-                    None => Slot::Dead,
-                },
-            );
-            out.push(TapeEval::Chain(ev));
-            continue;
-        }
-        let (results, branches) = {
-            let view = EnvView {
-                base: env,
-                overlay: Some(overlay),
-            };
-            eval_plain_with_op(graph, cfg, instr, &view)?
+        let view = EnvView {
+            base: env,
+            overlay: &overlay,
         };
-        for (k, r) in results.iter().enumerate() {
-            overlay.insert(
-                instr.outputs[k].0 as usize,
-                match r {
-                    Some(t) => Slot::Live(t.clone()),
-                    None => Slot::Dead,
-                },
-            );
-        }
-        out.push(TapeEval::Plain { results, branches });
+        let slot_of = |r: &Option<Tensor>| r.clone().map_or(Slot::Dead, Slot::Live);
+        let ev = match &instr.kind {
+            InstrKind::Chain(tc) => {
+                let ev = eval_chain(&view, &tc.plan)?;
+                overlay.insert(tc.final_reg.0 as usize, slot_of(&ev.result));
+                TapeEval::Chain(ev)
+            }
+            _ => {
+                let (results, branches) = eval_plain(graph, cfg, instr, &view)?;
+                for (t, r) in instr.outputs.iter().zip(&results) {
+                    overlay.insert(t.0 as usize, slot_of(r));
+                }
+                TapeEval::Plain { results, branches }
+            }
+        };
+        out.push(ev);
     }
     Ok(out)
 }
 
 /// Executes a compiled tape on concrete inputs.
 ///
-/// `cfg` supplies the runtime knobs the tree-walker shares (version
-/// table, execute-all-branches, NaN guard, memory budget); its plan
-/// fields (`fusion`, `node_order`, `wave_plan`) are ignored — those
-/// decisions were baked into the tape at compile time. `wavefront`
-/// selects between the serial dispatch loop and two-phase wave
-/// execution over the tape's compiled `(start, end)` ranges.
+/// `cfg` supplies the runtime knobs the reference shares (version table,
+/// execute-all-branches, NaN guard, memory budget); its plan fields
+/// (`fusion`, `node_order`, `fused_interpreter`, `finite_outputs`) are
+/// ignored — those decisions were baked into the tape at compile time.
+/// `backing` serves materialized intermediates from a pre-planned arena
+/// slab (heap when `None`). `wavefront` selects between the serial
+/// dispatch loop and two-phase wave execution over the tape's compiled
+/// `(start, end)` ranges.
 ///
 /// # Errors
 ///
-/// Exactly the tree-walking executor's error surface: kernels, control
-/// flow, memory verification, deadline, budget, numeric fences.
+/// The reference's error surface — kernels, control flow, deadline,
+/// budget, numeric fences — plus [`ExecError::Memory`] when readback
+/// verification detects that the arena plan aliased two simultaneously
+/// live tensors.
 pub fn execute_tape(
     graph: &Graph,
     inputs: &[Tensor],
@@ -992,27 +1020,12 @@ pub fn execute_tape(
     backing: Option<ArenaBacking<'_>>,
     wavefront: bool,
 ) -> Result<RunOutcome, ExecError> {
-    if inputs.len() != graph.inputs().len() {
-        return Err(ExecError::BadInputs(format!(
-            "expected {} inputs, got {}",
-            graph.inputs().len(),
-            inputs.len()
-        )));
-    }
+    check_inputs(graph, inputs, cfg.nan_guard)?;
     let mut env: Vec<Slot> = vec![Slot::Missing; tape.register_count];
     for (t, tensor) in &tape.consts {
         env[t.0 as usize] = Slot::Live(tensor.clone());
     }
     for (&t, tensor) in graph.inputs().iter().zip(inputs) {
-        if cfg.nan_guard {
-            if let Ok(v) = tensor.as_f32() {
-                if !v.iter().all(|x| x.is_finite()) {
-                    return Err(ExecError::NumericFault(format!(
-                        "non-finite value in graph input {t}"
-                    )));
-                }
-            }
-        }
         env[t.0 as usize] = Slot::Live(tensor.clone());
     }
 
@@ -1026,11 +1039,7 @@ pub fn execute_tape(
         branches_executed: 0,
         planned: vec![false; tape.register_count],
         arena_backed: 0,
-        group_flops: vec![0.0; tape.num_groups],
-        group_ops: vec![0; tape.num_groups],
-        group_eff: vec![None; tape.num_groups],
-        group_ext_read: vec![0.0; tape.num_groups],
-        group_ext_write: vec![0.0; tape.num_groups],
+        groups: vec![GroupAcc::default(); tape.num_groups],
         backing,
     };
     let mut scratch = Scratch::default();
@@ -1064,7 +1073,12 @@ pub fn execute_tape(
                 continue;
             }
             // Phase A: evaluate the wave's units concurrently against the
-            // committed register file.
+            // committed register file. Each unit becomes one pool job;
+            // kernels inside a unit still open nested pool regions, so
+            // inter-op jobs and intra-op chunks share the same workers.
+            // Thread-count and deadline overrides are captured on the
+            // submitting thread and re-installed inside each job (pool
+            // workers do not inherit submitter thread-locals).
             let threads = sod2_pool::current_threads();
             let deadline = sod2_pool::current_deadline();
             let mut slots: Vec<Option<Result<Vec<TapeEval>, ExecError>>> = Vec::new();
@@ -1074,8 +1088,7 @@ pub fn execute_tape(
                 sod2_pool::scope_chunks(&mut slots, 1, |idx, chunk| {
                     chunk[0] = Some(sod2_pool::with_threads(threads, || {
                         sod2_pool::with_deadline(deadline, || {
-                            let mut local = Overlay::new();
-                            eval_tape_unit(graph, cfg, tape, env_ref, wave[idx], &mut local)
+                            eval_tape_unit(graph, cfg, tape, env_ref, wave[idx])
                         })
                     }));
                 });
@@ -1089,13 +1102,15 @@ pub fn execute_tape(
                     // Deterministic error selection: first failing unit in
                     // job order, regardless of wallclock finish order.
                     Some(Err(e)) => return Err(e),
+                    // The pool skipped this chunk — only an expired
+                    // deadline does that.
+                    None if sod2_pool::deadline_exceeded() => {
+                        return Err(ExecError::DeadlineExceeded)
+                    }
                     None => {
-                        if sod2_pool::deadline_exceeded() {
-                            return Err(ExecError::DeadlineExceeded);
-                        }
                         return Err(ExecError::Internal(format!(
                             "wave evaluation slot {idx} was never filled"
-                        )));
+                        )))
                     }
                 }
             }
@@ -1120,66 +1135,19 @@ pub fn execute_tape(
         }
     }
 
-    if sod2_pool::deadline_exceeded() {
-        return Err(ExecError::DeadlineExceeded);
-    }
-    sod2_obs::gauge_max("exec.peak_live_bytes", st.peak as u64);
-    sod2_obs::counter_add("exec.heap_fallback_allocs", st.alloc_sizes.len() as u64);
-    sod2_obs::counter_add(
-        "exec.heap_fallback_bytes",
-        st.alloc_sizes.iter().map(|&b| b as u64).sum(),
-    );
-    sod2_obs::counter_add("exec.arena_backed", st.arena_backed as u64);
-    sod2_obs::counter_add("exec.branches_executed", st.branches_executed as u64);
+    finish_run(
+        st.peak,
+        &st.alloc_sizes,
+        st.arena_backed,
+        st.branches_executed,
+    )?;
     let _outputs_span = sod2_obs::span!("mem", "outputs readback");
-    let mut outputs = Vec::with_capacity(graph.outputs().len());
-    for &t in graph.outputs() {
-        match &st.env[t.0 as usize] {
-            Slot::Live(ten) => {
-                let key = t.0 as usize;
-                if st.planned.get(key).copied().unwrap_or(false) {
-                    let b = st.backing.as_ref().ok_or_else(|| {
-                        ExecError::Internal("planned tensor without arena backing".into())
-                    })?;
-                    let bytes = b.arena.try_read(key, ten.byte_size()).ok_or_else(|| {
-                        ExecError::Memory(format!("arena slot for output {t} vanished"))
-                    })?;
-                    if bytes != ten.payload_le_bytes().as_slice() {
-                        return Err(ExecError::Memory(format!(
-                            "arena slot for output {t} was clobbered while live"
-                        )));
-                    }
-                    let label = match ten.data() {
-                        Data::F32(_) => "f32",
-                        Data::I64(_) => "i64",
-                        Data::Bool(_) => "bool",
-                        Data::U8(_) => "u8",
-                    };
-                    let rebuilt = Tensor::from_payload_le(ten.shape(), label, bytes)
-                        .map_err(|e| ExecError::Memory(format!("rebuild output {t}: {e}")))?;
-                    outputs.push(rebuilt);
-                } else {
-                    outputs.push(ten.clone());
-                }
-            }
-            _ => {
-                return Err(ExecError::ControlFlow(format!(
-                    "graph output {t} was never produced (dead branch?)"
-                )))
-            }
-        }
-    }
-    if cfg.nan_guard {
-        for (i, out) in outputs.iter().enumerate() {
-            if let Ok(v) = out.as_f32() {
-                if !v.iter().all(|x| x.is_finite()) {
-                    return Err(ExecError::NumericFault(format!(
-                        "non-finite value in output {i}"
-                    )));
-                }
-            }
-        }
-    }
+    let outputs = graph
+        .outputs()
+        .iter()
+        .map(|&t| st.read_output(t))
+        .collect::<Result<Vec<Tensor>, ExecError>>()?;
+    fence_outputs(cfg.nan_guard, &outputs)?;
     Ok(RunOutcome {
         outputs,
         trace: st.trace,

@@ -6,7 +6,10 @@ use sod2_fusion::{fuse, FusionPolicy};
 use sod2_ir::{BinaryOp, ConstData, DType, Graph, Op, TensorId, UnaryOp};
 use sod2_mvc::VersionTable;
 use sod2_rdp::analyze;
-use sod2_runtime::{execute, ExecConfig};
+use sod2_runtime::{
+    compile_tape, execute, execute_tape, ArenaBacking, ExecConfig, ExecError, RunOutcome,
+    WaveExecPlan,
+};
 use sod2_sym::DimExpr;
 use sod2_tensor::Tensor;
 
@@ -23,6 +26,24 @@ fn relu_chain(n: usize) -> Graph {
     }
     g.mark_output(t);
     g
+}
+
+/// Runs `g` on the tape, serially in topological order, with its
+/// intermediates served from `backing`.
+fn run_tape_on_arena(
+    g: &Graph,
+    inputs: &[Tensor],
+    backing: ArenaBacking<'_>,
+) -> Result<RunOutcome, ExecError> {
+    let tape = compile_tape(g, &g.topo_order(), None, None, None, None).expect("compile tape");
+    execute_tape(
+        g,
+        inputs,
+        &tape,
+        &ExecConfig::default(),
+        Some(backing),
+        false,
+    )
 }
 
 #[test]
@@ -313,7 +334,6 @@ fn three_way_switch_routes_correctly() {
 #[test]
 fn arena_backing_shrinks_alloc_stream_and_matches_heap() {
     use sod2_mem::{Arena, MemoryPlan};
-    use sod2_runtime::{execute_with_arena, ArenaBacking};
     use std::collections::HashMap;
 
     let mut g = Graph::new();
@@ -342,8 +362,7 @@ fn arena_backing_shrinks_alloc_stream_and_matches_heap() {
         sizes: &sizes,
         bounded: &bounded,
     };
-    let run =
-        execute_with_arena(&g, &inputs, &ExecConfig::default(), Some(backing)).expect("arena run");
+    let run = run_tape_on_arena(&g, &inputs, backing).expect("arena run");
     assert!(run.alloc_sizes.is_empty(), "all intermediates planned");
     assert_eq!(run.arena_backed, 3);
     assert_eq!(
@@ -356,7 +375,6 @@ fn arena_backing_shrinks_alloc_stream_and_matches_heap() {
 #[test]
 fn arena_size_mismatch_falls_back_to_heap() {
     use sod2_mem::{Arena, MemoryPlan};
-    use sod2_runtime::{execute_with_arena, ArenaBacking};
     use std::collections::HashMap;
 
     let g = relu_chain(1);
@@ -374,11 +392,10 @@ fn arena_size_mismatch_falls_back_to_heap() {
         sizes: &sizes,
         bounded: &bounded,
     };
-    let run = execute_with_arena(
+    let run = run_tape_on_arena(
         &g,
         &[Tensor::from_f32(&[4], vec![1.0, 2.0, 3.0, 4.0])],
-        &ExecConfig::default(),
-        Some(backing),
+        backing,
     )
     .expect("run");
     assert_eq!(run.arena_backed, 0);
@@ -393,7 +410,6 @@ fn arena_size_mismatch_falls_back_to_heap() {
 #[test]
 fn arena_aliasing_of_live_tensors_is_detected() {
     use sod2_mem::{Arena, MemoryPlan};
-    use sod2_runtime::{execute_with_arena, ArenaBacking, ExecError};
     use std::collections::HashMap;
 
     // a and b are simultaneously live (both feed the add); an unsound
@@ -422,17 +438,30 @@ fn arena_aliasing_of_live_tensors_is_detected() {
         sizes: &sizes,
         bounded: &bounded,
     };
-    let err = execute_with_arena(
+    let err = run_tape_on_arena(
         &g,
         &[Tensor::from_f32(&[4], vec![1.0, 2.0, 3.0, 4.0])],
-        &ExecConfig::default(),
-        Some(backing),
+        backing,
     )
     .expect_err("aliasing plan must fail");
     assert!(
         matches!(err, ExecError::Memory(_)),
         "expected Memory error, got: {err}"
     );
+}
+
+#[test]
+fn wave_plan_off_the_execution_order_is_a_typed_lowering_error() {
+    // The engine returns this error from every inference instead of
+    // switching to another executor, so it must be typed, not a panic.
+    let g = relu_chain(3);
+    let order = g.topo_order();
+    let swapped = WaveExecPlan {
+        waves: vec![vec![vec![order[1]], vec![order[0]]], vec![vec![order[2]]]],
+    };
+    let err = compile_tape(&g, &order, None, None, Some(&swapped), None)
+        .expect_err("a wave plan must flatten to the execution order");
+    assert!(matches!(err, ExecError::Internal(_)), "got: {err}");
 }
 
 #[test]

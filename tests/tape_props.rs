@@ -1,17 +1,18 @@
-//! Tape ≡ tree-walk equivalence: lowering a compiled plan to the
+//! Tape ≡ reference: compiling a plan and running it on the
 //! register-machine tape must be unobservable. For random branchy graphs
-//! with `<Switch, Combine>` control flow, tape execution must produce
-//! bitwise-identical outputs and identical memory metrics to the
-//! tree-walking interpreter, across worker counts (1 and 4), arena/heap
-//! tensor backing, and wavefront scheduling on/off — and every fault
-//! class (deadline, budget, NaN guard, kernel panic) must surface as the
-//! same typed error in both modes.
+//! with `<Switch, Combine>` control flow, the engine must produce the
+//! serial heap reference interpreter's outputs bitwise, with memory
+//! metrics that do not vary across worker counts (1 and 4) or wavefront
+//! scheduling on/off, under arena and heap tensor backing — and every
+//! fault class (deadline, budget, NaN guard, kernel error) must surface as
+//! the same typed error in serial and wavefront mode.
 
 use proptest::prelude::*;
 use sod2::{DeviceProfile, Engine, ExecError, Sod2Engine, Sod2Options, Tensor};
 use sod2_faults::{FaultPlan, Site, Trigger};
 use sod2_ir::{BinaryOp, DType, Graph, Op, TensorId, UnaryOp};
 use sod2_pool::with_threads;
+use sod2_runtime::{execute, ExecConfig};
 
 fn unary_of(i: u8) -> UnaryOp {
     [
@@ -115,11 +116,9 @@ fn input_for(n: usize, c: usize, seed: u64) -> Tensor {
 
 /// Runs one engine configuration and returns (output payloads, reported
 /// peak bytes, heap-allocation events, arena-served intermediates).
-#[allow(clippy::too_many_arguments)]
 fn run_mode(
     graph: &Graph,
     inputs: &[Tensor],
-    tape: bool,
     wavefront: bool,
     arena: bool,
     threads: usize,
@@ -129,7 +128,6 @@ fn run_mode(
             graph.clone(),
             DeviceProfile::s888_cpu(),
             Sod2Options {
-                tape_exec: tape,
                 wavefront_exec: wavefront,
                 arena_exec: arena,
                 ..Sod2Options::default()
@@ -149,34 +147,44 @@ fn run_mode(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Tape execution is bitwise-identical to the tree-walker, for every
+    /// The engine is bitwise-identical to the reference for every
     /// combination of wavefront scheduling, worker count, and tensor
-    /// backing — outputs and all deterministic memory metrics.
+    /// backing, and its deterministic memory metrics depend only on the
+    /// backing.
     #[test]
     fn tape_matches_tree_walk_bitwise(chains in chains_strategy(),
                                       folds in proptest::collection::vec(any::<u8>(), 3),
                                       arms in arms_strategy(),
                                       sel_raw in any::<u8>(),
                                       n in 1usize..6, c in 2usize..5, seed in 0u64..1000) {
+        // The fault-parity tests below install process-global fault plans;
+        // hold the same lock so none fires inside these clean runs.
+        let _x = sod2_faults::exclusive();
         let g = build_graph(c, &chains, &folds, &arms);
         sod2_ir::validate(&g).expect("generated graph valid");
         let sel = (sel_raw as usize % arms.len()) as i64;
         let inputs = [input_for(n, c, seed), Tensor::from_i64(&[1], vec![sel])];
+        let reference: Vec<Vec<u8>> = execute(&g, &inputs, &ExecConfig::default())
+            .expect("reference run")
+            .outputs
+            .iter()
+            .map(|t| t.payload_le_bytes())
+            .collect();
         for arena in [true, false] {
+            let serial = run_mode(&g, &inputs, false, arena, 1);
             for wavefront in [false, true] {
                 for threads in [1usize, 4] {
-                    let tree = run_mode(&g, &inputs, false, wavefront, arena, threads);
-                    let tape = run_mode(&g, &inputs, true, wavefront, arena, threads);
-                    prop_assert_eq!(&tape.0, &tree.0,
+                    let run = run_mode(&g, &inputs, wavefront, arena, threads);
+                    prop_assert_eq!(&run.0, &reference,
                         "outputs diverged (wavefront={}, arena={}, threads={})",
                         wavefront, arena, threads);
-                    prop_assert_eq!(tape.1, tree.1,
+                    prop_assert_eq!(run.1, serial.1,
                         "peak diverged (wavefront={}, arena={}, threads={})",
                         wavefront, arena, threads);
-                    prop_assert_eq!(tape.2, tree.2,
+                    prop_assert_eq!(run.2, serial.2,
                         "alloc events diverged (wavefront={}, arena={}, threads={})",
                         wavefront, arena, threads);
-                    prop_assert_eq!(tape.3, tree.3,
+                    prop_assert_eq!(run.3, serial.3,
                         "arena residency diverged (wavefront={}, arena={}, threads={})",
                         wavefront, arena, threads);
                 }
@@ -185,8 +193,8 @@ proptest! {
     }
 }
 
-// ---- Fault parity: each failure class surfaces identically in both ----
-// ---- modes, and the engine stays reusable afterwards.              ----
+// ---- Fault parity: each failure class surfaces identically in serial ----
+// ---- and wavefront mode, and the engine stays reusable afterwards.   ----
 
 fn fault_graph() -> (Graph, Vec<Tensor>) {
     let g = build_graph(
@@ -199,12 +207,12 @@ fn fault_graph() -> (Graph, Vec<Tensor>) {
     (g, inputs)
 }
 
-fn engine_mode(g: &Graph, tape: bool, opts: Sod2Options) -> Sod2Engine {
+fn engine_mode(g: &Graph, wavefront: bool, opts: Sod2Options) -> Sod2Engine {
     Sod2Engine::new(
         g.clone(),
         DeviceProfile::s888_cpu(),
         Sod2Options {
-            tape_exec: tape,
+            wavefront_exec: wavefront,
             ..opts
         },
         &Default::default(),
@@ -213,17 +221,18 @@ fn engine_mode(g: &Graph, tape: bool, opts: Sod2Options) -> Sod2Engine {
 
 #[test]
 fn deadline_parity_across_modes() {
+    let _x = sod2_faults::exclusive();
     let (g, inputs) = fault_graph();
-    for tape in [false, true] {
+    for wavefront in [false, true] {
         let opts = Sod2Options {
             deadline: Some(std::time::Duration::from_nanos(1)),
             ..Sod2Options::default()
         };
-        let mut e = engine_mode(&g, tape, opts);
+        let mut e = engine_mode(&g, wavefront, opts);
         let err = e.infer(&inputs);
         assert!(
             matches!(err, Err(ExecError::DeadlineExceeded)),
-            "tape={tape}: got {err:?}"
+            "wavefront={wavefront}: got {err:?}"
         );
         e.set_deadline(None);
         e.infer(&inputs).expect("engine reusable after deadline");
@@ -232,17 +241,18 @@ fn deadline_parity_across_modes() {
 
 #[test]
 fn budget_parity_across_modes() {
+    let _x = sod2_faults::exclusive();
     let (g, inputs) = fault_graph();
-    for tape in [false, true] {
+    for wavefront in [false, true] {
         let opts = Sod2Options {
             memory_budget: Some(1),
             ..Sod2Options::default()
         };
-        let mut e = engine_mode(&g, tape, opts);
+        let mut e = engine_mode(&g, wavefront, opts);
         let err = e.infer(&inputs);
         assert!(
             matches!(err, Err(ExecError::BudgetExceeded { budget: 1, .. })),
-            "tape={tape}: got {err:?}"
+            "wavefront={wavefront}: got {err:?}"
         );
         e.set_memory_budget(None);
         e.infer(&inputs).expect("engine reusable after budget");
@@ -253,21 +263,21 @@ fn budget_parity_across_modes() {
 fn nan_guard_parity_across_modes() {
     let _x = sod2_faults::exclusive();
     let (g, inputs) = fault_graph();
-    for tape in [false, true] {
+    for wavefront in [false, true] {
         sod2_faults::clear();
         let opts = Sod2Options {
             nan_guard: true,
             ..Sod2Options::default()
         };
-        let mut e = engine_mode(&g, tape, opts);
+        let mut e = engine_mode(&g, wavefront, opts);
         sod2_faults::install(FaultPlan::new(1).rule(Site::KernelNan, Trigger::Every(1), 0));
         let err = e.infer(&inputs);
         let fired = sod2_faults::fired_count();
         sod2_faults::clear();
-        assert!(fired > 0, "tape={tape}: kernel.nan never fired");
+        assert!(fired > 0, "wavefront={wavefront}: kernel.nan never fired");
         assert!(
             matches!(err, Err(ExecError::NumericFault(_))),
-            "tape={tape}: got {err:?}"
+            "wavefront={wavefront}: got {err:?}"
         );
         e.set_nan_guard(false);
         e.infer(&inputs)
@@ -279,17 +289,17 @@ fn nan_guard_parity_across_modes() {
 fn kernel_error_parity_across_modes() {
     let _x = sod2_faults::exclusive();
     let (g, inputs) = fault_graph();
-    for tape in [false, true] {
+    for wavefront in [false, true] {
         sod2_faults::clear();
-        let mut e = engine_mode(&g, tape, Sod2Options::default());
+        let mut e = engine_mode(&g, wavefront, Sod2Options::default());
         sod2_faults::install(FaultPlan::new(1).rule(Site::KernelError, Trigger::Every(1), 0));
         let err = e.infer(&inputs);
         let fired = sod2_faults::fired_count();
         sod2_faults::clear();
-        assert!(fired > 0, "tape={tape}: kernel.error never fired");
+        assert!(fired > 0, "wavefront={wavefront}: kernel.error never fired");
         assert!(
             matches!(err, Err(ExecError::Kernel(_))),
-            "tape={tape}: got {err:?}"
+            "wavefront={wavefront}: got {err:?}"
         );
         e.infer(&inputs)
             .expect("engine reusable after kernel error");

@@ -196,6 +196,14 @@ stage_analyze() {
     for m in $models BranchyDemo; do
         $CLI analyze "$m" --facts --json > "$CI_OUT/facts_$m.json"
     done
+    # Full-scale diagnostics: the memory-plan verifier, the planner
+    # cross-check and the tape verifier on the plans the paper tables and
+    # the host benchmark run (Tiny plans stop at a few dozen lifetimes,
+    # Full ones reach several hundred). `analyze --json` exits non-zero on
+    # any error-severity diagnostic.
+    for m in $models BranchyDemo; do
+        $CLI analyze "$m" --scale full --json > "$CI_OUT/diag_full_$m.json"
+    done
 }
 
 stage_chaos() {

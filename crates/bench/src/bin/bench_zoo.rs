@@ -10,8 +10,10 @@
 //!   which are identical across hosts and runs, and
 //! - informational wallclock numbers — `wall_ms_best`, `kernel_ms`,
 //!   `kernel_coverage` (kernel wall over infer wall, both on the thread
-//!   that called `infer`), `dispatch_ns_per_node` (non-kernel infer wall
-//!   per node per run) — which the gate ignores.
+//!   that called `infer`), `dmp_ms` (the `dmp_pre_plan` and
+//!   `dmp_post_plan` phase wall per run), `dispatch_ns_per_node` (infer
+//!   wall outside kernels and DMP, per node per run) — which the gate
+//!   ignores.
 //!
 //! Every model's engine outputs must agree bitwise with the serial heap
 //! reference interpreter (`sod2_runtime::execute`) run on the model graph.
@@ -50,6 +52,7 @@ struct ZooEntry {
     wall_ms_best: f64,
     kernel_ms: f64,
     kernel_coverage: f64,
+    dmp_ms: f64,
     dispatch_ns_per_node: f64,
 }
 
@@ -67,7 +70,7 @@ impl ZooEntry {
                 "\"pruned_arms\": {}, \"tape_len\": {}, ",
                 "\"wall_ms_best\": {:.4}, ",
                 "\"kernel_ms\": {:.4}, \"kernel_coverage\": {:.4}, ",
-                "\"dispatch_ns_per_node\": {:.1}}}"
+                "\"dmp_ms\": {:.4}, \"dispatch_ns_per_node\": {:.1}}}"
             ),
             self.model,
             self.size,
@@ -89,6 +92,7 @@ impl ZooEntry {
             self.wall_ms_best,
             self.kernel_ms,
             self.kernel_coverage,
+            self.dmp_ms,
             self.dispatch_ns_per_node,
         )
     }
@@ -127,7 +131,7 @@ fn measure(model: &sod2_models::DynModel, iters: usize, absint: bool) -> ZooEntr
 
     // The capture window opens before compilation so compile-time
     // counters (`absint.pruned_arms`) are recorded; compile-time kernel
-    // spans are kept out of the wallclock split by `infer_kernel_ns`.
+    // spans are kept out of the wallclock split by `infer_kernel_dmp_ns`.
     // `nan_guard` is on so the per-node fence (and its certificate-driven
     // elision) is on the measured path.
     let _session = sod2_obs::session_guard();
@@ -161,7 +165,7 @@ fn measure(model: &sod2_models::DynModel, iters: usize, absint: bool) -> ZooEntr
     sod2_obs::set_enabled(false);
 
     let infer_ns = prof.cat_total_ns("infer");
-    let kernel_ns = infer_kernel_ns(&prof);
+    let (kernel_ns, dmp_ns) = infer_kernel_dmp_ns(&prof);
     let kernel_coverage = if infer_ns > 0 {
         kernel_ns as f64 / infer_ns as f64
     } else {
@@ -172,11 +176,12 @@ fn measure(model: &sod2_models::DynModel, iters: usize, absint: bool) -> ZooEntr
         "{}: kernel coverage {kernel_coverage} outside [0, 1]",
         model.name
     );
-    // Non-kernel inference wall time per node per run: the dispatch
-    // overhead the tape exists to shrink. Wallclock, informational only.
+    // Inference wall time outside kernels and DMP planning, per node per
+    // run: the dispatch overhead the tape exists to shrink. Wallclock,
+    // informational only.
     let runs = iters + 1;
-    let dispatch_ns_per_node =
-        infer_ns.saturating_sub(kernel_ns) as f64 / (model.graph.nodes().len() * runs) as f64;
+    let dispatch_ns_per_node = infer_ns.saturating_sub(kernel_ns + dmp_ns) as f64
+        / (model.graph.nodes().len() * runs) as f64;
     let counter = |name: &str| prof.counters.get(name).copied().unwrap_or(0);
     ZooEntry {
         model: model.name.to_string(),
@@ -207,30 +212,36 @@ fn measure(model: &sod2_models::DynModel, iters: usize, absint: bool) -> ZooEntr
         wall_ms_best: wall_best * 1e3,
         kernel_ms: kernel_ns as f64 / 1e6,
         kernel_coverage,
+        dmp_ms: dmp_ns as f64 / 1e6 / runs as f64,
         dispatch_ns_per_node,
     }
 }
 
-/// Kernel wall time booked to inference: outermost `kernel` spans nested
-/// in an `infer` span on the same thread — the thread that called
-/// `infer`. Kernel spans at compile time (constant folding, arm-prune
-/// verification) and on pool workers (wave units evaluated in parallel)
-/// are excluded, so the sum never exceeds the infer wall it is compared
-/// with.
-fn infer_kernel_ns(prof: &Profile) -> u64 {
+/// Wall time booked to inference on the thread that called `infer`:
+/// outermost `kernel` spans nested in an `infer` span, and the
+/// `dmp_pre_plan` / `dmp_post_plan` phase spans. Kernel spans at compile
+/// time (constant folding, arm-prune verification) and on pool workers
+/// (wave units evaluated in parallel) are excluded, so neither sum exceeds
+/// the infer wall it is compared with.
+fn infer_kernel_dmp_ns(prof: &Profile) -> (u64, u64) {
     let mut stacks: BTreeMap<u64, Vec<&str>> = BTreeMap::new();
-    let mut total = 0;
+    let (mut kernel, mut dmp) = (0, 0);
     // Spans are start-sorted, outermost first on ties, so a per-thread
     // stack truncated to each span's depth holds exactly its ancestors.
     for s in &prof.spans {
         let stack = stacks.entry(s.tid).or_default();
         stack.truncate(s.depth as usize);
-        if s.cat == "kernel" && stack.contains(&"infer") && !stack.contains(&"kernel") {
-            total += s.dur_ns;
+        if stack.contains(&"infer") {
+            if s.cat == "kernel" && !stack.contains(&"kernel") {
+                kernel += s.dur_ns;
+            }
+            if s.cat == "phase" && matches!(s.name.as_str(), "dmp_pre_plan" | "dmp_post_plan") {
+                dmp += s.dur_ns;
+            }
         }
         stack.push(s.cat);
     }
-    total
+    (kernel, dmp)
 }
 
 /// Best-of-5 cost of a *disarmed* `sod2-faults` probe over 100k calls.
@@ -305,7 +316,7 @@ fn main() {
             "{:<24} size {:<3} priced {:>8.3} ms  peak {:>8.2} MB  \
              allocs {:<4} slab {:<4} waves {:<3} width {:<2} speedup {:>4.2}x \
              (bound {:>4.2}x)  elide {:<4} nac {:<2} tape {:<4} wall {:>7.3} ms  \
-             kernels {:>5.1}%  disp {:>6.0}ns/node",
+             kernels {:>5.1}%  dmp {:>6.3} ms  disp {:>6.0}ns/node",
             e.model,
             e.size,
             e.priced_ms,
@@ -321,6 +332,7 @@ fn main() {
             e.tape_len,
             e.wall_ms_best,
             e.kernel_coverage * 100.0,
+            e.dmp_ms,
             e.dispatch_ns_per_node,
         );
         // Certificate-driven nac bounds must keep the arena path fully
@@ -393,7 +405,7 @@ fn main() {
             "makespan_speedup, guard_elisions, nac_bounds_used, pruned_arms and ",
             "tape_len are deterministic (cost model + static schedule + abstract ",
             "interpretation + tape lowering + fixed seed 42 inputs) and gated by ",
-            "perf_gate; wall_ms_best, kernel_ms, kernel_coverage, ",
+            "perf_gate; wall_ms_best, kernel_ms, kernel_coverage, dmp_ms, ",
             "dispatch_ns_per_node and faults_probe_ns are host wallclock and ",
             "informational only\",\n"
         ));

@@ -40,8 +40,8 @@ mod size_class;
 
 pub use arena::Arena;
 pub use life::{
-    peak_live_bytes, peak_step, verify_plan, verify_plan_aligned, MemoryPlan, PlanViolation,
-    TensorLife,
+    live_bytes_by_step, peak_live_bytes, peak_step, verify_plan, verify_plan_aligned, MemoryPlan,
+    PlanViolation, TensorLife,
 };
 pub use offset::{plan_best_fit, plan_exhaustive, plan_first_fit, plan_peak_first, plan_sod2};
 pub use remat::{rematerialize, RematPlan};

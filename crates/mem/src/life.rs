@@ -73,32 +73,56 @@ impl MemoryPlan {
     }
 }
 
+/// Live bytes at every step `0..=max last_use`, from one event sweep over
+/// `(def, last_use, size)` intervals: each interval adds its size at `def`
+/// and drops it after `last_use`. An interval with `last_use < def` is live
+/// at no step (the [`TensorLife::live_at`] rule) and contributes nothing.
+///
+/// `O(intervals + steps)`; [`peak_live_bytes`], [`peak_step`] and the
+/// wavefront planner's candidate probe all read their peaks from it.
+pub fn live_bytes_by_step(
+    intervals: impl IntoIterator<Item = (usize, usize, usize)>,
+) -> Vec<usize> {
+    // Sizes entering at each step and leaving at each step.
+    let mut born: Vec<usize> = Vec::new();
+    let mut freed: Vec<usize> = Vec::new();
+    for (def, last, size) in intervals {
+        if last < def {
+            continue;
+        }
+        if born.len() < last + 2 {
+            born.resize(last + 2, 0);
+            freed.resize(last + 2, 0);
+        }
+        born[def] += size;
+        freed[last + 1] += size;
+    }
+    let steps = born.len().saturating_sub(1);
+    let mut live = 0usize;
+    (0..steps)
+        .map(|s| {
+            // Every size freed here was born at an earlier step.
+            live = live + born[s] - freed[s];
+            live
+        })
+        .collect()
+}
+
+fn live_bytes_of(lives: &[TensorLife]) -> Vec<usize> {
+    live_bytes_by_step(lives.iter().map(|l| (l.def, l.last_use(), l.size)))
+}
+
 /// The information-theoretic lower bound: the largest sum of sizes of
 /// simultaneously live tensors over all steps.
 pub fn peak_live_bytes(lives: &[TensorLife]) -> usize {
-    let max_step = lives.iter().map(TensorLife::last_use).max().unwrap_or(0);
-    let mut best = 0usize;
-    for step in 0..=max_step {
-        let total: usize = lives
-            .iter()
-            .filter(|l| l.live_at(step))
-            .map(|l| l.size)
-            .sum();
-        best = best.max(total);
-    }
-    best
+    live_bytes_of(lives).into_iter().max().unwrap_or(0)
 }
 
-/// The step at which live bytes peak.
+/// The step at which live bytes peak (the earliest such step; step 0 when
+/// nothing is ever live).
 pub fn peak_step(lives: &[TensorLife]) -> usize {
-    let max_step = lives.iter().map(TensorLife::last_use).max().unwrap_or(0);
     let mut best = (0usize, 0usize);
-    for step in 0..=max_step {
-        let total: usize = lives
-            .iter()
-            .filter(|l| l.live_at(step))
-            .map(|l| l.size)
-            .sum();
+    for (step, total) in live_bytes_of(lives).into_iter().enumerate() {
         if total > best.1 {
             best = (step, total);
         }

@@ -14,28 +14,12 @@
 use crate::life::{peak_step, MemoryPlan, TensorLife};
 use std::collections::HashMap;
 
-/// First-fit placement of `t` against already-placed overlapping tensors.
-fn first_fit(
-    t: &TensorLife,
-    lives: &HashMap<usize, TensorLife>,
-    offsets: &HashMap<usize, usize>,
-) -> usize {
-    // Collect occupied intervals from overlapping, already-placed tensors.
-    let mut occupied: Vec<(usize, usize)> = offsets
-        .iter()
-        .filter_map(|(k, &off)| {
-            let o = &lives[k];
-            if o.overlaps(t) {
-                Some((off, off + o.size))
-            } else {
-                None
-            }
-        })
-        .collect();
-    occupied.sort_unstable();
+/// First-fit placement of `size` bytes against the byte ranges of the
+/// already-placed tensors whose lifetimes overlap it, sorted by offset.
+fn first_fit(size: usize, occupied: &[(usize, usize)]) -> usize {
     let mut cursor = 0usize;
-    for (start, end) in occupied {
-        if start >= cursor + t.size {
+    for &(start, end) in occupied {
+        if start >= cursor + size {
             break; // gap fits
         }
         cursor = cursor.max(end);
@@ -43,39 +27,17 @@ fn first_fit(
     cursor
 }
 
-/// Best-fit placement: the smallest gap that holds `t` (lowest offset on
-/// ties), appending at the end when no gap fits.
-fn best_fit(
-    t: &TensorLife,
-    lives: &HashMap<usize, TensorLife>,
-    offsets: &HashMap<usize, usize>,
-) -> usize {
-    let mut occupied: Vec<(usize, usize)> = offsets
-        .iter()
-        .filter_map(|(k, &off)| {
-            let o = &lives[k];
-            if o.overlaps(t) {
-                Some((off, off + o.size))
-            } else {
-                None
-            }
-        })
-        .collect();
-    occupied.sort_unstable();
-    // Merge intervals, then scan gaps.
-    let mut merged: Vec<(usize, usize)> = Vec::new();
-    for (s, e) in occupied {
-        match merged.last_mut() {
-            Some(last) if s <= last.1 => last.1 = last.1.max(e),
-            _ => merged.push((s, e)),
-        }
-    }
+/// Best-fit placement: the smallest gap that holds `size` bytes (lowest
+/// offset on ties), appending at the end when no gap fits. The running
+/// maximum end of the sorted ranges finds the same gaps as merging them
+/// first would.
+fn best_fit(size: usize, occupied: &[(usize, usize)]) -> usize {
     let mut best: Option<(usize, usize)> = None; // (gap_size, offset)
     let mut cursor = 0usize;
-    for &(s, e) in &merged {
+    for &(s, e) in occupied {
         if s > cursor {
             let gap = s - cursor;
-            if gap >= t.size && best.map(|(g, _)| gap < g).unwrap_or(true) {
+            if gap >= size && best.map(|(g, _)| gap < g).unwrap_or(true) {
                 best = Some((gap, cursor));
             }
         }
@@ -87,20 +49,59 @@ fn best_fit(
     }
 }
 
-fn plan_with_order<F>(lives: &[TensorLife], order: &[usize], place: F) -> MemoryPlan
-where
-    F: Fn(&TensorLife, &HashMap<usize, TensorLife>, &HashMap<usize, usize>) -> usize,
-{
-    let by_key: HashMap<usize, TensorLife> = lives.iter().map(|l| (l.key, l.clone())).collect();
-    let mut offsets: HashMap<usize, usize> = HashMap::new();
+/// `(def, last_use)` per tensor, computed once per planner call.
+fn spans(lives: &[TensorLife]) -> Vec<(usize, usize)> {
+    // Plans are keyed by `TensorLife::key`; every caller passes unique keys
+    // (`TensorId` indices).
+    debug_assert!(
+        {
+            let mut keys: Vec<usize> = lives.iter().map(|l| l.key).collect();
+            keys.sort_unstable();
+            keys.windows(2).all(|w| w[0] != w[1])
+        },
+        "lifetime keys must be unique"
+    );
+    lives.iter().map(|l| (l.def, l.last_use())).collect()
+}
+
+/// Places `lives[i]` for each index `i` of `order` in turn. Each tensor is
+/// checked against a flat list of placed `(def, last_use, offset, end)`
+/// records; the overlapping ones, sorted, are what `place` sees.
+fn plan_with_order(
+    lives: &[TensorLife],
+    spans: &[(usize, usize)],
+    order: &[usize],
+    place: fn(usize, &[(usize, usize)]) -> usize,
+) -> MemoryPlan {
+    let mut placed: Vec<(usize, usize, usize, usize)> = Vec::with_capacity(order.len());
+    let mut occupied: Vec<(usize, usize)> = Vec::new();
+    let mut offsets = HashMap::with_capacity(order.len());
     let mut peak = 0usize;
-    for &key in order {
-        let t = &by_key[&key];
-        let off = place(t, &by_key, &offsets);
-        peak = peak.max(off + t.size);
-        offsets.insert(key, off);
+    for &i in order {
+        let (def, last) = spans[i];
+        let size = lives[i].size;
+        occupied.clear();
+        occupied.extend(
+            placed
+                .iter()
+                .filter(|&&(d, l, _, _)| d <= last && def <= l)
+                .map(|&(_, _, off, end)| (off, end)),
+        );
+        occupied.sort_unstable();
+        let off = place(size, &occupied);
+        peak = peak.max(off + size);
+        offsets.insert(lives[i].key, off);
+        placed.push((def, last, off, off + size));
     }
     MemoryPlan { offsets, peak }
+}
+
+/// Indices of `lives` in definition order (the execution-order greedy's
+/// placement order).
+fn definition_order(lives: &[TensorLife]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..lives.len()).collect();
+    order.sort_by_key(|&i| (lives[i].def, lives[i].key));
+    order
 }
 
 /// SoD²'s peak-first planner (paper §4.4.1): tensors live at the step of
@@ -111,31 +112,29 @@ pub fn plan_peak_first(lives: &[TensorLife]) -> MemoryPlan {
         return MemoryPlan::default();
     }
     let pstep = peak_step(lives);
-    let mut order: Vec<&TensorLife> = lives.iter().collect();
-    order.sort_by_key(|l| {
-        let at_peak = l.live_at(pstep);
+    let spans = spans(lives);
+    let mut order: Vec<usize> = (0..lives.len()).collect();
+    order.sort_by_key(|&i| {
+        let (def, last) = spans[i];
+        let at_peak = def <= pstep && pstep <= last;
         let dist = if at_peak {
             0
-        } else if l.def > pstep {
-            l.def - pstep
+        } else if def > pstep {
+            def - pstep
         } else {
-            pstep - l.last_use()
+            pstep - last
         };
         // Peak residents first (by descending size), then by distance.
-        (usize::from(!at_peak), dist, usize::MAX - l.size)
+        (usize::from(!at_peak), dist, usize::MAX - lives[i].size)
     });
-    let keys: Vec<usize> = order.iter().map(|l| l.key).collect();
-    plan_with_order(lives, &keys, first_fit)
+    plan_with_order(lives, &spans, &order, first_fit)
 }
 
 /// First-fit in definition order: the classic interval-graph strategy —
 /// optimal whenever tensor sizes are uniform (rolling-buffer patterns),
 /// and a strong portfolio member otherwise.
 pub fn plan_first_fit(lives: &[TensorLife]) -> MemoryPlan {
-    let mut order: Vec<&TensorLife> = lives.iter().collect();
-    order.sort_by_key(|l| (l.def, l.key));
-    let keys: Vec<usize> = order.iter().map(|l| l.key).collect();
-    plan_with_order(lives, &keys, first_fit)
+    plan_with_order(lives, &spans(lives), &definition_order(lives), first_fit)
 }
 
 /// SoD²'s production planner: a portfolio of the peak-first sweep, the
@@ -156,10 +155,7 @@ pub fn plan_sod2(lives: &[TensorLife]) -> MemoryPlan {
 /// MNN-style greedy: allocate in execution (definition) order, choosing the
 /// minimal free slot that holds the tensor (paper §4.4.1's baseline).
 pub fn plan_best_fit(lives: &[TensorLife]) -> MemoryPlan {
-    let mut order: Vec<&TensorLife> = lives.iter().collect();
-    order.sort_by_key(|l| (l.def, l.key));
-    let keys: Vec<usize> = order.iter().map(|l| l.key).collect();
-    plan_with_order(lives, &keys, best_fit)
+    plan_with_order(lives, &spans(lives), &definition_order(lives), best_fit)
 }
 
 /// Exhaustive reference: tries every placement order with first-fit and
@@ -177,10 +173,11 @@ pub fn plan_exhaustive(lives: &[TensorLife]) -> MemoryPlan {
     if lives.is_empty() {
         return MemoryPlan::default();
     }
-    let mut keys: Vec<usize> = lives.iter().map(|l| l.key).collect();
+    let spans = spans(lives);
+    let mut order: Vec<usize> = (0..lives.len()).collect();
     let mut best: Option<MemoryPlan> = None;
-    permute(&mut keys, 0, &mut |order| {
-        let plan = plan_with_order(lives, order, first_fit);
+    permute(&mut order, 0, &mut |order| {
+        let plan = plan_with_order(lives, &spans, order, first_fit);
         if best.as_ref().map(|b| plan.peak < b.peak).unwrap_or(true) {
             best = Some(plan);
         }
@@ -188,15 +185,15 @@ pub fn plan_exhaustive(lives: &[TensorLife]) -> MemoryPlan {
     best.unwrap_or_default()
 }
 
-fn permute(keys: &mut Vec<usize>, from: usize, visit: &mut impl FnMut(&[usize])) {
-    if from == keys.len() {
-        visit(keys);
+fn permute(order: &mut Vec<usize>, from: usize, visit: &mut impl FnMut(&[usize])) {
+    if from == order.len() {
+        visit(order);
         return;
     }
-    for i in from..keys.len() {
-        keys.swap(from, i);
-        permute(keys, from + 1, visit);
-        keys.swap(from, i);
+    for i in from..order.len() {
+        order.swap(from, i);
+        permute(order, from + 1, visit);
+        order.swap(from, i);
     }
 }
 

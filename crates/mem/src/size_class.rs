@@ -8,7 +8,8 @@
 //! high-water mark of simultaneously live chunks — internal fragmentation
 //! plus per-class retention, with no cross-class reuse.
 
-use crate::life::TensorLife;
+use crate::life::{live_bytes_by_step, TensorLife};
+use std::collections::BTreeMap;
 
 /// Peak footprint of a size-class pooling allocator over the lifetimes.
 pub fn size_class_peak(lives: &[TensorLife]) -> usize {
@@ -16,24 +17,21 @@ pub fn size_class_peak(lives: &[TensorLife]) -> usize {
         // Round up to the next power of two (minimum 256 B chunk).
         size.max(256).next_power_of_two().trailing_zeros()
     };
-    let max_step = lives.iter().map(TensorLife::last_use).max().unwrap_or(0);
-    // Per class, track live count over steps and remember the peak.
-    let mut peaks: std::collections::HashMap<u32, usize> = std::collections::HashMap::new();
-    for step in 0..=max_step {
-        let mut counts: std::collections::HashMap<u32, usize> = std::collections::HashMap::new();
-        for l in lives {
-            if l.live_at(step) {
-                *counts.entry(class_of(l.size)).or_insert(0) += 1;
-            }
-        }
-        for (class, count) in counts {
-            let p = peaks.entry(class).or_insert(0);
-            *p = (*p).max(count);
-        }
+    // Per class, one count sweep (each chunk weighs 1) gives the high-water
+    // mark of simultaneously live chunks.
+    let mut by_class: BTreeMap<u32, Vec<(usize, usize, usize)>> = BTreeMap::new();
+    for l in lives {
+        by_class
+            .entry(class_of(l.size))
+            .or_default()
+            .push((l.def, l.last_use(), 1));
     }
-    peaks
+    by_class
         .into_iter()
-        .map(|(class, count)| (1usize << class) * count)
+        .map(|(class, chunks)| {
+            let count = live_bytes_by_step(chunks).into_iter().max().unwrap_or(0);
+            (1usize << class) * count
+        })
         .sum()
 }
 

@@ -648,10 +648,16 @@ pub fn versions_without_rdp(shapes: &[(usize, usize)]) -> usize {
 
 #[cfg(test)]
 mod tests {
+    //! Every test that runs the GA or touches the cache holds
+    //! `sod2_obs::session_guard()`: the counters they bump
+    //! (`mvc.ga_generations`, `mvc.cache_hit`, `mvc.cache_miss`) are
+    //! process-global, and `warm_load_runs_zero_ga_generations` reads them
+    //! with profiling enabled.
     use super::*;
 
     #[test]
     fn ga_matches_grid_search_closely() {
+        let _serial = sod2_obs::session_guard();
         let p = DeviceProfile::s888_cpu();
         for class in ShapeClass::all() {
             let (_, ga) = tune_for_class(class, &p, 7);
@@ -662,6 +668,7 @@ mod tests {
 
     #[test]
     fn tuned_beats_baseline() {
+        let _serial = sod2_obs::session_guard();
         let p = DeviceProfile::s835_gpu();
         let table = VersionTable::tune(&p, 11);
         for class in ShapeClass::all() {
@@ -672,6 +679,7 @@ mod tests {
 
     #[test]
     fn deterministic_for_seed() {
+        let _serial = sod2_obs::session_guard();
         let p = DeviceProfile::s888_cpu();
         let a = tune_for_class(ShapeClass::Regular, &p, 3);
         let b = tune_for_class(ShapeClass::Regular, &p, 3);
@@ -681,12 +689,14 @@ mod tests {
 
     #[test]
     fn table_has_versions_per_family_and_class() {
+        let _serial = sod2_obs::session_guard();
         let table = VersionTable::tune(&DeviceProfile::s888_cpu(), 1);
         assert_eq!(table.num_versions(), 6); // 3 GEMM + 3 CONV
     }
 
     #[test]
     fn conv_tuning_beats_baseline() {
+        let _serial = sod2_obs::session_guard();
         let p = DeviceProfile::s835_cpu();
         let table = VersionTable::tune(&p, 2);
         for class in ShapeClass::all() {
@@ -703,6 +713,7 @@ mod tests {
 
     #[test]
     fn selection_by_shape_class() {
+        let _serial = sod2_obs::session_guard();
         let table = VersionTable::tune(&DeviceProfile::s888_cpu(), 5);
         let skinny = table.select(4096, 32);
         let fat = table.select(32, 4096);
@@ -735,6 +746,7 @@ mod tests {
 
     #[test]
     fn playoff_reports_but_never_selects() {
+        let _serial = sod2_obs::session_guard();
         let p = DeviceProfile::s888_cpu();
         let (plain, _) = VersionTable::tune_with_report(&p, 9, None);
         let (timed, report) = VersionTable::tune_with_report(
@@ -773,6 +785,7 @@ mod tests {
 
     #[test]
     fn cache_round_trip_identical_table() {
+        let _serial = sod2_obs::session_guard();
         let dir = tempdir("round-trip");
         let p = DeviceProfile::s888_cpu();
         let (cold, s1) = VersionTable::load_or_tune(&p, 0xC0DE, Some(&dir));
@@ -786,6 +799,7 @@ mod tests {
 
     #[test]
     fn cache_keys_isolate_devices_and_seeds() {
+        let _serial = sod2_obs::session_guard();
         let dir = tempdir("keys");
         let (a, _) = VersionTable::load_or_tune(&DeviceProfile::s888_cpu(), 1, Some(&dir));
         let (b, sb) = VersionTable::load_or_tune(&DeviceProfile::s835_gpu(), 1, Some(&dir));
@@ -798,6 +812,7 @@ mod tests {
 
     #[test]
     fn truncated_cache_file_is_rejected_and_retuned() {
+        let _serial = sod2_obs::session_guard();
         let dir = tempdir("truncated");
         let p = DeviceProfile::s888_cpu();
         let (cold, s1) = VersionTable::load_or_tune(&p, 5, Some(&dir));
@@ -821,6 +836,7 @@ mod tests {
 
     #[test]
     fn garbage_cache_file_is_rejected_and_retuned() {
+        let _serial = sod2_obs::session_guard();
         let dir = tempdir("garbage");
         let p = DeviceProfile::s835_cpu();
         let (cold, s1) = VersionTable::load_or_tune(&p, 8, Some(&dir));
@@ -834,6 +850,7 @@ mod tests {
 
     #[test]
     fn stale_seed_header_is_typed() {
+        let _serial = sod2_obs::session_guard();
         let dir = tempdir("stale");
         let p = DeviceProfile::s888_cpu();
         let (_, s1) = VersionTable::load_or_tune(&p, 3, Some(&dir));

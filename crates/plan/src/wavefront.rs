@@ -25,7 +25,7 @@
 use crate::order::order_peak_bytes;
 use crate::units::UnitGraph;
 use sod2_ir::{Graph, TensorId};
-use sod2_mem::{peak_live_bytes, TensorLife};
+use sod2_mem::{live_bytes_by_step, peak_live_bytes, TensorLife};
 use std::collections::HashMap;
 
 /// Options for the wavefront planner.
@@ -76,8 +76,8 @@ impl WavefrontSchedule {
 }
 
 /// Plans dependence-respecting wavefronts over `unit_order` (which must be
-/// a topological order of `ug`, normally the SEP order), subject to the
-/// memory bound in `opts`.
+/// a topological order covering every unit of `ug`, normally the SEP
+/// order), subject to the memory bound in `opts`.
 pub fn plan_wavefronts(
     graph: &Graph,
     ug: &UnitGraph,
@@ -99,7 +99,43 @@ pub fn plan_wavefronts(
     // unit of a round is always admitted, so every round makes progress;
     // with a tight bound the packing degenerates toward the serial SEP
     // order, with a loose one toward maximal ready sets.
+    //
+    // A candidate is priced as `peak_live_bytes(&wavefront_lifetimes(..))`
+    // would price it, without building either: `step[u]` holds unit `u`'s
+    // wave in the candidate schedule (packed units keep theirs, each probe
+    // rewrites the rest), and each tensor's producer, consumers, output
+    // flag and size are resolved once, here. Indexing by unit relies on
+    // `unit_order` covering every unit.
     let n = ug.len();
+    debug_assert_eq!(unit_order.len(), n, "unit_order must cover every unit");
+    let tensors: Vec<(usize, &[usize], bool, usize)> = ug
+        .producer
+        .iter()
+        .map(|(t, &producer)| {
+            let consumers = ug.consumers.get(t).map(Vec::as_slice).unwrap_or(&[]);
+            (
+                producer,
+                consumers,
+                graph.outputs().contains(t),
+                size_of(*t),
+            )
+        })
+        .collect();
+    let probe_peak = |step: &[usize], last_step: usize| -> usize {
+        let intervals = tensors.iter().map(|&(producer, consumers, output, size)| {
+            let def = step[producer];
+            let last = consumers
+                .iter()
+                .map(|&c| step[c])
+                .chain(output.then_some(last_step))
+                .max()
+                .unwrap_or(def);
+            (def, last, size)
+        });
+        live_bytes_by_step(intervals).into_iter().max().unwrap_or(0)
+    };
+    let mut step = vec![0usize; n];
+    let mut in_wave = vec![false; n];
     let mut scheduled = vec![false; n];
     let mut remaining: Vec<usize> = unit_order.to_vec();
     let mut waves: Vec<Vec<usize>> = Vec::new();
@@ -114,28 +150,32 @@ pub fn plan_wavefronts(
                 continue;
             }
             wave.push(u);
+            in_wave[u] = true;
             if wave.len() == 1 {
                 continue; // progress guarantee: first ready unit always in
             }
             // Tentative peak of [packed waves, this wave, rest serialized].
-            let mut sched = waves.clone();
-            sched.push(wave.clone());
-            sched.extend(
-                remaining
-                    .iter()
-                    .filter(|r| !wave.contains(r))
-                    .map(|&r| vec![r]),
-            );
-            let lives = wavefront_lifetimes(graph, ug, &sched, size_of);
-            if peak_live_bytes(&lives) > bound {
+            let mut next = waves.len() + 1;
+            for &r in &remaining {
+                if in_wave[r] {
+                    step[r] = waves.len();
+                } else {
+                    step[r] = next;
+                    next += 1;
+                }
+            }
+            if probe_peak(&step, next - 1) > bound {
                 wave.pop();
+                in_wave[u] = false;
                 splits += 1;
             }
         }
         for &u in &wave {
             scheduled[u] = true;
+            in_wave[u] = false;
+            step[u] = waves.len();
         }
-        remaining.retain(|u| !wave.contains(u));
+        remaining.retain(|&u| !scheduled[u]);
         waves.push(wave);
     }
 
@@ -315,6 +355,211 @@ mod tests {
         let flat = ws.flat_unit_order();
         let flat_peak = order_peak_bytes(&g, &ug, &flat, &|_t| 64);
         assert!(peak_live_bytes(&lives) >= flat_peak.min(ws.serial_peak));
+    }
+
+    /// Today's packer, kept as the reference: it rebuilds the candidate
+    /// schedule and its lifetimes for every probe and sums live bytes step
+    /// by step. `plan_wavefronts` must reproduce it exactly.
+    fn reference_wavefronts(
+        graph: &Graph,
+        ug: &UnitGraph,
+        unit_order: &[usize],
+        size_of: &dyn Fn(TensorId) -> usize,
+        opts: WavefrontOptions,
+    ) -> WavefrontSchedule {
+        let peak = |lives: &[TensorLife]| -> usize {
+            let max_step = lives.iter().map(TensorLife::last_use).max().unwrap_or(0);
+            (0..=max_step)
+                .map(|s| lives.iter().filter(|l| l.live_at(s)).map(|l| l.size).sum())
+                .max()
+                .unwrap_or(0)
+        };
+        let serial_peak = order_peak_bytes(graph, ug, unit_order, size_of);
+        let bound =
+            (serial_peak as f64 * (1.0 + opts.slack.max(0.0))).min(usize::MAX as f64) as usize;
+        let width_cap = opts.max_width.max(1);
+        let mut scheduled = vec![false; ug.len()];
+        let mut remaining: Vec<usize> = unit_order.to_vec();
+        let mut waves: Vec<Vec<usize>> = Vec::new();
+        let mut splits = 0usize;
+        while !remaining.is_empty() {
+            let mut wave: Vec<usize> = Vec::new();
+            for &u in &remaining {
+                if wave.len() >= width_cap {
+                    break;
+                }
+                if ug.preds[u].iter().any(|p| !scheduled[*p]) {
+                    continue;
+                }
+                wave.push(u);
+                if wave.len() == 1 {
+                    continue;
+                }
+                let mut sched = waves.clone();
+                sched.push(wave.clone());
+                sched.extend(
+                    remaining
+                        .iter()
+                        .filter(|r| !wave.contains(r))
+                        .map(|&r| vec![r]),
+                );
+                if peak(&wavefront_lifetimes(graph, ug, &sched, size_of)) > bound {
+                    wave.pop();
+                    splits += 1;
+                }
+            }
+            for &u in &wave {
+                scheduled[u] = true;
+            }
+            remaining.retain(|u| !wave.contains(u));
+            waves.push(wave);
+        }
+        let mut serial_fallback = false;
+        let mut parallel_peak = peak(&wavefront_lifetimes(graph, ug, &waves, size_of));
+        if parallel_peak > bound {
+            serial_fallback = true;
+            waves = unit_order.iter().map(|&u| vec![u]).collect();
+            parallel_peak = serial_peak;
+        }
+        let max_width = waves.iter().map(Vec::len).max().unwrap_or(0);
+        WavefrontSchedule {
+            waves,
+            serial_peak,
+            parallel_peak,
+            max_width,
+            splits,
+            serial_fallback,
+        }
+    }
+
+    /// Plans `order` under several memory bounds and width caps, asserts
+    /// every field equals the reference packer's, and returns the number
+    /// of units the bounds deferred.
+    fn assert_matches_reference(
+        g: &Graph,
+        ug: &UnitGraph,
+        order: &[usize],
+        size_of: &dyn Fn(TensorId) -> usize,
+    ) -> usize {
+        let mut splits = 0;
+        for slack in [0.0, 0.1, 0.5, 2.0] {
+            for max_width in [usize::MAX, 2] {
+                let opts = WavefrontOptions { slack, max_width };
+                let got = plan_wavefronts(g, ug, order, size_of, opts);
+                let want = reference_wavefronts(g, ug, order, size_of, opts);
+                let ctx = format!("slack {slack}, max_width {max_width}");
+                assert_eq!(got.waves, want.waves, "waves: {ctx}");
+                assert_eq!(got.serial_peak, want.serial_peak, "serial_peak: {ctx}");
+                assert_eq!(
+                    got.parallel_peak, want.parallel_peak,
+                    "parallel_peak: {ctx}"
+                );
+                assert_eq!(got.max_width, want.max_width, "max_width: {ctx}");
+                assert_eq!(got.splits, want.splits, "splits: {ctx}");
+                assert_eq!(got.serial_fallback, want.serial_fallback, "fallback: {ctx}");
+                splits += got.splits;
+            }
+        }
+        splits
+    }
+
+    /// A random DAG of Softmax anchors (one unit each), fusible Relus and
+    /// Add merges over a 16-wide input, with a few extra graph outputs.
+    fn random_graph(rng: &mut sod2_prng::StdRng) -> Graph {
+        use sod2_ir::UnaryOp;
+        use sod2_prng::Rng;
+        let mut g = Graph::new();
+        let mut tensors = vec![g.add_input("x", DType::F32, vec![16.into()])];
+        for i in 0..rng.gen_range(2..40usize) {
+            let a = tensors[rng.gen_range(0..tensors.len())];
+            let (name, op, inputs) = match rng.gen_range(0..20u32) {
+                0..=11 => (format!("s{i}"), Op::Softmax { axis: 0 }, vec![a]),
+                12..=16 => {
+                    let b = tensors[rng.gen_range(0..tensors.len())];
+                    (format!("a{i}"), Op::Binary(BinaryOp::Add), vec![a, b])
+                }
+                _ => (format!("r{i}"), Op::Unary(UnaryOp::Relu), vec![a]),
+            };
+            let t = g.add_simple(name, op, &inputs, DType::F32);
+            tensors.push(t);
+        }
+        g.mark_output(*tensors.last().expect("nonempty"));
+        for &t in &tensors[1..tensors.len() - 1] {
+            if rng.gen_bool(0.1) {
+                g.mark_output(t);
+            }
+        }
+        g
+    }
+
+    /// A random topological order of the unit DAG.
+    fn random_topo_order(ug: &UnitGraph, rng: &mut sod2_prng::StdRng) -> Vec<usize> {
+        use sod2_prng::Rng;
+        let mut indegree: Vec<usize> = ug.preds.iter().map(Vec::len).collect();
+        let mut ready: Vec<usize> = (0..ug.len()).filter(|&u| indegree[u] == 0).collect();
+        let mut order = Vec::with_capacity(ug.len());
+        while !ready.is_empty() {
+            let u = ready.swap_remove(rng.gen_range(0..ready.len()));
+            order.push(u);
+            for &s in &ug.succs[u] {
+                indegree[s] -= 1;
+                if indegree[s] == 0 {
+                    ready.push(s);
+                }
+            }
+        }
+        order
+    }
+
+    #[test]
+    fn matches_reference_packer_on_random_dags() {
+        use sod2_prng::{Rng, SeedableRng};
+        let mut rng = sod2_prng::StdRng::seed_from_u64(14);
+        let mut splits = 0;
+        for _ in 0..48 {
+            let g = random_graph(&mut rng);
+            // Tied, zero and varied sizes.
+            let sizes: Vec<usize> = (0..g.tensor_ids().count())
+                .map(|_| match rng.gen_range(0..4u32) {
+                    0 => 0,
+                    1 => 64,
+                    _ => rng.gen_range(1..4096usize),
+                })
+                .collect();
+            let size_of = |t: TensorId| sizes[t.0 as usize];
+            let rdp = sod2_rdp::analyze(&g);
+            let plan = fuse(&g, &rdp, FusionPolicy::Rdp);
+            let ug = UnitGraph::build(&g, &plan);
+            let parts = partition_units(&g, &rdp, &plan, &ug);
+            let sep = plan_order(&g, &ug, &parts, &size_of, SepOptions::default()).unit_order;
+            for order in [sep, naive_unit_order(&ug), random_topo_order(&ug, &mut rng)] {
+                splits += assert_matches_reference(&g, &ug, &order, &size_of);
+            }
+        }
+        assert!(splits > 0, "no memory bound ever deferred a unit");
+    }
+
+    #[test]
+    fn matches_reference_packer_on_tiny_zoo() {
+        use sod2_models::{all_models, branchy_demo, ModelScale};
+        let bindings = sod2_sym::Bindings::new();
+        let mut models = all_models(ModelScale::Tiny);
+        models.push(branchy_demo(ModelScale::Tiny));
+        for model in models {
+            let g = &model.graph;
+            let rdp = sod2_rdp::analyze(g);
+            let size_of = |t: TensorId| -> usize {
+                rdp.symbolic_bytes(g, t)
+                    .and_then(|e| e.eval_with_default(&bindings, 32))
+                    .map(|b| b.max(0) as usize)
+                    .unwrap_or(4096)
+            };
+            let plan = fuse(g, &rdp, FusionPolicy::Rdp);
+            let ug = UnitGraph::build(g, &plan);
+            let parts = partition_units(g, &rdp, &plan, &ug);
+            let sep = plan_order(g, &ug, &parts, &size_of, SepOptions::default()).unit_order;
+            assert_matches_reference(g, &ug, &sep, &size_of);
+        }
     }
 
     #[test]

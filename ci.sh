@@ -108,6 +108,10 @@ stage_build() {
     # configurations.
     cargo build --release -p sod2-obs --features compile-off
     cargo build --release -p sod2-faults --features compile-off
+    # The host benchmark is a workspace of its own, so the build above
+    # never compiles it; build it here (sharing target/) so an API change
+    # that breaks it fails CI instead of the next benchmark run.
+    cargo build --release --offline --manifest-path hostbench/Cargo.toml --target-dir target
 }
 
 stage_test_par() {

@@ -20,16 +20,17 @@
 use proptest::prelude::*;
 use sod2_analysis::{certify, Certificates};
 use sod2_ir::{BinaryOp, CompareOp, ConstData, DType, Graph, Op, ReduceOp, TensorId, UnaryOp};
-use sod2_mem::{Arena, MemoryPlan};
+use sod2_mem::{Arena, ArenaLayout, MemoryPlan, TensorLife};
 use sod2_models::{all_models, branchy_demo, ModelScale};
 use sod2_pool::with_threads;
 use sod2_prng::rngs::StdRng;
 use sod2_prng::{Rng, SeedableRng};
 use sod2_rdp::analyze;
-use sod2_runtime::{compile_tape, execute, execute_tape, ArenaBacking, ExecConfig, RunOutcome};
+use sod2_runtime::{compile_tape, execute, execute_tape, ExecConfig, RunOutcome};
 use sod2_sym::{Bindings, DimExpr, ShapeValue};
 use sod2_tensor::Tensor;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Asserts one concrete tensor lies inside its abstract facts.
 fn check_tensor(graph: &Graph, certs: &Certificates, t: TensorId, tensor: &Tensor, ctx: &str) {
@@ -285,28 +286,22 @@ fn run_on_arena(g: &Graph, inputs: &[Tensor], heap: &RunOutcome) -> RunOutcome {
         })
         .collect();
     let mut offsets = HashMap::new();
-    let mut sizes = HashMap::new();
+    let mut lives = Vec::new();
     let mut at = 0usize;
     for &(k, bytes) in &keys {
         offsets.insert(k, at);
-        sizes.insert(k, bytes);
+        lives.push(TensorLife::new(k, bytes, 0, vec![]));
         at += bytes.div_ceil(64) * 64;
     }
     let plan = MemoryPlan { offsets, peak: at };
-    let bounded = HashSet::new();
-    let mut arena = Arena::new(plan);
-    let backing = ArenaBacking {
-        arena: &mut arena,
-        sizes: &sizes,
-        bounded: &bounded,
-    };
+    let mut arena = Arena::new(Arc::new(ArenaLayout::new(&lives, &plan, &[])));
     let tape = compile_tape(g, &g.topo_order(), None, None, None, None).expect("compile tape");
     execute_tape(
         g,
         inputs,
         &tape,
         &ExecConfig::default(),
-        Some(backing),
+        Some(&mut arena),
         false,
     )
     .expect("arena run")

@@ -458,7 +458,6 @@ fn fires_plan_wave_dependency_on_concurrent_producer_consumer() {
         parallel_peak: 0,
         max_width: order.len(),
         splits: 0,
-        serial_fallback: false,
     };
     let r = report_of(verify_wavefront_schedule(&g, &ug, &ws, &|_| 64, 0.5, None));
     assert!(

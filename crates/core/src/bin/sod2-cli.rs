@@ -568,8 +568,7 @@ fn profile_cmd(args: &[String]) {
             Some(w) => format!(
                 "{{\"wave_count\": {}, \"max_width\": {}, \"splits\": {}, \
                  \"serial_ms\": {:.6}, \"scheduled_makespan_ms\": {:.6}, \
-                 \"serial_peak_bytes\": {}, \"parallel_peak_bytes\": {}, \
-                 \"serial_fallback\": {}, \"runtime_fallback\": {}}}",
+                 \"serial_peak_bytes\": {}, \"parallel_peak_bytes\": {}}}",
                 w.wave_count,
                 w.max_width,
                 w.splits,
@@ -577,8 +576,6 @@ fn profile_cmd(args: &[String]) {
                 w.makespan_s * 1e3,
                 w.serial_peak,
                 w.parallel_peak,
-                w.serial_fallback,
-                w.runtime_fallback,
             ),
             None => "null".to_string(),
         };
@@ -726,20 +723,8 @@ fn profile_cmd(args: &[String]) {
         }
         if let Some(w) = &wave {
             println!(
-                "wavefront: {} waves, max width {}, {} split(s){}{}",
-                w.wave_count,
-                w.max_width,
-                w.splits,
-                if w.serial_fallback {
-                    " [planner serial fallback]"
-                } else {
-                    ""
-                },
-                if w.runtime_fallback {
-                    " [runtime serial fallback]"
-                } else {
-                    ""
-                },
+                "wavefront: {} waves, max width {}, {} split(s)",
+                w.wave_count, w.max_width, w.splits,
             );
             println!(
                 "makespan : {:.3} ms scheduled @4 workers vs {:.3} ms serial ({:.2}x)",

@@ -7,8 +7,8 @@
 //!
 //! - [`MnnLike`] — static engine with **execution re-initialization** on
 //!   every input-shape change (shape propagation/layout selection, schedule
-//!   tuning, allocation — Table 1's SL/ST/Alloc phases), well-fused and
-//!   well-tuned kernels once initialized, greedy best-fit memory.
+//!   tuning, allocation — Table 1's SL/ST/Alloc phases), well-fused stock
+//!   (untuned) kernels once initialized, greedy best-fit memory.
 //! - [`OrtLike`] — handles dynamic shapes without re-initialization but
 //!   with per-tensor dynamic allocation, no fusion, untuned kernels.
 //! - [`TvmNimbleLike`] — VM with a **shape function** evaluated per
@@ -25,7 +25,6 @@ use sod2_device::{price_reinit, DeviceProfile, OpCost};
 use sod2_fusion::{fuse, FusionPlan, FusionPolicy};
 use sod2_ir::{Graph, TensorId};
 use sod2_mem::{peak_live_bytes, plan_best_fit, rematerialize, size_class_peak, TensorLife};
-use sod2_mvc::VersionTable;
 use sod2_plan::{naive_unit_order, unit_lifetimes, UnitGraph};
 use sod2_rdp::{analyze, RdpResult, ShapeClass};
 use sod2_runtime::{execute, ExecConfig, ExecError, RunOutcome, TraceEvent};
@@ -40,22 +39,16 @@ struct Compiled {
     fusion_plan: FusionPlan,
     unit_graph: UnitGraph,
     unit_order: Vec<usize>,
-    table: Option<VersionTable>,
 }
 
 impl Compiled {
-    fn new(graph: Graph, profile: DeviceProfile, fusion: FusionPolicy, tuned: bool) -> Self {
+    fn new(graph: Graph, profile: DeviceProfile, fusion: FusionPolicy) -> Self {
         // Product engines fold constants at load time too.
         let (graph, _) = sod2_runtime::fold_constants(&graph);
         let rdp = analyze(&graph);
         let fusion_plan = fuse(&graph, &rdp, fusion);
         let unit_graph = UnitGraph::build(&graph, &fusion_plan);
         let unit_order = naive_unit_order(&unit_graph);
-        let table = if tuned {
-            Some(VersionTable::tune(&profile, 0xBA5E))
-        } else {
-            None
-        };
         Compiled {
             graph,
             profile,
@@ -63,7 +56,6 @@ impl Compiled {
             fusion_plan,
             unit_graph,
             unit_order,
-            table,
         }
     }
 
@@ -76,7 +68,8 @@ impl Compiled {
         let cfg = ExecConfig {
             fusion: Some(&self.fusion_plan),
             node_order: Some(&node_order),
-            version_table: self.table.as_ref(),
+            // Stock, untuned kernels: no version table.
+            version_table: None,
             // Baselines execute all branches and strip invalid results.
             execute_all_branches: true,
             fused_interpreter: true,
@@ -118,7 +111,7 @@ impl MnnLike {
         // like a static compiler — but its kernel codegen is the stock
         // engine's, not DNNFusion's tuned multi-version kernels.
         MnnLike {
-            compiled: Compiled::new(graph, profile, FusionPolicy::Rdp, false),
+            compiled: Compiled::new(graph, profile, FusionPolicy::Rdp),
             seen_shapes: HashSet::new(),
             last_reinit_phases: None,
         }
@@ -172,7 +165,7 @@ impl OrtLike {
     /// Compiles a graph for a device.
     pub fn new(graph: Graph, profile: DeviceProfile) -> Self {
         OrtLike {
-            compiled: Compiled::new(graph, profile, FusionPolicy::None, false),
+            compiled: Compiled::new(graph, profile, FusionPolicy::None),
         }
     }
 }
@@ -217,7 +210,7 @@ pub struct TvmNimbleLike {
 impl TvmNimbleLike {
     /// Compiles a graph for a device.
     pub fn new(graph: Graph, profile: DeviceProfile) -> Self {
-        let compiled = Compiled::new(graph, profile, FusionPolicy::Static, false);
+        let compiled = Compiled::new(graph, profile, FusionPolicy::Static);
         // A shape function runs before every operator whose output shape is
         // not a static constant.
         let dynamic_ops = compiled
@@ -289,7 +282,7 @@ impl TfLiteLike {
     /// Compiles a graph for a device.
     pub fn new(graph: Graph, profile: DeviceProfile) -> Self {
         TfLiteLike {
-            compiled: Compiled::new(graph, profile, FusionPolicy::Rdp, false),
+            compiled: Compiled::new(graph, profile, FusionPolicy::Rdp),
             seen_shapes: HashSet::new(),
             budget: None,
         }

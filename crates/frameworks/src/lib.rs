@@ -7,7 +7,7 @@
 //! | Engine | Strategy (per the paper) |
 //! |---|---|
 //! | [`Sod2Engine`] | RDP-driven fusion + static execution planning + dynamic memory planning + multi-version kernels, native control flow |
-//! | [`MnnLike`] | re-initialization on every input-shape change; fused/tuned kernels post-init; greedy best-fit memory |
+//! | [`MnnLike`] | re-initialization on every input-shape change; fused stock kernels post-init; greedy best-fit memory |
 //! | [`OrtLike`] | dynamic shapes without re-init; per-tensor allocation; no fusion |
 //! | [`TvmNimbleLike`] | runtime shape functions per dynamic op; allocation without reuse planning |
 //! | [`TfLiteLike`] | re-initialization, plus an optional memory budget honoured by rematerialization |

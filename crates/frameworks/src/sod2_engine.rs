@@ -7,7 +7,9 @@ use crate::common::{bindings_from_inputs, Engine, InferenceStats};
 use sod2_device::DeviceProfile;
 use sod2_fusion::{fuse, FusionPlan, FusionPolicy};
 use sod2_ir::{Graph, NodeId, Op, TensorId};
-use sod2_mem::{plan_sod2, size_class_peak, verify_plan, Arena, MemoryPlan, TensorLife};
+use sod2_mem::{
+    plan_sod2, size_class_peak, verify_plan, Arena, ArenaLayout, MemoryPlan, TensorLife,
+};
 use sod2_mvc::VersionTable;
 use sod2_plan::{
     naive_unit_order, partition_units, plan_order, plan_wavefronts, unit_lifetimes,
@@ -15,12 +17,13 @@ use sod2_plan::{
 };
 use sod2_rdp::{analyze, RdpResult};
 use sod2_runtime::{
-    compile_tape, execute, execute_tape, ArenaBacking, BakedVariant, ExecConfig, ExecError,
-    ExecutionTrace, RunOutcome, TapeProgram, TapeStats, TraceEvent, WaveExecPlan,
+    compile_tape, execute, execute_tape, BakedVariant, ExecConfig, ExecError, ExecutionTrace,
+    RunOutcome, TapeProgram, TapeStats, TraceEvent, WaveExecPlan,
 };
 use sod2_sym::Bindings;
 use sod2_tensor::Tensor;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Which optimizations the engine applies (paper §5.3's ladder).
 #[derive(Debug, Clone, Copy)]
@@ -135,11 +138,6 @@ pub struct WaveStats {
     pub serial_peak: usize,
     /// Concurrent peak of the wavefront schedule (at planning sizes).
     pub parallel_peak: usize,
-    /// The planner gave up and degenerated to serial singleton waves.
-    pub serial_fallback: bool,
-    /// This inference ran serially because the runtime re-verification of
-    /// the arena plan against the parallel live ranges failed.
-    pub runtime_fallback: bool,
 }
 
 /// Worker count the deterministic scheduled makespan is quoted at.
@@ -180,7 +178,7 @@ pub struct Sod2Engine {
     node_order: Vec<NodeId>,
     /// `Arc`-shared so `fork_replica` hands every serving replica the same
     /// tuned table without re-tuning or copying.
-    table: Option<std::sync::Arc<VersionTable>>,
+    table: Option<Arc<VersionTable>>,
     /// The arena slab for `arena_exec`, reused (grow-never-shrink) across
     /// inferences so steady-state runs allocate nothing.
     arena: Option<Arena>,
@@ -190,34 +188,12 @@ pub struct Sod2Engine {
     last_wave: Option<WaveStats>,
     /// The plan compiled to a flat instruction tape, or why lowering
     /// failed (every inference then fails with [`ExecError::Internal`]).
-    tape: Result<std::sync::Arc<TapeProgram>, String>,
-    /// Pre-execution DMP results keyed by this inference's bindings: the
-    /// RDP size evaluation, bounded-`nac` lookup, liveness extraction,
-    /// offset planning, and plan re-verification depend only on the
-    /// bindings (given the compiled schedule), so repeat shapes skip
-    /// straight to arena reset. Per-inference counters are replayed from
-    /// the entry to keep observability identical to the uncached path.
-    pre_plan_cache: Vec<(Bindings, PrePlanEntry)>,
-}
-
-/// Cached outcome of the `dmp_pre_plan` phase for one bindings value.
-#[derive(Clone)]
-struct PrePlanEntry {
-    /// Keys planned at an absint element bound rather than an RDP size.
-    bounded_keys: HashSet<usize>,
-    /// `absint.nac_bounds_used` increment to replay (`None` when the
-    /// bounded-planning branch did not run at all).
-    nac_counter: Option<u64>,
-    /// Lifetimes the plan was built from (wave granularity when the
-    /// wavefront plan passed re-verification, unit granularity otherwise).
-    pre_lives: Vec<TensorLife>,
-    /// The offset plan (`None` when arena execution is off).
-    pre_plan: Option<MemoryPlan>,
-    /// Plan re-verification against parallel live ranges failed — this
-    /// bindings value always degrades to serial execution.
-    wave_fallback: bool,
-    /// Per-key planned sizes handed to the executor's arena backing.
-    pre_sizes: HashMap<usize, usize>,
+    tape: Result<Arc<TapeProgram>, String>,
+    /// DMP pre-plans keyed by bindings, most recently used first. Given
+    /// the compiled schedule a pre-plan depends only on the bindings, so
+    /// each is built and checked once and then shared: a hit clones an
+    /// `Arc`. `None` when arena execution is off.
+    pre_plan_cache: Vec<(Bindings, Option<Arc<ArenaLayout>>)>,
 }
 
 /// Default capacity of the per-bindings pre-plan cache (small and linear:
@@ -392,7 +368,7 @@ impl Sod2Engine {
             if status.rejected.is_some() {
                 sod2_obs::counter_add("mvc.cache_rejected", 1);
             }
-            Some(std::sync::Arc::new(table))
+            Some(Arc::new(table))
         } else {
             None
         };
@@ -442,7 +418,7 @@ impl Sod2Engine {
                 wave_exec.as_ref(),
                 baked_variants.as_ref(),
             )
-            .map(std::sync::Arc::new)
+            .map(Arc::new)
             .map_err(|e| {
                 sod2_obs::counter_add("tape.compile_failures", 1);
                 e.to_string()
@@ -513,8 +489,9 @@ impl Sod2Engine {
     /// register file), tensor payloads inside the graph are `Arc`-shared,
     /// and the schedules/certificates are cheap vector clones. The replica
     /// gets its own arena slab (allocated lazily on first inference) and
-    /// starts from this engine's warm pre-plan cache, so a freshly forked
-    /// replica serves known shape classes without re-planning. No
+    /// starts from this engine's warm pre-plan cache, sharing its layouts,
+    /// so a freshly forked replica serves known shape classes without
+    /// re-planning. No
     /// recompilation happens — this is what makes serving replicas cheap
     /// to stamp out per worker thread.
     pub fn fork_replica(&self) -> Sod2Engine {
@@ -661,21 +638,12 @@ impl Sod2Engine {
     /// symbols (wrong rank or contradictory dimensions).
     pub fn predict(&self, inputs: &[Tensor]) -> Result<CostPrediction, ExecError> {
         let bindings = bindings_from_inputs(&self.graph, inputs).map_err(ExecError::BadInputs)?;
-        let arena_on = self.opts.dmp && self.opts.arena_exec;
         // Reuse a cached pre-plan when these bindings are warm; otherwise
         // price from a fresh (uncached — `&self`) pre-plan.
-        let peak_bytes = self
-            .pre_plan_cache
-            .iter()
-            .find(|(b, _)| b == &bindings)
-            .map(|(_, e)| e.pre_plan.as_ref().map(|p| p.peak).unwrap_or(0))
-            .unwrap_or_else(|| {
-                self.build_pre_plan(&bindings, arena_on)
-                    .pre_plan
-                    .as_ref()
-                    .map(|p| p.peak)
-                    .unwrap_or(0)
-            });
+        let peak_bytes = match self.pre_plan_cache.iter().find(|(b, _)| b == &bindings) {
+            Some((_, layout)) => layout.as_ref().map_or(0, |l| l.peak()),
+            None => self.build_pre_plan(&bindings).map_or(0, |l| l.peak()),
+        };
         let concrete = |t: TensorId| -> Option<Vec<usize>> {
             self.rdp.concrete_shape(t, &bindings).map(|dims| {
                 dims.into_iter()
@@ -745,10 +713,15 @@ impl Sod2Engine {
         .collect()
     }
 
-    /// Computes the cacheable part of the `dmp_pre_plan` phase for one
-    /// bindings value. Budget admission, arena reset, and counter emission
-    /// stay per-inference in the caller.
-    fn build_pre_plan(&self, bindings: &Bindings, arena_on: bool) -> PrePlanEntry {
+    /// Builds the DMP pre-plan for one bindings value (`None` when arena
+    /// execution is off): RDP sizes at these bindings, bounded-`nac`
+    /// sizes, liveness and `plan_sod2`. The plan is checked against the
+    /// lifetimes it was built from here, once; budget admission, arena
+    /// reset and counter emission stay per-inference in the caller.
+    fn build_pre_plan(&self, bindings: &Bindings) -> Option<Arc<ArenaLayout>> {
+        if !(self.opts.dmp && self.opts.arena_exec) {
+            return None;
+        }
         let rdp_size = |t: TensorId| -> usize {
             self.rdp
                 .symbolic_bytes(&self.graph, t)
@@ -761,13 +734,12 @@ impl Sod2Engine {
         // execution-determined outputs (NMS keeps at most `max_output`
         // indices, a Gather indexed by a bounded tensor inherits the bound
         // times the slice size, and so on through any downstream op).
-        // Planning the slot at the bound (the executor accepts any write
+        // Planning the slot at the bound (the arena admits any payload
         // that fits a bounded slot) removes those per-inference heap
-        // allocations entirely — no per-op special cases.
-        let mut bound_bytes: HashMap<usize, usize> = HashMap::new();
-        let mut bounded_keys: HashSet<usize> = HashSet::new();
-        let mut nac_counter = None;
-        if arena_on && self.opts.absint {
+        // allocations entirely — no per-op special cases. `(key, bytes)`
+        // pairs in ascending key order.
+        let mut bounds: Vec<(usize, usize)> = Vec::new();
+        if self.opts.absint {
             for t in self.graph.tensor_ids() {
                 let key = t.0 as usize;
                 let Some(expr) = &self.certs.elem_bounds[key] else {
@@ -777,61 +749,36 @@ impl Sod2Engine {
                     continue;
                 }
                 if let Some(elems) = expr.eval(bindings).and_then(|e| usize::try_from(e).ok()) {
-                    bound_bytes.insert(key, elems * self.graph.tensor(t).dtype.size_bytes());
-                    bounded_keys.insert(key);
+                    bounds.push((key, elems * self.graph.tensor(t).dtype.size_bytes()));
                 }
             }
-            nac_counter = Some(bounded_keys.len() as u64);
         }
         let eff_size = |t: TensorId| -> usize {
-            let s = rdp_size(t);
-            if s > 0 {
-                s
-            } else {
-                bound_bytes.get(&(t.0 as usize)).copied().unwrap_or(0)
+            match rdp_size(t) {
+                0 => bounds
+                    .binary_search_by_key(&(t.0 as usize), |&(k, _)| k)
+                    .map_or(0, |i| bounds[i].1),
+                s => s,
             }
         };
         // With wavefront execution the plan must be valid under *concurrent*
         // liveness: wave-granularity lifetimes treat every tensor of a wave
-        // as live across the whole wave. They over-cover the serial order
-        // too, so the resulting plan stays sound for the serial fallback.
-        let mut pre_lives: Vec<TensorLife> = if arena_on {
-            let lives = match &self.wave_schedule {
-                Some(ws) => {
-                    wavefront_lifetimes(&self.graph, &self.unit_graph, &ws.waves, &eff_size)
-                }
-                None => unit_lifetimes(&self.graph, &self.unit_graph, &self.unit_order, &eff_size),
-            };
-            lives.into_iter().filter(|l| l.size > 0).collect()
-        } else {
-            Vec::new()
-        };
-        // Runtime DMP admission for parallel execution: re-verify the offset
-        // plan against the parallel live ranges at this inference's concrete
-        // sizes. Unprovable → degrade this inference to serial execution and
-        // re-plan at serial (unit) granularity.
-        let mut wave_fallback = false;
-        let mut pre_plan = arena_on.then(|| plan_sod2(&pre_lives));
-        if let (Some(p), Some(_)) = (&pre_plan, &self.wave_schedule) {
-            if !verify_plan(&pre_lives, p).is_empty() {
-                wave_fallback = true;
-                pre_lives =
-                    unit_lifetimes(&self.graph, &self.unit_graph, &self.unit_order, &eff_size)
-                        .into_iter()
-                        .filter(|l| l.size > 0)
-                        .collect();
-                pre_plan = Some(plan_sod2(&pre_lives));
-            }
+        // as live across the whole wave.
+        let lives: Vec<TensorLife> = match &self.wave_schedule {
+            Some(ws) => wavefront_lifetimes(&self.graph, &self.unit_graph, &ws.waves, &eff_size),
+            None => unit_lifetimes(&self.graph, &self.unit_graph, &self.unit_order, &eff_size),
         }
-        let pre_sizes: HashMap<usize, usize> = pre_lives.iter().map(|l| (l.key, l.size)).collect();
-        PrePlanEntry {
-            bounded_keys,
-            nac_counter,
-            pre_lives,
-            pre_plan,
-            wave_fallback,
-            pre_sizes,
-        }
+        .into_iter()
+        .filter(|l| l.size > 0)
+        .collect();
+        let plan = plan_sod2(&lives);
+        debug_assert!(
+            verify_plan(&lives, &plan).is_empty(),
+            "DMP pre-plan fails verification: {:?}",
+            verify_plan(&lives, &plan)
+        );
+        let bounded: Vec<usize> = bounds.iter().map(|&(k, _)| k).collect();
+        Some(Arc::new(ArenaLayout::new(&lives, &plan, &bounded)))
     }
 
     /// Runs inference and returns the memory plan alongside the stats
@@ -868,56 +815,41 @@ impl Sod2Engine {
         // allocated by the executor: the dynamic residue.
         let arena_on = self.opts.dmp && self.opts.arena_exec;
         let dmp_span = sod2_obs::span!("phase", "dmp_pre_plan");
-        // The whole pre-plan pipeline — size evaluation, bounded-`nac`
-        // lookup, liveness, offset planning, parallel re-verification —
-        // is a pure function of the bindings given the compiled schedule,
-        // so it is cached per bindings value. Counters the uncached path
-        // would emit per inference are replayed from the entry.
+        // The pre-plan — size evaluation, bounded-`nac` lookup, liveness,
+        // offset planning — is a pure function of the bindings given the
+        // compiled schedule, so its layout is built once per bindings value
+        // and shared from the cache. The layout carries the counter the
+        // build would emit, replayed here on hits and misses alike.
         let cache_cap = self.opts.pre_plan_cache_cap;
         let mut pre_plan_hit = false;
-        let entry = match self.pre_plan_cache.iter().position(|(b, _)| b == &bindings) {
+        let layout = match self.pre_plan_cache.iter().position(|(b, _)| b == &bindings) {
             Some(i) => {
-                let hit = self.pre_plan_cache.remove(i);
-                self.pre_plan_cache.insert(0, hit);
+                self.pre_plan_cache[..=i].rotate_right(1);
                 sod2_obs::counter_add("dmp.pre_plan_cache_hits", 1);
                 pre_plan_hit = true;
                 self.pre_plan_cache[0].1.clone()
             }
             None => {
-                let e = self.build_pre_plan(&bindings, arena_on);
+                let layout = self.build_pre_plan(&bindings);
                 if cache_cap > 0 {
-                    self.pre_plan_cache.insert(0, (bindings.clone(), e.clone()));
+                    self.pre_plan_cache
+                        .insert(0, (bindings.clone(), layout.clone()));
                     self.pre_plan_cache.truncate(cache_cap);
                 }
-                e
+                layout
             }
         };
-        if let Some(n) = entry.nac_counter {
-            sod2_obs::counter_add("absint.nac_bounds_used", n);
-        }
-        if entry.wave_fallback {
-            sod2_obs::counter_add("exec.wave_fallbacks", 1);
-        }
-        let PrePlanEntry {
-            bounded_keys,
-            pre_lives,
-            pre_plan: pre_plan_opt,
-            wave_fallback,
-            pre_sizes,
-            ..
-        } = entry;
-        // The tape carries the wave ranges; only the per-inference
-        // serial-fallback decision is made here.
-        let wavefront = self.wave_schedule.is_some() && !wave_fallback;
-        let runtime_fallback = self.wave_schedule.is_some() && wave_fallback;
-        let backing = if let Some(pre_plan) = pre_plan_opt {
+        let arena = if let Some(layout) = layout {
+            if self.opts.absint {
+                sod2_obs::counter_add("absint.nac_bounds_used", layout.bounded_keys() as u64);
+            }
             // Budget admission at DMP time: the plan's peak is known before
             // any kernel runs, so an over-budget inference is rejected
             // without doing (or allocating) any work.
             if let Some(budget) = self.opts.memory_budget {
-                if pre_plan.peak > budget {
+                if layout.peak() > budget {
                     return Err(ExecError::BudgetExceeded {
-                        needed: pre_plan.peak,
+                        needed: layout.peak(),
                         budget,
                     });
                 }
@@ -926,8 +858,8 @@ impl Sod2Engine {
             // degrades to per-tensor heap allocation — the arena→heap rung
             // of the ladder; the run proceeds, just less efficiently.
             let arena_ok = match &mut self.arena {
-                Some(a) => a.try_reset(pre_plan),
-                slot => match Arena::try_new(pre_plan) {
+                Some(a) => a.try_reset(layout),
+                slot => match Arena::try_new(layout) {
                     Some(a) => {
                         *slot = Some(a);
                         true
@@ -941,11 +873,7 @@ impl Sod2Engine {
             match (arena_ok, self.arena.as_mut()) {
                 (true, Some(arena)) => {
                     sod2_obs::gauge_max("mem.arena_capacity_bytes", arena.capacity() as u64);
-                    Some(ArenaBacking {
-                        arena,
-                        sizes: &pre_sizes,
-                        bounded: &bounded_keys,
-                    })
+                    Some(arena)
                 }
                 _ => None,
             }
@@ -969,7 +897,14 @@ impl Sod2Engine {
             // error here so a failed inference can never wedge the engine.
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 sod2_pool::with_deadline(deadline, || {
-                    execute_tape(&self.graph, inputs, tape, &cfg, backing, wavefront)
+                    execute_tape(
+                        &self.graph,
+                        inputs,
+                        tape,
+                        &cfg,
+                        arena,
+                        self.wave_schedule.is_some(),
+                    )
                 })
             }));
             match result {
@@ -1014,19 +949,12 @@ impl Sod2Engine {
             if self.opts.dmp {
                 stage.extend(sod2_analysis::verify_memory_plan(&lives, &plan, 1));
             }
-            if arena_on {
-                if let Some(a) = self.arena.as_ref() {
-                    stage.extend(sod2_analysis::verify_memory_plan(&pre_lives, a.plan(), 1));
-                }
-            }
             debug_assert!(
                 !stage.has_errors(),
                 "inference failed verification:\n{}",
                 stage.render_text(Some(&self.graph))
             );
         }
-        #[cfg(not(debug_assertions))]
-        let _ = (&bindings, &pre_lives);
         let alloc_events = outcome.alloc_sizes.len();
         let arena_backed = outcome.arena_backed;
         let mut trace = outcome.trace;
@@ -1071,8 +999,6 @@ impl Sod2Engine {
                     critical_s,
                     serial_peak: ws.serial_peak,
                     parallel_peak: ws.parallel_peak,
-                    serial_fallback: ws.serial_fallback,
-                    runtime_fallback,
                 })
             }
             None => None,

@@ -2,25 +2,111 @@
 //!
 //! The offset planners in this crate only *assign* addresses; the arena is
 //! the runtime object that actually backs them with one allocation — the
-//! "linear memory space" of the paper's §4.4.1. Its checked accessors make
-//! plan bugs observable as data corruption in tests instead of silent
-//! wrong answers.
+//! "linear memory space" of the paper's §4.4.1. An [`ArenaLayout`] is the
+//! immutable per-shape artifact: every planned tensor's offset and size,
+//! built once and `Arc`-shared with every arena that serves it. The arena
+//! owns the slot rule ([`Arena::try_slot_mut`]): a payload takes its slot
+//! only when its size is the planned one, so a stale or partial layout
+//! degrades to the heap instead of overrunning a neighbour.
 
-use crate::life::MemoryPlan;
+use crate::life::{MemoryPlan, TensorLife};
+use std::sync::Arc;
+
+/// Where one planned tensor lives in an [`ArenaLayout`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct PlannedSlot {
+    /// Byte offset into the arena.
+    offset: usize,
+    /// Planned size in bytes.
+    size: usize,
+    /// `size` is a proven upper bound on an execution-determined (`nac`)
+    /// payload rather than its exact size.
+    bounded: bool,
+}
+
+impl PlannedSlot {
+    /// The planned-size rule: a `len`-byte payload may take the slot when
+    /// `len` is the planned size or, for a bounded slot, at most that.
+    fn admits(self, len: usize) -> bool {
+        if self.bounded {
+            len <= self.size
+        } else {
+            len == self.size
+        }
+    }
+}
+
+/// An immutable placement of planned tensors in one linear arena: a slot
+/// per planned tensor key, the arena peak, and how many keys the caller
+/// sized at an upper bound.
+#[derive(Debug, Default)]
+pub struct ArenaLayout {
+    /// Dense over tensor keys; `None` for keys without a slot.
+    slots: Vec<Option<PlannedSlot>>,
+    peak: usize,
+    bounded_keys: usize,
+}
+
+impl ArenaLayout {
+    /// Lays out `lives` at `plan`'s offsets, each slot sized by its
+    /// lifetime record; keys without an offset get no slot. `bounded`
+    /// lists, in ascending order, the keys whose size is an upper bound.
+    /// Its length is kept as [`ArenaLayout::bounded_keys`] whether or not
+    /// each key was planned. The plan is taken as given: callers check it
+    /// against `lives` (with [`verify_plan`](crate::verify_plan)) when
+    /// they build it.
+    pub fn new(lives: &[TensorLife], plan: &MemoryPlan, bounded: &[usize]) -> Self {
+        debug_assert!(
+            bounded.windows(2).all(|w| w[0] < w[1]),
+            "bounded keys unsorted"
+        );
+        let len = lives.iter().map(|l| l.key + 1).max().unwrap_or(0);
+        let mut slots = vec![None; len];
+        for l in lives {
+            if let Some(&offset) = plan.offsets.get(&l.key) {
+                slots[l.key] = Some(PlannedSlot {
+                    offset,
+                    size: l.size,
+                    bounded: bounded.binary_search(&l.key).is_ok(),
+                });
+            }
+        }
+        ArenaLayout {
+            slots,
+            peak: plan.peak,
+            bounded_keys: bounded.len(),
+        }
+    }
+
+    /// The slot planned for a tensor key, when it has one.
+    pub(crate) fn slot(&self, key: usize) -> Option<PlannedSlot> {
+        self.slots.get(key).copied().flatten()
+    }
+
+    /// Arena size in bytes (the plan's peak).
+    pub fn peak(&self) -> usize {
+        self.peak
+    }
+
+    /// Keys the caller sized at an upper bound.
+    pub fn bounded_keys(&self) -> usize {
+        self.bounded_keys
+    }
+}
 
 /// A single linear buffer backing all planned tensors.
 #[derive(Debug)]
 pub struct Arena {
     buf: Vec<u8>,
-    plan: MemoryPlan,
+    layout: Arc<ArenaLayout>,
 }
 
 impl Arena {
-    /// Allocates the arena for a plan (one allocation of `plan.peak`).
-    pub fn new(plan: MemoryPlan) -> Self {
+    /// Allocates the arena for a layout (one allocation of its peak).
+    pub fn new(layout: Arc<ArenaLayout>) -> Self {
         Arena {
-            buf: vec![0; plan.peak],
-            plan,
+            buf: vec![0; layout.peak],
+            layout,
         }
     }
 
@@ -28,20 +114,20 @@ impl Arena {
     /// when an armed [`Site::ArenaAlloc`](sod2_faults::Site) rule fires,
     /// simulating slab allocation failure. Callers degrade to per-tensor
     /// heap allocation — the first rung of the arena→heap→error ladder.
-    pub fn try_new(plan: MemoryPlan) -> Option<Self> {
+    pub fn try_new(layout: Arc<ArenaLayout>) -> Option<Self> {
         if sod2_faults::probe(sod2_faults::Site::ArenaAlloc).is_some() {
             return None;
         }
-        Some(Arena::new(plan))
+        Some(Arena::new(layout))
     }
 
     /// [`Arena::reset`] through the fault-injection probe: `false` (arena
-    /// left on its previous plan) when a slab-growth failure is injected.
-    pub fn try_reset(&mut self, plan: MemoryPlan) -> bool {
+    /// left on its previous layout) when a slab-growth failure is injected.
+    pub fn try_reset(&mut self, layout: Arc<ArenaLayout>) -> bool {
         if sod2_faults::probe(sod2_faults::Site::ArenaAlloc).is_some() {
             return false;
         }
-        self.reset(plan);
+        self.reset(layout);
         true
     }
 
@@ -50,93 +136,70 @@ impl Arena {
         self.buf.len()
     }
 
-    /// Re-targets the arena at a new plan, reusing the existing buffer.
+    /// Re-targets the arena at a new layout, reusing the existing buffer.
     ///
-    /// The backing allocation only ever grows: re-planning for a smaller
+    /// The backing allocation only ever grows: a layout with a smaller
     /// peak keeps the larger buffer so repeated inferences with varying
     /// dynamic shapes settle into a steady state with no allocator traffic
     /// (the paper's rationale for a single pre-allocated linear space).
-    pub fn reset(&mut self, plan: MemoryPlan) {
-        if plan.peak > self.buf.len() {
-            self.buf.resize(plan.peak, 0);
+    pub fn reset(&mut self, layout: Arc<ArenaLayout>) {
+        if layout.peak > self.buf.len() {
+            self.buf.resize(layout.peak, 0);
         }
-        self.plan = plan;
+        self.layout = layout;
     }
 
-    /// The planned offset for a tensor key, when it has one.
-    pub fn offset_of(&self, key: usize) -> Option<usize> {
-        self.plan.offsets.get(&key).copied()
-    }
-
-    /// Writes a tensor's payload at its planned offset, returning `false`
-    /// (instead of panicking) when the key is unplanned or the payload
-    /// would overrun the buffer — the executor's cue to fall back to the
-    /// heap for that tensor.
-    pub fn try_write(&mut self, key: usize, payload: &[u8]) -> bool {
+    /// The bytes a `len`-byte payload of tensor `key` is to be written to,
+    /// or `None` — the caller's cue to keep the tensor on the heap — when
+    /// the key has no slot, its slot does not admit `len` bytes, or an
+    /// armed [`Site::ArenaWrite`](sod2_faults::Site) rule fires. A slot
+    /// admits exactly its planned size, or at most that size when the size
+    /// is an upper bound. The probe is reached only for admitted payloads.
+    pub fn try_slot_mut(&mut self, key: usize, len: usize) -> Option<&mut [u8]> {
+        let slot = self.layout.slot(key).filter(|s| s.admits(len))?;
         if sod2_faults::probe(sod2_faults::Site::ArenaWrite).is_some() {
-            return false;
+            return None;
         }
-        let Some(&off) = self.plan.offsets.get(&key) else {
-            return false;
-        };
-        if off + payload.len() > self.buf.len() {
-            return false;
-        }
-        self.buf[off..off + payload.len()].copy_from_slice(payload);
-        true
+        self.buf.get_mut(slot.offset..slot.offset + len)
     }
 
-    /// Reads `len` bytes of a tensor's payload, or `None` when the key is
-    /// unplanned or the range exceeds the buffer.
+    /// Writes a tensor's payload into its slot ([`Arena::try_slot_mut`]),
+    /// returning whether it was written.
+    pub fn try_write(&mut self, key: usize, payload: &[u8]) -> bool {
+        match self.try_slot_mut(key, payload.len()) {
+            Some(dst) => {
+                dst.copy_from_slice(payload);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Reads `len` bytes at a tensor's planned offset, or `None` when the
+    /// key has no slot or the range exceeds the buffer.
     pub fn try_read(&self, key: usize, len: usize) -> Option<&[u8]> {
-        let off = self.plan.offsets.get(&key).copied()?;
+        let off = self.layout.slot(key)?.offset;
         self.buf.get(off..off + len)
-    }
-
-    /// Writes a tensor's payload at its planned offset.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the key has no planned slot or the payload overruns it
-    /// (callers size slots from the same lifetimes the plan was built on).
-    pub fn write(&mut self, key: usize, payload: &[u8]) {
-        let off = *self
-            .plan
-            .offsets
-            .get(&key)
-            .unwrap_or_else(|| panic!("tensor {key} not in plan"));
-        assert!(
-            off + payload.len() <= self.buf.len(),
-            "tensor {key} overruns the arena"
-        );
-        self.buf[off..off + payload.len()].copy_from_slice(payload);
-    }
-
-    /// Reads `len` bytes of a tensor's payload from its planned offset.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the key has no planned slot.
-    pub fn read(&self, key: usize, len: usize) -> &[u8] {
-        let off = *self
-            .plan
-            .offsets
-            .get(&key)
-            .unwrap_or_else(|| panic!("tensor {key} not in plan"));
-        &self.buf[off..off + len]
-    }
-
-    /// The underlying plan.
-    pub fn plan(&self) -> &MemoryPlan {
-        &self.plan
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::life::TensorLife;
     use crate::offset::plan_peak_first;
+
+    /// A layout giving each `(key, offset, size)` its slot, none bounded.
+    fn layout(slots: &[(usize, usize, usize)], peak: usize) -> Arc<ArenaLayout> {
+        let lives: Vec<TensorLife> = slots
+            .iter()
+            .map(|&(key, _, size)| TensorLife::new(key, size, 0, vec![]))
+            .collect();
+        let plan = MemoryPlan {
+            offsets: slots.iter().map(|&(key, off, _)| (key, off)).collect(),
+            peak,
+        };
+        Arc::new(ArenaLayout::new(&lives, &plan, &[]))
+    }
 
     #[test]
     fn reuse_does_not_corrupt_live_data() {
@@ -149,80 +212,89 @@ mod tests {
         ];
         let plan = plan_peak_first(&lives);
         assert!(plan.peak <= 16, "expected aliasing of t0 and t2");
-        let mut arena = Arena::new(plan);
-        arena.write(0, &[0xAA; 8]);
-        arena.write(1, &[0xBB; 8]);
-        assert_eq!(arena.read(0, 8), &[0xAA; 8]);
+        let mut arena = Arena::new(Arc::new(ArenaLayout::new(&lives, &plan, &[])));
+        assert!(arena.try_write(0, &[0xAA; 8]));
+        assert!(arena.try_write(1, &[0xBB; 8]));
+        assert_eq!(arena.try_read(0, 8), Some(&[0xAA; 8][..]));
         // t0 dies; t2 is born, possibly on t0's bytes.
-        arena.write(2, &[0xCC; 8]);
-        assert_eq!(arena.read(1, 8), &[0xBB; 8], "live tensor corrupted");
-        assert_eq!(arena.read(2, 8), &[0xCC; 8]);
-    }
-
-    #[test]
-    #[should_panic(expected = "not in plan")]
-    fn unknown_key_rejected() {
-        let arena = Arena::new(MemoryPlan::default());
-        let _ = arena.read(42, 1);
+        assert!(arena.try_write(2, &[0xCC; 8]));
+        assert_eq!(
+            arena.try_read(1, 8),
+            Some(&[0xBB; 8][..]),
+            "live tensor corrupted"
+        );
+        assert_eq!(arena.try_read(2, 8), Some(&[0xCC; 8][..]));
     }
 
     #[test]
     fn reset_grows_but_never_shrinks() {
-        let small = MemoryPlan {
-            offsets: [(0usize, 0usize)].into_iter().collect(),
-            peak: 8,
-        };
-        let big = MemoryPlan {
-            offsets: [(0usize, 0usize), (1, 16)].into_iter().collect(),
-            peak: 32,
-        };
-        let mut arena = Arena::new(small.clone());
+        let small = layout(&[(0, 0, 8)], 8);
+        let big = layout(&[(0, 0, 16), (1, 16, 16)], 32);
+        let mut arena = Arena::new(Arc::clone(&small));
         assert_eq!(arena.capacity(), 8);
         arena.reset(big);
         assert_eq!(arena.capacity(), 32);
-        arena.write(1, &[0x5A; 16]);
-        assert_eq!(arena.read(1, 16), &[0x5A; 16]);
-        // Back to the small plan: the buffer keeps its high-water size.
+        assert!(arena.try_write(1, &[0x5A; 16]));
+        assert_eq!(arena.try_read(1, 16), Some(&[0x5A; 16][..]));
+        // Back to the small layout: the buffer keeps its high-water size.
         arena.reset(small);
         assert_eq!(arena.capacity(), 32);
-        assert_eq!(arena.plan().peak, 8);
+        assert!(!arena.try_write(1, &[0x5A; 16]), "key 1 left the layout");
     }
 
     #[test]
     fn fallible_accessors_reject_bad_requests() {
-        let plan = MemoryPlan {
-            offsets: [(7usize, 0usize)].into_iter().collect(),
-            peak: 4,
-        };
-        let mut arena = Arena::new(plan);
+        let mut arena = Arena::new(layout(&[(7, 0, 4)], 4));
         assert!(arena.try_write(7, &[1, 2, 3, 4]));
         assert!(!arena.try_write(8, &[1]), "unplanned key must not write");
         assert!(!arena.try_write(7, &[0; 5]), "overrun must not write");
         assert_eq!(arena.try_read(7, 4), Some(&[1u8, 2, 3, 4][..]));
         assert_eq!(arena.try_read(7, 5), None);
         assert_eq!(arena.try_read(8, 1), None);
-        assert_eq!(arena.offset_of(7), Some(0));
-        assert_eq!(arena.offset_of(8), None);
+    }
+
+    #[test]
+    fn slots_admit_their_planned_size_or_less_when_bounded() {
+        let lives = vec![
+            TensorLife::new(0, 8, 0, vec![1]),
+            TensorLife::new(1, 8, 0, vec![1]),
+        ];
+        let plan = MemoryPlan {
+            offsets: [(0usize, 0usize), (1, 8)].into_iter().collect(),
+            peak: 16,
+        };
+        let layout = ArenaLayout::new(&lives, &plan, &[1, 5]);
+        assert_eq!(layout.bounded_keys(), 2, "unplanned bounded keys count");
+        let exact = layout.slot(0).expect("slot 0");
+        let bounded = layout.slot(1).expect("slot 1");
+        assert_eq!((exact.offset, exact.size, exact.bounded), (0, 8, false));
+        assert!(bounded.bounded);
+        assert!(exact.admits(8) && !exact.admits(4) && !exact.admits(9));
+        assert!(bounded.admits(8) && bounded.admits(0) && !bounded.admits(9));
+        let mut arena = Arena::new(Arc::new(layout));
+        assert!(!arena.try_write(0, &[1; 4]), "exact slot takes exact sizes");
+        assert!(arena.try_write(1, &[2; 4]), "bounded slot takes less");
+        assert_eq!(arena.try_read(1, 4), Some(&[2u8; 4][..]));
     }
 
     #[test]
     fn injected_alloc_failure_degrades_gracefully() {
         use sod2_faults::{FaultPlan, Site, Trigger};
         let _serial = sod2_faults::exclusive();
-        let plan = MemoryPlan {
-            offsets: [(0usize, 0usize)].into_iter().collect(),
-            peak: 8,
-        };
+        let one = layout(&[(0, 0, 8)], 8);
         sod2_faults::install(FaultPlan::new(1).rule(Site::ArenaAlloc, Trigger::Nth(1), 0));
         assert!(
-            Arena::try_new(plan.clone()).is_none(),
+            Arena::try_new(Arc::clone(&one)).is_none(),
             "injected alloc must fail"
         );
         // The rule was Nth(1): the second attempt succeeds.
-        let mut arena = Arena::try_new(plan.clone()).expect("post-fault alloc succeeds");
+        let mut arena = Arena::try_new(Arc::clone(&one)).expect("post-fault alloc succeeds");
         sod2_faults::install(FaultPlan::new(1).rule(Site::ArenaAlloc, Trigger::Nth(1), 0));
-        assert!(!arena.try_reset(plan.clone()), "injected reset must fail");
-        assert!(arena.try_reset(plan), "post-fault reset succeeds");
+        assert!(
+            !arena.try_reset(Arc::clone(&one)),
+            "injected reset must fail"
+        );
+        assert!(arena.try_reset(one), "post-fault reset succeeds");
         sod2_faults::clear();
     }
 
@@ -230,12 +302,12 @@ mod tests {
     fn injected_write_failure_signals_heap_fallback() {
         use sod2_faults::{FaultPlan, Site, Trigger};
         let _serial = sod2_faults::exclusive();
-        let plan = MemoryPlan {
-            offsets: [(0usize, 0usize)].into_iter().collect(),
-            peak: 8,
-        };
-        let mut arena = Arena::new(plan);
+        let mut arena = Arena::new(layout(&[(0, 0, 8)], 8));
         sod2_faults::install(FaultPlan::new(1).rule(Site::ArenaWrite, Trigger::Nth(1), 0));
+        assert!(!arena.try_write(1, &[1; 8]), "unplanned key must not write");
+        assert!(!arena.try_write(0, &[1; 4]), "refused size must not write");
+        // Neither refusal reached the probe: the first admitted write
+        // takes the injected failure, the next one succeeds.
         assert!(!arena.try_write(0, &[1; 8]), "injected write must fail");
         assert!(arena.try_write(0, &[2; 8]), "next write succeeds");
         assert_eq!(arena.try_read(0, 8), Some(&[2u8; 8][..]));

@@ -10,7 +10,10 @@
 //! - [`MemoryPlan::conservative`] — the static engines' no-reuse fallback,
 //! - [`size_class_peak`] — the pooling/BFC allocator model (ORT baseline),
 //! - [`rematerialize`] — the XLA-style budget-constrained policy used by
-//!   the Fig. 11 TFLite comparison.
+//!   the Fig. 11 TFLite comparison,
+//! - [`ArenaLayout`] / [`Arena`] — a plan made operational: the immutable
+//!   per-shape slot layout and the one linear buffer that serves it,
+//!   enforcing the planned-size rule ([`Arena::try_slot_mut`]).
 //!
 //! Plans are checked with [`verify_plan`], which returns typed
 //! [`PlanViolation`]s (interval-sweep overlap detection, arena bounds,
@@ -38,7 +41,7 @@ mod offset;
 mod remat;
 mod size_class;
 
-pub use arena::Arena;
+pub use arena::{Arena, ArenaLayout};
 pub use life::{
     live_bytes_by_step, peak_live_bytes, peak_step, verify_plan, verify_plan_aligned, MemoryPlan,
     PlanViolation, TensorLife,

@@ -4,8 +4,21 @@
 use proptest::prelude::*;
 use sod2_mem::{
     peak_live_bytes, peak_step, plan_best_fit, plan_exhaustive, plan_first_fit, plan_peak_first,
-    plan_sod2, rematerialize, size_class_peak, verify_plan, MemoryPlan, TensorLife,
+    plan_sod2, rematerialize, size_class_peak, verify_plan, Arena, ArenaLayout, MemoryPlan,
+    TensorLife,
 };
+use std::sync::Arc;
+
+/// Every offset planner, the engine's (`plan_sod2`) and its first-fit
+/// candidate included.
+fn all_planners(lives: &[TensorLife]) -> [MemoryPlan; 4] {
+    [
+        plan_peak_first(lives),
+        plan_best_fit(lives),
+        plan_first_fit(lives),
+        plan_sod2(lives),
+    ]
+}
 
 fn lives_strategy(max_tensors: usize) -> impl Strategy<Value = Vec<TensorLife>> {
     proptest::collection::vec(
@@ -34,12 +47,14 @@ fn lives_strategy(max_tensors: usize) -> impl Strategy<Value = Vec<TensorLife>> 
 
 proptest! {
     /// All planners produce non-overlapping assignments whose peak is at
-    /// least the live-bytes lower bound and at most the no-reuse sum.
+    /// least the live-bytes lower bound and at most the no-reuse sum. For
+    /// `plan_sod2` this is the guarantee the engine relies on instead of
+    /// re-verifying each plan at run time.
     #[test]
     fn planners_sound_and_bounded(lives in lives_strategy(14)) {
         let lb = peak_live_bytes(&lives);
         let total: usize = lives.iter().map(|l| l.size).sum();
-        for plan in [plan_peak_first(&lives), plan_best_fit(&lives)] {
+        for plan in all_planners(&lives) {
             prop_assert!(verify_plan(&lives, &plan).is_empty());
             prop_assert!(plan.peak >= lb, "peak {} < lower bound {lb}", plan.peak);
             prop_assert!(plan.peak <= total);
@@ -75,14 +90,14 @@ proptest! {
 }
 
 proptest! {
-    /// Behavioural soundness: replay every lifetime against an arena built
-    /// from each planner's offsets — at every use step, each live tensor's
-    /// payload must be exactly what its definition wrote (address reuse
-    /// never corrupts live data).
+    /// Behavioural soundness: replay every lifetime against an arena laid
+    /// out from each planner's offsets — at every use step, each live
+    /// tensor's payload must be exactly what its definition wrote (address
+    /// reuse never corrupts live data).
     #[test]
     fn arena_replay_never_corrupts(lives in lives_strategy(12)) {
-        for plan in [plan_peak_first(&lives), plan_best_fit(&lives)] {
-            let mut arena = sod2_mem::Arena::new(plan);
+        for plan in all_planners(&lives) {
+            let mut arena = Arena::new(Arc::new(ArenaLayout::new(&lives, &plan, &[])));
             let max_step = lives.iter().map(|l| l.last_use()).max().unwrap_or(0);
             for step in 0..=max_step {
                 // Definitions first: write a per-tensor pattern.
@@ -90,14 +105,15 @@ proptest! {
                     if l.def == step {
                         let pattern: Vec<u8> =
                             (0..l.size).map(|i| (l.key as u8) ^ (i as u8)).collect();
-                        arena.write(l.key, &pattern);
+                        prop_assert!(arena.try_write(l.key, &pattern), "tensor {} refused", l.key);
                     }
                 }
                 // Then check every live tensor's payload is intact.
                 for l in &lives {
                     if l.def <= step && step <= l.last_use() {
-                        let got = arena.read(l.key, l.size);
-                        for (i, &b) in got.iter().enumerate() {
+                        let got = arena.try_read(l.key, l.size);
+                        prop_assert!(got.is_some(), "tensor {} has no slot", l.key);
+                        for (i, &b) in got.unwrap_or_default().iter().enumerate() {
                             prop_assert_eq!(
                                 b,
                                 (l.key as u8) ^ (i as u8),

@@ -10,10 +10,8 @@
 //! order staggers long parallel chains instead of hoisting all of them at
 //! once (the failure mode of pure ASAP level sets, under which every
 //! chain's intermediates are live simultaneously), so the number of
-//! concurrently-inflight chains adapts to the memory bound. When even the
-//! packed schedule's exact peak lands above the bound, the schedule
-//! degenerates to the serial SEP order — one unit per wave — whose peak
-//! equals the serial peak by construction.
+//! concurrently-inflight chains adapts to the memory bound. The packed
+//! schedule is always within the bound; [`plan_wavefronts`] says why.
 //!
 //! Lifetimes at *wave* granularity ([`wavefront_lifetimes`]) are the load-
 //! bearing artifact: every tensor consumed by a wave stays live through the
@@ -25,7 +23,7 @@
 use crate::order::order_peak_bytes;
 use crate::units::UnitGraph;
 use sod2_ir::{Graph, TensorId};
-use sod2_mem::{live_bytes_by_step, peak_live_bytes, TensorLife};
+use sod2_mem::{live_bytes_by_step, TensorLife};
 use std::collections::HashMap;
 
 /// Options for the wavefront planner.
@@ -63,9 +61,6 @@ pub struct WavefrontSchedule {
     pub max_width: usize,
     /// Ready units the memory bound deferred to a later wave.
     pub splits: usize,
-    /// True when the planner could not meet the bound with any parallel
-    /// schedule and fell back to the serial SEP order (singleton waves).
-    pub serial_fallback: bool,
 }
 
 impl WavefrontSchedule {
@@ -78,6 +73,30 @@ impl WavefrontSchedule {
 /// Plans dependence-respecting wavefronts over `unit_order` (which must be
 /// a topological order covering every unit of `ug`, normally the SEP
 /// order), subject to the memory bound in `opts`.
+///
+/// The returned schedule's `parallel_peak` never exceeds the bound
+/// `max(serial_peak, serial_peak × (1 + slack))`, so no fallback is
+/// needed. Call *the candidate* the packed waves, then the current wave,
+/// then every unscheduled unit as a singleton wave in `unit_order` order.
+/// It is within the bound at every point of the packing:
+///
+/// - **At the start** no unit is packed and the candidate is the serial
+///   order as singleton waves. Singleton waves build exactly the
+///   lifetimes `unit_lifetimes` builds for `unit_order`, so the candidate
+///   prices at `serial_peak`, which is within the bound.
+/// - **When a round opens** its first unit is the first unscheduled unit
+///   of `unit_order`, which is ready because `unit_order` is topological.
+///   Admitting it without a probe leaves the candidate unchanged.
+/// - **Every later admission** is the candidate the probe just priced
+///   within the bound. A rejection restores the previous candidate.
+/// - **When a round closes** the candidate becomes the next round's
+///   starting candidate unchanged.
+///
+/// When no unit is left, the candidate is the schedule itself. The probe
+/// prices exactly what `peak_live_bytes(&wavefront_lifetimes(..))`
+/// would, which the reference packer in the tests pins.
+/// `verify_wavefront_schedule` in `sod2-analysis` re-checks the bound
+/// from the schedule alone.
 pub fn plan_wavefronts(
     graph: &Graph,
     ug: &UnitGraph,
@@ -86,9 +105,11 @@ pub fn plan_wavefronts(
     opts: WavefrontOptions,
 ) -> WavefrontSchedule {
     let serial_peak = order_peak_bytes(graph, ug, unit_order, size_of);
-    // `bound` in saturating arithmetic: a huge serial peak must not wrap.
+    // `bound` in saturating arithmetic, never below `serial_peak`: a huge
+    // serial peak must neither wrap nor round down.
     let slack = opts.slack.max(0.0);
-    let bound = (serial_peak as f64 * (1.0 + slack)).min(usize::MAX as f64) as usize;
+    let bound =
+        ((serial_peak as f64 * (1.0 + slack)).min(usize::MAX as f64) as usize).max(serial_peak);
     let width_cap = opts.max_width.max(1);
 
     // Greedy SEP-ordered packing. Each round scans the unscheduled units
@@ -179,18 +200,13 @@ pub fn plan_wavefronts(
         waves.push(wave);
     }
 
-    // Exact re-validation: packing reorders units across waves, which can
-    // extend lifetimes beyond the greedy estimate. A violation degrades to
-    // the serial SEP order, whose peak is `serial_peak ≤ bound` by
-    // construction.
-    let mut serial_fallback = false;
-    let mut parallel_peak = peak_live_bytes(&wavefront_lifetimes(graph, ug, &waves, size_of));
-    if parallel_peak > bound {
-        serial_fallback = true;
-        waves = unit_order.iter().map(|&u| vec![u]).collect();
-        parallel_peak = serial_peak;
-    }
-
+    // `step` now holds every unit's final wave: the schedule is the last
+    // candidate, within the bound (see the doc comment).
+    let parallel_peak = probe_peak(&step, waves.len().saturating_sub(1));
+    debug_assert!(
+        parallel_peak <= bound,
+        "wavefront packing exceeded its bound"
+    );
     let max_width = waves.iter().map(Vec::len).max().unwrap_or(0);
     WavefrontSchedule {
         waves,
@@ -198,7 +214,6 @@ pub fn plan_wavefronts(
         parallel_peak,
         max_width,
         splits,
-        serial_fallback,
     }
 }
 
@@ -246,6 +261,7 @@ mod tests {
     use crate::partition::partition_units;
     use sod2_fusion::{fuse, FusionPolicy};
     use sod2_ir::{BinaryOp, DType, Graph, Op};
+    use sod2_mem::peak_live_bytes;
 
     /// x fans out into 3 independent Softmax branches merged pairwise —
     /// the branches should land in one wave.
@@ -299,7 +315,6 @@ mod tests {
         // Fusion may merge some branches, but at least two units must be
         // independent and share a wave.
         assert!(ws.max_width >= 2, "independent branches: {:?}", ws.waves);
-        assert!(!ws.serial_fallback);
         assert!(ws.parallel_peak as f64 <= ws.serial_peak as f64 * 1.5);
     }
 
@@ -357,16 +372,18 @@ mod tests {
         assert!(peak_live_bytes(&lives) >= flat_peak.min(ws.serial_peak));
     }
 
-    /// Today's packer, kept as the reference: it rebuilds the candidate
-    /// schedule and its lifetimes for every probe and sums live bytes step
-    /// by step. `plan_wavefronts` must reproduce it exactly.
+    /// The original packer, kept as the reference: it rebuilds the
+    /// candidate schedule and its lifetimes for every probe and sums live
+    /// bytes step by step. `plan_wavefronts` must reproduce it exactly.
+    /// It keeps its exact re-validation with a serial fallback and reports
+    /// whether the fallback fired, which it never may.
     fn reference_wavefronts(
         graph: &Graph,
         ug: &UnitGraph,
         unit_order: &[usize],
         size_of: &dyn Fn(TensorId) -> usize,
         opts: WavefrontOptions,
-    ) -> WavefrontSchedule {
+    ) -> (WavefrontSchedule, bool) {
         let peak = |lives: &[TensorLife]| -> usize {
             let max_step = lives.iter().map(TensorLife::last_use).max().unwrap_or(0);
             (0..=max_step)
@@ -422,19 +439,20 @@ mod tests {
             parallel_peak = serial_peak;
         }
         let max_width = waves.iter().map(Vec::len).max().unwrap_or(0);
-        WavefrontSchedule {
+        let schedule = WavefrontSchedule {
             waves,
             serial_peak,
             parallel_peak,
             max_width,
             splits,
-            serial_fallback,
-        }
+        };
+        (schedule, serial_fallback)
     }
 
     /// Plans `order` under several memory bounds and width caps, asserts
-    /// every field equals the reference packer's, and returns the number
-    /// of units the bounds deferred.
+    /// every field equals the reference packer's and that the reference
+    /// never fell back to the serial order, and returns the number of
+    /// units the bounds deferred.
     fn assert_matches_reference(
         g: &Graph,
         ug: &UnitGraph,
@@ -446,8 +464,9 @@ mod tests {
             for max_width in [usize::MAX, 2] {
                 let opts = WavefrontOptions { slack, max_width };
                 let got = plan_wavefronts(g, ug, order, size_of, opts);
-                let want = reference_wavefronts(g, ug, order, size_of, opts);
+                let (want, fell_back) = reference_wavefronts(g, ug, order, size_of, opts);
                 let ctx = format!("slack {slack}, max_width {max_width}");
+                assert!(!fell_back, "reference fell back to serial: {ctx}");
                 assert_eq!(got.waves, want.waves, "waves: {ctx}");
                 assert_eq!(got.serial_peak, want.serial_peak, "serial_peak: {ctx}");
                 assert_eq!(
@@ -456,7 +475,6 @@ mod tests {
                 );
                 assert_eq!(got.max_width, want.max_width, "max_width: {ctx}");
                 assert_eq!(got.splits, want.splits, "splits: {ctx}");
-                assert_eq!(got.serial_fallback, want.serial_fallback, "fallback: {ctx}");
                 splits += got.splits;
             }
         }

@@ -5,7 +5,7 @@
 //! - [`compile_tape`] / [`execute_tape`]: the production executor — the
 //!   compiled plan lowered once to a register-machine tape, run serially
 //!   or in wavefronts, with intermediates served from a pre-planned arena
-//!   slab ([`ArenaBacking`]),
+//!   slab ([`sod2_mem::Arena`]),
 //! - [`execute`]: the serial, heap-only reference interpreter, with native
 //!   `<Switch, Combine>` control flow (dead branches skipped) or the
 //!   baselines' execute-all-branches mode, fused-group kernel accounting,
@@ -48,7 +48,7 @@ mod trace;
 pub use executor::{execute, ExecConfig, ExecError, RunOutcome};
 pub use passes::{eliminate_dead_nodes, fold_constants, PassStats};
 pub use tape::{
-    compile_tape, execute_tape, ArenaBacking, BakedVariant, Instr, InstrKind, RegRelease,
-    TapeChain, TapeProgram, TapeStats, WaveExecPlan,
+    compile_tape, execute_tape, BakedVariant, Instr, InstrKind, RegRelease, TapeChain, TapeProgram,
+    TapeStats, WaveExecPlan,
 };
 pub use trace::{ExecutionTrace, LatencyBreakdown, TraceEvent};

@@ -10,7 +10,7 @@
 //!   `TensorId`, so operand/result "slots" are plain indices and two
 //!   concurrently-live tensors can never alias a register by
 //!   construction. DMP arena offsets keyed by the same indices make a
-//!   register's backing store the planned slab slot ([`ArenaBacking`]);
+//!   register's backing store the planned slab slot ([`Arena`]);
 //!   `nac`-sized residue falls back to heap-backed registers.
 //! - **releases**: the reference's per-occurrence refcount discipline is
 //!   replayed at compile time (`sod2_plan::plan_tape_layout`), so each
@@ -49,7 +49,7 @@ use sod2_ir::{Graph, NodeId, Op, TensorId};
 use sod2_kernels::{execute_op_with_variants, ConvParams, GemmParams};
 use sod2_mem::Arena;
 use sod2_tensor::{Data, Tensor};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// A static parallel schedule at node granularity: `waves[w][j]` is the
 /// node list of job `j` of wave `w` (one schedulable unit, in execution
@@ -63,55 +63,25 @@ pub struct WaveExecPlan {
     pub waves: Vec<Vec<Vec<NodeId>>>,
 }
 
-/// Pre-planned arena memory handed to [`execute_tape`]: the paper's
-/// §4.4.1 operator-determined memory planning made operational. Each
-/// planned tensor's payload lives at its plan offset, and only tensors the
-/// plan could not cover (unresolved `nac` sizes, size mismatches) fall
-/// back to heap allocations — the dynamic residue reported in
-/// [`RunOutcome::alloc_sizes`].
-///
-/// `sizes` holds the exact byte size the offset plan assumed for each
-/// planned tensor key ([`MemoryPlan`](sod2_mem::MemoryPlan) stores only
-/// offsets): a tensor is arena-backed only when its runtime size matches
-/// the planned size exactly, falling back to the heap otherwise — so a
-/// stale or partial plan degrades gracefully instead of corrupting
-/// memory. Keys in `bounded` relax the match to "at most the planned
-/// size": their plans reserve a static upper bound for an
-/// execution-determined (`nac`) payload, so any smaller runtime size still
-/// fits its slot without aliasing a neighbour.
-pub struct ArenaBacking<'a> {
-    /// The slab, already reset to the current inference's plan.
-    pub arena: &'a mut Arena,
-    /// Planned byte size per tensor key (`TensorId.0 as usize`).
-    pub sizes: &'a HashMap<usize, usize>,
-    /// Keys planned at an upper bound rather than an exact size.
-    pub bounded: &'a HashSet<usize>,
-}
-
 /// Copies a freshly produced tensor into its planned arena slot. Returns
-/// `true` when the tensor is now arena-backed, `false` when it must be
-/// treated as a heap allocation (no backing, unplanned key, or a size
-/// mismatch against the plan).
+/// `true` when the tensor is now arena-backed, `false` when it stays a
+/// heap allocation: no arena, or the arena refused the slot (no slot for
+/// the key, a size the layout does not admit, or an injected write
+/// failure).
 fn arena_install(
-    backing: &mut Option<ArenaBacking<'_>>,
+    arena: Option<&mut Arena>,
     planned: &mut [bool],
     t: TensorId,
     tensor: &Tensor,
 ) -> bool {
-    let Some(b) = backing.as_mut() else {
-        return false;
-    };
     let key = t.0 as usize;
-    let fits = match b.sizes.get(&key) {
-        Some(&sz) if b.bounded.contains(&key) => tensor.byte_size() <= sz,
-        Some(&sz) => tensor.byte_size() == sz,
+    match arena.and_then(|a| a.try_slot_mut(key, tensor.byte_size())) {
+        Some(slot) => {
+            tensor.write_payload_le(slot);
+            planned[key] = true;
+            true
+        }
         None => false,
-    };
-    if fits && b.arena.try_write(key, &tensor.payload_le_bytes()) {
-        planned[key] = true;
-        true
-    } else {
-        false
     }
 }
 
@@ -623,7 +593,7 @@ struct TapeState<'a> {
     planned: Vec<bool>,
     arena_backed: usize,
     groups: Vec<GroupAcc>,
-    backing: Option<ArenaBacking<'a>>,
+    arena: Option<&'a mut Arena>,
 }
 
 impl TapeState<'_> {
@@ -640,7 +610,7 @@ impl TapeState<'_> {
         self.concrete_shapes.insert(t, tensor.shape().to_vec());
         if materialized {
             let b = tensor.byte_size();
-            if arena_install(&mut self.backing, &mut self.planned, t, &tensor) {
+            if arena_install(self.arena.as_deref_mut(), &mut self.planned, t, &tensor) {
                 self.arena_backed += 1;
             } else {
                 self.alloc_sizes.push(b);
@@ -660,10 +630,10 @@ impl TapeState<'_> {
             let key = r.reg.0 as usize;
             if self.planned[key] {
                 self.planned[key] = false;
-                if let (Slot::Live(ten), Some(b)) = (&self.env[key], self.backing.as_ref()) {
+                if let (Slot::Live(ten), Some(arena)) = (&self.env[key], self.arena.as_deref()) {
                     sod2_obs::counter_add("exec.arena_readback_verifies", 1);
-                    let want = ten.payload_le_bytes();
-                    if b.arena.try_read(key, want.len()) != Some(want.as_slice()) {
+                    let bytes = arena.try_read(key, ten.byte_size());
+                    if !bytes.is_some_and(|b| ten.payload_le_eq(b)) {
                         return Err(ExecError::Memory(format!(
                             "arena slot for tensor {} was clobbered while live",
                             r.reg
@@ -696,15 +666,14 @@ impl TapeState<'_> {
         if !self.planned[key] {
             return Ok(ten.clone());
         }
-        let b = self
-            .backing
-            .as_ref()
-            .ok_or_else(|| ExecError::Internal("planned tensor without arena backing".into()))?;
-        let bytes = b
+        let arena = self
             .arena
+            .as_deref()
+            .ok_or_else(|| ExecError::Internal("planned tensor without arena backing".into()))?;
+        let bytes = arena
             .try_read(key, ten.byte_size())
             .ok_or_else(|| ExecError::Memory(format!("arena slot for output {t} vanished")))?;
-        if bytes != ten.payload_le_bytes().as_slice() {
+        if !ten.payload_le_eq(bytes) {
             return Err(ExecError::Memory(format!(
                 "arena slot for output {t} was clobbered while live"
             )));
@@ -1001,10 +970,11 @@ fn eval_tape_unit(
 /// execute-all-branches, NaN guard, memory budget); its plan fields
 /// (`fusion`, `node_order`, `fused_interpreter`, `finite_outputs`) are
 /// ignored — those decisions were baked into the tape at compile time.
-/// `backing` serves materialized intermediates from a pre-planned arena
-/// slab (heap when `None`). `wavefront` selects between the serial
-/// dispatch loop and two-phase wave execution over the tape's compiled
-/// `(start, end)` ranges.
+/// `arena` serves materialized intermediates from a pre-planned slab
+/// (heap when `None`); it decides per tensor whether a payload takes its
+/// planned slot. `wavefront` selects between the serial dispatch loop and
+/// two-phase wave execution over the tape's compiled `(start, end)`
+/// ranges.
 ///
 /// # Errors
 ///
@@ -1017,7 +987,7 @@ pub fn execute_tape(
     inputs: &[Tensor],
     tape: &TapeProgram,
     cfg: &ExecConfig<'_>,
-    backing: Option<ArenaBacking<'_>>,
+    arena: Option<&mut Arena>,
     wavefront: bool,
 ) -> Result<RunOutcome, ExecError> {
     check_inputs(graph, inputs, cfg.nan_guard)?;
@@ -1040,7 +1010,7 @@ pub fn execute_tape(
         planned: vec![false; tape.register_count],
         arena_backed: 0,
         groups: vec![GroupAcc::default(); tape.num_groups],
-        backing,
+        arena,
     };
     let mut scratch = Scratch::default();
 

@@ -4,11 +4,11 @@
 use sod2_device::DeviceProfile;
 use sod2_fusion::{fuse, FusionPolicy};
 use sod2_ir::{BinaryOp, ConstData, DType, Graph, Op, TensorId, UnaryOp};
+use sod2_mem::{Arena, ArenaLayout, MemoryPlan, TensorLife};
 use sod2_mvc::VersionTable;
 use sod2_rdp::analyze;
 use sod2_runtime::{
-    compile_tape, execute, execute_tape, ArenaBacking, ExecConfig, ExecError, RunOutcome,
-    WaveExecPlan,
+    compile_tape, execute, execute_tape, ExecConfig, ExecError, RunOutcome, WaveExecPlan,
 };
 use sod2_sym::DimExpr;
 use sod2_tensor::Tensor;
@@ -29,19 +29,33 @@ fn relu_chain(n: usize) -> Graph {
 }
 
 /// Runs `g` on the tape, serially in topological order, with its
-/// intermediates served from `backing`.
+/// intermediates served from an arena giving each `(tensor, offset,
+/// planned size)` its slot.
 fn run_tape_on_arena(
     g: &Graph,
     inputs: &[Tensor],
-    backing: ArenaBacking<'_>,
+    slots: &[(TensorId, usize, usize)],
+    peak: usize,
 ) -> Result<RunOutcome, ExecError> {
+    let lives: Vec<TensorLife> = slots
+        .iter()
+        .map(|&(t, _, size)| TensorLife::new(t.0 as usize, size, 0, vec![]))
+        .collect();
+    let plan = MemoryPlan {
+        offsets: slots
+            .iter()
+            .map(|&(t, off, _)| (t.0 as usize, off))
+            .collect(),
+        peak,
+    };
+    let mut arena = Arena::new(std::sync::Arc::new(ArenaLayout::new(&lives, &plan, &[])));
     let tape = compile_tape(g, &g.topo_order(), None, None, None, None).expect("compile tape");
     execute_tape(
         g,
         inputs,
         &tape,
         &ExecConfig::default(),
-        Some(backing),
+        Some(&mut arena),
         false,
     )
 }
@@ -333,9 +347,6 @@ fn three_way_switch_routes_correctly() {
 
 #[test]
 fn arena_backing_shrinks_alloc_stream_and_matches_heap() {
-    use sod2_mem::{Arena, MemoryPlan};
-    use std::collections::HashMap;
-
     let mut g = Graph::new();
     let x = g.add_input("x", DType::F32, vec![4.into()]);
     let a = g.add_simple("relu", Op::Unary(UnaryOp::Relu), &[x], DType::F32);
@@ -349,20 +360,8 @@ fn arena_backing_shrinks_alloc_stream_and_matches_heap() {
     assert_eq!(heap.arena_backed, 0);
 
     // Every intermediate gets a private 16-byte slot.
-    let keys = [a.0 as usize, b.0 as usize, c.0 as usize];
-    let plan = MemoryPlan {
-        offsets: keys.iter().enumerate().map(|(i, &k)| (k, i * 16)).collect(),
-        peak: 48,
-    };
-    let sizes: HashMap<usize, usize> = keys.iter().map(|&k| (k, 16)).collect();
-    let bounded = std::collections::HashSet::new();
-    let mut arena = Arena::new(plan);
-    let backing = ArenaBacking {
-        arena: &mut arena,
-        sizes: &sizes,
-        bounded: &bounded,
-    };
-    let run = run_tape_on_arena(&g, &inputs, backing).expect("arena run");
+    let slots = [(a, 0, 16), (b, 16, 16), (c, 32, 16)];
+    let run = run_tape_on_arena(&g, &inputs, &slots, 48).expect("arena run");
     assert!(run.alloc_sizes.is_empty(), "all intermediates planned");
     assert_eq!(run.arena_backed, 3);
     assert_eq!(
@@ -374,28 +373,14 @@ fn arena_backing_shrinks_alloc_stream_and_matches_heap() {
 
 #[test]
 fn arena_size_mismatch_falls_back_to_heap() {
-    use sod2_mem::{Arena, MemoryPlan};
-    use std::collections::HashMap;
-
     let g = relu_chain(1);
     let t_out = *g.outputs().first().expect("one output");
-    let plan = MemoryPlan {
-        offsets: [(t_out.0 as usize, 0usize)].into_iter().collect(),
-        peak: 8,
-    };
     // The plan believed the tensor was 8 bytes; at runtime it is 16.
-    let sizes: HashMap<usize, usize> = [(t_out.0 as usize, 8usize)].into_iter().collect();
-    let bounded = std::collections::HashSet::new();
-    let mut arena = Arena::new(plan);
-    let backing = ArenaBacking {
-        arena: &mut arena,
-        sizes: &sizes,
-        bounded: &bounded,
-    };
     let run = run_tape_on_arena(
         &g,
         &[Tensor::from_f32(&[4], vec![1.0, 2.0, 3.0, 4.0])],
-        backing,
+        &[(t_out, 0, 8)],
+        8,
     )
     .expect("run");
     assert_eq!(run.arena_backed, 0);
@@ -409,9 +394,6 @@ fn arena_size_mismatch_falls_back_to_heap() {
 
 #[test]
 fn arena_aliasing_of_live_tensors_is_detected() {
-    use sod2_mem::{Arena, MemoryPlan};
-    use std::collections::HashMap;
-
     // a and b are simultaneously live (both feed the add); an unsound
     // plan placing them at the same offset must be caught by readback
     // verification, not silently corrupt the result.
@@ -422,26 +404,11 @@ fn arena_aliasing_of_live_tensors_is_detected() {
     let c = g.add_simple("add", Op::Binary(BinaryOp::Add), &[a, b], DType::F32);
     g.mark_output(c);
 
-    let plan = MemoryPlan {
-        offsets: [(a.0 as usize, 0usize), (b.0 as usize, 0usize)]
-            .into_iter()
-            .collect(),
-        peak: 16,
-    };
-    let sizes: HashMap<usize, usize> = [(a.0 as usize, 16usize), (b.0 as usize, 16usize)]
-        .into_iter()
-        .collect();
-    let bounded = std::collections::HashSet::new();
-    let mut arena = Arena::new(plan);
-    let backing = ArenaBacking {
-        arena: &mut arena,
-        sizes: &sizes,
-        bounded: &bounded,
-    };
     let err = run_tape_on_arena(
         &g,
         &[Tensor::from_f32(&[4], vec![1.0, 2.0, 3.0, 4.0])],
-        backing,
+        &[(a, 0, 16), (b, 0, 16)],
+        16,
     )
     .expect_err("aliasing plan must fail");
     assert!(

@@ -192,22 +192,54 @@ impl Tensor {
     /// order; `bool` as one `0`/`1` byte each). The length always equals
     /// [`Tensor::byte_size`].
     pub fn payload_le_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.byte_size());
+        let mut out = vec![0; self.byte_size()];
+        self.write_payload_le(&mut out);
+        out
+    }
+
+    /// Writes [`Tensor::payload_le_bytes`] into `out` without allocating.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `out.len()` is not [`Tensor::byte_size`].
+    pub fn write_payload_le(&self, out: &mut [u8]) {
+        assert_eq!(out.len(), self.byte_size(), "payload buffer size");
         match &*self.data {
             Data::F32(v) => {
-                for x in v {
-                    out.extend_from_slice(&x.to_le_bytes());
+                for (dst, x) in out.chunks_exact_mut(4).zip(v) {
+                    dst.copy_from_slice(&x.to_le_bytes());
                 }
             }
             Data::I64(v) => {
-                for x in v {
-                    out.extend_from_slice(&x.to_le_bytes());
+                for (dst, x) in out.chunks_exact_mut(8).zip(v) {
+                    dst.copy_from_slice(&x.to_le_bytes());
                 }
             }
-            Data::Bool(v) => out.extend(v.iter().map(|&b| u8::from(b))),
-            Data::U8(v) => out.extend_from_slice(v),
+            Data::Bool(v) => {
+                for (dst, &b) in out.iter_mut().zip(v) {
+                    *dst = u8::from(b);
+                }
+            }
+            Data::U8(v) => out.copy_from_slice(v),
         }
-        out
+    }
+
+    /// `true` when `bytes` equal [`Tensor::payload_le_bytes`], compared in
+    /// place without allocating.
+    pub fn payload_le_eq(&self, bytes: &[u8]) -> bool {
+        bytes.len() == self.byte_size()
+            && match &*self.data {
+                Data::F32(v) => bytes
+                    .chunks_exact(4)
+                    .zip(v)
+                    .all(|(b, x)| b == x.to_le_bytes()),
+                Data::I64(v) => bytes
+                    .chunks_exact(8)
+                    .zip(v)
+                    .all(|(b, x)| b == x.to_le_bytes()),
+                Data::Bool(v) => bytes.iter().zip(v).all(|(&b, &x)| b == u8::from(x)),
+                Data::U8(v) => bytes == v.as_slice(),
+            }
     }
 
     /// Reconstructs a tensor from little-endian payload bytes produced by
@@ -403,6 +435,27 @@ mod tests {
     fn reshape_count_checked() {
         let t = Tensor::zeros(&[2, 3]);
         let _ = t.reshape(&[5]);
+    }
+
+    #[test]
+    fn in_place_payload_matches_serialized_payload() {
+        let tensors = [
+            Tensor::from_f32(&[3], vec![1.5, -0.0, f32::NAN]),
+            Tensor::new(&[2], Data::I64(vec![-7, 1 << 40])).expect("i64"),
+            Tensor::new(&[3], Data::Bool(vec![true, false, true])).expect("bool"),
+            Tensor::new(&[2], Data::U8(vec![9, 255])).expect("u8"),
+        ];
+        for t in &tensors {
+            let want = t.payload_le_bytes();
+            let mut got = vec![0xEE; t.byte_size()];
+            t.write_payload_le(&mut got);
+            assert_eq!(got, want);
+            assert!(t.payload_le_eq(&want));
+            let mut flipped = want.clone();
+            flipped[0] ^= 1;
+            assert!(!t.payload_le_eq(&flipped), "one flipped bit must differ");
+            assert!(!t.payload_le_eq(&want[1..]), "a short buffer must differ");
+        }
     }
 
     #[test]

@@ -7,8 +7,8 @@
 # Usage:
 #   ./ci.sh                      # run every stage in order
 #   ./ci.sh <stage>              # run one stage: build | test-par | test-serial
-#                                #   | fmt | clippy | zoo | analyze | chaos
-#                                #   | bench | serve | gate
+#                                #   | test-release-kernels | fmt | clippy | zoo
+#                                #   | analyze | chaos | bench | serve | gate
 #   ./ci.sh --update-baselines   # run bench + serve, then overwrite the
 #                                #   checked-in BENCH_kernels.json /
 #                                #   BENCH_zoo.json / BENCH_serve.json with
@@ -35,9 +35,9 @@ UPDATE_BASELINES=0
 for arg in "$@"; do
     case "$arg" in
         --update-baselines) UPDATE_BASELINES=1 ;;
-        build|test-par|test-serial|fmt|clippy|zoo|analyze|chaos|bench|serve|gate|all) MODE="$arg" ;;
+        build|test-par|test-serial|test-release-kernels|fmt|clippy|zoo|analyze|chaos|bench|serve|gate|all) MODE="$arg" ;;
         *)
-            echo "usage: ./ci.sh [build|test-par|test-serial|fmt|clippy|zoo|analyze|chaos|bench|serve|gate] [--update-baselines]" >&2
+            echo "usage: ./ci.sh [build|test-par|test-serial|test-release-kernels|fmt|clippy|zoo|analyze|chaos|bench|serve|gate] [--update-baselines]" >&2
             exit 2
             ;;
     esac
@@ -54,10 +54,10 @@ print_summary() {
         echo "=== stage timing summary ==="
         local total=0
         for i in "${!STAGE_NAMES[@]}"; do
-            printf '  %-14s %4ds\n' "${STAGE_NAMES[$i]}" "${STAGE_SECS[$i]}"
+            printf '  %-20s %4ds\n' "${STAGE_NAMES[$i]}" "${STAGE_SECS[$i]}"
             total=$((total + STAGE_SECS[i]))
         done
-        printf '  %-14s %4ds\n' "total" "$total"
+        printf '  %-20s %4ds\n' "total" "$total"
         write_stage_timings
     fi
     if [[ $status -ne 0 && -n "$CURRENT_STAGE" ]]; then
@@ -120,6 +120,13 @@ stage_test_par() {
 
 stage_test_serial() {
     SOD2_THREADS=1 cargo test --workspace -q
+}
+
+stage_test_release_kernels() {
+    # The kernels' bitwise suites in the optimized build that actually
+    # serves: code generation there may reorder float operands, which the
+    # debug stages above never see.
+    cargo test --release -p sod2-kernels -q
 }
 
 stage_fmt() {
@@ -289,6 +296,7 @@ mkdir -p "$CI_OUT"
 run_stage build stage_build
 run_stage test-par stage_test_par
 run_stage test-serial stage_test_serial
+run_stage test-release-kernels stage_test_release_kernels
 run_stage fmt stage_fmt
 run_stage clippy stage_clippy
 run_stage zoo stage_zoo

@@ -10,11 +10,17 @@
 //! kernel times recorded serially, greedily list-scheduled onto N virtual
 //! workers. The makespan number is what the pool's decomposition achieves
 //! when N cores actually exist, independent of this host's core count.
+//!
+//! Each conv row also records `ratio_vs_naive`: the one-thread wall time
+//! of the per-element reference `conv2d_naive` over that of `conv2d`,
+//! measured interleaved in this process as a median of runs. It is
+//! informational (never gated), but the binary asserts it is at least
+//! 2.0 (`MIN_CONV_RATIO`), so a return to a per-element loop fails.
 
 use sod2_device::{conv_efficiency, gemm_efficiency, DeviceProfile, ShapeClass};
 use sod2_frameworks::{Engine, Sod2Engine, Sod2Options};
 use sod2_ir::Spatial2d;
-use sod2_kernels::{conv2d_with_params, gemm_tiled, ConvParams, GemmParams};
+use sod2_kernels::{conv2d_naive, conv2d_with_params, gemm_tiled, ConvParams, GemmParams};
 use sod2_models::{all_models, ModelScale};
 use sod2_mvc::{representative_conv, representative_shape, time_gemm_ms, VersionTable};
 use sod2_pool::{record_chunks, scheduled_makespan, with_threads};
@@ -24,6 +30,9 @@ use sod2_tensor::Tensor;
 use std::time::Instant;
 
 const THREADS: [usize; 3] = [1, 2, 4];
+
+/// Floor asserted on every conv row's `ratio_vs_naive`.
+const MIN_CONV_RATIO: f64 = 2.0;
 
 fn fill(seed: u64, len: usize) -> Vec<f32> {
     let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
@@ -48,6 +57,23 @@ fn wall(mut f: impl FnMut()) -> f64 {
     best
 }
 
+/// Median over 7 interleaved one-thread runs of `slow`'s wall time over
+/// `fast`'s; each run times `calls` back-to-back calls of either side.
+fn interleaved_ratio(slow: impl Fn(), fast: impl Fn(), calls: usize) -> f64 {
+    let time = |f: &dyn Fn()| {
+        let t0 = Instant::now();
+        for _ in 0..calls {
+            f();
+        }
+        t0.elapsed().as_secs_f64()
+    };
+    let mut ratios: Vec<f64> = (0..7)
+        .map(|_| with_threads(1, || time(&slow) / time(&fast).max(1e-12)))
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    ratios[ratios.len() / 2]
+}
+
 struct KernelEntry {
     name: &'static str,
     desc: String,
@@ -57,6 +83,8 @@ struct KernelEntry {
     wall_secs: [f64; 3],
     /// Greedy list-schedule of recorded chunk times onto N virtual workers.
     makespan_secs: [f64; 3],
+    /// Reference-over-kernel one-thread wall ratio (conv rows only).
+    ratio_vs_naive: Option<f64>,
 }
 
 impl KernelEntry {
@@ -78,6 +106,7 @@ impl KernelEntry {
             chunks: chunk_secs.len(),
             wall_secs,
             makespan_secs,
+            ratio_vs_naive: None,
         }
     }
 
@@ -90,13 +119,17 @@ impl KernelEntry {
     }
 
     fn json(&self) -> String {
+        let ratio = self
+            .ratio_vs_naive
+            .map(|r| format!(", \"ratio_vs_naive\": {r:.2}"))
+            .unwrap_or_default();
         format!(
             concat!(
                 "    {{\"name\": \"{}\", \"desc\": \"{}\", \"chunks\": {}, ",
                 "\"gflops_1t\": {:.3}, ",
                 "\"wallclock_secs\": {{\"1\": {:.6}, \"2\": {:.6}, \"4\": {:.6}}}, ",
                 "\"makespan_secs\": {{\"1\": {:.6}, \"2\": {:.6}, \"4\": {:.6}}}, ",
-                "\"speedup_makespan\": {{\"1\": {:.3}, \"2\": {:.3}, \"4\": {:.3}}}}}"
+                "\"speedup_makespan\": {{\"1\": {:.3}, \"2\": {:.3}, \"4\": {:.3}}}{}}}"
             ),
             self.name,
             self.desc,
@@ -111,6 +144,7 @@ impl KernelEntry {
             self.makespan_speedup(0),
             self.makespan_speedup(1),
             self.makespan_speedup(2),
+            ratio,
         )
     }
 }
@@ -128,22 +162,31 @@ fn gemm_entry(dim: usize) -> KernelEntry {
     )
 }
 
-fn conv_entry() -> KernelEntry {
-    let (n, ci, co, hw, k) = (1usize, 32usize, 64usize, 56usize, 3usize);
+/// `N1 ci->co hw x hw` 3x3 same-padded conv; `calls` sets how many calls
+/// each side of the interleaved ratio times per run.
+fn conv_entry(ci: usize, co: usize, hw: usize, calls: usize) -> KernelEntry {
+    let (n, k) = (1usize, 3usize);
     let x = Tensor::from_f32(&[n, ci, hw, hw], fill(3, n * ci * hw * hw));
     let w = Tensor::from_f32(&[co, ci, k, k], fill(4, co * ci * k * k));
     let sp = Spatial2d::same(k);
     let flops = 2.0 * (n * co * hw * hw * ci * k * k) as f64;
-    KernelEntry::measure(
-        "conv2d",
-        format!("N{n} {ci}->{co} {hw}x{hw} k{k}"),
-        flops,
-        move || {
-            std::hint::black_box(
-                conv2d_with_params(&x, &w, None, &sp, 1, ConvParams::default()).expect("conv"),
-            );
-        },
-    )
+    let conv = || {
+        std::hint::black_box(
+            conv2d_with_params(&x, &w, None, &sp, 1, ConvParams::default()).expect("conv"),
+        );
+    };
+    let naive = || {
+        std::hint::black_box(conv2d_naive(&x, &w, None, &sp, 1).expect("conv"));
+    };
+    let ratio = interleaved_ratio(naive, conv, calls);
+    let desc = format!("N{n} {ci}->{co} {hw}x{hw} k{k}");
+    assert!(
+        ratio >= MIN_CONV_RATIO,
+        "conv2d {desc}: only {ratio:.2}x faster than conv2d_naive (floor {MIN_CONV_RATIO}x)"
+    );
+    let mut entry = KernelEntry::measure("conv2d", desc, flops, conv);
+    entry.ratio_vs_naive = Some(ratio);
+    entry
 }
 
 fn elementwise_entry() -> KernelEntry {
@@ -426,7 +469,9 @@ fn main() {
     let kernels = vec![
         gemm_entry(256),
         gemm_entry(512),
-        conv_entry(),
+        conv_entry(32, 64, 56, 1),
+        // The hot 3x3 shape of the large-image CNN classes.
+        conv_entry(8, 8, 32, 20),
         elementwise_entry(),
     ];
     let execs = exec_entries();
@@ -441,13 +486,16 @@ fn main() {
     eprintln!("host cores: {host_cores}");
     for e in &kernels {
         eprintln!(
-            "{:<10} {:<24} chunks={:<3} wall(1t)={:.4}s makespan speedup 2w={:.2}x 4w={:.2}x",
+            "{:<10} {:<24} chunks={:<3} wall(1t)={:.4}s makespan speedup 2w={:.2}x 4w={:.2}x{}",
             e.name,
             e.desc,
             e.chunks,
             e.wall_secs[0],
             e.makespan_speedup(1),
             e.makespan_speedup(2),
+            e.ratio_vs_naive
+                .map(|r| format!(" vs naive {r:.2}x"))
+                .unwrap_or_default(),
         );
     }
     for e in &execs {

@@ -35,6 +35,21 @@
 /// identical either way.
 pub(crate) const PAR_CUTOFF_OPS: usize = 1 << 14;
 
+/// Writes every NaN in `out` as the canonical quiet NaN `f32::NAN`.
+///
+/// Which NaN an IEEE operation returns depends on its operands' order:
+/// on x86 an invalid operation yields a negative default NaN, and adding
+/// two NaNs returns the first operand's. The compiler may swap the
+/// operands of a float add or multiply, so without this pass the sign of
+/// a NaN output would depend on code generation. The GEMM and conv
+/// kernels run it over each finished pool chunk, which keeps their
+/// bitwise contract in every build profile.
+pub(crate) fn canonical_nans(out: &mut [f32]) {
+    for v in out {
+        *v = if v.is_nan() { f32::NAN } else { *v };
+    }
+}
+
 pub mod conv;
 pub mod dynamic;
 pub mod elementwise;
@@ -46,7 +61,7 @@ pub mod numerics;
 pub mod reduce;
 pub mod shape_ops;
 
-pub use conv::{conv2d_with_params, ConvLoopOrder, ConvParams, PoolMode};
+pub use conv::{conv2d_naive, conv2d_with_params, ConvLoopOrder, ConvParams, PoolMode};
 pub use error::KernelError;
 pub use exec::{execute_op, execute_op_with_gemm, execute_op_with_variants};
 pub use fused::{fused_elementwise, fused_output_shape, FusedStep};

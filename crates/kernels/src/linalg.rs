@@ -129,9 +129,10 @@ impl Default for GemmParams {
 ///
 /// Every `a[i,p] * b[p,j]` product is accumulated unconditionally — no
 /// sparsity short-circuit — so NaN/inf propagation (`0 * NaN = NaN`)
-/// matches [`gemm_tiled`] bitwise. Rows are partitioned across the
-/// [`sod2_pool`] when it helps; each output element's accumulation order
-/// is the serial one regardless of thread count.
+/// matches [`gemm_tiled`] bitwise, with every NaN written as `f32::NAN`.
+/// Rows are partitioned across the [`sod2_pool`] when it helps; each
+/// output element's accumulation order is the serial one regardless of
+/// thread count.
 pub fn gemm_naive(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
     let mut c = vec![0f32; m * n];
     if n == 0 {
@@ -151,6 +152,7 @@ pub fn gemm_naive(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32
                 }
             }
         }
+        crate::canonical_nans(chunk);
     });
     c
 }
@@ -159,7 +161,9 @@ pub fn gemm_naive(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32
 /// hand chunks to the pool; below it the queueing overhead dominates.
 const PAR_GRAIN_ELEMS: usize = 1 << 14;
 
-/// Tiled GEMM with configurable tile sizes and unrolling.
+/// Tiled GEMM with configurable tile sizes and unrolling. Bitwise-equal
+/// to [`gemm_naive`] for every `params`, NaN outputs included (each is
+/// written as `f32::NAN`).
 pub fn gemm_tiled(
     a: &[f32],
     b: &[f32],
@@ -201,6 +205,7 @@ pub fn gemm_tiled(
                 tile_dispatch(a, &packed, chunk, i0, i1, p0, p1, j0, w, k, n, params);
             }
         }
+        crate::canonical_nans(chunk);
     });
     c
 }

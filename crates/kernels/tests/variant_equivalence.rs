@@ -1,16 +1,18 @@
 //! Differential suite for the multi-version kernel variants: every point
 //! of the (loop order × micro-kernel × tiling/unroll) space must be
-//! bitwise-equal to the naive reference — the invariant that lets the
-//! tuner select any variant without changing results. Each output
-//! element's accumulation runs ascending over the reduction onto the live
-//! running value with the same `acc += a*b` op sequence, so the identity
-//! holds exactly, including NaN/inf payloads, and across thread counts.
+//! bitwise-equal to the naive reference (`gemm_naive`, `conv2d_naive`) —
+//! the invariant that lets the tuner select any variant without changing
+//! results. Each output element's accumulation runs ascending over the
+//! reduction onto the live running value with the same `acc += a*b` op
+//! sequence, and every NaN output is written as `f32::NAN`, so the
+//! identity holds exactly, including NaN/inf inputs, and across thread
+//! counts.
 
 use proptest::prelude::*;
 use sod2_ir::Spatial2d;
 use sod2_kernels::{
-    conv2d_with_params, gemm_naive, gemm_tiled, ConvLoopOrder, ConvParams, GemmParams, LoopOrder,
-    MicroKernel,
+    conv2d_naive, conv2d_with_params, gemm_naive, gemm_tiled, ConvLoopOrder, ConvParams,
+    GemmParams, LoopOrder, MicroKernel,
 };
 use sod2_pool::with_threads;
 use sod2_tensor::Tensor;
@@ -77,59 +79,76 @@ proptest! {
         }
     }
 
-    /// Both conv traversal orders match each other bitwise on random
-    /// shapes, groups, and strides (each output element is a self-contained
-    /// reduction, so traversal permutation cannot change any value), at
-    /// 1 and 4 pool threads.
+    /// Every conv variant matches the independent per-element reference
+    /// `conv2d_naive` bitwise at 1 and 4 pool threads, on random shapes
+    /// with non-square kernels, strides and padding per axis (padding up
+    /// to the kernel extent, so whole output rows and columns read only
+    /// padding), non-square inputs down to one output column, grouped and
+    /// depthwise convolution, and no bias or a bias with `-0.0` entries.
     #[test]
     fn all_conv_variants_match_reference_bitwise(
         batch in 1usize..3,
         cig in 1usize..4,
         cog in 1usize..4,
-        groups in 1usize..3,
-        hw in 3usize..8,
-        kernel in 1usize..4,
-        stride in 1usize..3,
+        groups in 1usize..4,
+        depthwise in any::<bool>(),
+        kh in 1usize..=5,
+        kw in 1usize..=5,
+        sh in 1usize..=3,
+        sw in 1usize..=3,
+        pad_pick in (0usize..=5, 0usize..=5),
+        extra in (0usize..7, 0usize..7),
+        bias_pick in 0usize..3,
         block_pick in 0usize..3,
         tile_pick in 0usize..3,
         seed in any::<u64>(),
     ) {
+        let (cig, cog) = if depthwise { (1, 1) } else { (cig, cog) };
+        let (ph, pw) = (pad_pick.0 % (kh + 1), pad_pick.1 % (kw + 1));
+        // The smallest extent with a positive output (one output row or
+        // column), plus a random margin.
+        let h = kh.saturating_sub(2 * ph).max(1) + extra.0;
+        let wd = kw.saturating_sub(2 * pw).max(1) + extra.1;
         let block_oc = [1usize, 2, 8][block_pick];
         let tile_w = [1usize, 4, 64][tile_pick];
         let (ci, co) = (cig * groups, cog * groups);
-        let x = Tensor::from_f32(&[batch, ci, hw, hw], fill(seed, batch * ci * hw * hw));
-        let w = Tensor::from_f32(
-            &[co, cig, kernel, kernel],
-            fill(seed ^ 0x5EED, co * cig * kernel * kernel),
-        );
-        let bias = Tensor::from_f32(&[co], fill(seed ^ 0xB1A5, co));
-        let sp = Spatial2d::new(kernel, stride, kernel / 2);
-        let reference = conv2d_with_params(&x, &w, Some(&bias), &sp, groups, ConvParams::default())
+        let x = Tensor::from_f32(&[batch, ci, h, wd], fill(seed, batch * ci * h * wd));
+        let w = Tensor::from_f32(&[co, cig, kh, kw], fill(seed ^ 0x5EED, co * cig * kh * kw));
+        let bias = match bias_pick {
+            0 => None,
+            1 => Some(Tensor::from_f32(&[co], fill(seed ^ 0xB1A5, co))),
+            _ => Some(Tensor::from_f32(
+                &[co],
+                fill(seed ^ 0xB1A5, co)
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, v)| if i % 2 == 0 { -0.0 } else { v })
+                    .collect(),
+            )),
+        };
+        let sp = Spatial2d { kernel: [kh, kw], stride: [sh, sw], padding: [ph, pw] };
+        let conv = |params: ConvParams| {
+            conv2d_with_params(&x, &w, bias.as_ref(), &sp, groups, params)
+                .expect("conv")
+                .as_f32()
+                .expect("f32")
+                .to_vec()
+        };
+        let reference = conv2d_naive(&x, &w, bias.as_ref(), &sp, groups)
             .expect("conv")
             .as_f32()
             .expect("f32")
             .to_vec();
         for order in ConvLoopOrder::ALL {
             let params = ConvParams { block_oc, tile_w, loop_order: order };
-            let t1 = with_threads(1, || {
-                conv2d_with_params(&x, &w, Some(&bias), &sp, groups, params)
-                    .expect("conv")
-                    .as_f32()
-                    .expect("f32")
-                    .to_vec()
-            });
-            prop_assert_eq!(
-                bits(&reference), bits(&t1),
-                "conv variant {:?} bo={} tw={} diverged", order, block_oc, tile_w
-            );
-            let t4 = with_threads(4, || {
-                conv2d_with_params(&x, &w, Some(&bias), &sp, groups, params)
-                    .expect("conv")
-                    .as_f32()
-                    .expect("f32")
-                    .to_vec()
-            });
-            prop_assert_eq!(bits(&t1), bits(&t4), "conv variant {:?} not thread-invariant", order);
+            for threads in [1, 4] {
+                let got = with_threads(threads, || conv(params));
+                prop_assert_eq!(
+                    bits(&reference), bits(&got),
+                    "conv variant {:?} bo={} tw={} diverged from naive at {} threads",
+                    order, block_oc, tile_w, threads
+                );
+            }
         }
     }
 }
@@ -172,7 +191,7 @@ fn large_conv_variants_split_and_match_reference() {
         fill(14, co * ci * kernel * kernel),
     );
     let sp = Spatial2d::same(kernel);
-    let reference = conv2d_with_params(&x, &w, None, &sp, 1, ConvParams::default())
+    let reference = conv2d_naive(&x, &w, None, &sp, 1)
         .expect("conv")
         .as_f32()
         .expect("f32")

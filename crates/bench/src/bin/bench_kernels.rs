@@ -11,16 +11,20 @@
 //! workers. The makespan number is what the pool's decomposition achieves
 //! when N cores actually exist, independent of this host's core count.
 //!
-//! Each conv row also records `ratio_vs_naive`: the one-thread wall time
-//! of the per-element reference `conv2d_naive` over that of `conv2d`,
-//! measured interleaved in this process as a median of runs. It is
-//! informational (never gated), but the binary asserts it is at least
-//! 2.0 (`MIN_CONV_RATIO`), so a return to a per-element loop fails.
+//! Each conv and GEMM row also records `ratio_vs_naive`: the one-thread
+//! wall time of the independent reference (`conv2d_naive`, `gemm_naive`)
+//! over that of the kernel, measured interleaved in this process as a
+//! median of runs. It is informational (never gated), but the binary
+//! asserts a floor on it — 2.0 for conv (`MIN_CONV_RATIO`), 0.5 for GEMM
+//! (`MIN_GEMM_RATIO`) — so a return to a per-element conv loop or a
+//! packed GEMM tile walk fails.
 
 use sod2_device::{conv_efficiency, gemm_efficiency, DeviceProfile, ShapeClass};
 use sod2_frameworks::{Engine, Sod2Engine, Sod2Options};
 use sod2_ir::Spatial2d;
-use sod2_kernels::{conv2d_naive, conv2d_with_params, gemm_tiled, ConvParams, GemmParams};
+use sod2_kernels::{
+    conv2d_naive, conv2d_with_params, gemm_naive, gemm_tiled, ConvParams, GemmParams,
+};
 use sod2_models::{all_models, ModelScale};
 use sod2_mvc::{representative_conv, representative_shape, time_gemm_ms, VersionTable};
 use sod2_pool::{record_chunks, scheduled_makespan, with_threads};
@@ -33,6 +37,9 @@ const THREADS: [usize; 3] = [1, 2, 4];
 
 /// Floor asserted on every conv row's `ratio_vs_naive`.
 const MIN_CONV_RATIO: f64 = 2.0;
+
+/// Floor asserted on every GEMM row's `ratio_vs_naive`.
+const MIN_GEMM_RATIO: f64 = 0.5;
 
 fn fill(seed: u64, len: usize) -> Vec<f32> {
     let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
@@ -83,7 +90,7 @@ struct KernelEntry {
     wall_secs: [f64; 3],
     /// Greedy list-schedule of recorded chunk times onto N virtual workers.
     makespan_secs: [f64; 3],
-    /// Reference-over-kernel one-thread wall ratio (conv rows only).
+    /// Reference-over-kernel one-thread wall ratio (conv and GEMM rows).
     ratio_vs_naive: Option<f64>,
 }
 
@@ -149,17 +156,26 @@ impl KernelEntry {
     }
 }
 
-fn gemm_entry(dim: usize) -> KernelEntry {
-    let a = fill(1, dim * dim);
-    let b = fill(2, dim * dim);
-    KernelEntry::measure(
-        "gemm_tiled",
-        format!("{dim}x{dim}x{dim} f32"),
-        2.0 * (dim * dim * dim) as f64,
-        move || {
-            std::hint::black_box(gemm_tiled(&a, &b, dim, dim, dim, GemmParams::default()));
-        },
-    )
+/// `m x k x n` GEMM with default parameters; `calls` sets how many calls
+/// each side of the interleaved ratio times per run.
+fn gemm_entry(m: usize, k: usize, n: usize, calls: usize) -> KernelEntry {
+    let a = fill(1, m * k);
+    let b = fill(2, k * n);
+    let tiled = || {
+        std::hint::black_box(gemm_tiled(&a, &b, m, k, n, GemmParams::default()));
+    };
+    let naive = || {
+        std::hint::black_box(gemm_naive(&a, &b, m, k, n));
+    };
+    let ratio = interleaved_ratio(naive, tiled, calls);
+    let desc = format!("{m}x{k}x{n} f32");
+    assert!(
+        ratio >= MIN_GEMM_RATIO,
+        "gemm_tiled {desc}: {ratio:.2}x the speed of gemm_naive (floor {MIN_GEMM_RATIO}x)"
+    );
+    let mut entry = KernelEntry::measure("gemm_tiled", desc, 2.0 * (m * k * n) as f64, tiled);
+    entry.ratio_vs_naive = Some(ratio);
+    entry
 }
 
 /// `N1 ci->co hw x hw` 3x3 same-padded conv; `calls` sets how many calls
@@ -467,8 +483,10 @@ fn main() {
     });
 
     let kernels = vec![
-        gemm_entry(256),
-        gemm_entry(512),
+        gemm_entry(256, 256, 256, 1),
+        gemm_entry(512, 512, 512, 1),
+        // The hot short-seq shape (CodeBERT/Conformer at length 32).
+        gemm_entry(32, 16, 32, 2000),
         conv_entry(32, 64, 56, 1),
         // The hot 3x3 shape of the large-image CNN classes.
         conv_entry(8, 8, 32, 20),

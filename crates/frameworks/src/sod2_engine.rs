@@ -955,6 +955,8 @@ impl Sod2Engine {
                 stage.render_text(Some(&self.graph))
             );
         }
+        // Pricing: the wave statistics and the priced trace.
+        let price_span = sod2_obs::span!("phase", "price_trace");
         let alloc_events = outcome.alloc_sizes.len();
         let arena_backed = outcome.arena_backed;
         let mut trace = outcome.trace;
@@ -1034,10 +1036,8 @@ impl Sod2Engine {
                 trace.push(TraceEvent::Alloc { bytes: b });
             }
         }
-        let latency = {
-            let _s = sod2_obs::span!("phase", "price_trace");
-            trace.price(&self.profile)
-        };
+        let latency = trace.price(&self.profile);
+        drop(price_span);
         Ok((
             InferenceStats {
                 outputs: outcome.outputs,

@@ -38,5 +38,7 @@ mod validate;
 pub use classify::{classify, classify_with_const_inputs, shape_determining_inputs, DynamismClass};
 pub use dtype::{ConstData, DType};
 pub use graph::{Graph, Node, NodeId, TensorId, TensorInfo};
-pub use op::{normalize_axis, Arity, BinaryOp, CompareOp, Op, ReduceOp, Spatial2d, UnaryOp};
+pub use op::{
+    is_permutation, normalize_axis, Arity, BinaryOp, CompareOp, Op, ReduceOp, Spatial2d, UnaryOp,
+};
 pub use validate::{validate, ValidateError};

@@ -562,6 +562,14 @@ pub fn normalize_axis(axis: i64, rank: usize) -> Option<usize> {
     }
 }
 
+/// True when `perm` holds each of `0..perm.len()` exactly once: the axis
+/// permutations a `Transpose` accepts.
+pub fn is_permutation(perm: &[usize]) -> bool {
+    let mut seen = vec![false; perm.len()];
+    perm.iter()
+        .all(|&p| p < seen.len() && !std::mem::replace(&mut seen[p], true))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -604,6 +612,14 @@ mod tests {
         assert_eq!(normalize_axis(0, 3), Some(0));
         assert_eq!(normalize_axis(3, 3), None);
         assert_eq!(normalize_axis(-4, 3), None);
+    }
+
+    #[test]
+    fn permutation_check() {
+        assert!(is_permutation(&[]));
+        assert!(is_permutation(&[2, 0, 1]));
+        assert!(!is_permutation(&[0, 0]));
+        assert!(!is_permutation(&[0, 1, 5]));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use crate::dtype::{ConstData, DType};
 use crate::graph::{Graph, TensorId};
-use crate::op::{BinaryOp, CompareOp, Op, ReduceOp, Spatial2d, UnaryOp};
+use crate::op::{is_permutation, BinaryOp, CompareOp, Op, ReduceOp, Spatial2d, UnaryOp};
 use sod2_sym::{DimExpr, DimValue, ShapeValue};
 use std::fmt;
 
@@ -779,10 +779,14 @@ fn get_op(buf: &mut Reader<'_>) -> Result<Op, DecodeError> {
             }
         }
         20 => {
-            let perm = get_i64s(buf)?;
-            Op::Transpose {
-                perm: perm.into_iter().map(|p| p as usize).collect(),
-            }
+            let perm = get_i64s(buf)?
+                .into_iter()
+                .map(usize::try_from)
+                .collect::<Result<Vec<_>, _>>()
+                .ok()
+                .filter(|p| is_permutation(p))
+                .ok_or(DecodeError::Corrupt("transpose perm"))?;
+            Op::Transpose { perm }
         }
         21 => {
             need(buf, 8)?;
@@ -1067,6 +1071,28 @@ mod tests {
         let mut bytes = encode_graph(&sample_graph());
         bytes[0] = b'X';
         assert!(matches!(decode_graph(&bytes), Err(DecodeError::BadHeader)));
+    }
+
+    #[test]
+    fn transpose_perm_must_be_a_permutation() {
+        let graph = |perm: Vec<usize>| {
+            let mut g = Graph::new();
+            let dims = vec![DimExpr::from(2); perm.len()];
+            let x = g.add_input("x", DType::F32, dims);
+            let t = g.add_simple("t", Op::Transpose { perm }, &[x], DType::F32);
+            g.mark_output(t);
+            encode_graph(&g)
+        };
+        assert!(decode_graph(&graph(vec![2, 0, 1])).is_ok());
+        for bad in [vec![0, 1, 5], vec![0, 0]] {
+            assert!(
+                matches!(
+                    decode_graph(&graph(bad.clone())),
+                    Err(DecodeError::Corrupt("transpose perm"))
+                ),
+                "perm {bad:?}"
+            );
+        }
     }
 
     #[test]

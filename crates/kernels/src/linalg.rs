@@ -3,21 +3,27 @@
 
 use crate::error::{dtype_err, shape_err, KernelError};
 use sod2_tensor::{broadcast_output_shape, Tensor};
+use std::borrow::Cow;
+use std::ops::Range;
 
-/// Permutation of the within-tile `(i, p, j)` loop nest of [`gemm_tiled`]
-/// (`i` = output row, `p` = reduction index, `j` = output column).
+/// Order of the three block loops inside one pool part of [`gemm_tiled`]:
+/// row blocks (`i`), `tile_k` reduction blocks (`k`) and `tile_n` column
+/// tiles (`j`).
 ///
-/// Every permutation keeps each output element's reduction in ascending-`p`
-/// order onto the live running value, so all orders are bitwise-equal to
-/// [`gemm_naive`]; they differ only in memory traversal (see DESIGN.md §17).
+/// Every order meets each output element's reduction blocks in ascending
+/// order, and each block adds its terms in ascending `k` onto the live C
+/// value, so all orders are bitwise-equal to [`gemm_naive`]; they differ
+/// only in memory traversal (see DESIGN.md §17.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LoopOrder {
-    /// `i → j → p`: dot-product form; the accumulator stays in a register
-    /// across the whole k-tile, packed B is read column-strided.
+    /// Row block → column tile → reduction block: one tile of C finishes
+    /// its whole reduction before the next tile starts.
     Ijk,
-    /// `i → p → j`: axpy form streaming packed B rows (the default).
+    /// Row block → reduction block → column tile (the default): one
+    /// reduction block sweeps the row block's full width.
     Ikj,
-    /// `p → i → j`: B-row-resident form; one packed row serves every `i`.
+    /// Reduction block → row block → column tile: one block of B rows
+    /// serves every row of the part before the next block.
     Kij,
 }
 
@@ -40,22 +46,22 @@ impl LoopOrder {
     }
 }
 
-/// Register-blocked micro-kernel shape: an `MR x NR` block of C is held in
-/// local accumulators while the k-tile is folded onto it.
+/// Register-blocking micro-kernel shape. [`gemm_tiled`] holds blocks of
+/// `MR` rows of C in local accumulators while a reduction block is added
+/// onto them; rows that do not fill a block go one at a time.
 ///
-/// The block is *loaded* from C, accumulated in ascending-`p` order, and
-/// stored back — per element the identical `acc += a * b` sequence as the
-/// scalar kernels, so every shape is bitwise-equal to [`gemm_naive`]. Edge
-/// rows/columns that do not fill a block fall back to the scalar kernel.
+/// `NR` names the variant for the tuner and its cost model
+/// (`sod2_device::gemm_efficiency`); the kernel's block width comes from
+/// the `tile_n` column tile instead (DESIGN.md §17.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MicroKernel {
-    /// No register blocking (the default): plain scalar inner loops.
+    /// One row per block (the default).
     Scalar,
-    /// 4 rows x 1 column of C per accumulator block.
+    /// 4-row blocks, priced as 4 x 1.
     Mr4Nr1,
-    /// 4 rows x 4 columns of C per accumulator block.
+    /// 4-row blocks, priced as 4 x 4.
     Mr4Nr4,
-    /// 8 rows x 1 column of C per accumulator block.
+    /// 8-row blocks, priced as 8 x 1.
     Mr8Nr1,
 }
 
@@ -68,7 +74,8 @@ impl MicroKernel {
         MicroKernel::Mr8Nr1,
     ];
 
-    /// `(MR, NR)` accumulator block dimensions.
+    /// `(MR, NR)`: the register-block height the kernel uses and the block
+    /// width the tuner's cost model prices.
     pub fn dims(self) -> (usize, usize) {
         match self {
             MicroKernel::Scalar => (1, 1),
@@ -98,17 +105,20 @@ impl MicroKernel {
 /// search space of the genetic auto-tuner.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GemmParams {
-    /// Tile height (rows of A / C).
+    /// Rows of C per pool part.
     pub tile_m: usize,
-    /// Tile width (cols of B / C).
+    /// Column tile of C. No register block crosses a tile edge, so this
+    /// caps the block width.
     pub tile_n: usize,
-    /// Reduction tile depth.
+    /// Reduction block: a register block loads C, adds this many terms and
+    /// stores it back.
     pub tile_k: usize,
-    /// Inner-loop unroll factor (1, 2, 4, or 8).
+    /// Unroll factor (1, 2, 4, or 8), searched and priced by the tuner;
+    /// the kernel does not read it (DESIGN.md §17.1).
     pub unroll: usize,
-    /// Within-tile loop-order permutation.
+    /// Order of the row-block, reduction-block and column-tile loops.
     pub loop_order: LoopOrder,
-    /// Register-blocking micro-kernel shape.
+    /// Register-block height `MR`.
     pub micro: MicroKernel,
 }
 
@@ -139,7 +149,7 @@ pub fn gemm_naive(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32
         return c;
     }
     // Whole rows per chunk so chunk boundaries never split a row.
-    let rows_per_chunk = (PAR_GRAIN_ELEMS / (n * k.max(1)).max(1)).max(1);
+    let rows_per_chunk = (crate::PAR_CUTOFF_OPS / (n * k.max(1)).max(1)).max(1);
     sod2_pool::scope_chunks(&mut c, rows_per_chunk * n, |off, chunk| {
         let i0 = off / n;
         for (ri, crow) in chunk.chunks_exact_mut(n).enumerate() {
@@ -157,12 +167,13 @@ pub fn gemm_naive(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32
     c
 }
 
-/// Above roughly this many output-element-times-depth operations, kernels
-/// hand chunks to the pool; below it the queueing overhead dominates.
-const PAR_GRAIN_ELEMS: usize = 1 << 14;
+/// Multiply-adds (`m * k * n`) below which [`gemm_tiled`] runs its parts
+/// serially: there the pool region costs more than a second thread saves
+/// (break-even measured in DESIGN.md §9.1).
+const GEMM_SERIAL_MACS: usize = 1 << 16;
 
-/// Tiled GEMM with configurable tile sizes and unrolling. Bitwise-equal
-/// to [`gemm_naive`] for every `params`, NaN outputs included (each is
+/// Tiled GEMM with a configurable loop nest. Bitwise-equal to
+/// [`gemm_naive`] for every `params`, NaN outputs included (each is
 /// written as `f32::NAN`).
 pub fn gemm_tiled(
     a: &[f32],
@@ -173,318 +184,180 @@ pub fn gemm_tiled(
     params: GemmParams,
 ) -> Vec<f32> {
     let mut c = vec![0f32; m * n];
-    if n == 0 {
-        return c;
-    }
-    let (tm, tn, tk) = (
-        params.tile_m.max(1),
-        params.tile_n.max(1),
-        params.tile_k.max(1),
-    );
-    // One M-tile (tm whole rows) per pool chunk: tiles only ever share
-    // B, so they are independent, and restricting the serial i0/p0/j0
-    // loop nest to one tile preserves each element's accumulation order.
-    sod2_pool::scope_chunks(&mut c, tm * n, |off, chunk| {
-        let i0 = off / n;
-        let i1 = i0 + chunk.len() / n;
-        // Panel buffer for the current `(p0, j0)` tile of B, packed
-        // contiguously so the i-loop streams it instead of reading
-        // `n`-strided rows; packed once per tile-column, reused across
-        // all `i` of the tile. Values and accumulation order are the
-        // unpacked ones, so results stay bitwise identical.
-        let mut packed = vec![0f32; tk * tn];
-        for p0 in (0..k).step_by(tk) {
-            let p1 = (p0 + tk).min(k);
-            for j0 in (0..n).step_by(tn) {
-                let j1 = (j0 + tn).min(n);
-                let w = j1 - j0;
-                for p in p0..p1 {
-                    packed[(p - p0) * w..(p - p0) * w + w]
-                        .copy_from_slice(&b[p * n + j0..p * n + j1]);
-                }
-                tile_dispatch(a, &packed, chunk, i0, i1, p0, p1, j0, w, k, n, params);
-            }
-        }
-        crate::canonical_nans(chunk);
-    });
+    gemm_into(a, b, &mut c, m, k, n, params);
     c
 }
 
-/// Executes one `(i0..i1) x (p0..p1) x (j0..j0+w)` tile against the packed
-/// B panel, dispatching to the monomorphized variant selected by `params`.
+/// Adds `A[m,k] * B[k,n]` onto the zeroed `c[m*n]`: the body of
+/// [`gemm_tiled`], which batched callers point at their output slices.
 ///
-/// Every variant performs, per output element, the identical sequence of
-/// `acc += a * b` operations in ascending-`p` order onto the live C value,
-/// so all dispatch outcomes are bitwise-equal (DESIGN.md §17).
-#[allow(clippy::too_many_arguments)]
-fn tile_dispatch(
+/// Each pool part owns `tile_m` whole rows of C. Inside a part, register
+/// blocks of `MR` rows by 16, 8, 4 or 1 columns walk the part's rows, the
+/// `tile_k` reduction blocks and the `tile_n` column tiles in the order
+/// `loop_order` names (see [`gemm_part`]).
+fn gemm_into(
     a: &[f32],
-    packed: &[f32],
-    chunk: &mut [f32],
-    i0: usize,
-    i1: usize,
-    p0: usize,
-    p1: usize,
-    j0: usize,
-    w: usize,
+    b: &[f32],
+    c: &mut [f32],
+    m: usize,
     k: usize,
     n: usize,
     params: GemmParams,
 ) {
-    let unroll = params.unroll.max(1);
-    match (params.loop_order, params.micro) {
-        (LoopOrder::Ikj, MicroKernel::Scalar) => {
-            scalar_patch(
-                a, packed, chunk, i0, i0, i1, p0, p1, j0, 0, w, w, k, n, unroll,
-            );
-        }
-        (LoopOrder::Ijk, MicroKernel::Scalar) => {
-            tile_scalar_ijk(a, packed, chunk, i0, i1, p0, p1, j0, w, k, n, unroll);
-        }
-        (LoopOrder::Kij, MicroKernel::Scalar) => {
-            tile_scalar_kij(a, packed, chunk, i0, i1, p0, p1, j0, w, k, n, unroll);
-        }
-        (order, MicroKernel::Mr4Nr1) => {
-            tile_micro::<4, 1>(a, packed, chunk, i0, i1, p0, p1, j0, w, k, n, unroll, order);
-        }
-        (order, MicroKernel::Mr4Nr4) => {
-            tile_micro::<4, 4>(a, packed, chunk, i0, i1, p0, p1, j0, w, k, n, unroll, order);
-        }
-        (order, MicroKernel::Mr8Nr1) => {
-            tile_micro::<8, 1>(a, packed, chunk, i0, i1, p0, p1, j0, w, k, n, unroll, order);
-        }
+    if n == 0 {
+        return;
     }
-}
-
-/// `crow[j] += av * brow[j]` over the whole row, manually unrolled.
-#[inline(always)]
-fn scalar_axpy(crow: &mut [f32], brow: &[f32], av: f32, unroll: usize) {
-    let w = crow.len();
-    let mut j = 0;
-    while j + unroll <= w {
-        for u in 0..unroll {
-            crow[j + u] += av * brow[j + u];
-        }
-        j += unroll;
-    }
-    while j < w {
-        crow[j] += av * brow[j];
-        j += 1;
-    }
-}
-
-/// Scalar `i → p → j` (ikj) update of the `[ilo, ihi) x [jlo, jhi)` patch of
-/// the tile — the reference inner kernel, also used for micro-kernel edge
-/// remainders. `ibase` anchors row indexing into `chunk`; `jlo`/`jhi` are
-/// offsets within the packed panel of width `w`.
-#[allow(clippy::too_many_arguments)]
-fn scalar_patch(
-    a: &[f32],
-    packed: &[f32],
-    chunk: &mut [f32],
-    ibase: usize,
-    ilo: usize,
-    ihi: usize,
-    p0: usize,
-    p1: usize,
-    j0: usize,
-    jlo: usize,
-    jhi: usize,
-    w: usize,
-    k: usize,
-    n: usize,
-    unroll: usize,
-) {
-    for i in ilo..ihi {
-        for p in p0..p1 {
-            let av = a[i * k + p];
-            let brow = &packed[(p - p0) * w + jlo..(p - p0) * w + jhi];
-            let crow = &mut chunk[(i - ibase) * n + j0 + jlo..(i - ibase) * n + j0 + jhi];
-            scalar_axpy(crow, brow, av, unroll);
-        }
-    }
-}
-
-/// Scalar `i → j → p` (ijk, dot-product form): the C element rides in a
-/// register across the whole k-tile; ascending-`p` accumulation preserved.
-#[allow(clippy::too_many_arguments)]
-fn tile_scalar_ijk(
-    a: &[f32],
-    packed: &[f32],
-    chunk: &mut [f32],
-    i0: usize,
-    i1: usize,
-    p0: usize,
-    p1: usize,
-    j0: usize,
-    w: usize,
-    k: usize,
-    n: usize,
-    unroll: usize,
-) {
-    let d = p1 - p0;
-    for i in i0..i1 {
-        let arow = &a[i * k + p0..i * k + p1];
-        let crow = &mut chunk[(i - i0) * n + j0..(i - i0) * n + j0 + w];
-        for (j, cj) in crow.iter_mut().enumerate() {
-            let mut acc = *cj;
-            let mut p = 0;
-            while p + unroll <= d {
-                for u in 0..unroll {
-                    acc += arow[p + u] * packed[(p + u) * w + j];
-                }
-                p += unroll;
+    let (tm, tk, tn) = (
+        params.tile_m.max(1),
+        params.tile_k.max(1),
+        params.tile_n.max(1),
+    );
+    let order = params.loop_order;
+    let run = |c: &mut [f32]| {
+        sod2_pool::scope_chunks(c, tm * n, |off, part| {
+            let rows = &a[off / n * k..];
+            match params.micro.dims().0 {
+                8 => gemm_part::<8>(rows, b, part, k, n, tk, tn, order),
+                4 => gemm_part::<4>(rows, b, part, k, n, tk, tn, order),
+                _ => gemm_part::<1>(rows, b, part, k, n, tk, tn, order),
             }
-            while p < d {
-                acc += arow[p] * packed[p * w + j];
-                p += 1;
-            }
-            *cj = acc;
-        }
+            crate::canonical_nans(part);
+        });
+    };
+    if m.saturating_mul(k).saturating_mul(n) < GEMM_SERIAL_MACS {
+        sod2_pool::with_threads(1, || run(c));
+    } else {
+        run(c);
     }
 }
 
-/// Scalar `p → i → j` (kij): one packed B row stays resident while every
-/// tile row consumes it; per-element accumulation order unchanged because
-/// `p` still ascends outermost.
+/// One pool part: C rows `c` (whole rows of width `n`) from the A rows
+/// starting at `a`. Row blocks of `MR` rows (then the remainder rows one
+/// at a time), ascending `tile_k` reduction blocks and `tile_n` column
+/// tiles nest in the order `order` names. Blocks are disjoint and every
+/// element meets its reduction blocks in ascending order in all three
+/// orders, so the order changes traversal only.
 #[allow(clippy::too_many_arguments)]
-fn tile_scalar_kij(
+fn gemm_part<const MR: usize>(
     a: &[f32],
-    packed: &[f32],
-    chunk: &mut [f32],
-    i0: usize,
-    i1: usize,
-    p0: usize,
-    p1: usize,
-    j0: usize,
-    w: usize,
+    b: &[f32],
+    c: &mut [f32],
     k: usize,
     n: usize,
-    unroll: usize,
-) {
-    for p in p0..p1 {
-        let brow = &packed[(p - p0) * w..(p - p0) * w + w];
-        for i in i0..i1 {
-            let av = a[i * k + p];
-            let crow = &mut chunk[(i - i0) * n + j0..(i - i0) * n + j0 + w];
-            scalar_axpy(crow, brow, av, unroll);
-        }
-    }
-}
-
-/// Register-blocked tile walk: full `MR x NR` blocks go through
-/// [`micro_block`]; remainder rows/columns fall back to the scalar patch
-/// kernel (per-element accumulation order is ascending-`p` in both, so the
-/// split is invisible in the bits). `Kij` walks column-blocks outermost,
-/// the other orders walk row-blocks outermost — block regions are disjoint
-/// so traversal order cannot change any element's value.
-#[allow(clippy::too_many_arguments)]
-fn tile_micro<const MR: usize, const NR: usize>(
-    a: &[f32],
-    packed: &[f32],
-    chunk: &mut [f32],
-    i0: usize,
-    i1: usize,
-    p0: usize,
-    p1: usize,
-    j0: usize,
-    w: usize,
-    k: usize,
-    n: usize,
-    unroll: usize,
+    tk: usize,
+    tn: usize,
     order: LoopOrder,
 ) {
-    let rows = i1 - i0;
-    let bi_end = i0 + (rows / MR) * MR;
-    let bj_end = (w / NR) * NR;
+    let rows = c.len() / n;
+    let full = rows - rows % MR;
+    let row_blocks = (0..full)
+        .step_by(MR)
+        .map(|r| (r, MR))
+        .chain((full..rows).map(|r| (r, 1)));
+    let k_blocks = (0..k).step_by(tk).map(|p0| p0..(p0 + tk).min(k));
+    let col_tiles = (0..n).step_by(tn).map(|j0| j0..(j0 + tn).min(n));
+    let mut tile = |(r, h): (usize, usize), ks: Range<usize>, js: Range<usize>| {
+        if h == MR {
+            strips::<MR>(a, b, c, r, ks, js, k, n);
+        } else {
+            strips::<1>(a, b, c, r, ks, js, k, n);
+        }
+    };
     match order {
+        LoopOrder::Ijk => {
+            for rb in row_blocks {
+                for js in col_tiles.clone() {
+                    for ks in k_blocks.clone() {
+                        tile(rb, ks, js.clone());
+                    }
+                }
+            }
+        }
+        LoopOrder::Ikj => {
+            for rb in row_blocks {
+                for ks in k_blocks.clone() {
+                    for js in col_tiles.clone() {
+                        tile(rb, ks.clone(), js);
+                    }
+                }
+            }
+        }
         LoopOrder::Kij => {
-            let mut jb = 0;
-            while jb < bj_end {
-                let mut ib = i0;
-                while ib < bi_end {
-                    micro_block::<MR, NR>(
-                        a, packed, chunk, i0, ib, p0, p1, j0, jb, w, k, n, unroll,
-                    );
-                    ib += MR;
+            for ks in k_blocks {
+                for rb in row_blocks.clone() {
+                    for js in col_tiles.clone() {
+                        tile(rb, ks.clone(), js);
+                    }
                 }
-                jb += NR;
             }
         }
-        LoopOrder::Ijk | LoopOrder::Ikj => {
-            let mut ib = i0;
-            while ib < bi_end {
-                let mut jb = 0;
-                while jb < bj_end {
-                    micro_block::<MR, NR>(
-                        a, packed, chunk, i0, ib, p0, p1, j0, jb, w, k, n, unroll,
-                    );
-                    jb += NR;
-                }
-                ib += MR;
-            }
-        }
-    }
-    // Remainder columns of the fully-blocked rows, then remainder rows over
-    // the whole tile width — together with the blocks this partitions the
-    // tile exactly once.
-    if bj_end < w {
-        scalar_patch(
-            a, packed, chunk, i0, i0, bi_end, p0, p1, j0, bj_end, w, w, k, n, unroll,
-        );
-    }
-    if bi_end < i1 {
-        scalar_patch(
-            a, packed, chunk, i0, bi_end, i1, p0, p1, j0, 0, w, w, k, n, unroll,
-        );
     }
 }
 
-/// One `MR x NR` register block: load the live C values, fold the whole
-/// k-tile onto them in ascending-`p` order, store back once. Per element
-/// this is the same `acc += a * b` sequence as the scalar kernels, so the
-/// result is bitwise identical.
-#[inline(always)]
+/// Covers the columns `js` of rows `r..r + MR` with register blocks 16,
+/// 8, 4 and then 1 column wide, adding the reduction block `ks` to each.
 #[allow(clippy::too_many_arguments)]
-fn micro_block<const MR: usize, const NR: usize>(
+fn strips<const MR: usize>(
     a: &[f32],
-    packed: &[f32],
-    chunk: &mut [f32],
-    ibase: usize,
-    ib: usize,
-    p0: usize,
-    p1: usize,
-    j0: usize,
-    jb: usize,
-    w: usize,
+    b: &[f32],
+    c: &mut [f32],
+    r: usize,
+    ks: Range<usize>,
+    js: Range<usize>,
     k: usize,
     n: usize,
-    unroll: usize,
 ) {
-    let mut acc = [[0f32; NR]; MR];
-    for (r, row) in acc.iter_mut().enumerate() {
-        let base = (ib + r - ibase) * n + j0 + jb;
-        row.copy_from_slice(&chunk[base..base + NR]);
+    let mut j = js.start;
+    while j + 16 <= js.end {
+        block::<MR, 16>(a, b, c, r, j, ks.clone(), k, n);
+        j += 16;
     }
-    let d = p1 - p0;
-    let mut p = 0;
-    while p < d {
-        // Unrolled over p; `steps` shrinks only at the tail of the k-tile.
-        let steps = unroll.min(d - p);
-        for s in 0..steps {
-            let brow = &packed[(p + s) * w + jb..(p + s) * w + jb + NR];
-            for (r, row) in acc.iter_mut().enumerate() {
-                let av = a[(ib + r) * k + p0 + p + s];
-                for (cc, bb) in row.iter_mut().zip(brow) {
-                    *cc += av * bb;
-                }
+    if j + 8 <= js.end {
+        block::<MR, 8>(a, b, c, r, j, ks.clone(), k, n);
+        j += 8;
+    }
+    if j + 4 <= js.end {
+        block::<MR, 4>(a, b, c, r, j, ks.clone(), k, n);
+        j += 4;
+    }
+    for j in j..js.end {
+        block::<MR, 1>(a, b, c, r, j, ks.clone(), k, n);
+    }
+}
+
+/// One `MR x W` register block of C at rows `r..r + MR`, columns
+/// `j..j + W`: loads it, adds `a[i,p] * b[p,j]` for every `p` of `ks` in
+/// ascending order (B rows read in place), and stores it back. Per element
+/// that is [`gemm_naive`]'s multiply-then-add sequence; the fixed-width
+/// inner loop is what the compiler vectorizes.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn block<const MR: usize, const W: usize>(
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    r: usize,
+    j: usize,
+    ks: Range<usize>,
+    k: usize,
+    n: usize,
+) {
+    let mut acc = [[0f32; W]; MR];
+    for (i, row) in acc.iter_mut().enumerate() {
+        row.copy_from_slice(&c[(r + i) * n + j..][..W]);
+    }
+    let arows: [&[f32]; MR] = std::array::from_fn(|i| &a[(r + i) * k..][ks.clone()]);
+    for (q, p) in ks.enumerate() {
+        let brow = &b[p * n + j..][..W];
+        for (row, arow) in acc.iter_mut().zip(&arows) {
+            let av = arow[q];
+            for (cv, &bv) in row.iter_mut().zip(brow) {
+                *cv += av * bv;
             }
         }
-        p += steps;
     }
-    for (r, row) in acc.iter().enumerate() {
-        let base = (ib + r - ibase) * n + j0 + jb;
-        chunk[base..base + NR].copy_from_slice(row);
+    for (i, row) in acc.iter().enumerate() {
+        c[(r + i) * n + j..][..W].copy_from_slice(row);
     }
 }
 
@@ -533,7 +406,7 @@ pub fn matmul_with_params(
         off
     };
 
-    let mut out = Vec::with_capacity(batch_count * m * n);
+    let mut out = vec![0f32; batch_count * m * n];
     let mut coords = vec![0usize; batch.len()];
     for bi in 0..batch_count {
         // Decode bi into coords.
@@ -544,8 +417,15 @@ pub fn matmul_with_params(
         }
         let ao = idx_of(&coords, batch_a) * m * ka;
         let bo = idx_of(&coords, batch_b) * kb * n;
-        let c = gemm_tiled(&av[ao..ao + m * ka], &bv[bo..bo + kb * n], m, ka, n, params);
-        out.extend(c);
+        gemm_into(
+            &av[ao..ao + m * ka],
+            &bv[bo..bo + kb * n],
+            &mut out[bi * m * n..(bi + 1) * m * n],
+            m,
+            ka,
+            n,
+            params,
+        );
     }
     let mut out_shape = batch;
     out_shape.push(m);
@@ -579,14 +459,12 @@ pub fn gemm_with_params(
     if a.rank() != 2 || b.rank() != 2 {
         return Err(shape_err("Gemm", "inputs must be rank 2"));
     }
-    let at = maybe_transpose(av, a.shape(), trans_a);
-    let bt = maybe_transpose(bv, b.shape(), trans_b);
-    let (m, ka) = (at.1, at.2);
-    let (kb, n) = (bt.1, bt.2);
+    let (at, m, ka) = maybe_transpose(av, a.shape(), trans_a);
+    let (bt, kb, n) = maybe_transpose(bv, b.shape(), trans_b);
     if ka != kb {
         return Err(shape_err("Gemm", format!("inner dims {ka} vs {kb}")));
     }
-    let mut out = gemm_tiled(&at.0, &bt.0, m, ka, n, params);
+    let mut out = gemm_tiled(&at, &bt, m, ka, n, params);
     if let Some(bias) = c {
         let bvv = bias
             .as_f32()
@@ -616,11 +494,16 @@ pub fn gemm_with_params(
     Ok(Tensor::from_f32(&[m, n], out))
 }
 
-/// Returns `(data, rows, cols)`, materializing a transpose when requested.
-fn maybe_transpose(v: &[f32], shape: &[usize], trans: bool) -> (Vec<f32>, usize, usize) {
+/// Returns `(data, rows, cols)`, materializing a transpose only when
+/// requested and borrowing `v` otherwise.
+fn maybe_transpose<'a>(
+    v: &'a [f32],
+    shape: &[usize],
+    trans: bool,
+) -> (Cow<'a, [f32]>, usize, usize) {
     let (r, c) = (shape[0], shape[1]);
     if !trans {
-        (v.to_vec(), r, c)
+        (Cow::Borrowed(v), r, c)
     } else {
         let mut out = vec![0f32; r * c];
         for i in 0..r {
@@ -628,7 +511,7 @@ fn maybe_transpose(v: &[f32], shape: &[usize], trans: bool) -> (Vec<f32>, usize,
                 out[j * r + i] = v[i * c + j];
             }
         }
-        (out, c, r)
+        (Cow::Owned(out), c, r)
     }
 }
 

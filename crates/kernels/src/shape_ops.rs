@@ -2,7 +2,7 @@
 //! gather, expand, tile, and the shape-producing ISDO operators.
 
 use crate::error::{dtype_err, shape_err, KernelError};
-use sod2_ir::normalize_axis;
+use sod2_ir::{is_permutation, normalize_axis};
 use sod2_tensor::{broadcast_output_shape, BroadcastIndexer, Data, Indexer, Tensor};
 
 /// `Shape(x)` — returns the input's shape as an `i64` tensor.
@@ -99,35 +99,68 @@ pub fn reshape(x: &Tensor, target: &Tensor) -> Result<Tensor, KernelError> {
     Ok(x.reshape(&dims))
 }
 
-/// `Transpose(x, perm)`.
+/// `Transpose(x, perm)`: output axis `i` is input axis `perm[i]`.
+///
+/// Walks the output in order with an odometer over its axes, stepping the
+/// input offset by each axis's input stride.
 pub fn transpose(x: &Tensor, perm: &[usize]) -> Result<Tensor, KernelError> {
     let dims = x.shape();
-    if perm.len() != dims.len() {
-        return Err(shape_err("Transpose", "perm rank mismatch"));
+    if perm.len() != dims.len() || !is_permutation(perm) {
+        return Err(shape_err(
+            "Transpose",
+            format!(
+                "perm {perm:?} is not a permutation of the {} axes",
+                dims.len()
+            ),
+        ));
     }
     let out_shape: Vec<usize> = perm.iter().map(|&p| dims[p]).collect();
-    let in_ix = Indexer::new(dims);
-    let out_ix = Indexer::new(&out_shape);
-    let n = x.numel();
-    macro_rules! permute {
-        ($v:expr, $ctor:path) => {{
-            let mut out = $v.clone();
-            let mut coords_in = vec![0usize; dims.len()];
-            for o in 0..n {
-                let oc = out_ix.coords(o);
-                for (i, &p) in perm.iter().enumerate() {
-                    coords_in[p] = oc[i];
-                }
-                out[o] = $v[in_ix.offset(&coords_in)].clone();
-            }
-            Tensor::new(&out_shape, $ctor(out)).map_err(|e| shape_err("Transpose", e.to_string()))
-        }};
+    let strides: Vec<usize> = perm
+        .iter()
+        .map(|&p| dims[p + 1..].iter().product())
+        .collect();
+    let data = match x.data() {
+        Data::F32(v) => Data::F32(permute(v, &out_shape, &strides)),
+        Data::I64(v) => Data::I64(permute(v, &out_shape, &strides)),
+        Data::Bool(v) => Data::Bool(permute(v, &out_shape, &strides)),
+        Data::U8(v) => Data::U8(permute(v, &out_shape, &strides)),
+    };
+    Tensor::new(&out_shape, data).map_err(|e| shape_err("Transpose", e.to_string()))
+}
+
+/// Gathers `v` into the row-major order of `shape`, where a step along
+/// output axis `i` moves `strides[i]` elements in `v`.
+fn permute<T: Copy>(v: &[T], shape: &[usize], strides: &[usize]) -> Vec<T> {
+    let numel: usize = shape.iter().product();
+    let mut out = Vec::with_capacity(numel);
+    let Some((&inner, outer)) = shape.split_last() else {
+        // Rank 0: the one element.
+        out.extend_from_slice(v);
+        return out;
+    };
+    if numel == 0 {
+        return out;
     }
-    match x.data() {
-        Data::F32(v) => permute!(v, Data::F32),
-        Data::I64(v) => permute!(v, Data::I64),
-        Data::Bool(v) => permute!(v, Data::Bool),
-        Data::U8(v) => permute!(v, Data::U8),
+    let step = strides[outer.len()];
+    let mut idx = vec![0usize; outer.len()];
+    let mut base = 0;
+    loop {
+        out.extend((0..inner).map(|t| v[base + t * step]));
+        // Advance the odometer over the outer axes, innermost first.
+        let mut ax = outer.len();
+        loop {
+            if ax == 0 {
+                return out;
+            }
+            ax -= 1;
+            idx[ax] += 1;
+            base += strides[ax];
+            if idx[ax] < outer[ax] {
+                break;
+            }
+            base -= strides[ax] * outer[ax];
+            idx[ax] = 0;
+        }
     }
 }
 

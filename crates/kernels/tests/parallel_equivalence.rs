@@ -46,12 +46,15 @@ fn assert_thread_invariant(f: impl Fn() -> Vec<f32>) -> Vec<f32> {
 
 proptest! {
     /// GEMM: tiled and naive agree with each other and across thread
-    /// counts on random (small) shapes with special values mixed in.
+    /// counts on random shapes with special values mixed in: small ones,
+    /// which run serially, and ones of at least 2^16 multiply-adds, which
+    /// the tiled kernel splits across the pool.
     #[test]
     fn gemm_bitwise_stable(
-        m in 1usize..20,
-        k in 0usize..20,
-        n in 1usize..20,
+        (m, k, n) in prop_oneof![
+            (1usize..20, 0usize..20, 1usize..20),
+            (64usize..96, 32usize..48, 32usize..48),
+        ],
         seed in any::<u64>(),
     ) {
         let a = fill(seed, m * k);

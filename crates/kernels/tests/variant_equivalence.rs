@@ -45,13 +45,16 @@ proptest! {
     /// Every (loop order × micro-kernel) combination matches `gemm_naive`
     /// bitwise on random shapes — including dims smaller than the tiles
     /// and the register blocks, where remainder handling does all the
-    /// work — at 1 and 4 pool threads.
+    /// work — at 1 and 4 pool threads. Widths up to 40 under column tiles
+    /// up to 64 produce register blocks 16, 8, 4 and 1 columns wide and
+    /// their remainders; the picks include the three tiles the tuner
+    /// selects (`4x4x128`, `16x2x16`, `8x64x2`).
     #[test]
     fn all_gemm_variants_match_naive_bitwise(
         m in 1usize..24,
         k in 0usize..24,
-        n in 1usize..24,
-        tile_pick in 0usize..4,
+        n in 1usize..41,
+        tile_pick in 0usize..7,
         unroll_pick in 0usize..4,
         seed in any::<u64>(),
     ) {
@@ -59,7 +62,15 @@ proptest! {
         let b = fill(seed ^ 0xABCD, k * n);
         let naive = gemm_naive(&a, &b, m, k, n);
         // Tiles deliberately straddle the problem size in both directions.
-        let (tile_m, tile_n, tile_k) = [(2, 2, 2), (4, 8, 4), (16, 4, 8), (32, 32, 32)][tile_pick];
+        let (tile_m, tile_n, tile_k) = [
+            (2, 2, 2),
+            (4, 8, 4),
+            (16, 4, 8),
+            (32, 32, 32),
+            (4, 4, 128),
+            (16, 2, 16),
+            (8, 64, 2),
+        ][tile_pick];
         let unroll = [1usize, 2, 4, 8][unroll_pick];
         for order in LoopOrder::ALL {
             for micro in MicroKernel::ALL {

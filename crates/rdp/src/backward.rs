@@ -9,7 +9,7 @@
 //! `Add` "might be 1 or identical to the corresponding output dimension"
 //! and is left alone unless the other operand disambiguates it.
 
-use sod2_ir::{normalize_axis, Node, Op};
+use sod2_ir::{is_permutation, normalize_axis, Node, Op};
 use sod2_sym::{DimExpr, DimValue, ShapeValue};
 
 /// Computes shape proposals for the inputs of `node` from its outputs.
@@ -127,7 +127,7 @@ pub fn backward(
         }
         Op::Transpose { perm } => {
             if let Some(od) = out.dims() {
-                if od.len() == perm.len() {
+                if od.len() == perm.len() && is_permutation(perm) {
                     let mut inv = vec![DimValue::Undef; od.len()];
                     for (i, &p) in perm.iter().enumerate() {
                         inv[p] = od[i].clone();
@@ -278,6 +278,16 @@ mod tests {
                 DimValue::sym("b")
             ]))
         );
+    }
+
+    #[test]
+    fn transpose_backward_skips_invalid_perm() {
+        for perm in [vec![0, 1, 5], vec![0, 0, 1]] {
+            let n = node_of(Op::Transpose { perm }, 1);
+            let out = ShapeValue::known(&[2, 3, 4]);
+            let props = backward(&n, &[ShapeValue::Undef], &[out]);
+            assert_eq!(props[0], None);
+        }
     }
 
     #[test]

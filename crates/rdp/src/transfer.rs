@@ -7,7 +7,7 @@
 //! proposals with a fill-only-undef policy (paper Alg. 1 line 20-21: a
 //! transfer returns early when the outputs are already resolved).
 
-use sod2_ir::{normalize_axis, BinaryOp, DType, Node, Op, Spatial2d};
+use sod2_ir::{is_permutation, normalize_axis, BinaryOp, DType, Node, Op, Spatial2d};
 use sod2_sym::{broadcast_shapes, DimExpr, DimValue, ShapeValue, SymValue};
 
 /// Proposed analysis state for a node's outputs.
@@ -159,7 +159,7 @@ pub fn forward(
         }
         Op::Transpose { perm } => {
             let shape = match in_shapes[0].dims() {
-                Some(d) if d.len() == perm.len() => {
+                Some(d) if d.len() == perm.len() && is_permutation(perm) => {
                     ShapeValue::Ranked(perm.iter().map(|&p| d[p].clone()).collect())
                 }
                 Some(_) => ShapeValue::Nac,
@@ -1093,6 +1093,21 @@ mod tests {
             p.values[0],
             SymValue::Elems(vec![DimValue::sym("a"), DimValue::sym("b")])
         );
+    }
+
+    #[test]
+    fn transpose_with_invalid_perm_is_nac() {
+        for (perm, rank) in [(vec![0, 1, 5], 3), (vec![0, 0], 2)] {
+            let n = node_of(Op::Transpose { perm }, 1);
+            let names = ["a", "b", "c"];
+            let p = forward(
+                &n,
+                &[sym_shape(&names[..rank])],
+                &[SymValue::Nac],
+                &[DType::F32],
+            );
+            assert_eq!(p.shapes[0], ShapeValue::Nac);
+        }
     }
 
     #[test]

@@ -161,10 +161,16 @@ stage_zoo() {
         count=$((count + 1))
     done
     echo "analyzed + ran $count models (serial + wavefront)"
-    # Profile one model end-to-end: the Chrome trace must be written and the
-    # kernel spans must cover the inference wall time (checked in tests;
-    # here we just require the command to succeed).
+    # Profile end-to-end: the Chrome trace must be written, and `profile`
+    # exits non-zero unless its kernel coverage (outermost kernel spans
+    # inside inference on the calling thread, over infer wall) lies in
+    # [0, 1]. BranchyDemo and StableDiffusion-Enc are the models whose
+    # coverage read above 100% when compile-time and pool-worker kernel
+    # spans were booked as inference.
     $CLI profile CodeBERT --iters 3 --chrome-trace "$CI_OUT/profile_codebert_trace.json" > /dev/null
+    for m in BranchyDemo StableDiffusion-Enc; do
+        $CLI profile "$m" --iters 3 > /dev/null
+    done
     # Persistent MVC compilation cache, cold-then-warm: the first tune must
     # miss and run the GA, the second must hit the on-disk version table
     # with zero GA generations, and model outputs (fully priced/deterministic

@@ -356,10 +356,7 @@ mod tests {
         // chain evaluates whole at its head position), exactly as the
         // engine's unit-granularity planner guarantees.
         let ug = sod2_plan::UnitGraph::build(&g, &fusion);
-        let order: Vec<NodeId> = sod2_plan::naive_unit_order(&ug)
-            .iter()
-            .flat_map(|&u| ug.units[u].nodes.iter().copied())
-            .collect();
+        let order = ug.node_order(&sod2_plan::naive_unit_order(&ug));
         let tape = compile_tape(&g, &order, Some(&fusion), None, None, None).expect("compile");
         let diags = verify_tape(&g, &order, Some(&fusion), &tape);
         assert!(diags.is_empty(), "{diags:?}");

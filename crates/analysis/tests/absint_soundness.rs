@@ -26,7 +26,7 @@ use sod2_pool::with_threads;
 use sod2_prng::rngs::StdRng;
 use sod2_prng::{Rng, SeedableRng};
 use sod2_rdp::analyze;
-use sod2_runtime::{compile_tape, execute, execute_tape, ExecConfig, RunOutcome};
+use sod2_runtime::{compile_tape, execute, execute_tape, ExecConfig, ReferenceRun, RunOutcome};
 use sod2_sym::{Bindings, DimExpr, ShapeValue};
 use sod2_tensor::Tensor;
 use std::collections::HashMap;
@@ -100,7 +100,7 @@ fn bind_inputs(graph: &Graph, inputs: &[Tensor]) -> Bindings {
 fn check_elem_bounds(
     graph: &Graph,
     certs: &Certificates,
-    outcome: &RunOutcome,
+    outcome: &ReferenceRun,
     bindings: &Bindings,
     ctx: &str,
 ) -> usize {
@@ -275,7 +275,7 @@ fn build_random_graph(rng: &mut StdRng) -> (Graph, Vec<Tensor>) {
 /// Runs the graph on the tape with per-tensor private arena slots sized
 /// from a reference heap run, so the arena path cannot legitimately
 /// diverge from the heap path.
-fn run_on_arena(g: &Graph, inputs: &[Tensor], heap: &RunOutcome) -> RunOutcome {
+fn run_on_arena(g: &Graph, inputs: &[Tensor], heap: &ReferenceRun) -> RunOutcome {
     let keys: Vec<(usize, usize)> = heap
         .concrete_shapes
         .iter()

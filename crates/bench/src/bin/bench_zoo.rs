@@ -24,11 +24,9 @@
 use sod2_device::DeviceProfile;
 use sod2_frameworks::{Engine, Sod2Engine, Sod2Options};
 use sod2_models::{all_models, ModelScale};
-use sod2_obs::Profile;
 use sod2_prng::rngs::StdRng;
 use sod2_prng::SeedableRng;
 use sod2_runtime::{execute, ExecConfig};
-use std::collections::BTreeMap;
 use std::time::Instant;
 
 struct ZooEntry {
@@ -130,8 +128,8 @@ fn measure(model: &sod2_models::DynModel, iters: usize, absint: bool) -> ZooEntr
     };
 
     // The capture window opens before compilation so compile-time
-    // counters (`absint.pruned_arms`) are recorded; compile-time kernel
-    // spans are kept out of the wallclock split by `infer_kernel_dmp_ns`.
+    // counters (`absint.pruned_arms`) are recorded; `infer_kernel_dmp_ns`
+    // books only kernel spans inside inference on the calling thread.
     // `nan_guard` is on so the per-node fence (and its certificate-driven
     // elision) is on the measured path.
     let _session = sod2_obs::session_guard();
@@ -153,19 +151,21 @@ fn measure(model: &sod2_models::DynModel, iters: usize, absint: bool) -> ZooEntr
     let mut stats = engine.infer(&inputs).expect("warmup infer");
     assert_bitwise(&stats.outputs);
     let mut wall_best = f64::INFINITY;
+    let mut trace = None;
     for _ in 0..iters {
         let t0 = Instant::now();
-        stats = engine.infer(&inputs).expect("infer");
+        let (run, priced) = engine.infer_traced(&inputs).expect("infer");
         wall_best = wall_best.min(t0.elapsed().as_secs_f64());
+        (stats, trace) = (run, Some(priced));
     }
-    let wave = engine
-        .last_wave_stats()
-        .expect("wavefront stats after wavefront-mode inference");
     let prof = sod2_obs::take();
     sod2_obs::set_enabled(false);
+    let wave = trace
+        .and_then(|t| engine.wave_stats(&t))
+        .expect("wavefront stats after wavefront-mode inference");
 
     let infer_ns = prof.cat_total_ns("infer");
-    let (kernel_ns, dmp_ns) = infer_kernel_dmp_ns(&prof);
+    let (kernel_ns, dmp_ns) = prof.infer_kernel_dmp_ns();
     let kernel_coverage = if infer_ns > 0 {
         kernel_ns as f64 / infer_ns as f64
     } else {
@@ -215,33 +215,6 @@ fn measure(model: &sod2_models::DynModel, iters: usize, absint: bool) -> ZooEntr
         dmp_ms: dmp_ns as f64 / 1e6 / runs as f64,
         dispatch_ns_per_node,
     }
-}
-
-/// Wall time booked to inference on the thread that called `infer`:
-/// outermost `kernel` spans nested in an `infer` span, and the
-/// `dmp_pre_plan` / `dmp_post_plan` phase spans. Kernel spans at compile
-/// time (constant folding, arm-prune verification) and on pool workers
-/// (wave units evaluated in parallel) are excluded, so neither sum exceeds
-/// the infer wall it is compared with.
-fn infer_kernel_dmp_ns(prof: &Profile) -> (u64, u64) {
-    let mut stacks: BTreeMap<u64, Vec<&str>> = BTreeMap::new();
-    let (mut kernel, mut dmp) = (0, 0);
-    // Spans are start-sorted, outermost first on ties, so a per-thread
-    // stack truncated to each span's depth holds exactly its ancestors.
-    for s in &prof.spans {
-        let stack = stacks.entry(s.tid).or_default();
-        stack.truncate(s.depth as usize);
-        if stack.contains(&"infer") {
-            if s.cat == "kernel" && !stack.contains(&"kernel") {
-                kernel += s.dur_ns;
-            }
-            if s.cat == "phase" && matches!(s.name.as_str(), "dmp_pre_plan" | "dmp_post_plan") {
-                dmp += s.dur_ns;
-            }
-        }
-        stack.push(s.cat);
-    }
-    (kernel, dmp)
 }
 
 /// Best-of-5 cost of a *disarmed* `sod2-faults` probe over 100k calls.

@@ -4,7 +4,8 @@
 use sod2_bench::BenchConfig;
 use sod2_fusion::{fuse, FusionPolicy};
 use sod2_models::{blockdrop, codebert, ranet, stable_diffusion_encoder};
-use sod2_runtime::{execute, ExecConfig};
+use sod2_plan::{naive_unit_order, UnitGraph};
+use sod2_runtime::{compile_tape, execute_tape, ExecConfig};
 
 fn main() {
     let cfg = BenchConfig::from_args(1);
@@ -28,11 +29,19 @@ fn main() {
         for policy in [FusionPolicy::None, FusionPolicy::Static, FusionPolicy::Rdp] {
             let plan = fuse(&model.graph, &rdp, policy);
             layer_counts.push(plan.layer_count() as f64);
-            let exec_cfg = ExecConfig {
-                fusion: Some(&plan),
-                ..Default::default()
-            };
-            let outcome = execute(&model.graph, &inputs, &exec_cfg).expect("runs");
+            let units = UnitGraph::build(&model.graph, &plan);
+            let order = units.node_order(&naive_unit_order(&units));
+            let tape =
+                compile_tape(&model.graph, &order, Some(&plan), None, None, None).expect("lowers");
+            let outcome = execute_tape(
+                &model.graph,
+                &inputs,
+                &tape,
+                &ExecConfig::default(),
+                None,
+                false,
+            )
+            .expect("runs");
             // Intermediate-result size: total materialized bytes this run.
             ir_bytes.push(outcome.alloc_sizes.iter().sum::<usize>() as f64);
         }

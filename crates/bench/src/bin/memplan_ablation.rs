@@ -22,7 +22,6 @@ fn main() {
         &model.graph,
         &inputs,
         &ExecConfig {
-            fusion: Some(&fusion),
             execute_all_branches: true,
             ..Default::default()
         },

@@ -14,8 +14,11 @@
 //! `profile` compiles the model with the `sod2-obs` probes enabled, runs
 //! `--iters` inferences, and reports where wall-clock time went: compile
 //! stages, per-operator kernel spans, pool and memory phases, counters.
-//! `--chrome-trace` writes a Chrome `trace_event` file loadable in
-//! `chrome://tracing` or <https://ui.perfetto.dev>. `--serve` additionally
+//! Kernel coverage books the outermost kernel spans inside inference on
+//! the calling thread against the infer wall, as `bench_zoo` does, and
+//! exits non-zero when it falls outside [0, 1]. `--chrome-trace` writes a
+//! Chrome `trace_event` file loadable in `chrome://tracing` or
+//! <https://ui.perfetto.dev>. `--serve` additionally
 //! runs a short supervised serving session (replicas, circuit breakers,
 //! predictive admission) inside the capture window so the serve health
 //! gauges — `serve.replicas_healthy`, `serve.queue_depth`, and per-tenant
@@ -510,10 +513,10 @@ fn profile_cmd(args: &[String]) {
         },
         &Default::default(),
     );
-    let mut last_stats = None;
+    let mut last_run = None;
     for _ in 0..iters {
-        match engine.infer(&inputs) {
-            Ok(stats) => last_stats = Some(stats),
+        match engine.infer_traced(&inputs) {
+            Ok(run) => last_run = Some(run),
             Err(e) => {
                 eprintln!("inference failed: {e}");
                 std::process::exit(1);
@@ -528,14 +531,20 @@ fn profile_cmd(args: &[String]) {
     sod2_obs::set_enabled(false);
     let serve_ok = live_server.as_ref().map(|(_, ok)| *ok);
 
-    let stats = last_stats.expect("at least one iteration ran");
+    let (stats, trace) = last_run.expect("at least one iteration ran");
+    // Kernel time is booked as `bench_zoo` books it: the outermost kernel
+    // spans inside inference, on the calling thread.
     let infer_ns = prof.cat_total_ns("infer");
-    let kernel_ns = prof.cat_total_ns("kernel");
+    let (kernel_ns, _) = prof.infer_kernel_dmp_ns();
     let coverage = if infer_ns > 0 {
         kernel_ns as f64 / infer_ns as f64
     } else {
         0.0
     };
+    if !(0.0..=1.0).contains(&coverage) {
+        eprintln!("kernel coverage {coverage} outside [0, 1]");
+        std::process::exit(1);
+    }
     // Pool occupancy: busy-worker time over (inference wall × workers) —
     // how much of the pool's theoretical capacity the run actually used.
     let workers = sod2_pool::current_threads().max(1);
@@ -545,7 +554,7 @@ fn profile_cmd(args: &[String]) {
     } else {
         0.0
     };
-    let wave = engine.last_wave_stats();
+    let wave = engine.wave_stats(&trace);
     let tape = engine.tape_stats();
     let counter = |name: &str| prof.counters.get(name).copied().unwrap_or(0);
     let (elisions, pruned, nac_used) = (

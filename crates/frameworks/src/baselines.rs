@@ -22,12 +22,14 @@
 
 use crate::common::{shape_key, Engine, InferenceStats};
 use sod2_device::{price_reinit, DeviceProfile, OpCost};
-use sod2_fusion::{fuse, FusionPlan, FusionPolicy};
+use sod2_fusion::{fuse, FusionPolicy};
 use sod2_ir::{Graph, TensorId};
 use sod2_mem::{peak_live_bytes, plan_best_fit, rematerialize, size_class_peak, TensorLife};
 use sod2_plan::{naive_unit_order, unit_lifetimes, UnitGraph};
 use sod2_rdp::{analyze, RdpResult, ShapeClass};
-use sod2_runtime::{execute, ExecConfig, ExecError, RunOutcome, TraceEvent};
+use sod2_runtime::{
+    compile_tape, execute_tape, ExecConfig, ExecError, RunOutcome, TapeProgram, TraceEvent,
+};
 use sod2_tensor::Tensor;
 use std::collections::HashSet;
 
@@ -36,9 +38,11 @@ struct Compiled {
     graph: Graph,
     profile: DeviceProfile,
     rdp: RdpResult,
-    fusion_plan: FusionPlan,
     unit_graph: UnitGraph,
     unit_order: Vec<usize>,
+    /// The plan lowered to a tape, or why lowering failed (every
+    /// inference then fails with [`ExecError::Internal`]).
+    tape: Result<TapeProgram, String>,
 }
 
 impl Compiled {
@@ -49,35 +53,33 @@ impl Compiled {
         let fusion_plan = fuse(&graph, &rdp, fusion);
         let unit_graph = UnitGraph::build(&graph, &fusion_plan);
         let unit_order = naive_unit_order(&unit_graph);
+        // The strategy's fusion plan with its chains, in naive unit order;
+        // no certificates, waves or baked variants.
+        let node_order = unit_graph.node_order(&unit_order);
+        let tape = compile_tape(&graph, &node_order, Some(&fusion_plan), None, None, None)
+            .map_err(|e| e.to_string());
         Compiled {
             graph,
             profile,
             rdp,
-            fusion_plan,
             unit_graph,
             unit_order,
+            tape,
         }
     }
 
     fn run(&self, inputs: &[Tensor]) -> Result<RunOutcome, ExecError> {
-        let node_order: Vec<_> = self
-            .unit_order
-            .iter()
-            .flat_map(|&u| self.unit_graph.units[u].nodes.iter().copied())
-            .collect();
+        let tape = self
+            .tape
+            .as_ref()
+            .map_err(|e| ExecError::Internal(format!("tape lowering failed: {e}")))?;
+        // Stock, untuned kernels (no version table); baselines execute all
+        // branches and strip invalid results.
         let cfg = ExecConfig {
-            fusion: Some(&self.fusion_plan),
-            node_order: Some(&node_order),
-            // Stock, untuned kernels: no version table.
-            version_table: None,
-            // Baselines execute all branches and strip invalid results.
             execute_all_branches: true,
-            fused_interpreter: true,
-            nan_guard: false,
-            memory_budget: None,
-            finite_outputs: None,
+            ..ExecConfig::default()
         };
-        execute(&self.graph, inputs, &cfg)
+        execute_tape(&self.graph, inputs, tape, &cfg, None, false)
     }
 
     fn observed_lifetimes(&self, outcome: &RunOutcome) -> Vec<TensorLife> {

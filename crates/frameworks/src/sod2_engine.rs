@@ -17,8 +17,8 @@ use sod2_plan::{
 };
 use sod2_rdp::{analyze, RdpResult};
 use sod2_runtime::{
-    compile_tape, execute, execute_tape, BakedVariant, ExecConfig, ExecError, ExecutionTrace,
-    RunOutcome, TapeProgram, TapeStats, TraceEvent, WaveExecPlan,
+    compile_tape, execute_tape, BakedVariant, ExecConfig, ExecError, ExecutionTrace, RunOutcome,
+    TapeProgram, TapeStats, TraceEvent, WaveExecPlan,
 };
 use sod2_sym::Bindings;
 use sod2_tensor::Tensor;
@@ -115,10 +115,11 @@ impl Sod2Options {
     }
 }
 
-/// Deterministic wavefront statistics for the last inference, derived from
-/// the static schedule and the priced kernel trace (no wallclock): the
+/// Deterministic wavefront statistics of one inference, derived from the
+/// static schedule and its priced kernel trace (no wallclock): the
 /// makespan is what greedy list scheduling of the priced unit costs onto
-/// [`WAVE_WORKERS`] workers achieves, wave by wave.
+/// [`WAVE_WORKERS`] workers achieves, wave by wave. Priced on demand by
+/// [`Sod2Engine::wave_stats`], off the request path.
 #[derive(Debug, Clone, Copy)]
 pub struct WaveStats {
     /// Number of wavefronts in the schedule.
@@ -184,8 +185,6 @@ pub struct Sod2Engine {
     arena: Option<Arena>,
     /// The static wavefront schedule (unit granularity), when enabled.
     wave_schedule: Option<WavefrontSchedule>,
-    /// Wavefront statistics of the most recent inference.
-    last_wave: Option<WaveStats>,
     /// The plan compiled to a flat instruction tape, or why lowering
     /// failed (every inference then fails with [`ExecError::Internal`]).
     tape: Result<Arc<TapeProgram>, String>,
@@ -350,10 +349,7 @@ impl Sod2Engine {
                 })
                 .collect(),
         });
-        let node_order: Vec<NodeId> = unit_order
-            .iter()
-            .flat_map(|&u| unit_graph.units[u].nodes.iter().copied())
-            .collect();
+        let node_order = unit_graph.node_order(&unit_order);
         drop(sep_span);
         let table = if opts.mvc {
             let _s = sod2_obs::span!("stage", "mvc_tune");
@@ -477,7 +473,6 @@ impl Sod2Engine {
             table,
             arena: None,
             wave_schedule,
-            last_wave: None,
             tape,
             pre_plan_cache: Vec::new(),
         }
@@ -510,7 +505,6 @@ impl Sod2Engine {
             table: self.table.clone(),
             arena: None,
             wave_schedule: self.wave_schedule.clone(),
-            last_wave: None,
             tape: self.tape.clone(),
             pre_plan_cache: self.pre_plan_cache.clone(),
         }
@@ -538,10 +532,51 @@ impl Sod2Engine {
         self.wave_schedule.as_ref()
     }
 
-    /// Wavefront statistics of the most recent inference (`None` before
-    /// the first inference or with wavefront execution off).
-    pub fn last_wave_stats(&self) -> Option<WaveStats> {
-        self.last_wave
+    /// Wavefront statistics of one inference from its priced trace (as
+    /// returned by [`Sod2Engine::infer_traced`]); `None` with wavefront
+    /// execution off. Prices each kernel event, attributes it to its
+    /// unit, list-schedules every wave onto [`WAVE_WORKERS`] workers and
+    /// walks the unit DAG for the critical path. Purely trace-derived — no
+    /// wallclock — so the makespan is reproducible across runs and
+    /// machines.
+    pub fn wave_stats(&self, trace: &ExecutionTrace) -> Option<WaveStats> {
+        let ws = self.wave_schedule.as_ref()?;
+        let unit_secs = self.priced_unit_seconds(trace);
+        let serial_s: f64 = unit_secs.values().sum();
+        let makespan_s: f64 = ws
+            .waves
+            .iter()
+            .map(|wave| {
+                let secs: Vec<f64> = wave
+                    .iter()
+                    .map(|&u| unit_secs.get(&u).copied().unwrap_or(0.0))
+                    .collect();
+                sod2_pool::scheduled_makespan(&secs, WAVE_WORKERS)
+            })
+            .sum();
+        // Critical path over the unit DAG: `self.unit_order` is a
+        // topological order, so one forward pass suffices.
+        let mut cp: HashMap<usize, f64> = HashMap::new();
+        let mut critical_s = 0.0f64;
+        for &u in &self.unit_order {
+            let own = unit_secs.get(&u).copied().unwrap_or(0.0);
+            let from = self.unit_graph.preds[u]
+                .iter()
+                .map(|p| cp.get(p).copied().unwrap_or(0.0))
+                .fold(0.0f64, f64::max);
+            cp.insert(u, from + own);
+            critical_s = critical_s.max(from + own);
+        }
+        Some(WaveStats {
+            wave_count: ws.waves.len(),
+            max_width: ws.max_width,
+            splits: ws.splits,
+            serial_s,
+            makespan_s,
+            critical_s,
+            serial_peak: ws.serial_peak,
+            parallel_peak: ws.parallel_peak,
+        })
     }
 
     /// Prices each kernel event individually and attributes the seconds to
@@ -781,12 +816,13 @@ impl Sod2Engine {
         Some(Arc::new(ArenaLayout::new(&lives, &plan, &bounded)))
     }
 
-    /// Runs inference and returns the memory plan alongside the stats
-    /// (used by the memory-planner ablation experiment).
-    pub fn infer_with_plan(
+    /// Runs inference and returns the priced trace alongside the stats:
+    /// the tape's kernel events plus the engine's allocation and planning
+    /// events, the input of [`Sod2Engine::wave_stats`].
+    pub fn infer_traced(
         &mut self,
         inputs: &[Tensor],
-    ) -> Result<(InferenceStats, MemoryPlan), ExecError> {
+    ) -> Result<(InferenceStats, ExecutionTrace), ExecError> {
         let _infer_span = sod2_obs::span!("infer", "Sod2Engine::infer");
         sod2_obs::counter_add("infer.count", 1);
         // A plan that failed to lower cannot run: there is no second
@@ -888,7 +924,6 @@ impl Sod2Engine {
             execute_all_branches: !self.opts.native_control_flow,
             nan_guard: self.opts.nan_guard,
             memory_budget: self.opts.memory_budget,
-            ..ExecConfig::default()
         };
         let deadline = self.opts.deadline.map(|d| std::time::Instant::now() + d);
         let outcome = {
@@ -955,57 +990,12 @@ impl Sod2Engine {
                 stage.render_text(Some(&self.graph))
             );
         }
-        // Pricing: the wave statistics and the priced trace.
+        // Pricing: the engine's overhead events on top of the tape's
+        // kernel trace.
         let price_span = sod2_obs::span!("phase", "price_trace");
         let alloc_events = outcome.alloc_sizes.len();
         let arena_backed = outcome.arena_backed;
         let mut trace = outcome.trace;
-        // Deterministic wavefront statistics: price each kernel event,
-        // attribute it to its unit, and list-schedule every wave onto
-        // [`WAVE_WORKERS`] workers. Purely trace-derived — no wallclock —
-        // so the makespan is reproducible across runs and machines.
-        let wave_stats = match &self.wave_schedule {
-            Some(ws) => {
-                let unit_secs = self.priced_unit_seconds(&trace);
-                let serial_s: f64 = unit_secs.values().sum();
-                let makespan_s: f64 = ws
-                    .waves
-                    .iter()
-                    .map(|wave| {
-                        let secs: Vec<f64> = wave
-                            .iter()
-                            .map(|&u| unit_secs.get(&u).copied().unwrap_or(0.0))
-                            .collect();
-                        sod2_pool::scheduled_makespan(&secs, WAVE_WORKERS)
-                    })
-                    .sum();
-                // Critical path over the unit DAG: `self.unit_order` is a
-                // topological order, so one forward pass suffices.
-                let mut cp: HashMap<usize, f64> = HashMap::new();
-                let mut critical_s = 0.0f64;
-                for &u in &self.unit_order {
-                    let own = unit_secs.get(&u).copied().unwrap_or(0.0);
-                    let from = self.unit_graph.preds[u]
-                        .iter()
-                        .map(|p| cp.get(p).copied().unwrap_or(0.0))
-                        .fold(0.0f64, f64::max);
-                    cp.insert(u, from + own);
-                    critical_s = critical_s.max(from + own);
-                }
-                Some(WaveStats {
-                    wave_count: ws.waves.len(),
-                    max_width: ws.max_width,
-                    splits: ws.splits,
-                    serial_s,
-                    makespan_s,
-                    critical_s,
-                    serial_peak: ws.serial_peak,
-                    parallel_peak: ws.parallel_peak,
-                })
-            }
-            None => None,
-        };
-        self.last_wave = wave_stats;
         if self.opts.dmp {
             // One arena allocation per inference, plus the (cheap) runtime
             // plan-generation work, proportional to the sub-graph count.
@@ -1047,14 +1037,21 @@ impl Sod2Engine {
                 alloc_events,
                 arena_backed,
             },
-            plan,
+            trace,
         ))
     }
 
     /// Runs the full diagnostic suite over the compiled pipeline and one
-    /// concrete inference: IR lints, the RDP fixpoint audit plus
-    /// cross-validation against the shapes this execution observed, plan
-    /// verification, and the memory-planner comparison.
+    /// concrete inference on the engine's own tape (serial, heap-backed):
+    /// IR lints, the RDP fixpoint audit plus cross-validation against the
+    /// shapes this execution observed, plan verification, and the
+    /// memory-planner comparison.
+    ///
+    /// # Errors
+    ///
+    /// [`ExecError::BadInputs`] when the inputs don't bind the graph's
+    /// symbols, [`ExecError::Internal`] when the plan failed to lower, and
+    /// any error the inference itself raises.
     pub fn diagnose(&mut self, inputs: &[Tensor]) -> Result<sod2_analysis::Report, ExecError> {
         use sod2_analysis as an;
         let bindings = bindings_from_inputs(&self.graph, inputs).map_err(ExecError::BadInputs)?;
@@ -1077,17 +1074,17 @@ impl Sod2Engine {
                 tp,
             ));
         }
+        let tape = self
+            .tape
+            .as_deref()
+            .map_err(|e| ExecError::Internal(format!("tape lowering failed: {e}")))?;
         let cfg = ExecConfig {
-            fusion: Some(&self.fusion_plan),
-            node_order: Some(&self.node_order),
             version_table: self.table.as_deref(),
             execute_all_branches: !self.opts.native_control_flow,
-            fused_interpreter: true,
             nan_guard: self.opts.nan_guard,
             memory_budget: self.opts.memory_budget,
-            finite_outputs: self.opts.absint.then_some(self.certs.finite.as_slice()),
         };
-        let outcome = execute(&self.graph, inputs, &cfg)?;
+        let outcome = execute_tape(&self.graph, inputs, tape, &cfg, None, false)?;
         report.extend(an::verify_observed_shapes(
             &self.graph,
             &self.rdp,
@@ -1108,6 +1105,6 @@ impl Engine for Sod2Engine {
     }
 
     fn infer(&mut self, inputs: &[Tensor]) -> Result<InferenceStats, ExecError> {
-        self.infer_with_plan(inputs).map(|(stats, _)| stats)
+        self.infer_traced(inputs).map(|(stats, _)| stats)
     }
 }

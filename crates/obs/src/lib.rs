@@ -409,6 +409,34 @@ impl Profile {
         self.spans.iter().filter(|s| s.cat == cat).count()
     }
 
+    /// Wall time booked to inference on the thread that called `infer`, as
+    /// `(kernel_ns, dmp_ns)`: the outermost `kernel` spans nested in an
+    /// `infer` span, and the `dmp_pre_plan` / `dmp_post_plan` phase spans.
+    /// Kernel spans at compile time (constant folding, arm-prune
+    /// verification) and on pool workers (wave units evaluated in
+    /// parallel) are excluded, so neither sum exceeds the infer wall it is
+    /// compared with.
+    pub fn infer_kernel_dmp_ns(&self) -> (u64, u64) {
+        let mut stacks: BTreeMap<u64, Vec<&str>> = BTreeMap::new();
+        let (mut kernel, mut dmp) = (0, 0);
+        // Spans are start-sorted, outermost first on ties, so a per-thread
+        // stack truncated to each span's depth holds exactly its ancestors.
+        for s in &self.spans {
+            let stack = stacks.entry(s.tid).or_default();
+            stack.truncate(s.depth as usize);
+            if stack.contains(&"infer") {
+                if s.cat == "kernel" && !stack.contains(&"kernel") {
+                    kernel += s.dur_ns;
+                }
+                if s.cat == "phase" && matches!(s.name.as_str(), "dmp_pre_plan" | "dmp_post_plan") {
+                    dmp += s.dur_ns;
+                }
+            }
+            stack.push(s.cat);
+        }
+        (kernel, dmp)
+    }
+
     /// Verifies that spans on each thread nest properly: any two spans on
     /// one thread are either disjoint or one contains the other, and the
     /// recorded depths are consistent with that containment.
@@ -600,6 +628,37 @@ mod tests {
             ..Default::default()
         };
         assert!(p.check_nesting().is_err());
+    }
+
+    #[test]
+    fn infer_time_books_outermost_kernels_on_the_calling_thread() {
+        let rec = |cat, name: &str, tid, depth, start_ns, dur_ns| SpanRec {
+            cat,
+            name: name.into(),
+            tid,
+            depth,
+            start_ns,
+            dur_ns,
+        };
+        let p = Profile {
+            spans: vec![
+                // Compile time: outside any infer span.
+                rec("kernel", "fold", 0, 0, 0, 5),
+                rec("infer", "infer", 0, 0, 10, 100),
+                rec("kernel", "conv", 0, 1, 12, 20),
+                // Nested inside a kernel span: already counted.
+                rec("kernel", "inner", 0, 2, 14, 5),
+                rec("phase", "dmp_pre_plan", 0, 1, 40, 7),
+                rec("phase", "execute", 0, 1, 50, 30),
+                rec("kernel", "gemm", 0, 2, 55, 10),
+                // A pool worker: not the calling thread.
+                rec("kernel", "unit", 1, 0, 56, 20),
+                rec("phase", "dmp_post_plan", 0, 1, 90, 3),
+            ],
+            ..Default::default()
+        };
+        assert!(p.check_nesting().is_ok());
+        assert_eq!(p.infer_kernel_dmp_ns(), (30, 10));
     }
 
     #[test]

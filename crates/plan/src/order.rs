@@ -74,10 +74,7 @@ pub fn plan_order(
     {
         unit_order = naive;
     }
-    let node_order = unit_order
-        .iter()
-        .flat_map(|&u| ug.units[u].nodes.iter().copied())
-        .collect();
+    let node_order = ug.node_order(&unit_order);
     ExecutionPlan {
         unit_order,
         node_order,

@@ -177,6 +177,16 @@ impl UnitGraph {
         self.units.is_empty()
     }
 
+    /// The node order a unit order flattens to: each unit's nodes in
+    /// turn, so units stay contiguous (a fused chain evaluates whole at
+    /// its head's position).
+    pub fn node_order(&self, unit_order: &[usize]) -> Vec<NodeId> {
+        unit_order
+            .iter()
+            .flat_map(|&u| self.units[u].nodes.iter().copied())
+            .collect()
+    }
+
     /// Bytes materialized by a unit (sum of its external outputs) under a
     /// size function.
     pub fn output_bytes(&self, unit: usize, size_of: &dyn Fn(TensorId) -> usize) -> usize {

@@ -5,12 +5,15 @@
 //! - [`compile_tape`] / [`execute_tape`]: the production executor — the
 //!   compiled plan lowered once to a register-machine tape, run serially
 //!   or in wavefronts, with intermediates served from a pre-planned arena
-//!   slab ([`sod2_mem::Arena`]),
-//! - [`execute`]: the serial, heap-only reference interpreter, with native
-//!   `<Switch, Combine>` control flow (dead branches skipped) or the
-//!   baselines' execute-all-branches mode, fused-group kernel accounting,
-//!   live-memory tracking, and multi-version kernel selection — what the
-//!   baselines price and what the tape is differentially tested against,
+//!   slab ([`sod2_mem::Arena`]). It is the one executor that plans,
+//!   fuses and accounts: the engine and the baselines all price its
+//!   [`RunOutcome`],
+//! - [`execute`]: the serial, heap-only reference interpreter — node by
+//!   node in topological order, with native `<Switch, Combine>` control
+//!   flow (dead branches skipped) or the baselines' execute-all-branches
+//!   mode, multi-version kernel selection, NaN fences and the memory
+//!   budget. It records only what it observes ([`ReferenceRun`]): the
+//!   output oracle the tape and every engine are checked against,
 //! - [`ExecutionTrace`] / [`TraceEvent`] / [`LatencyBreakdown`]: priceable
 //!   event streams that the engines in `sod2-frameworks` extend with their
 //!   strategy-specific overhead events (re-initialization, shape functions,
@@ -45,10 +48,10 @@ pub mod passes;
 pub mod tape;
 mod trace;
 
-pub use executor::{execute, ExecConfig, ExecError, RunOutcome};
+pub use executor::{execute, ExecConfig, ExecError, ReferenceRun};
 pub use passes::{eliminate_dead_nodes, fold_constants, PassStats};
 pub use tape::{
-    compile_tape, execute_tape, BakedVariant, Instr, InstrKind, RegRelease, TapeChain, TapeProgram,
-    TapeStats, WaveExecPlan,
+    compile_tape, execute_tape, BakedVariant, Instr, InstrKind, RegRelease, RunOutcome, TapeChain,
+    TapeProgram, TapeStats, WaveExecPlan,
 };
 pub use trace::{ExecutionTrace, LatencyBreakdown, TraceEvent};

@@ -261,7 +261,8 @@ mod tests {
         let b =
             crate::executor::execute(&folded, &[input], &ExecConfig::default()).expect("folded");
         assert!(a.outputs[0].approx_eq(&b.outputs[0], 0.0));
-        assert!(b.trace.kernel_count() < a.trace.kernel_count());
+        // Folded nodes no longer produce tensors at run time.
+        assert!(b.concrete_shapes.len() < a.concrete_shapes.len());
     }
 
     #[test]

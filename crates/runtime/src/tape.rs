@@ -2,9 +2,8 @@
 //!
 //! Compiles a planned graph **once** into a flat instruction stream
 //! executed by a thin VM loop — the Nimble-style answer to interpreter
-//! overhead for dynamic models. Everything the reference executor
-//! ([`crate::execute`]) re-derives per inference is precompiled into
-//! per-instruction fields:
+//! overhead for dynamic models. Everything a node-wise interpreter
+//! re-derives per inference is precompiled into per-instruction fields:
 //!
 //! - **registers**: the register file is a dense `Vec<Slot>` indexed by
 //!   `TensorId`, so operand/result "slots" are plain indices and two
@@ -12,10 +11,10 @@
 //!   construction. DMP arena offsets keyed by the same indices make a
 //!   register's backing store the planned slab slot ([`Arena`]);
 //!   `nac`-sized residue falls back to heap-backed registers.
-//! - **releases**: the reference's per-occurrence refcount discipline is
-//!   replayed at compile time (`sod2_plan::plan_tape_layout`), so each
-//!   instruction carries the list of registers whose last use it is —
-//!   zero refcounts, zero hashing at run time.
+//! - **releases**: the per-occurrence refcount discipline is replayed at
+//!   compile time (`sod2_plan::plan_tape_layout`, which the reference
+//!   shares), so each instruction carries the list of registers whose
+//!   last use it is — zero refcounts, zero hashing at run time.
 //! - **fused chains** become single [`InstrKind::Chain`] instructions
 //!   with inlined member lists; `Switch`/`Combine` lower to
 //!   [`InstrKind::Branch`]/[`InstrKind::Select`] over register indices.
@@ -29,27 +28,55 @@
 //!   dispatch regardless of worker count or timing.
 //!
 //! The tape is immutable and intended to be `Arc`-shared across replicas;
-//! the register file and accounting scratch are per-inference. Execution
-//! semantics — deadline checks at instruction boundaries, memory-budget
-//! accounting, NaN fences honoring absint certificates, fault-probe
-//! sites, and the priced trace-event stream — are bit-for-bit those of
-//! the serial heap reference given the same plan; the differential
-//! suites in `tests/tape_props.rs`, `crates/frameworks/tests/tape_exec.rs`
-//! and `bench_zoo` enforce it. Arena backing adds slab residency and
-//! readback verification on top.
+//! the register file and accounting scratch are per-inference. It is the
+//! only executor that plans, fuses and accounts: the engine runs it with
+//! its full plan, and the baselines, `diagnose` and the figures run it
+//! serially on the heap with theirs. Deadline checks at instruction
+//! boundaries, memory-budget accounting, NaN fences honoring absint
+//! certificates, fault-probe sites and the priced trace-event stream all
+//! live here. Its outputs are bitwise those of the reference
+//! [`crate::execute`] — `tests/tape_props.rs`,
+//! `crates/frameworks/tests/tape_exec.rs` and `bench_zoo` enforce it — and
+//! its accounting is checked against what the reference observes: every
+//! produced tensor, every live compute node, and the live peak. Arena
+//! backing adds slab residency and readback verification on top.
 
 use crate::executor::{
-    build_chains, charge_live, check_inputs, const_tensors, eval_chain, eval_combine, eval_switch,
-    fence_outputs, fence_value, finish_run, live, release_slot, select_variants, ChainEval,
-    ChainPlan, ExecConfig, ExecError, GroupAcc, RunOutcome, Slot, SlotView,
+    charge_live, check_inputs, const_tensors, eval_combine, eval_switch, fence_outputs,
+    fence_value, live, output_of, release_slot, select_variants, ExecConfig, ExecError, Slot,
+    SlotView,
 };
-use crate::trace::ExecutionTrace;
+use crate::trace::{ExecutionTrace, TraceEvent};
 use sod2_fusion::FusionPlan;
 use sod2_ir::{Graph, NodeId, Op, TensorId};
-use sod2_kernels::{execute_op_with_variants, ConvParams, GemmParams};
+use sod2_kernels::{
+    execute_op_with_variants, fused::FusedStep, fused_elementwise, ConvParams, GemmParams,
+};
 use sod2_mem::Arena;
+use sod2_mvc::VersionTable;
 use sod2_tensor::{Data, Tensor};
 use std::collections::HashMap;
+
+/// The result of one tape run.
+#[derive(Debug)]
+pub struct RunOutcome {
+    /// Output tensors, in `graph.outputs()` order.
+    pub outputs: Vec<Tensor>,
+    /// Kernel-only execution trace (engines add their overhead events).
+    pub trace: ExecutionTrace,
+    /// Peak bytes of simultaneously live materialized intermediates.
+    pub peak_live_bytes: usize,
+    /// Sizes (bytes) of every heap-allocated intermediate tensor, in
+    /// allocation order — the allocation stream engines price.
+    pub alloc_sizes: Vec<usize>,
+    /// Concrete shape of every tensor that was produced.
+    pub concrete_shapes: HashMap<TensorId, Vec<usize>>,
+    /// How many `Switch` branches executed (live + dead-but-executed).
+    pub branches_executed: usize,
+    /// How many materialized intermediates were served from the arena slab
+    /// instead of the heap.
+    pub arena_backed: usize,
+}
 
 /// A static parallel schedule at node granularity: `waves[w][j]` is the
 /// node list of job `j` of wave `w` (one schedulable unit, in execution
@@ -128,9 +155,8 @@ impl SlotView for EnvView<'_> {
 const INLINE_ARITY: usize = 8;
 
 /// One register release precompiled into an instruction: the register
-/// index plus the flags the reference derives from the graph per release
-/// (is the tensor a materialized intermediate? a graph output held to the
-/// end?).
+/// index plus two flags resolved from the graph at compile time (is the
+/// tensor a materialized intermediate? a graph output held to the end?).
 #[derive(Debug, Clone)]
 pub struct RegRelease {
     /// Register (= tensor id) to release.
@@ -143,10 +169,10 @@ pub struct RegRelease {
 
 /// A fused chain lowered to one instruction: the member list inlined,
 /// with each member's release list applied at its original commit
-/// position so live-memory accounting matches the reference exactly.
+/// position so live-memory accounting is that of member-by-member commit.
 #[derive(Debug, Clone)]
 pub struct TapeChain {
-    pub(crate) plan: ChainPlan,
+    plan: ChainPlan,
     /// Member nodes in commit order (head first).
     pub members: Vec<NodeId>,
     /// Each member's single output register, in commit order (the last
@@ -158,8 +184,8 @@ pub struct TapeChain {
     pub final_reg: TensorId,
     /// Proven-finite bit for the final output (NaN-fence elision).
     pub final_finite: bool,
-    /// The tail member (its name labels fence diagnostics, as in the
-    /// reference where the tail performs the install).
+    /// The tail member (its name labels fence diagnostics: the tail
+    /// performs the install).
     pub tail_nid: NodeId,
 }
 
@@ -315,9 +341,8 @@ impl TapeProgram {
 /// comes from `sod2_plan::plan_tape_layout` over `node_order`, every
 /// fusion group that forms an element-wise chain becomes one chain
 /// instruction, and the optional wavefront schedule becomes instruction
-/// ranges. Given the same fusion plan and order, serial heap execution
-/// of the tape is observationally identical to the reference
-/// [`crate::execute`] with `fused_interpreter` on.
+/// ranges. Without a fusion plan every node is its own group and no
+/// chain forms.
 ///
 /// # Errors
 ///
@@ -550,6 +575,278 @@ pub fn compile_tape(
     })
 }
 
+/// Cost accumulated by one fusion group as its members commit; the group
+/// emits one kernel trace event when its last member retires.
+#[derive(Debug, Clone, Default)]
+struct GroupAcc {
+    /// Flops of every countable member.
+    flops: f64,
+    /// Countable (live, non-control-flow) members so far.
+    ops: usize,
+    /// Lowest tuned-variant efficiency among the group's hotspot members.
+    eff: Option<f64>,
+    /// Bytes read from tensors produced outside the group.
+    ext_read: f64,
+    /// Bytes written to tensors that leave the group.
+    ext_write: f64,
+}
+
+impl GroupAcc {
+    /// Folds a hotspot member's tuned-variant efficiency (looked up by its
+    /// first live output) into the group's.
+    fn note_efficiency(
+        &mut self,
+        table: Option<&VersionTable>,
+        op: &Op,
+        first_out: Option<&Tensor>,
+    ) {
+        let (Some(table), Some(out)) = (table, first_out) else {
+            return;
+        };
+        if let Some((m, n)) = hotspot_mn(op, out) {
+            let e = match op {
+                Op::Conv2d { .. } => table.conv_efficiency_of(m, n),
+                _ => table.efficiency(m, n),
+            };
+            self.eff = Some(self.eff.map_or(e, |prev| prev.min(e)));
+        }
+    }
+
+    /// The group's kernel trace event.
+    fn event(&self, name: String, working_set: usize, group: usize) -> TraceEvent {
+        TraceEvent::Kernel {
+            name,
+            cost: sod2_device::OpCost {
+                flops: self.flops,
+                bytes_read: self.ext_read,
+                bytes_written: self.ext_write,
+            },
+            efficiency: self.eff,
+            working_set,
+            fused_ops: self.ops,
+            group,
+        }
+    }
+}
+
+/// One step of a pre-planned fused chain (operand held by tensor id).
+#[derive(Debug, Clone)]
+enum ChainStep {
+    Unary(sod2_ir::UnaryOp),
+    Clip {
+        min: f32,
+        max: f32,
+    },
+    Binary {
+        op: sod2_ir::BinaryOp,
+        other: TensorId,
+        chain_is_lhs: bool,
+    },
+}
+
+/// A fused-group execution plan: a linear element-wise chain.
+#[derive(Debug, Clone)]
+struct ChainPlan {
+    members: Vec<NodeId>,
+    seed: TensorId,
+    steps: Vec<ChainStep>,
+    final_output: TensorId,
+}
+
+/// Identifies fusion groups executable as single-pass element-wise chains:
+/// every member is a unary/clip/binary f32 operator, each member consumes
+/// the previous member's output, and all other operands come from outside
+/// the group.
+fn build_chains(graph: &Graph, fusion: &FusionPlan) -> (HashMap<NodeId, usize>, Vec<ChainPlan>) {
+    let mut member_of: HashMap<NodeId, usize> = HashMap::new();
+    let mut plans: Vec<ChainPlan> = Vec::new();
+    'groups: for group in &fusion.groups {
+        if group.nodes.len() < 2 {
+            continue;
+        }
+        let mut steps: Vec<ChainStep> = Vec::new();
+        let mut seed: Option<TensorId> = None;
+        let mut prev_out: Option<TensorId> = None;
+        for (i, &nid) in group.nodes.iter().enumerate() {
+            let node = graph.node(nid);
+            if node.outputs.len() != 1 || graph.tensor(node.outputs[0]).dtype != sod2_ir::DType::F32
+            {
+                continue 'groups;
+            }
+            // Determine the chain input for members after the first.
+            let chain_in = prev_out;
+            let step = match &node.op {
+                Op::Unary(u) => {
+                    if i == 0 {
+                        seed = Some(node.inputs[0]);
+                    } else if Some(node.inputs[0]) != chain_in {
+                        continue 'groups;
+                    }
+                    ChainStep::Unary(*u)
+                }
+                Op::Clip { min, max } => {
+                    if i == 0 {
+                        seed = Some(node.inputs[0]);
+                    } else if Some(node.inputs[0]) != chain_in {
+                        continue 'groups;
+                    }
+                    ChainStep::Clip {
+                        min: *min,
+                        max: *max,
+                    }
+                }
+                Op::Binary(b) => {
+                    let (other, lhs) = if i == 0 {
+                        seed = Some(node.inputs[0]);
+                        (node.inputs[1], true)
+                    } else if Some(node.inputs[0]) == chain_in {
+                        (node.inputs[1], true)
+                    } else if Some(node.inputs[1]) == chain_in {
+                        (node.inputs[0], false)
+                    } else {
+                        continue 'groups;
+                    };
+                    // Operand must come from outside the group and be f32.
+                    if graph.tensor(other).dtype != sod2_ir::DType::F32 {
+                        continue 'groups;
+                    }
+                    if let Some(p) = graph.producer(other) {
+                        if group.nodes.contains(&p) {
+                            continue 'groups;
+                        }
+                    }
+                    ChainStep::Binary {
+                        op: *b,
+                        other,
+                        chain_is_lhs: lhs,
+                    }
+                }
+                _ => continue 'groups,
+            };
+            steps.push(step);
+            prev_out = Some(node.outputs[0]);
+        }
+        let Some(seed) = seed else { continue };
+        let Some(final_output) = prev_out else {
+            continue;
+        };
+        if graph.tensor(seed).dtype != sod2_ir::DType::F32 {
+            continue;
+        }
+        let idx = plans.len();
+        for &nid in &group.nodes {
+            member_of.insert(nid, idx);
+        }
+        plans.push(ChainPlan {
+            members: group.nodes.clone(),
+            seed,
+            steps,
+            final_output,
+        });
+    }
+    (member_of, plans)
+}
+
+/// The outcome of evaluating a fused chain: the final tensor (`None` when
+/// an input branch was dead) plus the cost attribution its trace event
+/// needs.
+struct ChainEval {
+    result: Option<Tensor>,
+    flops: f64,
+    ext_read: f64,
+}
+
+impl ChainEval {
+    /// The chain's fused kernel event (`None` for a dead chain), with the
+    /// working set measured before any member releases.
+    fn event(&self, members: usize, live_bytes: usize, group: usize) -> Option<TraceEvent> {
+        let out = self.result.as_ref()?;
+        Some(TraceEvent::Kernel {
+            name: format!("fused[{members}]"),
+            cost: sod2_device::OpCost {
+                flops: self.flops,
+                bytes_read: self.ext_read,
+                bytes_written: out.byte_size() as f64,
+            },
+            efficiency: None,
+            working_set: live_bytes + out.byte_size(),
+            fused_ops: members,
+            group,
+        })
+    }
+}
+
+/// Evaluates (or kills) a whole fused chain. Pure: reads tensors through
+/// the view, produces an owned result.
+fn eval_chain<V: SlotView + ?Sized>(env: &V, chain: &ChainPlan) -> Result<ChainEval, ExecError> {
+    let mut dead = matches!(env.slot(chain.seed), Slot::Dead);
+    for st in &chain.steps {
+        if let ChainStep::Binary { other, .. } = st {
+            dead |= matches!(env.slot(*other), Slot::Dead);
+        }
+    }
+    if dead {
+        return Ok(ChainEval {
+            result: None,
+            flops: 0.0,
+            ext_read: 0.0,
+        });
+    }
+    let unavailable = |what: &str, t: TensorId| {
+        ExecError::ControlFlow(format!("fused chain {what} {t} unavailable"))
+    };
+    let seed = live(env, chain.seed).map_err(|_| unavailable("seed", chain.seed))?;
+    let mut steps: Vec<FusedStep<'_>> = Vec::with_capacity(chain.steps.len());
+    let mut ext_read = seed.byte_size() as f64;
+    let mut flops_per_elem = 0.0f64;
+    for st in &chain.steps {
+        steps.push(match st {
+            ChainStep::Unary(u) => {
+                flops_per_elem += 4.0;
+                FusedStep::Unary(*u)
+            }
+            ChainStep::Clip { min, max } => {
+                flops_per_elem += 1.0;
+                FusedStep::Clip {
+                    min: *min,
+                    max: *max,
+                }
+            }
+            ChainStep::Binary {
+                op,
+                other,
+                chain_is_lhs,
+            } => {
+                flops_per_elem += 1.0;
+                let t = live(env, *other).map_err(|_| unavailable("operand", *other))?;
+                ext_read += t.byte_size() as f64;
+                FusedStep::Binary {
+                    op: *op,
+                    other: t,
+                    chain_is_lhs: *chain_is_lhs,
+                }
+            }
+        });
+    }
+    let out = fused_elementwise(seed, &steps)?;
+    Ok(ChainEval {
+        flops: flops_per_elem * out.numel() as f64,
+        ext_read,
+        result: Some(out),
+    })
+}
+
+/// Output-matrix dimensions for multi-version hotspot kernels, from the
+/// first output.
+fn hotspot_mn(op: &Op, out: &Tensor) -> Option<(usize, usize)> {
+    let s = out.shape();
+    match op {
+        Op::MatMul | Op::Gemm { .. } if s.len() >= 2 => Some((s[s.len() - 2], s[s.len() - 1])),
+        Op::Conv2d { .. } if s.len() == 4 => Some((s[1], s[2] * s[3])),
+        _ => None,
+    }
+}
+
 /// The precomputed evaluation of one instruction, produced by a wave's
 /// parallel phase and consumed by the serial commit phase.
 enum TapeEval {
@@ -578,8 +875,7 @@ fn fill_shapes(bufs: &mut Vec<Vec<usize>>, count: usize) {
     }
 }
 
-/// Mutable per-inference state of the tape VM (dense everywhere the
-/// reference uses maps).
+/// Mutable per-inference state of the tape VM.
 struct TapeState<'a> {
     env: Vec<Slot>,
     trace: ExecutionTrace,
@@ -606,7 +902,13 @@ impl TapeState<'_> {
         materialized: bool,
         tensor: Tensor,
     ) -> Result<(), ExecError> {
-        fence_value(cfg.nan_guard, finite, name, t, &tensor)?;
+        // A certificate-proven finite tensor cannot trip the fence, so its
+        // scan is elided (the saving the abstract interpretation pays for).
+        if cfg.nan_guard && finite {
+            sod2_obs::counter_add("absint.guard_elisions", 1);
+        } else {
+            fence_value(cfg.nan_guard, name, t, &tensor)?;
+        }
         self.concrete_shapes.insert(t, tensor.shape().to_vec());
         if materialized {
             let b = tensor.byte_size();
@@ -658,11 +960,7 @@ impl TapeState<'_> {
     /// `Memory` error here.
     fn read_output(&self, t: TensorId) -> Result<Tensor, ExecError> {
         let key = t.0 as usize;
-        let Slot::Live(ten) = &self.env[key] else {
-            return Err(ExecError::ControlFlow(format!(
-                "graph output {t} was never produced (dead branch?)"
-            )));
-        };
+        let ten = output_of(&self.env, t)?;
         if !self.planned[key] {
             return Ok(ten.clone());
         }
@@ -693,8 +991,7 @@ impl TapeState<'_> {
 /// precomputed evaluation), account group cost, install results, apply
 /// the precompiled releases, and emit the group trace event at the
 /// group's statically-known tail. The single mutation point of tape
-/// state in both dispatch modes — the analogue of the reference's
-/// per-node commit.
+/// state in both dispatch modes.
 fn commit_instr(
     graph: &Graph,
     cfg: &ExecConfig<'_>,
@@ -708,7 +1005,7 @@ fn commit_instr(
     }
     let node = graph.node(instr.nid);
     // Serial commits evaluate in place, so the kernel span covers
-    // execution, installation, and release — the reference's span extent.
+    // execution, installation, and release.
     // Wave commits consumed a phase-A evaluation that already ran under
     // its own kernel span; the bookkeeping here gets none, which is what
     // makes `kernel_coverage` measure compute in wavefront mode.
@@ -743,7 +1040,7 @@ fn commit_instr(
     st.branches_executed += branches;
 
     // Group cost accounting before results move into registers (input
-    // registers are still live at this point, as in the reference).
+    // registers are still live at this point).
     if instr.count_cost && results.iter().any(Option::is_some) {
         fill_shapes(&mut scratch.in_shapes, instr.inputs.len());
         for (k, &t) in instr.inputs.iter().enumerate() {
@@ -858,7 +1155,8 @@ fn eval_plain<V: SlotView + ?Sized>(
 
 /// Resolves the GEMM/CONV configurations for a kernel instruction: the
 /// compile-time baked variant when the tape carries one (zero runtime
-/// selection work), else runtime selection as in the reference.
+/// selection work), else runtime selection by operand shape, counted as
+/// a version hit or a fallback to the default kernel.
 fn instr_variants(
     instr: &Instr,
     op: &Op,
@@ -874,14 +1172,25 @@ fn instr_variants(
             sod2_obs::counter_add("mvc.variant_hits", 1);
             (GemmParams::default(), c)
         }
-        None => select_variants(op, ins, cfg.version_table),
+        None => match select_variants(op, ins, cfg.version_table) {
+            Some(variants) => {
+                sod2_obs::counter_add("mvc.version_hits", 1);
+                variants
+            }
+            None => {
+                if matches!(op, Op::MatMul | Op::Gemm { .. } | Op::Conv2d { .. }) {
+                    sod2_obs::counter_add("mvc.version_defaults", 1);
+                }
+                Default::default()
+            }
+        },
     }
 }
 
-/// Commits a fused-chain instruction, replaying the reference's exact
-/// member-by-member sequence: the fused trace event at the head (working
-/// set measured before any release), each member's releases at its
-/// original position, and the final-output install at the tail.
+/// Commits a fused-chain instruction member by member: the fused trace
+/// event at the head (working set measured before any release), each
+/// member's releases at its original position, and the final-output
+/// install at the tail.
 fn commit_chain(
     graph: &Graph,
     cfg: &ExecConfig<'_>,
@@ -909,7 +1218,7 @@ fn commit_chain(
         }
         None => {
             // Dead chain: every member output dies, releases interleaved
-            // in member order as the reference does.
+            // in member order.
             for (k, releases) in tc.member_releases.iter().enumerate() {
                 st.env[tc.member_outputs[k].0 as usize] = Slot::Dead;
                 st.apply_releases(releases)?;
@@ -964,13 +1273,30 @@ fn eval_tape_unit(
     Ok(out)
 }
 
+/// Closes a run: re-checks the deadline (an expiry inside the last
+/// instruction's pool region skipped chunk bodies with no later
+/// instruction boundary to catch it, so expired runs never return
+/// outputs) and publishes the run's memory and control-flow counters.
+fn finish_run(st: &TapeState<'_>) -> Result<(), ExecError> {
+    if sod2_pool::deadline_exceeded() {
+        return Err(ExecError::DeadlineExceeded);
+    }
+    sod2_obs::gauge_max("exec.peak_live_bytes", st.peak as u64);
+    sod2_obs::counter_add("exec.heap_fallback_allocs", st.alloc_sizes.len() as u64);
+    sod2_obs::counter_add(
+        "exec.heap_fallback_bytes",
+        st.alloc_sizes.iter().map(|&b| b as u64).sum(),
+    );
+    sod2_obs::counter_add("exec.arena_backed", st.arena_backed as u64);
+    sod2_obs::counter_add("exec.branches_executed", st.branches_executed as u64);
+    Ok(())
+}
+
 /// Executes a compiled tape on concrete inputs.
 ///
-/// `cfg` supplies the runtime knobs the reference shares (version table,
-/// execute-all-branches, NaN guard, memory budget); its plan fields
-/// (`fusion`, `node_order`, `fused_interpreter`, `finite_outputs`) are
-/// ignored — those decisions were baked into the tape at compile time.
-/// `arena` serves materialized intermediates from a pre-planned slab
+/// `cfg` supplies the run-time knobs the reference shares (version table,
+/// execute-all-branches, NaN guard, memory budget); plan decisions were
+/// baked into the tape at compile time. `arena` serves materialized intermediates from a pre-planned slab
 /// (heap when `None`); it decides per tensor whether a payload takes its
 /// planned slot. `wavefront` selects between the serial dispatch loop and
 /// two-phase wave execution over the tape's compiled `(start, end)`
@@ -978,8 +1304,8 @@ fn eval_tape_unit(
 ///
 /// # Errors
 ///
-/// The reference's error surface — kernels, control flow, deadline,
-/// budget, numeric fences — plus [`ExecError::Memory`] when readback
+/// Kernel failures, input mismatches, malformed control flow, an expired
+/// deadline, an exceeded memory budget or a tripped NaN fence, plus [`ExecError::Memory`] when readback
 /// verification detects that the arena plan aliased two simultaneously
 /// live tensors.
 pub fn execute_tape(
@@ -1105,12 +1431,7 @@ pub fn execute_tape(
         }
     }
 
-    finish_run(
-        st.peak,
-        &st.alloc_sizes,
-        st.arena_backed,
-        st.branches_executed,
-    )?;
+    finish_run(&st)?;
     let _outputs_span = sod2_obs::span!("mem", "outputs readback");
     let outputs = graph
         .outputs()

@@ -32,7 +32,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &model.graph,
         &inputs,
         &ExecConfig {
-            fusion: Some(&fusion),
             execute_all_branches: true,
             ..Default::default()
         },

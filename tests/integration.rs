@@ -3,7 +3,7 @@
 
 use sod2::{Compiler, DeviceProfile};
 use sod2_frameworks::{Engine, MnnLike, OrtLike, Sod2Engine, Sod2Options, TvmNimbleLike};
-use sod2_fusion::{fuse, FusionPolicy};
+use sod2_fusion::{fuse, FusionPlan, FusionPolicy};
 use sod2_mem::verify_plan;
 use sod2_models::{all_models, ModelScale};
 use sod2_plan::{
@@ -11,7 +11,20 @@ use sod2_plan::{
 };
 use sod2_prng::rngs::StdRng;
 use sod2_prng::SeedableRng;
-use sod2_runtime::{execute, ExecConfig};
+use sod2_runtime::{compile_tape, execute, execute_tape, ExecConfig, ExecError, RunOutcome};
+use sod2_tensor::Tensor;
+
+/// Runs `model` on a serial heap tape lowered with `fusion` (and its
+/// fused chains) in `order`.
+fn run_on_tape(
+    graph: &sod2_ir::Graph,
+    inputs: &[Tensor],
+    fusion: &FusionPlan,
+    order: &[sod2_ir::NodeId],
+) -> Result<RunOutcome, ExecError> {
+    let tape = compile_tape(graph, order, Some(fusion), None, None, None)?;
+    execute_tape(graph, inputs, &tape, &ExecConfig::default(), None, false)
+}
 
 #[test]
 fn every_model_compiles_and_runs_through_the_facade() {
@@ -38,11 +51,9 @@ fn fusion_preserves_results_on_every_model() {
         let (_, inputs) = model.sample_inputs(&mut rng);
         let base = execute(&model.graph, &inputs, &ExecConfig::default())
             .unwrap_or_else(|e| panic!("{}: {e}", model.name));
-        let fused_cfg = ExecConfig {
-            fusion: Some(&plan),
-            ..Default::default()
-        };
-        let fused = execute(&model.graph, &inputs, &fused_cfg)
+        let ug = UnitGraph::build(&model.graph, &plan);
+        let order = ug.node_order(&naive_unit_order(&ug));
+        let fused = run_on_tape(&model.graph, &inputs, &plan, &order)
             .unwrap_or_else(|e| panic!("{}: {e}", model.name));
         for (a, b) in base.outputs.iter().zip(&fused.outputs) {
             assert!(a.approx_eq(b, 1e-4), "{} fused output differs", model.name);
@@ -78,18 +89,9 @@ fn sep_order_preserves_results_and_never_hurts_peak() {
 
         let mut rng = StdRng::seed_from_u64(9);
         let (_, inputs) = model.sample_inputs(&mut rng);
-        let cfg_naive = ExecConfig {
-            fusion: Some(&fusion),
-            ..Default::default()
-        };
-        let cfg_sep = ExecConfig {
-            fusion: Some(&fusion),
-            node_order: Some(&ep.node_order),
-            ..Default::default()
-        };
-        let a = execute(&model.graph, &inputs, &cfg_naive)
+        let a = run_on_tape(&model.graph, &inputs, &fusion, &ug.node_order(&naive))
             .unwrap_or_else(|e| panic!("{}: {e}", model.name));
-        let b = execute(&model.graph, &inputs, &cfg_sep)
+        let b = run_on_tape(&model.graph, &inputs, &fusion, &ep.node_order)
             .unwrap_or_else(|e| panic!("{}: {e}", model.name));
         for (x, y) in a.outputs.iter().zip(&b.outputs) {
             assert!(x.approx_eq(y, 1e-4), "{} SEP output differs", model.name);
@@ -110,7 +112,6 @@ fn memory_plans_validate_on_real_lifetimes() {
             &model.graph,
             &inputs,
             &ExecConfig {
-                fusion: Some(&fusion),
                 execute_all_branches: true,
                 ..Default::default()
             },

@@ -9,7 +9,7 @@
 
 use sod2_device::DeviceProfile;
 use sod2_frameworks::{Engine, Sod2Engine, Sod2Options};
-use sod2_models::{codebert, ModelScale};
+use sod2_models::{branchy_demo, codebert, ModelScale};
 use sod2_obs::json::Value;
 use sod2_pool::with_threads;
 use sod2_prng::rngs::StdRng;
@@ -85,6 +85,50 @@ fn spans_nest_properly_across_thread_configs() {
             100.0 * kernel_ns as f64 / infer_ns as f64
         );
     }
+}
+
+/// Compile-time work books nothing as inference: compiling BranchyDemo
+/// prunes its dead arm and verifies the pruning by running the reference
+/// on both graphs, yet the capture window records no `kernel` span and no
+/// `exec.*` or `mvc.version_*` counter.
+#[test]
+fn compile_time_work_leaves_nothing_in_inference_counters() {
+    let _session = sod2_obs::session_guard();
+    let model = branchy_demo(ModelScale::Tiny);
+    sod2_obs::set_enabled(true);
+    sod2_obs::begin();
+    let engine = Sod2Engine::new(
+        model.graph.clone(),
+        DeviceProfile::s888_cpu(),
+        Sod2Options::default(),
+        &Default::default(),
+    );
+    let profile = sod2_obs::take();
+    sod2_obs::set_enabled(false);
+    assert!(engine.tape().is_some(), "BranchyDemo must lower");
+    assert!(
+        profile
+            .counters
+            .get("absint.pruned_arms")
+            .copied()
+            .unwrap_or(0)
+            > 0,
+        "compilation must prune the dead arm"
+    );
+    assert_eq!(
+        profile.cat_count("kernel"),
+        0,
+        "compile time recorded kernel spans"
+    );
+    let leaked: Vec<&String> = profile
+        .counters
+        .keys()
+        .filter(|k| k.starts_with("exec.") || k.starts_with("mvc.version_"))
+        .collect();
+    assert!(
+        leaked.is_empty(),
+        "compile time recorded inference counters: {leaked:?}"
+    );
 }
 
 #[test]

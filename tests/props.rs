@@ -1,14 +1,15 @@
 //! Randomized whole-pipeline properties: for arbitrary generated graphs,
 //! RDP's symbolic predictions must match observed execution, fusion must
-//! preserve semantics (node-wise and through the fused interpreter), and
+//! preserve semantics (on the tape, through its fused chains), and
 //! planners must stay sound.
 
 use proptest::prelude::*;
 use sod2_frameworks::bindings_from_inputs;
 use sod2_fusion::{fuse, FusionPolicy};
 use sod2_ir::{BinaryOp, ConstData, DType, Graph, Op, TensorId, UnaryOp};
+use sod2_plan::{naive_unit_order, UnitGraph};
 use sod2_rdp::analyze;
-use sod2_runtime::{execute, ExecConfig};
+use sod2_runtime::{compile_tape, execute, execute_tape, ExecConfig};
 use sod2_tensor::Tensor;
 
 /// A recipe for one generated node.
@@ -198,8 +199,9 @@ proptest! {
         prop_assert!(rdp.resolution_rate() > 0.99);
     }
 
-    /// Fusion (with and without the fused interpreter) never changes
-    /// results, and never increases live memory.
+    /// Fusion on a serial heap tape (its groups, fused chains and
+    /// naive unit order) never changes results, and never increases live
+    /// memory over the reference.
     #[test]
     fn fusion_semantics_preserved_on_random_graphs(
         recipe in recipe_strategy(), n in 1usize..6, c in 2usize..5, seed in 0u64..1000,
@@ -210,19 +212,23 @@ proptest! {
         let base = execute(&g, std::slice::from_ref(&input), &ExecConfig::default()).expect("base");
         for policy in [FusionPolicy::Static, FusionPolicy::Rdp] {
             let plan = fuse(&g, &rdp, policy);
-            for fused_interp in [false, true] {
-                let cfg = ExecConfig {
-                    fusion: Some(&plan),
-                    fused_interpreter: fused_interp,
-                    ..Default::default()
-                };
-                let got = execute(&g, std::slice::from_ref(&input), &cfg).expect("fused run");
-                prop_assert!(
-                    base.outputs[0].approx_eq(&got.outputs[0], 1e-4),
-                    "{policy:?} interp={fused_interp} changed the result"
-                );
-                prop_assert!(got.peak_live_bytes <= base.peak_live_bytes);
-            }
+            let units = UnitGraph::build(&g, &plan);
+            let order = units.node_order(&naive_unit_order(&units));
+            let tape = compile_tape(&g, &order, Some(&plan), None, None, None).expect("lowers");
+            let got = execute_tape(
+                &g,
+                std::slice::from_ref(&input),
+                &tape,
+                &ExecConfig::default(),
+                None,
+                false,
+            )
+            .expect("fused run");
+            prop_assert!(
+                base.outputs[0].approx_eq(&got.outputs[0], 1e-4),
+                "{policy:?} changed the result"
+            );
+            prop_assert!(got.peak_live_bytes <= base.peak_live_bytes);
         }
     }
 

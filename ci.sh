@@ -7,8 +7,10 @@
 # Usage:
 #   ./ci.sh                      # run every stage in order
 #   ./ci.sh <stage>              # run one stage: build | test-par | test-serial
-#                                #   | test-release-kernels | fmt | clippy | zoo
-#                                #   | analyze | chaos | bench | serve | gate
+#                                #   | test-release-kernels (sod2-kernels and
+#                                #   sod2-tensor tests in release) | fmt
+#                                #   | clippy | zoo | analyze | chaos | bench
+#                                #   | serve | gate
 #   ./ci.sh --update-baselines   # run bench + serve, then overwrite the
 #                                #   checked-in BENCH_kernels.json /
 #                                #   BENCH_zoo.json / BENCH_serve.json with
@@ -123,10 +125,11 @@ stage_test_serial() {
 }
 
 stage_test_release_kernels() {
-    # The kernels' bitwise suites in the optimized build that actually
-    # serves: code generation there may reorder float operands, which the
-    # debug stages above never see.
-    cargo test --release -p sod2-kernels -q
+    # The kernels' bitwise suites, and the tests of the run walk they read
+    # broadcast operands through (sod2-tensor), in the optimized build that
+    # actually serves: code generation there may reorder float operands,
+    # which the debug stages above never see.
+    cargo test --release -p sod2-kernels -p sod2-tensor -q
 }
 
 stage_fmt() {

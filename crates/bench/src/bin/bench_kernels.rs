@@ -11,17 +11,21 @@
 //! workers. The makespan number is what the pool's decomposition achieves
 //! when N cores actually exist, independent of this host's core count.
 //!
-//! Each conv and GEMM row also records `ratio_vs_naive`: the one-thread
-//! wall time of the independent reference (`conv2d_naive`, `gemm_naive`)
-//! over that of the kernel, measured interleaved in this process as a
-//! median of runs. It is informational (never gated), but the binary
-//! asserts a floor on it — 2.0 for conv (`MIN_CONV_RATIO`), 0.5 for GEMM
-//! (`MIN_GEMM_RATIO`) — so a return to a per-element conv loop or a
-//! packed GEMM tile walk fails.
+//! Each conv, GEMM and broadcast-multiply row also records
+//! `ratio_vs_naive`: the one-thread wall time of the independent
+//! reference (`conv2d_naive`, `gemm_naive`, `binary_naive`) over that of
+//! the kernel, measured interleaved in this process as a median of runs.
+//! It is informational (never gated), but the binary asserts a floor on
+//! it — 2.0 for conv (`MIN_CONV_RATIO`), 0.5 for GEMM (`MIN_GEMM_RATIO`),
+//! 8.0 for the broadcast multiply (`MIN_EW_RATIO`) — so a return to a
+//! per-element conv loop, a packed GEMM tile walk or per-element
+//! broadcast index arithmetic fails. The softmax row is informational.
 
 use sod2_device::{conv_efficiency, gemm_efficiency, DeviceProfile, ShapeClass};
 use sod2_frameworks::{Engine, Sod2Engine, Sod2Options};
-use sod2_ir::Spatial2d;
+use sod2_ir::{BinaryOp, Spatial2d};
+use sod2_kernels::elementwise::{binary, binary_naive};
+use sod2_kernels::reduce::softmax;
 use sod2_kernels::{
     conv2d_naive, conv2d_with_params, gemm_naive, gemm_tiled, ConvParams, GemmParams,
 };
@@ -40,6 +44,9 @@ const MIN_CONV_RATIO: f64 = 2.0;
 
 /// Floor asserted on every GEMM row's `ratio_vs_naive`.
 const MIN_GEMM_RATIO: f64 = 0.5;
+
+/// Floor asserted on the broadcast multiply row's `ratio_vs_naive`.
+const MIN_EW_RATIO: f64 = 8.0;
 
 fn fill(seed: u64, len: usize) -> Vec<f32> {
     let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
@@ -90,7 +97,8 @@ struct KernelEntry {
     wall_secs: [f64; 3],
     /// Greedy list-schedule of recorded chunk times onto N virtual workers.
     makespan_secs: [f64; 3],
-    /// Reference-over-kernel one-thread wall ratio (conv and GEMM rows).
+    /// Reference-over-kernel one-thread wall ratio (conv, GEMM and
+    /// broadcast multiply rows).
     ratio_vs_naive: Option<f64>,
 }
 
@@ -216,6 +224,44 @@ fn elementwise_entry() -> KernelEntry {
             std::hint::black_box(
                 sod2_kernels::elementwise::unary(sod2_ir::UnaryOp::Exp, &x).expect("unary"),
             );
+        },
+    )
+}
+
+/// StableDiffusion-Enc@40's attention `scaled` Mul: `[1,400,400]` times a
+/// one-element scale, against the per-element reference.
+fn binary_mul_entry() -> KernelEntry {
+    let l = 400usize;
+    let x = Tensor::from_f32(&[1, l, l], fill(6, l * l));
+    let scale = Tensor::from_f32(&[1], vec![0.125]);
+    let walk = || {
+        std::hint::black_box(binary(BinaryOp::Mul, &x, &scale).expect("binary"));
+    };
+    let naive = || {
+        std::hint::black_box(binary_naive(BinaryOp::Mul, &x, &scale).expect("binary"));
+    };
+    let ratio = interleaved_ratio(naive, walk, 20);
+    let desc = format!("1x{l}x{l} * 1 f32");
+    assert!(
+        ratio >= MIN_EW_RATIO,
+        "binary_mul {desc}: only {ratio:.2}x faster than binary_naive (floor {MIN_EW_RATIO}x)"
+    );
+    let mut entry = KernelEntry::measure("binary_mul", desc, (l * l) as f64, walk);
+    entry.ratio_vs_naive = Some(ratio);
+    entry
+}
+
+/// Softmax over the last axis of StableDiffusion-Enc@40's attention
+/// scores (informational).
+fn softmax_entry() -> KernelEntry {
+    let l = 400usize;
+    let x = Tensor::from_f32(&[1, l, l], fill(7, l * l));
+    KernelEntry::measure(
+        "softmax",
+        format!("1x{l}x{l} axis -1"),
+        (l * l) as f64,
+        move || {
+            std::hint::black_box(softmax(&x, -1).expect("softmax"));
         },
     )
 }
@@ -491,6 +537,8 @@ fn main() {
         // The hot 3x3 shape of the large-image CNN classes.
         conv_entry(8, 8, 32, 20),
         elementwise_entry(),
+        binary_mul_entry(),
+        softmax_entry(),
     ];
     let execs = exec_entries();
     let mvc_profile = DeviceProfile::s888_cpu();

@@ -514,6 +514,9 @@ fn profile_cmd(args: &[String]) {
         &Default::default(),
     );
     let mut last_run = None;
+    // Compilation above ran absint's pool regions; occupancy books only
+    // the pool work of the inference loop.
+    let busy_before = sod2_obs::counter("pool.busy_ns");
     for _ in 0..iters {
         match engine.infer_traced(&inputs) {
             Ok(run) => last_run = Some(run),
@@ -523,6 +526,7 @@ fn profile_cmd(args: &[String]) {
             }
         }
     }
+    let busy_ns = sod2_obs::counter("pool.busy_ns") - busy_before;
     // Optionally exercise the serving layer inside the same capture window
     // so the `serve.*` health gauges land in this profile document. The
     // server must outlive the snapshot: a clean shutdown zeroes the gauges.
@@ -548,7 +552,6 @@ fn profile_cmd(args: &[String]) {
     // Pool occupancy: busy-worker time over (inference wall × workers) —
     // how much of the pool's theoretical capacity the run actually used.
     let workers = sod2_pool::current_threads().max(1);
-    let busy_ns = prof.counters.get("pool.busy_ns").copied().unwrap_or(0);
     let occupancy = if infer_ns > 0 {
         busy_ns as f64 / (infer_ns as f64 * workers as f64)
     } else {

@@ -1,18 +1,111 @@
 //! Element-wise kernels: unary, binary (broadcasting), compare, select.
+//!
+//! Each op has one named scalar function. [`unary_fn`], [`binary_fn_f32`]
+//! and [`binary_fn_i64`] return it as a `fn` pointer for callers that
+//! evaluate one value at a time (constant folding, fused chains); the
+//! kernels instantiate their loops from the same function item, so LLVM
+//! inlines it and vectorizes the contiguous cases. Broadcast operands are
+//! read through a [`RunWalk`]: a loop per contiguous run, specialized on
+//! each operand's step (0 or 1), instead of index arithmetic per element.
 
+use crate::canonical_nan;
 use crate::error::{dtype_err, shape_err, KernelError};
 use sod2_ir::{BinaryOp, CompareOp, DType, UnaryOp};
-use sod2_tensor::{broadcast_output_shape, BroadcastIndexer, Data, Tensor};
+use sod2_tensor::{broadcast_output_shape, BroadcastIndexer, Data, RunWalk, Tensor};
 
 /// Pool grain for element-wise loops: tensors at or below this size run
 /// as a single (inline, serial) chunk, larger ones are split at
 /// grain-multiple boundaries independent of the thread count.
 const EW_GRAIN: usize = crate::PAR_CUTOFF_OPS;
 
+/// Evaluates `$body` with `$f` bound to the function of the arm `$op`
+/// matches, so each loop in `$body` is monomorphized over that function.
+macro_rules! bind_op {
+    ($op:expr, $f:ident => $body:expr, { $($arm:path => $fun:expr),+ $(,)? }) => {
+        match $op {
+            $($arm => {
+                let $f = $fun;
+                $body
+            })+
+        }
+    };
+}
+
+/// [`bind_op!`] over the named scalar function of each [`UnaryOp`].
+macro_rules! with_unary {
+    ($op:expr, $f:ident => $body:expr) => {
+        bind_op!($op, $f => $body, {
+            UnaryOp::Relu => relu,
+            UnaryOp::LeakyRelu => leaky_relu,
+            UnaryOp::Sigmoid => sigmoid,
+            UnaryOp::Tanh => f32::tanh,
+            UnaryOp::Gelu => gelu,
+            UnaryOp::Erf => erf_f32,
+            UnaryOp::Exp => f32::exp,
+            UnaryOp::Log => f32::ln,
+            UnaryOp::Sqrt => f32::sqrt,
+            UnaryOp::Neg => neg,
+            UnaryOp::Abs => f32::abs,
+            UnaryOp::Round => f32::round_ties_even,
+            UnaryOp::Floor => f32::floor,
+            UnaryOp::Ceil => f32::ceil,
+            UnaryOp::Softplus => softplus,
+            UnaryOp::Silu => silu,
+            UnaryOp::HardSigmoid => hard_sigmoid,
+            UnaryOp::HardSwish => hard_swish,
+            UnaryOp::Elu => elu,
+            UnaryOp::Selu => selu,
+            UnaryOp::Sign => sign,
+            UnaryOp::Reciprocal => reciprocal,
+            UnaryOp::Sin => f32::sin,
+            UnaryOp::Cos => f32::cos,
+        })
+    };
+}
+
+/// [`bind_op!`] over the f32 scalar function of each [`BinaryOp`].
+macro_rules! with_binary_f32 {
+    ($op:expr, $f:ident => $body:expr) => {
+        bind_op!($op, $f => $body, {
+            BinaryOp::Add => add_f32,
+            BinaryOp::Sub => sub_f32,
+            BinaryOp::Mul => mul_f32,
+            BinaryOp::Div => div_f32,
+            BinaryOp::Pow => f32::powf,
+            BinaryOp::Min => f32::min,
+            BinaryOp::Max => f32::max,
+            BinaryOp::Mod => mod_f32,
+        })
+    };
+}
+
+/// [`bind_op!`] over the i64 scalar function of each [`BinaryOp`].
+macro_rules! with_binary_i64 {
+    ($op:expr, $f:ident => $body:expr) => {
+        bind_op!($op, $f => $body, {
+            BinaryOp::Add => i64::wrapping_add,
+            BinaryOp::Sub => i64::wrapping_sub,
+            BinaryOp::Mul => i64::wrapping_mul,
+            BinaryOp::Div => div_i64,
+            BinaryOp::Pow => pow_i64,
+            BinaryOp::Min => i64::min,
+            BinaryOp::Max => i64::max,
+            BinaryOp::Mod => mod_i64,
+        })
+    };
+}
+
 /// Applies a unary function element-wise.
 pub fn unary(op: UnaryOp, x: &Tensor) -> Result<Tensor, KernelError> {
     let xs = x.as_f32().map_err(|e| dtype_err("Unary", e.to_string()))?;
-    let f = unary_fn(op);
+    Ok(Tensor::from_f32(
+        x.shape(),
+        with_unary!(op, f => map_f32(xs, f)),
+    ))
+}
+
+/// `f` over every element of `xs`, in pool chunks of [`EW_GRAIN`].
+fn map_f32(xs: &[f32], f: impl Fn(f32) -> f32 + Sync) -> Vec<f32> {
     let mut out = vec![0f32; xs.len()];
     sod2_pool::scope_chunks(&mut out, EW_GRAIN, |off, chunk| {
         let src = &xs[off..off + chunk.len()];
@@ -20,57 +113,84 @@ pub fn unary(op: UnaryOp, x: &Tensor) -> Result<Tensor, KernelError> {
             *o = f(v);
         }
     });
-    Ok(Tensor::from_f32(x.shape(), out))
+    out
 }
 
-/// The scalar function for a [`UnaryOp`].
+/// The scalar function for a [`UnaryOp`] (exactly the kernel's).
 pub fn unary_fn(op: UnaryOp) -> fn(f32) -> f32 {
-    match op {
-        UnaryOp::Relu => |v| v.max(0.0),
-        UnaryOp::LeakyRelu => |v| if v >= 0.0 { v } else { 0.01 * v },
-        UnaryOp::Sigmoid => |v| 1.0 / (1.0 + (-v).exp()),
-        UnaryOp::Tanh => f32::tanh,
-        UnaryOp::Gelu => |v| {
-            0.5 * v
-                * (1.0
-                    + ((2.0f32 / std::f32::consts::PI).sqrt() * (v + 0.044_715 * v * v * v)).tanh())
-        },
-        UnaryOp::Erf => erf_f32,
-        UnaryOp::Exp => f32::exp,
-        UnaryOp::Log => f32::ln,
-        UnaryOp::Sqrt => f32::sqrt,
-        UnaryOp::Neg => |v| -v,
-        UnaryOp::Abs => f32::abs,
-        UnaryOp::Round => |v| v.round_ties_even(),
-        UnaryOp::Floor => f32::floor,
-        UnaryOp::Ceil => f32::ceil,
-        UnaryOp::Softplus => |v| (1.0 + v.exp()).ln(),
-        UnaryOp::Silu => |v| v / (1.0 + (-v).exp()),
-        UnaryOp::HardSigmoid => |v| (v / 6.0 + 0.5).clamp(0.0, 1.0),
-        UnaryOp::HardSwish => |v| v * (v / 6.0 + 0.5).clamp(0.0, 1.0),
-        UnaryOp::Elu => |v| if v >= 0.0 { v } else { v.exp_m1() },
-        UnaryOp::Selu => |v| {
-            const ALPHA: f32 = 1.673_263_2;
-            const SCALE: f32 = 1.050_701;
-            if v >= 0.0 {
-                SCALE * v
-            } else {
-                SCALE * ALPHA * v.exp_m1()
-            }
-        },
-        UnaryOp::Sign => |v| {
-            if v > 0.0 {
-                1.0
-            } else if v < 0.0 {
-                -1.0
-            } else {
-                0.0
-            }
-        },
-        UnaryOp::Reciprocal => |v| 1.0 / v,
-        UnaryOp::Sin => f32::sin,
-        UnaryOp::Cos => f32::cos,
+    with_unary!(op, f => f)
+}
+
+fn relu(v: f32) -> f32 {
+    v.max(0.0)
+}
+
+fn leaky_relu(v: f32) -> f32 {
+    if v >= 0.0 {
+        v
+    } else {
+        0.01 * v
     }
+}
+
+fn sigmoid(v: f32) -> f32 {
+    1.0 / (1.0 + (-v).exp())
+}
+
+fn gelu(v: f32) -> f32 {
+    0.5 * v * (1.0 + ((2.0f32 / std::f32::consts::PI).sqrt() * (v + 0.044_715 * v * v * v)).tanh())
+}
+
+fn neg(v: f32) -> f32 {
+    -v
+}
+
+fn softplus(v: f32) -> f32 {
+    (1.0 + v.exp()).ln()
+}
+
+fn silu(v: f32) -> f32 {
+    v / (1.0 + (-v).exp())
+}
+
+fn hard_sigmoid(v: f32) -> f32 {
+    (v / 6.0 + 0.5).clamp(0.0, 1.0)
+}
+
+fn hard_swish(v: f32) -> f32 {
+    v * (v / 6.0 + 0.5).clamp(0.0, 1.0)
+}
+
+fn elu(v: f32) -> f32 {
+    if v >= 0.0 {
+        v
+    } else {
+        v.exp_m1()
+    }
+}
+
+fn selu(v: f32) -> f32 {
+    const ALPHA: f32 = 1.673_263_2;
+    const SCALE: f32 = 1.050_701;
+    if v >= 0.0 {
+        SCALE * v
+    } else {
+        SCALE * ALPHA * v.exp_m1()
+    }
+}
+
+fn sign(v: f32) -> f32 {
+    if v > 0.0 {
+        1.0
+    } else if v < 0.0 {
+        -1.0
+    } else {
+        0.0
+    }
+}
+
+fn reciprocal(v: f32) -> f32 {
+    1.0 / v
 }
 
 /// Abramowitz–Stegun rational approximation of `erf` (|err| < 1.5e-7).
@@ -87,17 +207,98 @@ fn erf_f32(x: f32) -> f32 {
 }
 
 /// Element-wise binary arithmetic with broadcasting (f32 or i64).
+///
+/// f32 outputs write every NaN as `f32::NAN`: vectorized code may swap
+/// the operands of a commutative op, which changes which NaN comes out.
 pub fn binary(op: BinaryOp, a: &Tensor, b: &Tensor) -> Result<Tensor, KernelError> {
     let out_shape = broadcast_output_shape(a.shape(), b.shape())
         .ok_or_else(|| shape_err("Binary", format!("{:?} vs {:?}", a.shape(), b.shape())))?;
+    let n: usize = out_shape.iter().product();
+    let walk = RunWalk::new(&out_shape, &[a.shape(), b.shape()]);
     match (a.data(), b.data()) {
-        (Data::F32(_), Data::F32(_)) => {
-            let f = binary_fn_f32(op);
-            broadcast_zip_f32(&out_shape, a, b, f)
+        (Data::F32(av), Data::F32(bv)) => {
+            let mut out = vec![0f32; n];
+            sod2_pool::scope_chunks(&mut out, EW_GRAIN, |off, chunk| {
+                with_binary_f32!(op, f => {
+                    zip_runs(&walk, av, bv, off, chunk, |x, y| canonical_nan(f(x, y)));
+                });
+            });
+            Ok(Tensor::from_f32(&out_shape, out))
         }
-        (Data::I64(_), Data::I64(_)) => {
+        (Data::I64(av), Data::I64(bv)) => {
+            let mut out = vec![0i64; n];
+            with_binary_i64!(op, f => zip_runs(&walk, av, bv, 0, &mut out, f));
+            Ok(Tensor::from_i64(&out_shape, out))
+        }
+        _ => Err(dtype_err(
+            "Binary",
+            format!("{} vs {}", a.dtype_name(), b.dtype_name()),
+        )),
+    }
+}
+
+/// Writes `f(a, b)` into `out`, which holds output offsets
+/// `[off, off + out.len())` of `walk`. Each run's loop is specialized on
+/// the two operands' steps, so the contiguous cases vectorize.
+fn zip_runs<T: Copy, U: Copy>(
+    walk: &RunWalk,
+    av: &[T],
+    bv: &[T],
+    off: usize,
+    out: &mut [U],
+    f: impl Fn(T, T) -> U,
+) {
+    let (a_moves, b_moves) = (walk.step(0) == 1, walk.step(1) == 1);
+    walk.for_each_run(off, out.len(), |o, len, src| {
+        let dst = &mut out[o - off..o - off + len];
+        let (ia, ib) = (src[0], src[1]);
+        match (a_moves, b_moves) {
+            (true, true) => {
+                for ((d, &x), &y) in dst.iter_mut().zip(&av[ia..ia + len]).zip(&bv[ib..ib + len]) {
+                    *d = f(x, y);
+                }
+            }
+            (true, false) => {
+                let y = bv[ib];
+                for (d, &x) in dst.iter_mut().zip(&av[ia..ia + len]) {
+                    *d = f(x, y);
+                }
+            }
+            (false, true) => {
+                let x = av[ia];
+                for (d, &y) in dst.iter_mut().zip(&bv[ib..ib + len]) {
+                    *d = f(x, y);
+                }
+            }
+            (false, false) => dst.fill(f(av[ia], bv[ib])),
+        }
+    });
+}
+
+/// The per-element reference for [`binary`]: serial, every operand offset
+/// computed by [`BroadcastIndexer`], the op called through its `fn`
+/// pointer, and NaN outputs left as the arithmetic produced them. No
+/// dispatch path runs it; tests and `bench_kernels` compare against it.
+pub fn binary_naive(op: BinaryOp, a: &Tensor, b: &Tensor) -> Result<Tensor, KernelError> {
+    let out_shape = broadcast_output_shape(a.shape(), b.shape())
+        .ok_or_else(|| shape_err("Binary", format!("{:?} vs {:?}", a.shape(), b.shape())))?;
+    let n: usize = out_shape.iter().product();
+    let ia = BroadcastIndexer::new(&out_shape, a.shape());
+    let ib = BroadcastIndexer::new(&out_shape, b.shape());
+    match (a.data(), b.data()) {
+        (Data::F32(av), Data::F32(bv)) => {
+            let f = binary_fn_f32(op);
+            let out = (0..n)
+                .map(|i| f(av[ia.src_offset(i)], bv[ib.src_offset(i)]))
+                .collect();
+            Ok(Tensor::from_f32(&out_shape, out))
+        }
+        (Data::I64(av), Data::I64(bv)) => {
             let f = binary_fn_i64(op);
-            broadcast_zip_i64(&out_shape, a, b, f)
+            let out = (0..n)
+                .map(|i| f(av[ia.src_offset(i)], bv[ib.src_offset(i)]))
+                .collect();
+            Ok(Tensor::from_i64(&out_shape, out))
         }
         _ => Err(dtype_err(
             "Binary",
@@ -108,80 +309,52 @@ pub fn binary(op: BinaryOp, a: &Tensor, b: &Tensor) -> Result<Tensor, KernelErro
 
 /// The scalar f32 function for a [`BinaryOp`] (exactly the kernel's).
 pub fn binary_fn_f32(op: BinaryOp) -> fn(f32, f32) -> f32 {
-    match op {
-        BinaryOp::Add => |x, y| x + y,
-        BinaryOp::Sub => |x, y| x - y,
-        BinaryOp::Mul => |x, y| x * y,
-        BinaryOp::Div => |x, y| x / y,
-        BinaryOp::Pow => f32::powf,
-        BinaryOp::Min => f32::min,
-        BinaryOp::Max => f32::max,
-        BinaryOp::Mod => |x, y| x - y * (x / y).floor(),
-    }
+    with_binary_f32!(op, f => f)
 }
 
 /// The scalar i64 function for a [`BinaryOp`] (exactly the kernel's).
 pub fn binary_fn_i64(op: BinaryOp) -> fn(i64, i64) -> i64 {
-    match op {
-        BinaryOp::Add => |x, y| x.wrapping_add(y),
-        BinaryOp::Sub => |x, y| x.wrapping_sub(y),
-        BinaryOp::Mul => |x, y| x.wrapping_mul(y),
-        BinaryOp::Div => |x, y| if y == 0 { 0 } else { x.div_euclid(y) },
-        BinaryOp::Pow => |x, y| x.pow(y.clamp(0, 63) as u32),
-        BinaryOp::Min => i64::min,
-        BinaryOp::Max => i64::max,
-        BinaryOp::Mod => |x, y| if y == 0 { 0 } else { x.rem_euclid(y) },
-    }
+    with_binary_i64!(op, f => f)
 }
 
-fn broadcast_zip_f32(
-    out_shape: &[usize],
-    a: &Tensor,
-    b: &Tensor,
-    f: fn(f32, f32) -> f32,
-) -> Result<Tensor, KernelError> {
-    let (av, bv) = (
-        a.as_f32().map_err(|e| dtype_err("Binary", e.to_string()))?,
-        b.as_f32().map_err(|e| dtype_err("Binary", e.to_string()))?,
-    );
-    let n: usize = out_shape.iter().product();
-    let mut out = vec![0f32; n];
-    if a.shape() == out_shape && b.shape() == out_shape {
-        // Fast path: identical shapes.
-        sod2_pool::scope_chunks(&mut out, EW_GRAIN, |off, chunk| {
-            for (i, o) in chunk.iter_mut().enumerate() {
-                *o = f(av[off + i], bv[off + i]);
-            }
-        });
+fn add_f32(x: f32, y: f32) -> f32 {
+    x + y
+}
+
+fn sub_f32(x: f32, y: f32) -> f32 {
+    x - y
+}
+
+fn mul_f32(x: f32, y: f32) -> f32 {
+    x * y
+}
+
+fn div_f32(x: f32, y: f32) -> f32 {
+    x / y
+}
+
+fn mod_f32(x: f32, y: f32) -> f32 {
+    x - y * (x / y).floor()
+}
+
+fn div_i64(x: i64, y: i64) -> i64 {
+    if y == 0 {
+        0
     } else {
-        let ia = BroadcastIndexer::new(out_shape, a.shape());
-        let ib = BroadcastIndexer::new(out_shape, b.shape());
-        sod2_pool::scope_chunks(&mut out, EW_GRAIN, |off, chunk| {
-            for (i, o) in chunk.iter_mut().enumerate() {
-                *o = f(av[ia.src_offset(off + i)], bv[ib.src_offset(off + i)]);
-            }
-        });
+        x.div_euclid(y)
     }
-    Ok(Tensor::from_f32(out_shape, out))
 }
 
-fn broadcast_zip_i64(
-    out_shape: &[usize],
-    a: &Tensor,
-    b: &Tensor,
-    f: fn(i64, i64) -> i64,
-) -> Result<Tensor, KernelError> {
-    let (av, bv) = (
-        a.as_i64().map_err(|e| dtype_err("Binary", e.to_string()))?,
-        b.as_i64().map_err(|e| dtype_err("Binary", e.to_string()))?,
-    );
-    let n: usize = out_shape.iter().product();
-    let ia = BroadcastIndexer::new(out_shape, a.shape());
-    let ib = BroadcastIndexer::new(out_shape, b.shape());
-    let out: Vec<i64> = (0..n)
-        .map(|i| f(av[ia.src_offset(i)], bv[ib.src_offset(i)]))
-        .collect();
-    Ok(Tensor::from_i64(out_shape, out))
+fn pow_i64(x: i64, y: i64) -> i64 {
+    x.pow(y.clamp(0, 63) as u32)
+}
+
+fn mod_i64(x: i64, y: i64) -> i64 {
+    if y == 0 {
+        0
+    } else {
+        x.rem_euclid(y)
+    }
 }
 
 /// Element-wise comparison with broadcasting; returns a `bool` tensor.
@@ -189,37 +362,33 @@ pub fn compare(op: CompareOp, a: &Tensor, b: &Tensor) -> Result<Tensor, KernelEr
     let out_shape = broadcast_output_shape(a.shape(), b.shape())
         .ok_or_else(|| shape_err("Compare", format!("{:?} vs {:?}", a.shape(), b.shape())))?;
     let n: usize = out_shape.iter().product();
-    let ia = BroadcastIndexer::new(&out_shape, a.shape());
-    let ib = BroadcastIndexer::new(&out_shape, b.shape());
-    let out: Vec<bool> = match (a.data(), b.data()) {
-        (Data::F32(av), Data::F32(bv)) => (0..n)
-            .map(|i| {
-                let (x, y) = (av[ia.src_offset(i)], bv[ib.src_offset(i)]);
-                match op {
-                    CompareOp::Equal => x == y,
-                    CompareOp::Less => x < y,
-                    CompareOp::Greater => x > y,
-                }
-            })
-            .collect(),
-        (Data::I64(av), Data::I64(bv)) => (0..n)
-            .map(|i| {
-                let (x, y) = (av[ia.src_offset(i)], bv[ib.src_offset(i)]);
-                match op {
-                    CompareOp::Equal => x == y,
-                    CompareOp::Less => x < y,
-                    CompareOp::Greater => x > y,
-                }
-            })
-            .collect(),
+    let walk = RunWalk::new(&out_shape, &[a.shape(), b.shape()]);
+    let mut out = vec![false; n];
+    match (a.data(), b.data()) {
+        (Data::F32(av), Data::F32(bv)) => compare_runs(op, &walk, av, bv, &mut out),
+        (Data::I64(av), Data::I64(bv)) => compare_runs(op, &walk, av, bv, &mut out),
         _ => {
             return Err(dtype_err(
                 "Compare",
                 format!("{} vs {}", a.dtype_name(), b.dtype_name()),
             ))
         }
-    };
+    }
     Ok(Tensor::from_bool(&out_shape, out))
+}
+
+fn compare_runs<T: PartialOrd + Copy>(
+    op: CompareOp,
+    walk: &RunWalk,
+    av: &[T],
+    bv: &[T],
+    out: &mut [bool],
+) {
+    match op {
+        CompareOp::Equal => zip_runs(walk, av, bv, 0, out, |x, y| x == y),
+        CompareOp::Less => zip_runs(walk, av, bv, 0, out, |x, y| x < y),
+        CompareOp::Greater => zip_runs(walk, av, bv, 0, out, |x, y| x > y),
+    }
 }
 
 /// `Where(cond, a, b)` with broadcasting.
@@ -234,18 +403,19 @@ pub fn where_select(cond: &Tensor, a: &Tensor, b: &Tensor) -> Result<Tensor, Ker
     let av = a.as_f32().map_err(|e| dtype_err("Where", e.to_string()))?;
     let bv = b.as_f32().map_err(|e| dtype_err("Where", e.to_string()))?;
     let n: usize = out_shape.iter().product();
-    let ic = BroadcastIndexer::new(&out_shape, cond.shape());
-    let ia = BroadcastIndexer::new(&out_shape, a.shape());
-    let ib = BroadcastIndexer::new(&out_shape, b.shape());
+    let walk = RunWalk::new(&out_shape, &[cond.shape(), a.shape(), b.shape()]);
+    let (sc, sa, sb) = (walk.step(0), walk.step(1), walk.step(2));
     let mut out = vec![0f32; n];
     sod2_pool::scope_chunks(&mut out, EW_GRAIN, |off, chunk| {
-        for (i, o) in chunk.iter_mut().enumerate() {
-            *o = if cv[ic.src_offset(off + i)] {
-                av[ia.src_offset(off + i)]
-            } else {
-                bv[ib.src_offset(off + i)]
-            };
-        }
+        walk.for_each_run(off, chunk.len(), |o, len, src| {
+            for (i, slot) in chunk[o - off..o - off + len].iter_mut().enumerate() {
+                *slot = if cv[src[0] + i * sc] {
+                    av[src[1] + i * sa]
+                } else {
+                    bv[src[2] + i * sb]
+                };
+            }
+        });
     });
     Ok(Tensor::from_f32(&out_shape, out))
 }
@@ -253,14 +423,10 @@ pub fn where_select(cond: &Tensor, a: &Tensor, b: &Tensor) -> Result<Tensor, Ker
 /// `Clip(x, min, max)`.
 pub fn clip(x: &Tensor, min: f32, max: f32) -> Result<Tensor, KernelError> {
     let xs = x.as_f32().map_err(|e| dtype_err("Clip", e.to_string()))?;
-    let mut out = vec![0f32; xs.len()];
-    sod2_pool::scope_chunks(&mut out, EW_GRAIN, |off, chunk| {
-        let src = &xs[off..off + chunk.len()];
-        for (o, v) in chunk.iter_mut().zip(src) {
-            *o = v.clamp(min, max);
-        }
-    });
-    Ok(Tensor::from_f32(x.shape(), out))
+    Ok(Tensor::from_f32(
+        x.shape(),
+        map_f32(xs, |v| v.clamp(min, max)),
+    ))
 }
 
 /// `Cast(x)` to a target dtype.

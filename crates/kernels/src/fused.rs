@@ -4,8 +4,8 @@
 //! (§4.2, Fig. 4): a chain of element-wise operators compiles to one loop
 //! nest that never materializes intermediate tensors. This module is that
 //! generated code's interpreter equivalent: it evaluates a whole chain one
-//! output element at a time, reading every operand through a broadcast
-//! indexer — the memory behaviour of the paper's fused kernel.
+//! output element at a time, reading every operand through the runs of one
+//! broadcast [`RunWalk`] — the memory behaviour of the paper's fused kernel.
 //!
 //! Because element-wise operators are pointwise, the value of the chain at
 //! an output coordinate depends only on the seed and operand values at the
@@ -13,10 +13,11 @@
 //! results *would* have had — which is what makes single-pass fusion sound
 //! even across broadcasts.
 
-use crate::elementwise::unary_fn;
+use crate::canonical_nan;
+use crate::elementwise::{binary_fn_f32, unary_fn};
 use crate::error::{dtype_err, shape_err, KernelError};
 use sod2_ir::{BinaryOp, UnaryOp};
-use sod2_tensor::{broadcast_output_shape, BroadcastIndexer, Tensor};
+use sod2_tensor::{broadcast_output_shape, RunWalk, Tensor};
 
 /// One step of a fused element-wise chain.
 #[derive(Debug, Clone)]
@@ -41,19 +42,6 @@ pub enum FusedStep<'a> {
     },
 }
 
-fn apply_binary(op: BinaryOp, a: f32, b: f32) -> f32 {
-    match op {
-        BinaryOp::Add => a + b,
-        BinaryOp::Sub => a - b,
-        BinaryOp::Mul => a * b,
-        BinaryOp::Div => a / b,
-        BinaryOp::Pow => a.powf(b),
-        BinaryOp::Min => a.min(b),
-        BinaryOp::Max => a.max(b),
-        BinaryOp::Mod => a - b * (a / b).floor(),
-    }
-}
-
 /// Computes the output shape a fused chain produces.
 ///
 /// # Errors
@@ -76,63 +64,58 @@ pub fn fused_output_shape(
 /// Executes a fused element-wise chain in a single pass, materializing only
 /// the final output.
 ///
+/// Each value is bitwise what node-by-node execution computes: every step
+/// is the kernel's scalar function, and a `Binary` step writes a NaN as
+/// `f32::NAN`, as [`crate::elementwise::binary`] does.
+///
 /// # Errors
 ///
 /// Returns kernel errors for non-f32 operands or incompatible broadcasts.
 pub fn fused_elementwise(seed: &Tensor, steps: &[FusedStep<'_>]) -> Result<Tensor, KernelError> {
     let out_shape = fused_output_shape(seed, steps)?;
     let n: usize = out_shape.iter().product();
-    let seed_v = seed
+    // Operand 0 is the seed, operand k the k-th `Binary` step's tensor.
+    let mut shapes = vec![seed.shape()];
+    let mut values = vec![seed
         .as_f32()
-        .map_err(|e| dtype_err("Fused", e.to_string()))?;
-    let seed_ix = BroadcastIndexer::new(&out_shape, seed.shape());
-    // Pre-resolve operand views and indexers.
-    struct Operand<'a> {
-        values: &'a [f32],
-        ix: BroadcastIndexer,
-    }
-    let mut operands: Vec<Option<Operand<'_>>> = Vec::with_capacity(steps.len());
+        .map_err(|e| dtype_err("Fused", e.to_string()))?];
     for s in steps {
-        operands.push(match s {
-            FusedStep::Binary { other, .. } => Some(Operand {
-                values: other
+        if let FusedStep::Binary { other, .. } = s {
+            shapes.push(other.shape());
+            values.push(
+                other
                     .as_f32()
                     .map_err(|e| dtype_err("Fused", e.to_string()))?,
-                ix: BroadcastIndexer::new(&out_shape, other.shape()),
-            }),
-            _ => None,
-        });
+            );
+        }
     }
+    let walk = RunWalk::new(&out_shape, &shapes);
+    let moves: Vec<usize> = (0..values.len()).map(|k| walk.step(k)).collect();
     let mut out = vec![0f32; n];
     // Pointwise: output chunks are fully independent, so split at
     // thread-count-independent grain boundaries.
     sod2_pool::scope_chunks(&mut out, crate::PAR_CUTOFF_OPS, |off, chunk| {
-        for (ci, slot) in chunk.iter_mut().enumerate() {
-            let i = off + ci;
-            let mut v = seed_v[seed_ix.src_offset(i)];
-            for (s, operand) in steps.iter().zip(&operands) {
-                v = match s {
-                    FusedStep::Unary(u) => unary_fn(*u)(v),
-                    FusedStep::Clip { min, max } => v.clamp(*min, *max),
-                    FusedStep::Binary {
-                        op, chain_is_lhs, ..
-                    } => {
-                        // Invariant: `operands` was built index-aligned from
-                        // this same `steps` slice, pushing `Some` for every
-                        // `Binary` step — the expect cannot fire.
-                        #[allow(clippy::expect_used)]
-                        let operand = operand.as_ref().expect("binary step has operand");
-                        let o = operand.values[operand.ix.src_offset(i)];
-                        if *chain_is_lhs {
-                            apply_binary(*op, v, o)
-                        } else {
-                            apply_binary(*op, o, v)
+        walk.for_each_run(off, chunk.len(), |o, len, src| {
+            for (i, slot) in chunk[o - off..o - off + len].iter_mut().enumerate() {
+                let at = |k: usize| values[k][src[k] + i * moves[k]];
+                let mut v = at(0);
+                let mut operand = 0;
+                for s in steps {
+                    v = match s {
+                        FusedStep::Unary(u) => unary_fn(*u)(v),
+                        FusedStep::Clip { min, max } => v.clamp(*min, *max),
+                        FusedStep::Binary {
+                            op, chain_is_lhs, ..
+                        } => {
+                            operand += 1;
+                            let (x, f) = (at(operand), binary_fn_f32(*op));
+                            canonical_nan(if *chain_is_lhs { f(v, x) } else { f(x, v) })
                         }
-                    }
-                };
+                    };
+                }
+                *slot = v;
             }
-            *slot = v;
-        }
+        });
     });
     Tensor::new(&out_shape, sod2_tensor::Data::F32(out))
         .map_err(|e| shape_err("Fused", e.to_string()))
@@ -169,7 +152,7 @@ mod tests {
         let b = binary(BinaryOp::Mul, &a, &two).expect("mul");
         let c = binary(BinaryOp::Add, &b, &bias).expect("add");
         let want = unary(UnaryOp::Sigmoid, &c).expect("sigmoid");
-        assert!(fused.approx_eq(&want, 1e-6));
+        assert_eq!(fused.payload_le_bytes(), want.payload_le_bytes());
     }
 
     #[test]

@@ -42,11 +42,23 @@ pub(crate) const PAR_CUTOFF_OPS: usize = 1 << 14;
 /// two NaNs returns the first operand's. The compiler may swap the
 /// operands of a float add or multiply, so without this pass the sign of
 /// a NaN output would depend on code generation. The GEMM and conv
-/// kernels run it over each finished pool chunk, which keeps their
-/// bitwise contract in every build profile.
+/// kernels run it over each finished pool chunk, and f32 `Binary` and
+/// each `Binary` step of a fused chain apply [`canonical_nan`] to every
+/// value they compute, which keeps their bitwise contract in every build
+/// profile.
 pub(crate) fn canonical_nans(out: &mut [f32]) {
     for v in out {
-        *v = if v.is_nan() { f32::NAN } else { *v };
+        *v = canonical_nan(*v);
+    }
+}
+
+/// `v`, or `f32::NAN` when `v` is any NaN (see [`canonical_nans`]).
+#[inline]
+pub(crate) fn canonical_nan(v: f32) -> f32 {
+    if v.is_nan() {
+        f32::NAN
+    } else {
+        v
     }
 }
 

@@ -170,6 +170,24 @@ pub fn softmax(x: &Tensor, axis: i64) -> Result<Tensor, KernelError> {
     let block = axis_len * inner;
     let blocks_per_chunk = (LANE_GRAIN_OPS / block.max(1)).max(1);
     sod2_pool::scope_chunks(&mut out, blocks_per_chunk * block, |off, chunk| {
+        if inner == 1 {
+            // The axis is innermost: each block is one contiguous row, and
+            // the same folds run over slices.
+            let rows = xv[off..off + chunk.len()].chunks_exact(block);
+            for (orow, row) in chunk.chunks_exact_mut(block).zip(rows) {
+                let mx = row.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v));
+                let mut sum = 0f32;
+                for (o, &v) in orow.iter_mut().zip(row) {
+                    let e = (v - mx).exp();
+                    *o = e;
+                    sum += e;
+                }
+                for o in orow {
+                    *o /= sum;
+                }
+            }
+            return;
+        }
         let o0 = off / block.max(1);
         for (bi, obuf) in chunk.chunks_exact_mut(block).enumerate() {
             let o = o0 + bi;

@@ -3,7 +3,7 @@
 
 use crate::error::{dtype_err, shape_err, KernelError};
 use sod2_ir::{is_permutation, normalize_axis};
-use sod2_tensor::{broadcast_output_shape, BroadcastIndexer, Data, Indexer, Tensor};
+use sod2_tensor::{broadcast_output_shape, Data, Indexer, RunWalk, Tensor};
 
 /// `Shape(x)` — returns the input's shape as an `i64` tensor.
 pub fn shape_of(x: &Tensor) -> Tensor {
@@ -354,9 +354,17 @@ pub fn expand(x: &Tensor, target: &Tensor) -> Result<Tensor, KernelError> {
     let out_shape = broadcast_output_shape(x.shape(), &tdims)
         .ok_or_else(|| shape_err("Expand", "not broadcastable"))?;
     let xv = x.as_f32().map_err(|e| dtype_err("Expand", e.to_string()))?;
-    let bi = BroadcastIndexer::new(&out_shape, x.shape());
+    let walk = RunWalk::new(&out_shape, &[x.shape()]);
     let n: usize = out_shape.iter().product();
-    let out: Vec<f32> = (0..n).map(|i| xv[bi.src_offset(i)]).collect();
+    let mut out = vec![0f32; n];
+    walk.for_each_run(0, n, |o, len, src| {
+        let dst = &mut out[o..o + len];
+        if walk.step(0) == 1 {
+            dst.copy_from_slice(&xv[src[0]..src[0] + len]);
+        } else {
+            dst.fill(xv[src[0]]);
+        }
+    });
     Ok(Tensor::from_f32(&out_shape, out))
 }
 

@@ -352,6 +352,19 @@ fn counter_apply(name: &str, f: impl FnOnce(&mut u64)) {
     }
 }
 
+/// The current value of a counter or gauge in this session, without
+/// draining anything (0 when it was never touched). Lets a caller book
+/// only what accrued over one interval: read before and after it.
+pub fn counter(name: &str) -> u64 {
+    registry()
+        .counters
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .get(name)
+        .copied()
+        .unwrap_or(0)
+}
+
 /// Adds `v` to a monotonically increasing counter.
 #[inline]
 pub fn counter_add(name: &str, v: u64) {

@@ -2,7 +2,8 @@
 //!
 //! A minimal row-major dense tensor used by the kernel library and the
 //! executor. Supports `f32`, `i64`, `bool`, and `u8` payloads, NumPy-style
-//! broadcasting index arithmetic, and cheap metadata-only reshapes.
+//! broadcasting index arithmetic (per element, or as contiguous runs with
+//! [`RunWalk`]), and cheap metadata-only reshapes.
 //!
 //! # Examples
 //!
@@ -19,5 +20,5 @@
 mod index;
 mod tensor;
 
-pub use index::{broadcast_output_shape, BroadcastIndexer, Indexer};
+pub use index::{broadcast_output_shape, BroadcastIndexer, Indexer, RunWalk};
 pub use tensor::{Data, Tensor, TensorError};

@@ -157,8 +157,8 @@ stage_zoo() {
     for m in $models; do
         echo "--- analyze $m ---"
         $CLI analyze "$m" --json > /dev/null
-        # End-to-end inference on the arena-backed register-machine tape,
-        # with serial and wavefront scheduling.
+        # End-to-end inference on the register-machine tape, accounted
+        # against the DMP plan, with serial and wavefront scheduling.
         SOD2_WAVEFRONT=0 $CLI run "$m" > /dev/null
         SOD2_WAVEFRONT=1 $CLI run "$m" > /dev/null
         count=$((count + 1))
@@ -235,8 +235,8 @@ stage_chaos() {
     # (plus the deadline/budget hardening paths) must end in a typed error
     # or a recovered inference, and the engine must stay reusable with
     # bitwise-identical outputs. Any WEDGED/PANICKED/unexpected cell exits
-    # non-zero. The hardening paths must hold under serial and wavefront
-    # scheduling alike.
+    # non-zero, and so does a fault site no cell injects. The hardening
+    # paths must hold under serial and wavefront scheduling alike.
     echo "--- chaos (serial) ---"
     SOD2_WAVEFRONT=0 $CLI chaos --all --seed 42
     echo "--- chaos (wavefront) ---"

@@ -9,7 +9,7 @@
 //! - a property test builds ≥1k random elementwise/reduce/compare graphs,
 //!   marks *every* node output as a graph output so intermediates are
 //!   observable, and checks each produced value against its abstract fact —
-//!   across thread counts (1 and 4) and across heap and arena backings.
+//!   across thread counts (1 and 4), on the reference and on the tape.
 //!
 //! Inputs are always finite: that is the premise the taint lattice is
 //! defined under (the runtime input fence enforces it when `nan_guard` is
@@ -20,7 +20,6 @@
 use proptest::prelude::*;
 use sod2_analysis::{certify, Certificates};
 use sod2_ir::{BinaryOp, CompareOp, ConstData, DType, Graph, Op, ReduceOp, TensorId, UnaryOp};
-use sod2_mem::{Arena, ArenaLayout, MemoryPlan, TensorLife};
 use sod2_models::{all_models, branchy_demo, ModelScale};
 use sod2_pool::with_threads;
 use sod2_prng::rngs::StdRng;
@@ -29,8 +28,6 @@ use sod2_rdp::analyze;
 use sod2_runtime::{compile_tape, execute, execute_tape, ExecConfig, ReferenceRun, RunOutcome};
 use sod2_sym::{Bindings, DimExpr, ShapeValue};
 use sod2_tensor::Tensor;
-use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Asserts one concrete tensor lies inside its abstract facts.
 fn check_tensor(graph: &Graph, certs: &Certificates, t: TensorId, tensor: &Tensor, ctx: &str) {
@@ -272,46 +269,17 @@ fn build_random_graph(rng: &mut StdRng) -> (Graph, Vec<Tensor>) {
     (g, inputs)
 }
 
-/// Runs the graph on the tape with per-tensor private arena slots sized
-/// from a reference heap run, so the arena path cannot legitimately
-/// diverge from the heap path.
-fn run_on_arena(g: &Graph, inputs: &[Tensor], heap: &ReferenceRun) -> RunOutcome {
-    let keys: Vec<(usize, usize)> = heap
-        .concrete_shapes
-        .iter()
-        .filter(|(t, _)| g.producer(**t).is_some())
-        .map(|(t, shape)| {
-            let bytes = shape.iter().product::<usize>() * g.tensor(*t).dtype.size_bytes();
-            (t.0 as usize, bytes.max(1))
-        })
-        .collect();
-    let mut offsets = HashMap::new();
-    let mut lives = Vec::new();
-    let mut at = 0usize;
-    for &(k, bytes) in &keys {
-        offsets.insert(k, at);
-        lives.push(TensorLife::new(k, bytes, 0, vec![]));
-        at += bytes.div_ceil(64) * 64;
-    }
-    let plan = MemoryPlan { offsets, peak: at };
-    let mut arena = Arena::new(Arc::new(ArenaLayout::new(&lives, &plan, &[])));
+/// Runs the graph on a serial tape in topological order.
+fn run_on_tape(g: &Graph, inputs: &[Tensor]) -> RunOutcome {
     let tape = compile_tape(g, &g.topo_order(), None, None, None, None).expect("compile tape");
-    execute_tape(
-        g,
-        inputs,
-        &tape,
-        &ExecConfig::default(),
-        Some(&mut arena),
-        false,
-    )
-    .expect("arena run")
+    execute_tape(g, inputs, &tape, &ExecConfig::default(), None, false).expect("tape run")
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(1200))]
 
     /// `abstract ⊒ concrete` on random graphs, for every intermediate, at
-    /// 1 and 4 threads, on the heap and on a private-slot arena.
+    /// 1 and 4 threads, on the reference and on the tape.
     #[test]
     fn random_graph_facts_cover_execution(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -336,15 +304,15 @@ proptest! {
             check_tensor(&g, &certs, t, tensor, "heap t4");
         }
 
-        let arena = run_on_arena(&g, &inputs, &heap);
+        let tape = run_on_tape(&g, &inputs);
         for ((&t, tensor), heap_tensor) in
-            g.outputs().iter().zip(&arena.outputs).zip(&heap.outputs)
+            g.outputs().iter().zip(&tape.outputs).zip(&heap.outputs)
         {
-            check_tensor(&g, &certs, t, tensor, "arena t1");
+            check_tensor(&g, &certs, t, tensor, "tape t1");
             prop_assert_eq!(
                 tensor.payload_le_bytes(),
                 heap_tensor.payload_le_bytes(),
-                "arena output diverged from heap for {}",
+                "tape output diverged from the reference for {}",
                 &g.tensor(t).name
             );
         }

@@ -1,8 +1,8 @@
-//! Intra-op parallelism + arena-exec microbenchmarks.
+//! Intra-op parallelism and multi-version kernel microbenchmarks.
 //!
 //! `bench_kernels [--json [PATH]]` measures GEMM/Conv/element-wise kernel
-//! throughput at 1, 2, and 4 threads plus arena-vs-heap engine wallclock,
-//! and (with `--json`) writes the results to `BENCH_kernels.json`.
+//! throughput at 1, 2, and 4 threads plus the tuned kernel variants, and
+//! (with `--json`) writes the results to `BENCH_kernels.json`.
 //!
 //! Thread scaling is reported two ways, and the JSON says which is which
 //! (`speedup_basis`): measured wallclock, which on a single-core host
@@ -266,94 +266,6 @@ fn softmax_entry() -> KernelEntry {
     )
 }
 
-struct ExecEntry {
-    model: String,
-    arena_wall_secs: f64,
-    heap_wall_secs: f64,
-    arena_alloc_events: usize,
-    heap_alloc_events: usize,
-    arena_backed: usize,
-    /// Fraction of arena-path inference wall time inside kernel spans
-    /// (`sod2-obs`); informational, not gated.
-    kernel_coverage: f64,
-}
-
-impl ExecEntry {
-    fn json(&self) -> String {
-        format!(
-            concat!(
-                "    {{\"model\": \"{}\", \"arena_wall_secs\": {:.6}, ",
-                "\"heap_wall_secs\": {:.6}, \"arena_alloc_events\": {}, ",
-                "\"heap_alloc_events\": {}, \"arena_backed\": {}, ",
-                "\"kernel_coverage\": {:.4}}}"
-            ),
-            self.model,
-            self.arena_wall_secs,
-            self.heap_wall_secs,
-            self.arena_alloc_events,
-            self.heap_alloc_events,
-            self.arena_backed,
-            self.kernel_coverage,
-        )
-    }
-}
-
-fn exec_entries() -> Vec<ExecEntry> {
-    const REPS: usize = 3;
-    let mut out = Vec::new();
-    for model in all_models(ModelScale::Tiny) {
-        let mut rng = StdRng::seed_from_u64(17);
-        let (_, inputs) = model.sample_inputs(&mut rng);
-        let run = |arena: bool| {
-            let mut engine = Sod2Engine::new(
-                model.graph.clone(),
-                DeviceProfile::s888_cpu(),
-                Sod2Options {
-                    arena_exec: arena,
-                    ..Default::default()
-                },
-                &Default::default(),
-            );
-            let mut secs = f64::INFINITY;
-            let mut stats = engine.infer(&inputs).expect("warmup infer");
-            for _ in 0..REPS {
-                let t0 = Instant::now();
-                stats = engine.infer(&inputs).expect("infer");
-                secs = secs.min(t0.elapsed().as_secs_f64());
-            }
-            (secs, stats)
-        };
-        // Profile the arena path once (after the timed runs, so the probes
-        // cannot perturb the wallclock numbers) for kernel-span coverage.
-        let kernel_coverage = {
-            let _session = sod2_obs::session_guard();
-            sod2_obs::set_enabled(true);
-            sod2_obs::begin();
-            let _ = run(true);
-            let prof = sod2_obs::take();
-            sod2_obs::set_enabled(false);
-            let infer_ns = prof.cat_total_ns("infer");
-            if infer_ns > 0 {
-                prof.cat_total_ns("kernel") as f64 / infer_ns as f64
-            } else {
-                0.0
-            }
-        };
-        let (arena_secs, arena_stats) = run(true);
-        let (heap_secs, heap_stats) = run(false);
-        out.push(ExecEntry {
-            model: model.name.to_string(),
-            arena_wall_secs: arena_secs,
-            heap_wall_secs: heap_secs,
-            arena_alloc_events: arena_stats.alloc_events,
-            heap_alloc_events: heap_stats.alloc_events,
-            arena_backed: arena_stats.arena_backed,
-            kernel_coverage,
-        });
-    }
-    out
-}
-
 /// Per-shape-class multi-version codegen result: the tuned variant versus
 /// the default parameters, on the modeled efficiency the tuner optimizes.
 /// The modeled numbers and `non_default_variant` are deterministic (and
@@ -540,7 +452,6 @@ fn main() {
         binary_mul_entry(),
         softmax_entry(),
     ];
-    let execs = exec_entries();
     let mvc_profile = DeviceProfile::s888_cpu();
     let mvc_table = VersionTable::tune(&mvc_profile, 0xC0DE);
     let mvc_classes = mvc_class_entries(&mvc_table, &mvc_profile);
@@ -562,17 +473,6 @@ fn main() {
             e.ratio_vs_naive
                 .map(|r| format!(" vs naive {r:.2}x"))
                 .unwrap_or_default(),
-        );
-    }
-    for e in &execs {
-        eprintln!(
-            "{:<28} arena={:.4}s ({} allocs, {} slab) heap={:.4}s ({} allocs)",
-            e.model,
-            e.arena_wall_secs,
-            e.arena_alloc_events,
-            e.arena_backed,
-            e.heap_wall_secs,
-            e.heap_alloc_events,
         );
     }
     for e in &mvc_classes {
@@ -605,9 +505,6 @@ fn main() {
         s.push_str("  \"kernels\": [\n");
         let k: Vec<String> = kernels.iter().map(KernelEntry::json).collect();
         s.push_str(&k.join(",\n"));
-        s.push_str("\n  ],\n  \"exec\": [\n");
-        let x: Vec<String> = execs.iter().map(ExecEntry::json).collect();
-        s.push_str(&x.join(",\n"));
         s.push_str("\n  ],\n  \"mvc_classes\": [\n");
         let c: Vec<String> = mvc_classes.iter().map(MvcClassEntry::json).collect();
         s.push_str(&c.join(",\n"));

@@ -602,11 +602,8 @@ fn measure(model: &DynModel, n: usize, seed: u64) -> ServeEntry {
 // Chaos under traffic
 // ---------------------------------------------------------------------------
 
-/// Fault sites swept mid-traffic. `arena.write` is excluded on purpose:
-/// it silently corrupts the *victim's own* buffers by design, which the
-/// per-request isolation contract cannot (and should not) mask.
+/// Fault sites swept mid-traffic (the stall site has its own cells below).
 const CHAOS_SITES: &[&str] = &[
-    "arena.alloc:nth=1",
     "kernel.error:nth=1",
     "kernel.nan:nth=1",
     "kernel.delay:nth=1,us=200",

@@ -105,7 +105,7 @@ fn measure(model: &sod2_models::DynModel, iters: usize, absint: bool) -> ZooEntr
     let inputs = model.make_inputs(size, &mut rng);
 
     // Serial heap reference over the model graph as built: the engine —
-    // folding, pruning, fusion, tape lowering, arena backing, wavefront
+    // folding, pruning, fusion, tape lowering, DMP accounting, wavefront
     // scheduling — must be bitwise identical to it on every bench run.
     let reference = execute(&model.graph, &inputs, &ExecConfig::default())
         .expect("reference run")
@@ -218,8 +218,7 @@ fn measure(model: &sod2_models::DynModel, iters: usize, absint: bool) -> ZooEntr
 }
 
 /// Best-of-5 cost of a *disarmed* `sod2-faults` probe over 100k calls.
-/// The probes sit on hot paths (kernel dispatch, arena writes, pool
-/// chunks), so their disabled cost is a gated invariant: exceeding 200ns
+/// The probes sit on hot paths (kernel dispatch, pool chunks), so their disabled cost is a gated invariant: exceeding 200ns
 /// per probe aborts the bench — a perf regression, not a perf datum.
 fn measure_disabled_probe_ns() -> f64 {
     let _x = sod2_faults::exclusive();
@@ -287,7 +286,7 @@ fn main() {
         let e = measure(&model, iters, true);
         eprintln!(
             "{:<24} size {:<3} priced {:>8.3} ms  peak {:>8.2} MB  \
-             allocs {:<4} slab {:<4} waves {:<3} width {:<2} speedup {:>4.2}x \
+             allocs {:<4} plan {:<4} waves {:<3} width {:<2} speedup {:>4.2}x \
              (bound {:>4.2}x)  elide {:<4} nac {:<2} tape {:<4} wall {:>7.3} ms  \
              kernels {:>5.1}%  dmp {:>6.3} ms  disp {:>6.0}ns/node",
             e.model,
@@ -308,12 +307,12 @@ fn main() {
             e.dmp_ms,
             e.dispatch_ns_per_node,
         );
-        // Certificate-driven nac bounds must keep the arena path fully
-        // residual-free: with the NMS/Gather special cases deleted, every
-        // zoo model still hits zero heap allocations per inference.
+        // Certificate-driven nac bounds must keep the priced residue
+        // empty: with the NMS/Gather special cases deleted, the DMP plan
+        // still covers every materialized intermediate of every zoo model.
         assert_eq!(
             e.alloc_events, 0,
-            "{}: residual heap allocations on the arena path",
+            "{}: priced allocations outside the DMP plan",
             e.model
         );
         entries.push(e);
@@ -327,7 +326,7 @@ fn main() {
     assert!(
         total_nac > 0,
         "no certificate-derived nac bounds used across the zoo — \
-         bounded-nac arena planning is not consuming the analysis"
+         bounded-nac DMP planning is not consuming the analysis"
     );
 
     // Branchy demo: the Switch selector is provably constant by range

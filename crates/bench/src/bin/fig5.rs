@@ -18,7 +18,6 @@ fn ladder() -> [(&'static str, Sod2Options); 4] {
                 dmp: false,
                 mvc: false,
                 native_control_flow: true,
-                arena_exec: false,
                 ..Default::default()
             },
         ),
@@ -30,7 +29,6 @@ fn ladder() -> [(&'static str, Sod2Options); 4] {
                 dmp: false,
                 mvc: false,
                 native_control_flow: true,
-                arena_exec: false,
                 ..Default::default()
             },
         ),
@@ -42,7 +40,6 @@ fn ladder() -> [(&'static str, Sod2Options); 4] {
                 dmp: true,
                 mvc: false,
                 native_control_flow: true,
-                arena_exec: true,
                 ..Default::default()
             },
         ),

@@ -14,7 +14,6 @@ fn ladder() -> [(&'static str, Sod2Options); 5] {
         dmp,
         mvc,
         native_control_flow: true,
-        arena_exec: dmp,
         ..Default::default()
     };
     [

@@ -10,17 +10,15 @@
 //! |----------------------|--------------|-----------------------------------|
 //! | `priced_ms`          | higher-worse | cost-model latency per inference  |
 //! | `peak_memory_bytes`  | higher-worse | DMP peak intermediate footprint   |
-//! | `alloc_events`       | higher-worse | heap allocations per inference    |
-//! | `arena_alloc_events` | higher-worse | residual heap allocs (arena path) |
-//! | `heap_alloc_events`  | higher-worse | heap allocs (heap path)           |
+//! | `alloc_events`       | higher-worse | priced per-tensor allocations     |
 //! | `chunks`             | higher-worse | pool chunk count per kernel       |
-//! | `arena_backed`       | lower-worse  | tensors served from the arena     |
+//! | `arena_backed`       | lower-worse  | tensors priced inside the DMP plan|
 //! | `wavefront_count`    | higher-worse | waves in the static schedule      |
 //! | `max_wave_width`     | lower-worse  | widest wave (parallelism exposed) |
 //! | `scheduled_makespan_ms` | higher-worse | priced makespan at 4 workers   |
 //! | `makespan_speedup`   | lower-worse  | serial over scheduled makespan    |
 //! | `guard_elisions`     | lower-worse  | NaN fences elided via certificates|
-//! | `nac_bounds_used`    | lower-worse  | nac tensors arena-planned via certs|
+//! | `nac_bounds_used`    | lower-worse  | nac tensors DMP-planned via certs |
 //! | `pruned_arms`        | lower-worse  | Switch arms pruned at compile time|
 //! | `tape_len`           | higher-worse | register-machine instructions     |
 //! | `modeled_efficiency` | lower-worse  | tuned GEMM variant, analytic model|
@@ -77,7 +75,7 @@ use std::fmt::Write as _;
 pub enum Direction {
     /// Larger values are regressions (latency, memory, allocations).
     HigherWorse,
-    /// Smaller values are regressions (arena-backed tensor count).
+    /// Smaller values are regressions (tensor count inside the DMP plan).
     LowerWorse,
 }
 
@@ -86,8 +84,6 @@ pub const GATED_METRICS: &[(&str, Direction)] = &[
     ("priced_ms", Direction::HigherWorse),
     ("peak_memory_bytes", Direction::HigherWorse),
     ("alloc_events", Direction::HigherWorse),
-    ("arena_alloc_events", Direction::HigherWorse),
-    ("heap_alloc_events", Direction::HigherWorse),
     ("chunks", Direction::HigherWorse),
     ("arena_backed", Direction::LowerWorse),
     ("wavefront_count", Direction::HigherWorse),
@@ -423,9 +419,9 @@ mod tests {
             {"name": "gemm", "chunks": 12, "wallclock_secs": 0.5},
             {"name": "conv", "chunks": 8}
         ],
-        "exec": [
-            {"model": "CodeBERT", "arena_alloc_events": 10,
-             "heap_alloc_events": 40, "arena_backed": 30}
+        "models": [
+            {"model": "CodeBERT", "alloc_events": 10,
+             "peak_memory_bytes": 40, "arena_backed": 30}
         ]
     }"#;
 
@@ -458,9 +454,9 @@ mod tests {
     #[test]
     fn within_tolerance_passes() {
         let base = json::parse(BASE).unwrap();
-        // 40 -> 43 heap allocs is +7.5% < 10%.
+        // 40 -> 43 peak bytes is +7.5% < 10%.
         let cur =
-            json::parse(&BASE.replace("\"heap_alloc_events\": 40", "\"heap_alloc_events\": 43"))
+            json::parse(&BASE.replace("\"peak_memory_bytes\": 40", "\"peak_memory_bytes\": 43"))
                 .unwrap();
         assert!(!compare(&base, &cur, 0.10).failed());
     }
@@ -483,8 +479,7 @@ mod tests {
     #[test]
     fn appearing_from_zero_regresses() {
         let base =
-            json::parse(&BASE.replace("\"arena_alloc_events\": 10", "\"arena_alloc_events\": 0"))
-                .unwrap();
+            json::parse(&BASE.replace("\"alloc_events\": 10", "\"alloc_events\": 0")).unwrap();
         let cur = json::parse(BASE).unwrap();
         let r = compare(&base, &cur, 0.10);
         assert!(r.failed(), "0 -> 10 residual allocs must regress");

@@ -40,6 +40,8 @@
 //! deterministic for a fixed `--seed`. The `kernel.dispatch` cell sweeps
 //! `kernel.error` across several dispatch positions and two device
 //! profiles, so faults land under different selected kernel variants.
+//! The sweep first checks its own coverage: a `sod2_faults::ALL_SITES`
+//! site that no cell injects exits non-zero before any cell runs.
 //!
 //! Every engine the CLI builds runs with `Sod2Options::default()` except
 //! for wavefront execution, which the `SOD2_WAVEFRONT` environment
@@ -465,7 +467,7 @@ fn run(args: &[String]) {
                 stats.peak_memory_bytes as f64 / (1024.0 * 1024.0)
             );
             println!(
-                "allocs  : {} heap events, {} tensors arena-backed",
+                "allocs  : {} heap events, {} tensors in the DMP plan",
                 stats.alloc_events, stats.arena_backed
             );
         }
@@ -872,22 +874,6 @@ struct ChaosCell {
 /// The sweep: every injection site, plus the option-driven hardening paths.
 const CHAOS_CELLS: &[ChaosCell] = &[
     ChaosCell {
-        name: "arena.alloc",
-        spec: Some("arena.alloc:nth=1"),
-        deadline: None,
-        budget: None,
-        nan_guard: false,
-        expect: &["recovered"],
-    },
-    ChaosCell {
-        name: "arena.write",
-        spec: Some("arena.write:every=1"),
-        deadline: None,
-        budget: None,
-        nan_guard: false,
-        expect: &["recovered"],
-    },
-    ChaosCell {
         name: "kernel.error",
         spec: Some("kernel.error:nth=1"),
         deadline: None,
@@ -960,13 +946,26 @@ const CHAOS_CELLS: &[ChaosCell] = &[
     },
 ];
 
+/// Fault sites no [`CHAOS_CELLS`] entry injects (a cell injects the site
+/// its `spec` rule names).
+fn uncovered_fault_sites() -> Vec<&'static str> {
+    sod2_faults::ALL_SITES
+        .iter()
+        .map(|site| site.name())
+        .filter(|&name| {
+            !CHAOS_CELLS
+                .iter()
+                .any(|c| c.spec.and_then(|r| r.split(':').next()) == Some(name))
+        })
+        .collect()
+}
+
 fn exec_error_label(e: &sod2::ExecError) -> &'static str {
     use sod2::ExecError;
     match e {
         ExecError::Kernel(_) => "kernel",
         ExecError::BadInputs(_) => "bad-inputs",
         ExecError::ControlFlow(_) => "control-flow",
-        ExecError::Memory(_) => "memory",
         ExecError::DeadlineExceeded => "deadline",
         ExecError::BudgetExceeded { .. } => "budget",
         ExecError::Panic(_) => "panic",
@@ -1173,6 +1172,14 @@ fn chaos(args: &[String]) {
     let seed: u64 = flag(args, "--seed")
         .and_then(|s| s.parse().ok())
         .unwrap_or(42);
+    let uncovered = uncovered_fault_sites();
+    if !uncovered.is_empty() {
+        eprintln!(
+            "chaos: no cell injects fault site(s) {}; add them to CHAOS_CELLS",
+            uncovered.join(", ")
+        );
+        std::process::exit(1);
+    }
     let models = if args.get(2).map(String::as_str) == Some("--all") {
         all_models(scale)
     } else {
@@ -1440,6 +1447,20 @@ fn compare(args: &[String]) {
             e.name(),
             lat / samples as f64,
             mem / samples as f64
+        );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_fault_site_has_a_chaos_cell() {
+        assert!(
+            uncovered_fault_sites().is_empty(),
+            "uncovered: {:?}",
+            uncovered_fault_sites()
         );
     }
 }

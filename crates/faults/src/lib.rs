@@ -5,16 +5,14 @@
 //! probe) and compile-out-able with the `compile-off` feature. Probes are
 //! threaded through the layers a production inference can fail in:
 //!
-//! | site               | fault simulated                      | hardening exercised            |
-//! |--------------------|--------------------------------------|--------------------------------|
-//! | [`Site::ArenaAlloc`] | arena slab allocation failure      | graceful arena→heap degradation|
-//! | [`Site::ArenaWrite`] | per-tensor slab write failure      | per-tensor heap fallback       |
-//! | [`Site::KernelError`]| a kernel returning an error        | typed `ExecError::Kernel`      |
-//! | [`Site::KernelNan`]  | NaN-poisoned kernel output         | `nan_guard` numeric fence      |
-//! | [`Site::KernelDelay`]| an artificially slow kernel        | deadline / cancellation        |
-//! | [`Site::KernelStall`]| a hung kernel (stall, then abort)  | replica supervision / rebuild  |
-//! | [`Site::PoolPanic`]  | a panic inside a pool chunk        | worker survival + node unwind  |
-//! | [`Site::Bindings`]   | corrupted symbol bindings          | size-gated arena, readback     |
+//! | site                  | fault simulated                   | hardening exercised                |
+//! |-----------------------|-----------------------------------|------------------------------------|
+//! | [`Site::KernelError`] | a kernel returning an error       | typed `ExecError::Kernel`          |
+//! | [`Site::KernelNan`]   | NaN-poisoned kernel output        | `nan_guard` numeric fence          |
+//! | [`Site::KernelDelay`] | an artificially slow kernel       | deadline / cancellation            |
+//! | [`Site::KernelStall`] | a hung kernel (stall, then abort) | replica supervision / rebuild      |
+//! | [`Site::PoolPanic`]   | a panic inside a pool chunk       | worker survival + node unwind      |
+//! | [`Site::Bindings`]    | corrupted symbol bindings         | empty DMP layout, all-heap pricing |
 //!
 //! A [`FaultPlan`] decides *when* a probe fires: on the k-th hit
 //! (`nth=K`), on every k-th hit (`every=K`), or with probability `p`
@@ -61,10 +59,6 @@ static FIRED: AtomicU64 = AtomicU64::new(0);
 /// realize the fault (return an error, sleep, panic, corrupt a value).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Site {
-    /// `sod2-mem`: the arena slab allocation (engine falls back to heap).
-    ArenaAlloc,
-    /// `sod2-mem`: a single tensor's slab write (per-tensor heap fallback).
-    ArenaWrite,
     /// `sod2-kernels`: the dispatched kernel returns an injected error.
     KernelError,
     /// `sod2-kernels`: the kernel's f32 outputs are poisoned with NaN.
@@ -86,8 +80,6 @@ pub enum Site {
 
 /// Every site, in sweep order (the chaos harness iterates this).
 pub const ALL_SITES: &[Site] = &[
-    Site::ArenaAlloc,
-    Site::ArenaWrite,
     Site::KernelError,
     Site::KernelNan,
     Site::KernelDelay,
@@ -100,8 +92,6 @@ impl Site {
     /// The `SOD2_FAULTS` name of this site.
     pub fn name(self) -> &'static str {
         match self {
-            Site::ArenaAlloc => "arena.alloc",
-            Site::ArenaWrite => "arena.write",
             Site::KernelError => "kernel.error",
             Site::KernelNan => "kernel.nan",
             Site::KernelDelay => "kernel.delay",
@@ -405,10 +395,7 @@ mod tests {
             })
         );
         assert!(probe(Site::PoolPanic).is_some());
-        assert!(
-            probe(Site::ArenaAlloc).is_none(),
-            "unruled site never fires"
-        );
+        assert!(probe(Site::KernelNan).is_none(), "unruled site never fires");
         clear();
     }
 
@@ -416,8 +403,10 @@ mod tests {
     fn prob_stream_is_deterministic_per_seed() {
         let _x = exclusive();
         let run = |seed| -> Vec<bool> {
-            install(FaultPlan::new(seed).rule(Site::ArenaWrite, Trigger::Prob(0.5), 0));
-            let v = (0..32).map(|_| probe(Site::ArenaWrite).is_some()).collect();
+            install(FaultPlan::new(seed).rule(Site::KernelError, Trigger::Prob(0.5), 0));
+            let v = (0..32)
+                .map(|_| probe(Site::KernelError).is_some())
+                .collect();
             clear();
             v
         };

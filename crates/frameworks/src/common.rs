@@ -17,13 +17,15 @@ pub struct InferenceStats {
     pub peak_memory_bytes: usize,
     /// Whether this inference triggered a re-initialization.
     pub reinitialized: bool,
-    /// Heap tensor allocations performed during execution. Under
-    /// arena-backed execution this is the dynamic residue the offset plan
-    /// could not cover (`nac` sizes); otherwise every materialized
-    /// intermediate counts.
+    /// Per-tensor allocations in the priced model: materialized
+    /// intermediates outside the engine's offset plan. With DMP this is
+    /// the dynamic residue the plan could not cover (`nac` sizes);
+    /// otherwise every materialized intermediate counts. It is not a
+    /// count of host allocations, which kernels make for every payload
+    /// (the host benchmark's `alloc.count_per_req` counts those).
     pub alloc_events: usize,
-    /// Intermediates served from the pre-planned arena slab (0 for
-    /// engines without arena-backed execution).
+    /// Materialized intermediates the priced model places inside the DMP
+    /// plan's one arena allocation (0 for engines without DMP).
     pub arena_backed: usize,
 }
 

@@ -7,9 +7,7 @@ use crate::common::{bindings_from_inputs, Engine, InferenceStats};
 use sod2_device::DeviceProfile;
 use sod2_fusion::{fuse, FusionPlan, FusionPolicy};
 use sod2_ir::{Graph, NodeId, Op, TensorId};
-use sod2_mem::{
-    plan_sod2, size_class_peak, verify_plan, Arena, ArenaLayout, MemoryPlan, TensorLife,
-};
+use sod2_mem::{plan_sod2, size_class_peak, verify_plan, ArenaLayout, MemoryPlan, TensorLife};
 use sod2_mvc::VersionTable;
 use sod2_plan::{
     naive_unit_order, partition_units, plan_order, plan_wavefronts, unit_lifetimes,
@@ -32,18 +30,18 @@ pub struct Sod2Options {
     pub fusion: FusionPolicy,
     /// Static execution planning (§4.3).
     pub sep: bool,
-    /// Dynamic memory planning (§4.4.1).
+    /// Dynamic memory planning (§4.4.1): an offset plan per bindings
+    /// value, built before any kernel runs. It decides budget admission,
+    /// [`Sod2Engine::predict`]'s peak, and which intermediates are priced
+    /// inside the plan's one arena allocation; tensors whose size RDP
+    /// cannot resolve at the current bindings are priced one allocation
+    /// each.
     pub dmp: bool,
     /// Multi-version code generation (§4.4.2).
     pub mvc: bool,
     /// Native control flow (dead branches skipped); `false` reproduces the
     /// "execute-all, strip-out-invalid" comparison of Fig. 9.
     pub native_control_flow: bool,
-    /// Serve intermediate tensors from a pre-planned arena slab instead of
-    /// per-tensor heap allocations (the operational form of §4.4.1's
-    /// offset plan). Requires `dmp`; tensors whose size RDP cannot resolve
-    /// at the current bindings fall back to the heap.
-    pub arena_exec: bool,
     /// Per-inference wall-clock deadline. Execution is cancelled
     /// cooperatively — at node boundaries and inside chunked pool loops —
     /// and the inference fails with [`ExecError::DeadlineExceeded`],
@@ -66,8 +64,8 @@ pub struct Sod2Options {
     /// Consume abstract-interpretation certificates: prune `Switch` arms
     /// with proven-constant selectors at compile time (requires
     /// `native_control_flow`; the pruned graph is verified
-    /// output-equivalent first), plan bounded-`nac` tensors into the arena
-    /// from proven element bounds, and elide the per-node NaN fence for
+    /// output-equivalent first), plan bounded-`nac` tensors into the DMP
+    /// plan from proven element bounds, and elide the per-node NaN fence for
     /// proven-finite tensors when `nan_guard` is on.
     pub absint: bool,
     /// Capacity of the per-engine DMP pre-plan cache (entries keyed by
@@ -87,7 +85,6 @@ impl Default for Sod2Options {
             dmp: true,
             mvc: true,
             native_control_flow: true,
-            arena_exec: true,
             deadline: None,
             memory_budget: None,
             nan_guard: false,
@@ -107,7 +104,6 @@ impl Sod2Options {
             sep: false,
             dmp: false,
             mvc: false,
-            arena_exec: false,
             wavefront_exec: false,
             absint: false,
             ..Sod2Options::default()
@@ -153,7 +149,7 @@ pub struct CostPrediction {
     /// concretely at these bindings (an optimistic lower bound).
     pub priced_s: f64,
     /// The DMP pre-plan's peak intermediate bytes — the value the engine's
-    /// own budget admission enforces (0 when arena planning is off).
+    /// own budget admission enforces (0 without DMP).
     pub peak_bytes: usize,
     /// Nodes that contributed to `priced_s`.
     pub priced_nodes: usize,
@@ -180,9 +176,6 @@ pub struct Sod2Engine {
     /// `Arc`-shared so `fork_replica` hands every serving replica the same
     /// tuned table without re-tuning or copying.
     table: Option<Arc<VersionTable>>,
-    /// The arena slab for `arena_exec`, reused (grow-never-shrink) across
-    /// inferences so steady-state runs allocate nothing.
-    arena: Option<Arena>,
     /// The static wavefront schedule (unit granularity), when enabled.
     wave_schedule: Option<WavefrontSchedule>,
     /// The plan compiled to a flat instruction tape, or why lowering
@@ -191,8 +184,8 @@ pub struct Sod2Engine {
     /// DMP pre-plans keyed by bindings, most recently used first. Given
     /// the compiled schedule a pre-plan depends only on the bindings, so
     /// each is built and checked once and then shared: a hit clones an
-    /// `Arc`. `None` when arena execution is off.
-    pre_plan_cache: Vec<(Bindings, Option<Arc<ArenaLayout>>)>,
+    /// `Arc`. Empty without DMP.
+    pre_plan_cache: Vec<(Bindings, Arc<ArenaLayout>)>,
 }
 
 /// Default capacity of the per-bindings pre-plan cache (small and linear:
@@ -471,7 +464,6 @@ impl Sod2Engine {
             sep_unit_order,
             node_order,
             table,
-            arena: None,
             wave_schedule,
             tape,
             pre_plan_cache: Vec::new(),
@@ -483,12 +475,10 @@ impl Sod2Engine {
     /// lowering serves every replica; each inference brings its own
     /// register file), tensor payloads inside the graph are `Arc`-shared,
     /// and the schedules/certificates are cheap vector clones. The replica
-    /// gets its own arena slab (allocated lazily on first inference) and
     /// starts from this engine's warm pre-plan cache, sharing its layouts,
     /// so a freshly forked replica serves known shape classes without
-    /// re-planning. No
-    /// recompilation happens — this is what makes serving replicas cheap
-    /// to stamp out per worker thread.
+    /// re-planning. No recompilation happens — this is what makes serving
+    /// replicas cheap to stamp out per worker thread.
     pub fn fork_replica(&self) -> Sod2Engine {
         Sod2Engine {
             graph: self.graph.clone(),
@@ -503,7 +493,6 @@ impl Sod2Engine {
             sep_unit_order: self.sep_unit_order.clone(),
             node_order: self.node_order.clone(),
             table: self.table.clone(),
-            arena: None,
             wave_schedule: self.wave_schedule.clone(),
             tape: self.tape.clone(),
             pre_plan_cache: self.pre_plan_cache.clone(),
@@ -675,9 +664,13 @@ impl Sod2Engine {
         let bindings = bindings_from_inputs(&self.graph, inputs).map_err(ExecError::BadInputs)?;
         // Reuse a cached pre-plan when these bindings are warm; otherwise
         // price from a fresh (uncached — `&self`) pre-plan.
-        let peak_bytes = match self.pre_plan_cache.iter().find(|(b, _)| b == &bindings) {
-            Some((_, layout)) => layout.as_ref().map_or(0, |l| l.peak()),
-            None => self.build_pre_plan(&bindings).map_or(0, |l| l.peak()),
+        let peak_bytes = if !self.opts.dmp {
+            0
+        } else {
+            match self.pre_plan_cache.iter().find(|(b, _)| b == &bindings) {
+                Some((_, layout)) => layout.peak(),
+                None => self.build_pre_plan(&bindings).peak(),
+            }
         };
         let concrete = |t: TensorId| -> Option<Vec<usize>> {
             self.rdp.concrete_shape(t, &bindings).map(|dims| {
@@ -748,15 +741,11 @@ impl Sod2Engine {
         .collect()
     }
 
-    /// Builds the DMP pre-plan for one bindings value (`None` when arena
-    /// execution is off): RDP sizes at these bindings, bounded-`nac`
-    /// sizes, liveness and `plan_sod2`. The plan is checked against the
-    /// lifetimes it was built from here, once; budget admission, arena
-    /// reset and counter emission stay per-inference in the caller.
-    fn build_pre_plan(&self, bindings: &Bindings) -> Option<Arc<ArenaLayout>> {
-        if !(self.opts.dmp && self.opts.arena_exec) {
-            return None;
-        }
+    /// Builds the DMP pre-plan for one bindings value: RDP sizes at these
+    /// bindings, bounded-`nac` sizes, liveness and `plan_sod2`. The plan is
+    /// checked against the lifetimes it was built from here, once; budget
+    /// admission and counter emission stay per-inference in the caller.
+    fn build_pre_plan(&self, bindings: &Bindings) -> Arc<ArenaLayout> {
         let rdp_size = |t: TensorId| -> usize {
             self.rdp
                 .symbolic_bytes(&self.graph, t)
@@ -769,10 +758,10 @@ impl Sod2Engine {
         // execution-determined outputs (NMS keeps at most `max_output`
         // indices, a Gather indexed by a bounded tensor inherits the bound
         // times the slice size, and so on through any downstream op).
-        // Planning the slot at the bound (the arena admits any payload
-        // that fits a bounded slot) removes those per-inference heap
-        // allocations entirely — no per-op special cases. `(key, bytes)`
-        // pairs in ascending key order.
+        // Planning the slot at the bound (the layout admits any payload
+        // that fits a bounded slot) takes those tensors out of the priced
+        // per-tensor allocation stream — no per-op special cases.
+        // `(key, bytes)` pairs in ascending key order.
         let mut bounds: Vec<(usize, usize)> = Vec::new();
         if self.opts.absint {
             for t in self.graph.tensor_ids() {
@@ -813,7 +802,7 @@ impl Sod2Engine {
             verify_plan(&lives, &plan)
         );
         let bounded: Vec<usize> = bounds.iter().map(|&(k, _)| k).collect();
-        Some(Arc::new(ArenaLayout::new(&lives, &plan, &bounded)))
+        Arc::new(ArenaLayout::new(&lives, &plan, &bounded))
     }
 
     /// Runs inference and returns the priced trace alongside the stats:
@@ -837,19 +826,18 @@ impl Sod2Engine {
         };
         // Injected binding corruption (`runtime.bindings`): the engine loses
         // every symbol binding, so the pre-execution plan covers nothing and
-        // all intermediates degrade to heap allocations — outputs stay
+        // all intermediates are priced as heap allocations — outputs stay
         // correct because execution uses concrete tensors, not bindings.
         let bindings_corrupted = sod2_faults::probe(sod2_faults::Site::Bindings).is_some();
         if bindings_corrupted {
             bindings.clear();
         }
-        // Pre-execution memory plan for arena-backed execution: RDP's
-        // symbolic byte counts evaluated at this inference's bindings give
-        // exact sizes for every shape-resolvable tensor *before any kernel
-        // runs* — the paper's runtime DMP. Tensors RDP cannot resolve
-        // (`nac`) get size 0 here, drop out of the plan, and are heap
-        // allocated by the executor: the dynamic residue.
-        let arena_on = self.opts.dmp && self.opts.arena_exec;
+        // Pre-execution memory plan: RDP's symbolic byte counts evaluated
+        // at this inference's bindings give exact sizes for every
+        // shape-resolvable tensor *before any kernel runs* — the paper's
+        // runtime DMP. Tensors RDP cannot resolve (`nac`) get size 0 here,
+        // drop out of the plan, and are priced one allocation each: the
+        // dynamic residue.
         let dmp_span = sod2_obs::span!("phase", "dmp_pre_plan");
         // The pre-plan — size evaluation, bounded-`nac` lookup, liveness,
         // offset planning — is a pure function of the bindings given the
@@ -858,24 +846,23 @@ impl Sod2Engine {
         // build would emit, replayed here on hits and misses alike.
         let cache_cap = self.opts.pre_plan_cache_cap;
         let mut pre_plan_hit = false;
-        let layout = match self.pre_plan_cache.iter().position(|(b, _)| b == &bindings) {
-            Some(i) => {
-                self.pre_plan_cache[..=i].rotate_right(1);
-                sod2_obs::counter_add("dmp.pre_plan_cache_hits", 1);
-                pre_plan_hit = true;
-                self.pre_plan_cache[0].1.clone()
+        let layout = if !self.opts.dmp {
+            None
+        } else if let Some(i) = self.pre_plan_cache.iter().position(|(b, _)| b == &bindings) {
+            self.pre_plan_cache[..=i].rotate_right(1);
+            sod2_obs::counter_add("dmp.pre_plan_cache_hits", 1);
+            pre_plan_hit = true;
+            Some(Arc::clone(&self.pre_plan_cache[0].1))
+        } else {
+            let layout = self.build_pre_plan(&bindings);
+            if cache_cap > 0 {
+                self.pre_plan_cache
+                    .insert(0, (bindings.clone(), Arc::clone(&layout)));
+                self.pre_plan_cache.truncate(cache_cap);
             }
-            None => {
-                let layout = self.build_pre_plan(&bindings);
-                if cache_cap > 0 {
-                    self.pre_plan_cache
-                        .insert(0, (bindings.clone(), layout.clone()));
-                    self.pre_plan_cache.truncate(cache_cap);
-                }
-                layout
-            }
+            Some(layout)
         };
-        let arena = if let Some(layout) = layout {
+        if let Some(layout) = &layout {
             if self.opts.absint {
                 sod2_obs::counter_add("absint.nac_bounds_used", layout.bounded_keys() as u64);
             }
@@ -890,32 +877,7 @@ impl Sod2Engine {
                     });
                 }
             }
-            // Slab allocation failure (real or injected `arena.alloc`)
-            // degrades to per-tensor heap allocation — the arena→heap rung
-            // of the ladder; the run proceeds, just less efficiently.
-            let arena_ok = match &mut self.arena {
-                Some(a) => a.try_reset(layout),
-                slot => match Arena::try_new(layout) {
-                    Some(a) => {
-                        *slot = Some(a);
-                        true
-                    }
-                    None => false,
-                },
-            };
-            if !arena_ok {
-                sod2_obs::counter_add("mem.arena_alloc_failures", 1);
-            }
-            match (arena_ok, self.arena.as_mut()) {
-                (true, Some(arena)) => {
-                    sod2_obs::gauge_max("mem.arena_capacity_bytes", arena.capacity() as u64);
-                    Some(arena)
-                }
-                _ => None,
-            }
-        } else {
-            None
-        };
+        }
         drop(dmp_span);
         // The plan fields (fusion, order, chains, certificates) are baked
         // into the tape; only the runtime knobs are passed per inference.
@@ -937,7 +899,7 @@ impl Sod2Engine {
                         inputs,
                         tape,
                         &cfg,
-                        arena,
+                        layout.as_deref(),
                         self.wave_schedule.is_some(),
                     )
                 })
@@ -1003,10 +965,9 @@ impl Sod2Engine {
             // plan was built fresh this inference: a pre-plan cache hit
             // replays the stored plan and skips that work entirely, so the
             // priced model reflects what serving traffic actually pays on
-            // repeat shapes. Without arena execution there is no cached
-            // operational plan and every inference re-plans.
+            // repeat shapes.
             trace.push(TraceEvent::Alloc { bytes: plan.peak });
-            if !(arena_on && pre_plan_hit) {
+            if !pre_plan_hit {
                 let plan_gen = self.unit_order.len() as f64 * self.profile.reinit_sl_per_node * 0.1;
                 trace.push(TraceEvent::Reinit {
                     sl: plan_gen,
@@ -1014,17 +975,12 @@ impl Sod2Engine {
                     alloc: 0.0,
                 });
             }
-            // The dynamic residue the plan could not cover is still paid
-            // per allocation (empty unless some tensor resolved to `nac`).
-            if arena_on {
-                for &b in &outcome.alloc_sizes {
-                    trace.push(TraceEvent::Alloc { bytes: b });
-                }
-            }
-        } else {
-            for &b in &outcome.alloc_sizes {
-                trace.push(TraceEvent::Alloc { bytes: b });
-            }
+        }
+        // Every intermediate outside the plan is paid per allocation: the
+        // dynamic residue with DMP (empty unless some tensor resolved to
+        // `nac`), every materialized intermediate without it.
+        for &b in &outcome.alloc_sizes {
+            trace.push(TraceEvent::Alloc { bytes: b });
         }
         let latency = trace.price(&self.profile);
         drop(price_span);

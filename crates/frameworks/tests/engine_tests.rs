@@ -7,7 +7,7 @@ use sod2_device::DeviceProfile;
 use sod2_frameworks::{
     Engine, MnnLike, OrtLike, Sod2Engine, Sod2Options, TfLiteLike, TvmNimbleLike,
 };
-use sod2_models::{codebert, skipnet, yolo_v6, DynModel, ModelScale};
+use sod2_models::{all_models, codebert, skipnet, yolo_v6, DynModel, ModelScale};
 use sod2_prng::rngs::StdRng;
 use sod2_prng::SeedableRng;
 use sod2_tensor::Tensor;
@@ -162,7 +162,6 @@ fn optimization_ladder_is_monotone_in_memory() {
             dmp: false,
             mvc: false,
             native_control_flow: true,
-            arena_exec: false,
             ..Default::default()
         },
         Sod2Options {
@@ -171,7 +170,6 @@ fn optimization_ladder_is_monotone_in_memory() {
             dmp: false,
             mvc: false,
             native_control_flow: true,
-            arena_exec: false,
             ..Default::default()
         },
         Sod2Options {
@@ -180,7 +178,6 @@ fn optimization_ladder_is_monotone_in_memory() {
             dmp: true,
             mvc: false,
             native_control_flow: true,
-            arena_exec: true,
             ..Default::default()
         },
     ];
@@ -211,6 +208,68 @@ fn optimization_ladder_is_monotone_in_memory() {
         peaks[3] < peaks[0],
         "full ladder must reduce memory: {peaks:?}"
     );
+}
+
+/// The DMP layout only moves materialized intermediates from the priced
+/// per-tensor allocation stream into the plan: on every zoo model and at
+/// every shape one engine sees, a DMP engine's plan covers some tensors,
+/// and its covered and residual counts add up to what an engine without
+/// DMP allocates, with bitwise-identical outputs.
+#[test]
+fn dmp_layout_splits_the_allocation_stream_across_zoo() {
+    let p = DeviceProfile::s888_cpu();
+    for model in all_models(ModelScale::Tiny) {
+        let engine = |dmp: bool| {
+            let opts = Sod2Options {
+                dmp,
+                ..Default::default()
+            };
+            Sod2Engine::new(model.graph.clone(), p.clone(), opts, &Default::default())
+        };
+        let (mut planned, mut unplanned) = (engine(true), engine(false));
+        for (round, inputs) in inputs_for(&model, 11, 3).iter().enumerate() {
+            let ctx = format!("{} (round {round})", model.name);
+            let a = planned.infer(inputs).expect("dmp infer");
+            let b = unplanned.infer(inputs).expect("no-dmp infer");
+            for (x, y) in a.outputs.iter().zip(&b.outputs) {
+                assert_eq!(x.payload_le_bytes(), y.payload_le_bytes(), "{ctx}");
+            }
+            assert!(a.arena_backed > 0, "{ctx}: the plan covered nothing");
+            assert_eq!(b.arena_backed, 0, "{ctx}: no plan, nothing covered");
+            assert_eq!(
+                a.arena_backed + a.alloc_events,
+                b.alloc_events,
+                "{ctx}: the layout must only split the allocation stream"
+            );
+        }
+    }
+}
+
+/// Only DMP engines keep pre-plans: repeat bindings hit the cache with
+/// DMP on, and an engine without DMP neither caches nor counts hits.
+#[test]
+fn pre_plan_cache_serves_only_dmp_engines() {
+    let model = codebert(ModelScale::Tiny);
+    let inputs = model.make_inputs(48, &mut StdRng::seed_from_u64(3));
+    let hits = |dmp: bool| {
+        let opts = Sod2Options {
+            dmp,
+            ..Default::default()
+        };
+        let p = DeviceProfile::s888_cpu();
+        let mut e = Sod2Engine::new(model.graph.clone(), p, opts, &Default::default());
+        let _session = sod2_obs::session_guard();
+        sod2_obs::set_enabled(true);
+        sod2_obs::begin();
+        for _ in 0..3 {
+            e.infer(&inputs).expect("infer");
+        }
+        let profile = sod2_obs::take();
+        sod2_obs::set_enabled(false);
+        profile.counters.get("dmp.pre_plan_cache_hits").copied()
+    };
+    assert_eq!(hits(true), Some(2));
+    assert_eq!(hits(false), None);
 }
 
 #[test]

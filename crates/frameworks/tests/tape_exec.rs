@@ -1,7 +1,7 @@
 //! The tape on the full zoo, checked against the serial heap reference.
 //!
 //! - Engine level: compiling a model and running it on the register-machine
-//!   tape — with folding, pruning, fusion, arena backing, and wavefront
+//!   tape — with folding, pruning, fusion, DMP accounting, and wavefront
 //!   scheduling — must produce the reference interpreter's outputs bitwise,
 //!   and the engine's memory metrics must not depend on the schedule.
 //! - Runtime level: a serial heap tape run — the executor the baselines,
@@ -67,48 +67,45 @@ fn tape_compiles_for_every_zoo_model() {
 }
 
 /// The engine's outputs equal the reference interpreter's bitwise on all
-/// 10 zoo models plus the branchy demo, under arena and heap backing and
-/// with wavefront scheduling on and off; peak memory, allocation events,
-/// and arena residency do not depend on the schedule.
+/// 10 zoo models plus the branchy demo, with wavefront scheduling on and
+/// off; peak memory, allocation events, and the tensors the DMP plan
+/// covers do not depend on the schedule.
 #[test]
 fn engine_matches_reference_on_zoo() {
     let mut models = all_models(ModelScale::Tiny);
     models.push(branchy_demo(ModelScale::Tiny));
     for model in models {
         let samples = inputs_for(&model, 23, 2);
-        for arena in [true, false] {
-            let mut engines = [false, true].map(|wavefront| {
-                engine_with(
-                    &model,
-                    Sod2Options {
-                        arena_exec: arena,
-                        wavefront_exec: wavefront,
-                        ..Sod2Options::default()
-                    },
-                )
-            });
-            for inputs in &samples {
-                let reference =
-                    execute(&model.graph, inputs, &ExecConfig::default()).expect("reference run");
-                let [serial, waves] = &mut engines;
-                let a = serial.infer(inputs).expect("serial infer");
-                let b = waves.infer(inputs).expect("wavefront infer");
-                for stats in [&a, &b] {
-                    assert_eq!(stats.outputs.len(), reference.outputs.len());
-                    for (x, y) in stats.outputs.iter().zip(&reference.outputs) {
-                        assert_eq!(
-                            x.payload_le_bytes(),
-                            y.payload_le_bytes(),
-                            "{} (arena={arena}): outputs diverged from the reference",
-                            model.name
-                        );
-                    }
+        let mut engines = [false, true].map(|wavefront| {
+            engine_with(
+                &model,
+                Sod2Options {
+                    wavefront_exec: wavefront,
+                    ..Sod2Options::default()
+                },
+            )
+        });
+        for inputs in &samples {
+            let reference =
+                execute(&model.graph, inputs, &ExecConfig::default()).expect("reference run");
+            let [serial, waves] = &mut engines;
+            let a = serial.infer(inputs).expect("serial infer");
+            let b = waves.infer(inputs).expect("wavefront infer");
+            for stats in [&a, &b] {
+                assert_eq!(stats.outputs.len(), reference.outputs.len());
+                for (x, y) in stats.outputs.iter().zip(&reference.outputs) {
+                    assert_eq!(
+                        x.payload_le_bytes(),
+                        y.payload_le_bytes(),
+                        "{}: outputs diverged from the reference",
+                        model.name
+                    );
                 }
-                let ctx = format!("{} (arena={arena})", model.name);
-                assert_eq!(a.peak_memory_bytes, b.peak_memory_bytes, "{ctx}: peak");
-                assert_eq!(a.alloc_events, b.alloc_events, "{ctx}: alloc events");
-                assert_eq!(a.arena_backed, b.arena_backed, "{ctx}: arena residency");
             }
+            let ctx = &model.name;
+            assert_eq!(a.peak_memory_bytes, b.peak_memory_bytes, "{ctx}: peak");
+            assert_eq!(a.alloc_events, b.alloc_events, "{ctx}: alloc events");
+            assert_eq!(a.arena_backed, b.arena_backed, "{ctx}: plan coverage");
         }
     }
 }

@@ -337,23 +337,27 @@ fn mod_f32(x: f32, y: f32) -> f32 {
     x - y * (x / y).floor()
 }
 
+// Integer `Div`, `Pow` and `Mod` wrap on overflow, like `Add`/`Sub`/`Mul`
+// (`i64::MIN / -1 = i64::MIN`, `i64::MIN mod -1 = 0`, `3^63` wraps), so
+// debug and release builds — and constant folding — agree and never panic.
+
 fn div_i64(x: i64, y: i64) -> i64 {
     if y == 0 {
         0
     } else {
-        x.div_euclid(y)
+        x.wrapping_div_euclid(y)
     }
 }
 
 fn pow_i64(x: i64, y: i64) -> i64 {
-    x.pow(y.clamp(0, 63) as u32)
+    x.wrapping_pow(y.clamp(0, 63) as u32)
 }
 
 fn mod_i64(x: i64, y: i64) -> i64 {
     if y == 0 {
         0
     } else {
-        x.rem_euclid(y)
+        x.wrapping_rem_euclid(y)
     }
 }
 
@@ -492,6 +496,25 @@ mod tests {
         let b = Tensor::from_i64(&[2], vec![3, 5]);
         let c = binary(BinaryOp::Div, &a, &b).expect("div");
         assert_eq!(c.as_i64().expect("i64"), &[3, 4]);
+    }
+
+    #[test]
+    fn i64_overflow_wraps_in_kernels_and_folding() {
+        let cases = [
+            (BinaryOp::Div, i64::MIN, -1, i64::MIN),
+            (BinaryOp::Mod, i64::MIN, -1, 0),
+            (BinaryOp::Pow, 3, 63, 3i64.wrapping_pow(63)),
+            (BinaryOp::Pow, 3, 1_000, 3i64.wrapping_pow(63)),
+        ];
+        for (op, x, y, want) in cases {
+            let (a, b) = (
+                Tensor::from_i64(&[1], vec![x]),
+                Tensor::from_i64(&[1], vec![y]),
+            );
+            let got = binary(op, &a, &b).expect("binary");
+            assert_eq!(got.as_i64().expect("i64"), &[want], "{op:?}({x}, {y})");
+            assert_eq!(binary_fn_i64(op)(x, y), want, "folded {op:?}({x}, {y})");
+        }
     }
 
     #[test]

@@ -506,7 +506,9 @@ pub fn binary_interval_i64(op: BinaryOp, alo: f64, ahi: f64, blo: f64, bhi: f64)
             let (lo, hi) = corner(|x, y| x * y);
             done(lo, hi)
         }
-        // div_euclid/rem_euclid with y = 0 → 0; bounding conservatively.
+        // Wrapping div_euclid/rem_euclid with y = 0 → 0; bounding
+        // conservatively (`MIN / -1` wraps to `MIN`, but an operand at
+        // `MIN` is beyond `I64_TOP`, so that image is already top).
         BinaryOp::Div => {
             let m = alo.abs().max(ahi.abs());
             done(-m, m)
@@ -723,5 +725,11 @@ mod tests {
         assert_eq!(r.hi, f64::INFINITY);
         let small = binary_interval_i64(BinaryOp::Add, 0.0, 4.0, 1.0, 1.0);
         assert_eq!((small.lo, small.hi), (1.0, 5.0));
+        // The kernels wrap `MIN / -1` to `MIN` and give `MIN mod -1 = 0`.
+        let (min, m1) = (i64::MIN as f64, -1.0);
+        let div = binary_interval_i64(BinaryOp::Div, min, min, m1, m1);
+        assert!(div.lo <= min && min <= div.hi);
+        let rem = binary_interval_i64(BinaryOp::Mod, min, min, m1, m1);
+        assert!(rem.lo <= 0.0 && 0.0 <= rem.hi);
     }
 }

@@ -11,9 +11,9 @@
 //! - [`size_class_peak`] — the pooling/BFC allocator model (ORT baseline),
 //! - [`rematerialize`] — the XLA-style budget-constrained policy used by
 //!   the Fig. 11 TFLite comparison,
-//! - [`ArenaLayout`] / [`Arena`] — a plan made operational: the immutable
-//!   per-shape slot layout and the one linear buffer that serves it,
-//!   enforcing the planned-size rule ([`Arena::try_slot_mut`]).
+//! - [`ArenaLayout`] — what a plan covers at run time: the immutable
+//!   per-bindings record of planned sizes and the arena peak, with the
+//!   planned-size rule ([`ArenaLayout::admits`]).
 //!
 //! Plans are checked with [`verify_plan`], which returns typed
 //! [`PlanViolation`]s (interval-sweep overlap detection, arena bounds,
@@ -35,13 +35,13 @@
 //! assert_eq!(plan.peak, 2048); // reuse, not 3072
 //! ```
 
-mod arena;
+mod layout;
 mod life;
 mod offset;
 mod remat;
 mod size_class;
 
-pub use arena::{Arena, ArenaLayout};
+pub use layout::ArenaLayout;
 pub use life::{
     live_bytes_by_step, peak_live_bytes, peak_step, verify_plan, verify_plan_aligned, MemoryPlan,
     PlanViolation, TensorLife,

@@ -7,12 +7,13 @@
 //! - **Spans** — scoped wall-clock intervals with thread attribution and
 //!   nesting depth, recorded by RAII guards from the [`span!`] macro.
 //!   Compile stages (RDP solve, fusion, SEP, DMP planning), per-operator /
-//!   per-fused-group kernel execution, pool task run time, and arena
-//!   install/readback all appear as spans.
+//!   per-fused-group kernel execution, pool task run time, and the
+//!   inference phases (bindings, DMP pre/post-plan, execute, pricing) all
+//!   appear as spans.
 //! - **Counters and gauges** — monotonically added counts
 //!   ([`counter_add`]), last-value gauges ([`gauge_set`]) and high-water
-//!   marks ([`gauge_max`]): arena bytes, peak live bytes, residual heap
-//!   allocations, pool chunk counts, MVC version-table selections.
+//!   marks ([`gauge_max`]): plan peak bytes, peak live bytes, residual
+//!   (unplanned) tensors, pool chunk counts, MVC version-table selections.
 //! - **Exporters** — a human text summary ([`Profile::render_text`]),
 //!   machine JSON ([`Profile::render_json`]), and the Chrome `trace_event`
 //!   format ([`Profile::render_chrome_trace`]) loadable in

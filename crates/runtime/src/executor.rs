@@ -55,9 +55,6 @@ pub enum ExecError {
     BadInputs(String),
     /// Control flow was malformed at runtime (bad selector, dead output).
     ControlFlow(String),
-    /// Arena-backed memory was corrupted (an unsound offset plan aliased
-    /// two simultaneously live tensors).
-    Memory(String),
     /// The cooperative per-inference deadline passed before completion
     /// (see [`sod2_pool::with_deadline`]); partial results are discarded.
     DeadlineExceeded,
@@ -84,7 +81,6 @@ impl fmt::Display for ExecError {
             ExecError::Kernel(e) => write!(f, "kernel error: {e}"),
             ExecError::BadInputs(s) => write!(f, "bad inputs: {s}"),
             ExecError::ControlFlow(s) => write!(f, "control flow: {s}"),
-            ExecError::Memory(s) => write!(f, "memory: {s}"),
             ExecError::DeadlineExceeded => write!(f, "deadline exceeded"),
             ExecError::BudgetExceeded { needed, budget } => {
                 write!(

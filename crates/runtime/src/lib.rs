@@ -4,10 +4,10 @@
 //!
 //! - [`compile_tape`] / [`execute_tape`]: the production executor — the
 //!   compiled plan lowered once to a register-machine tape, run serially
-//!   or in wavefronts, with intermediates served from a pre-planned arena
-//!   slab ([`sod2_mem::Arena`]). It is the one executor that plans,
-//!   fuses and accounts: the engine and the baselines all price its
-//!   [`RunOutcome`],
+//!   or in wavefronts, with every materialized intermediate accounted
+//!   against the DMP layout ([`sod2_mem::ArenaLayout`]) when one is
+//!   given. It is the one executor that plans, fuses and accounts: the
+//!   engine and the baselines all price its [`RunOutcome`],
 //! - [`execute`]: the serial, heap-only reference interpreter — node by
 //!   node in topological order, with native `<Switch, Combine>` control
 //!   flow (dead branches skipped) or the baselines' execute-all-branches

@@ -8,9 +8,10 @@
 //! - **registers**: the register file is a dense `Vec<Slot>` indexed by
 //!   `TensorId`, so operand/result "slots" are plain indices and two
 //!   concurrently-live tensors can never alias a register by
-//!   construction. DMP arena offsets keyed by the same indices make a
-//!   register's backing store the planned slab slot ([`Arena`]);
-//!   `nac`-sized residue falls back to heap-backed registers.
+//!   construction. The DMP layout ([`ArenaLayout`]) is keyed by the same
+//!   indices: a materialized register it admits is accounted as planned,
+//!   and the rest (the `nac`-sized residue) as per-tensor heap
+//!   allocations. Kernels allocate every payload on the heap either way.
 //! - **releases**: the per-occurrence refcount discipline is replayed at
 //!   compile time (`sod2_plan::plan_tape_layout`, which the reference
 //!   shares), so each instruction carries the list of registers whose
@@ -22,10 +23,8 @@
 //!   `(start, end)` index ranges over the tape. Phase A evaluates the
 //!   units of a wave concurrently on `sod2-pool` against the committed
 //!   register file; phase B commits their results serially in tape order
-//!   by moving `Arc`-backed tensors (no payload copy; the DMP arena
-//!   install is the one deliberate memcpy, kept for offset-plan fidelity
-//!   and readback verification). Outputs are bitwise identical to serial
-//!   dispatch regardless of worker count or timing.
+//!   by moving `Arc`-backed tensors (no payload copy). Outputs are bitwise
+//!   identical to serial dispatch regardless of worker count or timing.
 //!
 //! The tape is immutable and intended to be `Arc`-shared across replicas;
 //! the register file and accounting scratch are per-inference. It is the
@@ -38,8 +37,9 @@
 //! [`crate::execute`] — `tests/tape_props.rs`,
 //! `crates/frameworks/tests/tape_exec.rs` and `bench_zoo` enforce it — and
 //! its accounting is checked against what the reference observes: every
-//! produced tensor, every live compute node, and the live peak. Arena
-//! backing adds slab residency and readback verification on top.
+//! produced tensor, every live compute node, and the live peak. A DMP
+//! layout only moves tensors it admits from the allocation stream to the
+//! planned count.
 
 use crate::executor::{
     charge_live, check_inputs, const_tensors, eval_combine, eval_switch, fence_outputs,
@@ -52,9 +52,9 @@ use sod2_ir::{Graph, NodeId, Op, TensorId};
 use sod2_kernels::{
     execute_op_with_variants, fused::FusedStep, fused_elementwise, ConvParams, GemmParams,
 };
-use sod2_mem::Arena;
+use sod2_mem::ArenaLayout;
 use sod2_mvc::VersionTable;
-use sod2_tensor::{Data, Tensor};
+use sod2_tensor::Tensor;
 use std::collections::HashMap;
 
 /// The result of one tape run.
@@ -66,15 +66,18 @@ pub struct RunOutcome {
     pub trace: ExecutionTrace,
     /// Peak bytes of simultaneously live materialized intermediates.
     pub peak_live_bytes: usize,
-    /// Sizes (bytes) of every heap-allocated intermediate tensor, in
-    /// allocation order — the allocation stream engines price.
+    /// Sizes (bytes) of every materialized intermediate the DMP layout
+    /// does not admit, in production order — the per-tensor allocation
+    /// stream engines price. A priced-model count: kernels heap-allocate
+    /// every payload regardless.
     pub alloc_sizes: Vec<usize>,
     /// Concrete shape of every tensor that was produced.
     pub concrete_shapes: HashMap<TensorId, Vec<usize>>,
     /// How many `Switch` branches executed (live + dead-but-executed).
     pub branches_executed: usize,
-    /// How many materialized intermediates were served from the arena slab
-    /// instead of the heap.
+    /// How many materialized intermediates the DMP layout admits: the
+    /// tensors priced inside the plan's one arena allocation instead of
+    /// one allocation each.
     pub arena_backed: usize,
 }
 
@@ -88,28 +91,6 @@ pub struct RunOutcome {
 pub struct WaveExecPlan {
     /// wave → job/unit → nodes (each inner list in execution order).
     pub waves: Vec<Vec<Vec<NodeId>>>,
-}
-
-/// Copies a freshly produced tensor into its planned arena slot. Returns
-/// `true` when the tensor is now arena-backed, `false` when it stays a
-/// heap allocation: no arena, or the arena refused the slot (no slot for
-/// the key, a size the layout does not admit, or an injected write
-/// failure).
-fn arena_install(
-    arena: Option<&mut Arena>,
-    planned: &mut [bool],
-    t: TensorId,
-    tensor: &Tensor,
-) -> bool {
-    let key = t.0 as usize;
-    match arena.and_then(|a| a.try_slot_mut(key, tensor.byte_size())) {
-        Some(slot) => {
-            tensor.write_payload_le(slot);
-            planned[key] = true;
-            true
-        }
-        None => false,
-    }
 }
 
 /// Reusable scratch overlay for unit-local results awaiting commit: a
@@ -243,7 +224,7 @@ pub struct Instr {
     /// Proven-finite bit per output (absint certificate, fence elision).
     pub out_finite: Vec<bool>,
     /// Fusion-internal bit per output (internal results are never
-    /// materialized: no live-memory accounting, no arena install).
+    /// materialized: no live-memory or allocation accounting).
     pub out_internal: Vec<bool>,
     /// Per input: produced outside this fusion group (external reads are
     /// what group cost accounting charges).
@@ -291,7 +272,7 @@ pub struct TapeStats {
     /// Registers in the file.
     pub register_count: usize,
     /// Bytes of the per-inference register file itself (slot headers;
-    /// tensor payloads are arena- or heap-backed and accounted by DMP).
+    /// tensor payloads are heap-allocated and accounted by DMP).
     pub register_file_bytes: usize,
     /// Chain instructions on the tape.
     pub chain_count: usize,
@@ -884,12 +865,9 @@ struct TapeState<'a> {
     alloc_sizes: Vec<usize>,
     concrete_shapes: HashMap<TensorId, Vec<usize>>,
     branches_executed: usize,
-    // Registers currently arena-backed (cleared at death after
-    // verification); dense over tensor keys so the hot path never hashes.
-    planned: Vec<bool>,
     arena_backed: usize,
     groups: Vec<GroupAcc>,
-    arena: Option<&'a mut Arena>,
+    layout: Option<&'a ArenaLayout>,
 }
 
 impl TapeState<'_> {
@@ -912,7 +890,7 @@ impl TapeState<'_> {
         self.concrete_shapes.insert(t, tensor.shape().to_vec());
         if materialized {
             let b = tensor.byte_size();
-            if arena_install(self.arena.as_deref_mut(), &mut self.planned, t, &tensor) {
+            if self.layout.is_some_and(|l| l.admits(t.0 as usize, b)) {
                 self.arena_backed += 1;
             } else {
                 self.alloc_sizes.push(b);
@@ -923,26 +901,9 @@ impl TapeState<'_> {
         Ok(())
     }
 
-    /// Applies an instruction's precompiled releases. Arena-backed
-    /// registers are readback-verified at death: their slab bytes must
-    /// still equal the tensor payload, otherwise the offset plan aliased
-    /// two live tensors and the run is corrupt.
-    fn apply_releases(&mut self, releases: &[RegRelease]) -> Result<(), ExecError> {
+    /// Applies an instruction's precompiled releases.
+    fn apply_releases(&mut self, releases: &[RegRelease]) {
         for r in releases {
-            let key = r.reg.0 as usize;
-            if self.planned[key] {
-                self.planned[key] = false;
-                if let (Slot::Live(ten), Some(arena)) = (&self.env[key], self.arena.as_deref()) {
-                    sod2_obs::counter_add("exec.arena_readback_verifies", 1);
-                    let bytes = arena.try_read(key, ten.byte_size());
-                    if !bytes.is_some_and(|b| ten.payload_le_eq(b)) {
-                        return Err(ExecError::Memory(format!(
-                            "arena slot for tensor {} was clobbered while live",
-                            r.reg
-                        )));
-                    }
-                }
-            }
             release_slot(
                 r.reg,
                 r.is_intermediate,
@@ -951,39 +912,6 @@ impl TapeState<'_> {
                 &mut self.live_bytes,
             );
         }
-        Ok(())
-    }
-
-    /// Reads a graph output back from its register. Arena-backed outputs
-    /// are rebuilt from slab bytes: the caller observes exactly what the
-    /// plan preserved, and any end-of-run clobbering surfaces as a
-    /// `Memory` error here.
-    fn read_output(&self, t: TensorId) -> Result<Tensor, ExecError> {
-        let key = t.0 as usize;
-        let ten = output_of(&self.env, t)?;
-        if !self.planned[key] {
-            return Ok(ten.clone());
-        }
-        let arena = self
-            .arena
-            .as_deref()
-            .ok_or_else(|| ExecError::Internal("planned tensor without arena backing".into()))?;
-        let bytes = arena
-            .try_read(key, ten.byte_size())
-            .ok_or_else(|| ExecError::Memory(format!("arena slot for output {t} vanished")))?;
-        if !ten.payload_le_eq(bytes) {
-            return Err(ExecError::Memory(format!(
-                "arena slot for output {t} was clobbered while live"
-            )));
-        }
-        let label = match ten.data() {
-            Data::F32(_) => "f32",
-            Data::I64(_) => "i64",
-            Data::Bool(_) => "bool",
-            Data::U8(_) => "u8",
-        };
-        Tensor::from_payload_le(ten.shape(), label, bytes)
-            .map_err(|e| ExecError::Memory(format!("rebuild output {t}: {e}")))
     }
 }
 
@@ -1091,7 +1019,7 @@ fn commit_instr(
         }
     }
 
-    st.apply_releases(&instr.releases)?;
+    st.apply_releases(&instr.releases);
 
     let acc = &st.groups[instr.gidx as usize];
     if instr.group_tail && acc.ops > 0 {
@@ -1208,12 +1136,12 @@ fn commit_chain(
             // Head and mid members release at their original positions;
             // the tail installs the final output first, then releases.
             for releases in tc.member_releases.iter().take(n.saturating_sub(1)) {
-                st.apply_releases(releases)?;
+                st.apply_releases(releases);
             }
             let tail_name = &graph.node(tc.tail_nid).name;
             st.install_output(cfg, tail_name, tc.final_reg, tc.final_finite, true, out)?;
             if let Some(last) = tc.member_releases.last() {
-                st.apply_releases(last)?;
+                st.apply_releases(last);
             }
         }
         None => {
@@ -1221,7 +1149,7 @@ fn commit_chain(
             // in member order.
             for (k, releases) in tc.member_releases.iter().enumerate() {
                 st.env[tc.member_outputs[k].0 as usize] = Slot::Dead;
-                st.apply_releases(releases)?;
+                st.apply_releases(releases);
             }
         }
     }
@@ -1296,24 +1224,23 @@ fn finish_run(st: &TapeState<'_>) -> Result<(), ExecError> {
 ///
 /// `cfg` supplies the run-time knobs the reference shares (version table,
 /// execute-all-branches, NaN guard, memory budget); plan decisions were
-/// baked into the tape at compile time. `arena` serves materialized intermediates from a pre-planned slab
-/// (heap when `None`); it decides per tensor whether a payload takes its
-/// planned slot. `wavefront` selects between the serial dispatch loop and
-/// two-phase wave execution over the tape's compiled `(start, end)`
-/// ranges.
+/// baked into the tape at compile time. `layout` is the DMP pre-plan of
+/// this inference: each materialized intermediate it admits counts in
+/// [`RunOutcome::arena_backed`], every other one in
+/// [`RunOutcome::alloc_sizes`] (all of them when `None`). `wavefront`
+/// selects between the serial dispatch loop and two-phase wave execution
+/// over the tape's compiled `(start, end)` ranges.
 ///
 /// # Errors
 ///
 /// Kernel failures, input mismatches, malformed control flow, an expired
-/// deadline, an exceeded memory budget or a tripped NaN fence, plus [`ExecError::Memory`] when readback
-/// verification detects that the arena plan aliased two simultaneously
-/// live tensors.
+/// deadline, an exceeded memory budget or a tripped NaN fence.
 pub fn execute_tape(
     graph: &Graph,
     inputs: &[Tensor],
     tape: &TapeProgram,
     cfg: &ExecConfig<'_>,
-    arena: Option<&mut Arena>,
+    layout: Option<&ArenaLayout>,
     wavefront: bool,
 ) -> Result<RunOutcome, ExecError> {
     check_inputs(graph, inputs, cfg.nan_guard)?;
@@ -1333,10 +1260,9 @@ pub fn execute_tape(
         alloc_sizes: Vec::new(),
         concrete_shapes: HashMap::new(),
         branches_executed: 0,
-        planned: vec![false; tape.register_count],
         arena_backed: 0,
         groups: vec![GroupAcc::default(); tape.num_groups],
-        arena,
+        layout,
     };
     let mut scratch = Scratch::default();
 
@@ -1432,11 +1358,10 @@ pub fn execute_tape(
     }
 
     finish_run(&st)?;
-    let _outputs_span = sod2_obs::span!("mem", "outputs readback");
     let outputs = graph
         .outputs()
         .iter()
-        .map(|&t| st.read_output(t))
+        .map(|&t| output_of(&st.env, t).cloned())
         .collect::<Result<Vec<Tensor>, ExecError>>()?;
     fence_outputs(cfg.nan_guard, &outputs)?;
     Ok(RunOutcome {

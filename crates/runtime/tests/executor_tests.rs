@@ -6,7 +6,7 @@
 use sod2_device::DeviceProfile;
 use sod2_fusion::{fuse, FusionPlan, FusionPolicy};
 use sod2_ir::{BinaryOp, ConstData, DType, Graph, NodeId, Op, TensorId, UnaryOp};
-use sod2_mem::{Arena, ArenaLayout, MemoryPlan, TensorLife};
+use sod2_mem::{ArenaLayout, MemoryPlan, TensorLife};
 use sod2_mvc::VersionTable;
 use sod2_plan::{naive_unit_order, UnitGraph};
 use sod2_rdp::analyze;
@@ -15,6 +15,7 @@ use sod2_runtime::{
 };
 use sod2_sym::DimExpr;
 use sod2_tensor::Tensor;
+use std::collections::HashMap;
 
 fn relu_chain(n: usize) -> Graph {
     let mut g = Graph::new();
@@ -50,36 +51,36 @@ fn run_tape(
     execute_tape(g, inputs, &tape, cfg, None, false).expect("tape run")
 }
 
-/// Runs `g` on the tape, serially in topological order, with its
-/// intermediates served from an arena giving each `(tensor, offset,
-/// planned size)` its slot.
-fn run_tape_on_arena(
+/// Runs `g` on the tape, serially in topological order, accounted
+/// against a DMP layout giving each `(tensor, planned size)` a private
+/// slot; the keys in `bounded` (ascending) are sized at an upper bound.
+fn run_tape_with_layout(
     g: &Graph,
     inputs: &[Tensor],
-    slots: &[(TensorId, usize, usize)],
-    peak: usize,
-) -> Result<RunOutcome, ExecError> {
+    slots: &[(TensorId, usize)],
+    bounded: &[usize],
+) -> RunOutcome {
     let lives: Vec<TensorLife> = slots
         .iter()
-        .map(|&(t, _, size)| TensorLife::new(t.0 as usize, size, 0, vec![]))
+        .map(|&(t, size)| TensorLife::new(t.0 as usize, size, 0, vec![]))
         .collect();
-    let plan = MemoryPlan {
-        offsets: slots
-            .iter()
-            .map(|&(t, off, _)| (t.0 as usize, off))
-            .collect(),
-        peak,
-    };
-    let mut arena = Arena::new(std::sync::Arc::new(ArenaLayout::new(&lives, &plan, &[])));
+    let mut offsets = HashMap::new();
+    let mut peak = 0;
+    for &(t, size) in slots {
+        offsets.insert(t.0 as usize, peak);
+        peak += size;
+    }
+    let layout = ArenaLayout::new(&lives, &MemoryPlan { offsets, peak }, bounded);
     let tape = compile_tape(g, &g.topo_order(), None, None, None, None).expect("compile tape");
     execute_tape(
         g,
         inputs,
         &tape,
         &ExecConfig::default(),
-        Some(&mut arena),
+        Some(&layout),
         false,
     )
+    .expect("tape run")
 }
 
 #[test]
@@ -357,75 +358,42 @@ fn three_way_switch_routes_correctly() {
 }
 
 #[test]
-fn arena_backing_shrinks_alloc_stream_and_matches_heap() {
+fn tape_accounting_follows_the_layout() {
+    // Five 16-byte intermediates in a chain, each meeting the layout
+    // differently.
     let mut g = Graph::new();
     let x = g.add_input("x", DType::F32, vec![4.into()]);
     let a = g.add_simple("relu", Op::Unary(UnaryOp::Relu), &[x], DType::F32);
     let b = g.add_simple("exp", Op::Unary(UnaryOp::Exp), &[a], DType::F32);
     let c = g.add_simple("neg", Op::Unary(UnaryOp::Neg), &[b], DType::F32);
-    g.mark_output(c);
+    let d = g.add_simple("abs", Op::Unary(UnaryOp::Abs), &[c], DType::F32);
+    let e = g.add_simple("relu2", Op::Unary(UnaryOp::Relu), &[d], DType::F32);
+    g.mark_output(e);
     let inputs = [Tensor::from_f32(&[4], vec![-2.0, -0.5, 0.5, 3.0])];
 
     let heap = run_tape(&g, &inputs, None, &ExecConfig::default());
-    assert_eq!(heap.alloc_sizes.len(), 3);
+    assert_eq!(
+        heap.alloc_sizes,
+        vec![16; 5],
+        "no layout: every one allocates"
+    );
     assert_eq!(heap.arena_backed, 0);
 
-    // Every intermediate gets a private 16-byte slot.
-    let slots = [(a, 0, 16), (b, 16, 16), (c, 32, 16)];
-    let run = run_tape_on_arena(&g, &inputs, &slots, 48).expect("arena run");
-    assert!(run.alloc_sizes.is_empty(), "all intermediates planned");
-    assert_eq!(run.arena_backed, 3);
+    // a: an exact slot of its size. b: an exact slot of the wrong size.
+    // c: no slot. d: a bounded slot its payload overruns. e: a bounded
+    // slot its payload fits.
+    let slots = [(a, 16), (b, 8), (d, 8), (e, 32)];
+    let mut bounded = [d.0 as usize, e.0 as usize];
+    bounded.sort_unstable();
+    let run = run_tape_with_layout(&g, &inputs, &slots, &bounded);
+    assert_eq!(run.arena_backed, 2, "a and e are covered by the plan");
+    assert_eq!(run.alloc_sizes, vec![16; 3], "b, c and d are the residue");
     assert_eq!(
         run.outputs[0].payload_le_bytes(),
         heap.outputs[0].payload_le_bytes(),
-        "arena-served output must match the heap run bitwise"
+        "accounting never changes outputs"
     );
-}
-
-#[test]
-fn arena_size_mismatch_falls_back_to_heap() {
-    let g = relu_chain(1);
-    let t_out = *g.outputs().first().expect("one output");
-    // The plan believed the tensor was 8 bytes; at runtime it is 16.
-    let run = run_tape_on_arena(
-        &g,
-        &[Tensor::from_f32(&[4], vec![1.0, 2.0, 3.0, 4.0])],
-        &[(t_out, 0, 8)],
-        8,
-    )
-    .expect("run");
-    assert_eq!(run.arena_backed, 0);
-    assert_eq!(
-        run.alloc_sizes,
-        vec![16],
-        "mismatched tensor heap-allocated"
-    );
-    assert_eq!(run.outputs[0].as_f32().expect("f32"), &[1.0, 2.0, 3.0, 4.0]);
-}
-
-#[test]
-fn arena_aliasing_of_live_tensors_is_detected() {
-    // a and b are simultaneously live (both feed the add); an unsound
-    // plan placing them at the same offset must be caught by readback
-    // verification, not silently corrupt the result.
-    let mut g = Graph::new();
-    let x = g.add_input("x", DType::F32, vec![4.into()]);
-    let a = g.add_simple("relu", Op::Unary(UnaryOp::Relu), &[x], DType::F32);
-    let b = g.add_simple("exp", Op::Unary(UnaryOp::Exp), &[x], DType::F32);
-    let c = g.add_simple("add", Op::Binary(BinaryOp::Add), &[a, b], DType::F32);
-    g.mark_output(c);
-
-    let err = run_tape_on_arena(
-        &g,
-        &[Tensor::from_f32(&[4], vec![1.0, 2.0, 3.0, 4.0])],
-        &[(a, 0, 16), (b, 0, 16)],
-        16,
-    )
-    .expect_err("aliasing plan must fail");
-    assert!(
-        matches!(err, ExecError::Memory(_)),
-        "expected Memory error, got: {err}"
-    );
+    assert_eq!(run.peak_live_bytes, heap.peak_live_bytes);
 }
 
 #[test]

@@ -111,10 +111,10 @@ pub struct FaultInjector {
 pub struct ServerConfig {
     /// Engine replicas (worker threads). Each is stamped out via
     /// [`Sod2Engine::fork_replica`] — the execution tape stays
-    /// `Arc`-shared; each replica brings its own arena and register
-    /// files. `0` starts no workers (admission-control-only mode, used by
-    /// tests to observe queue behaviour; use [`Server::try_submit`] there,
-    /// blocking submission would never drain).
+    /// `Arc`-shared; each replica brings its own register files. `0`
+    /// starts no workers (admission-control-only mode, used by tests to
+    /// observe queue behaviour; use [`Server::try_submit`] there, blocking
+    /// submission would never drain).
     pub replicas: usize,
     /// Bounded queue capacity; admissions beyond it are rejected with
     /// [`ServeError::QueueFull`].
@@ -362,10 +362,7 @@ fn backoff_for(base: Duration, attempt: u32) -> Duration {
 fn is_fault_class(e: &ExecError) -> bool {
     matches!(
         e,
-        ExecError::Kernel(_)
-            | ExecError::Panic(_)
-            | ExecError::NumericFault(_)
-            | ExecError::Memory(_)
+        ExecError::Kernel(_) | ExecError::Panic(_) | ExecError::NumericFault(_)
     )
 }
 

@@ -192,105 +192,14 @@ impl Tensor {
     /// order; `bool` as one `0`/`1` byte each). The length always equals
     /// [`Tensor::byte_size`].
     pub fn payload_le_bytes(&self) -> Vec<u8> {
-        let mut out = vec![0; self.byte_size()];
-        self.write_payload_le(&mut out);
-        out
-    }
-
-    /// Writes [`Tensor::payload_le_bytes`] into `out` without allocating.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `out.len()` is not [`Tensor::byte_size`].
-    pub fn write_payload_le(&self, out: &mut [u8]) {
-        assert_eq!(out.len(), self.byte_size(), "payload buffer size");
+        let mut out = Vec::with_capacity(self.byte_size());
         match &*self.data {
-            Data::F32(v) => {
-                for (dst, x) in out.chunks_exact_mut(4).zip(v) {
-                    dst.copy_from_slice(&x.to_le_bytes());
-                }
-            }
-            Data::I64(v) => {
-                for (dst, x) in out.chunks_exact_mut(8).zip(v) {
-                    dst.copy_from_slice(&x.to_le_bytes());
-                }
-            }
-            Data::Bool(v) => {
-                for (dst, &b) in out.iter_mut().zip(v) {
-                    *dst = u8::from(b);
-                }
-            }
-            Data::U8(v) => out.copy_from_slice(v),
+            Data::F32(v) => out.extend(v.iter().flat_map(|x| x.to_le_bytes())),
+            Data::I64(v) => out.extend(v.iter().flat_map(|x| x.to_le_bytes())),
+            Data::Bool(v) => out.extend(v.iter().map(|&b| u8::from(b))),
+            Data::U8(v) => out.extend_from_slice(v),
         }
-    }
-
-    /// `true` when `bytes` equal [`Tensor::payload_le_bytes`], compared in
-    /// place without allocating.
-    pub fn payload_le_eq(&self, bytes: &[u8]) -> bool {
-        bytes.len() == self.byte_size()
-            && match &*self.data {
-                Data::F32(v) => bytes
-                    .chunks_exact(4)
-                    .zip(v)
-                    .all(|(b, x)| b == x.to_le_bytes()),
-                Data::I64(v) => bytes
-                    .chunks_exact(8)
-                    .zip(v)
-                    .all(|(b, x)| b == x.to_le_bytes()),
-                Data::Bool(v) => bytes.iter().zip(v).all(|(&b, &x)| b == u8::from(x)),
-                Data::U8(v) => bytes == v.as_slice(),
-            }
-    }
-
-    /// Reconstructs a tensor from little-endian payload bytes produced by
-    /// [`Tensor::payload_le_bytes`]. `dtype` is a [`Tensor::dtype_name`]
-    /// label.
-    ///
-    /// # Errors
-    ///
-    /// [`TensorError::ShapeMismatch`] when the byte length does not match
-    /// the shape/dtype, or [`TensorError::DTypeMismatch`] for an unknown
-    /// dtype label.
-    pub fn from_payload_le(
-        shape: &[usize],
-        dtype: &str,
-        bytes: &[u8],
-    ) -> Result<Tensor, TensorError> {
-        let n: usize = shape.iter().product();
-        let elem = match dtype {
-            "f32" => 4,
-            "i64" => 8,
-            "bool" | "u8" => 1,
-            _ => {
-                return Err(TensorError::DTypeMismatch {
-                    expected: "f32|i64|bool|u8",
-                    actual: "unknown",
-                })
-            }
-        };
-        if bytes.len() != n * elem {
-            return Err(TensorError::ShapeMismatch {
-                expected: n * elem,
-                actual: bytes.len(),
-            });
-        }
-        let data = match dtype {
-            "f32" => Data::F32(
-                bytes
-                    .chunks_exact(4)
-                    .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-                    .collect(),
-            ),
-            "i64" => Data::I64(
-                bytes
-                    .chunks_exact(8)
-                    .map(|c| i64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]))
-                    .collect(),
-            ),
-            "bool" => Data::Bool(bytes.iter().map(|&b| b != 0).collect()),
-            _ => Data::U8(bytes.to_vec()),
-        };
-        Tensor::new(shape, data)
+        out
     }
 
     /// Short dtype label.
@@ -438,23 +347,28 @@ mod tests {
     }
 
     #[test]
-    fn in_place_payload_matches_serialized_payload() {
-        let tensors = [
-            Tensor::from_f32(&[3], vec![1.5, -0.0, f32::NAN]),
-            Tensor::new(&[2], Data::I64(vec![-7, 1 << 40])).expect("i64"),
-            Tensor::new(&[3], Data::Bool(vec![true, false, true])).expect("bool"),
-            Tensor::new(&[2], Data::U8(vec![9, 255])).expect("u8"),
+    fn payload_le_bytes_encodes_every_dtype() {
+        let cases = [
+            (
+                Tensor::from_f32(&[2], vec![1.5, -0.0]),
+                vec![0, 0, 0xC0, 0x3F, 0, 0, 0, 0x80],
+            ),
+            (
+                Tensor::new(&[1], Data::I64(vec![-2])).expect("i64"),
+                vec![0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF],
+            ),
+            (
+                Tensor::new(&[3], Data::Bool(vec![true, false, true])).expect("bool"),
+                vec![1, 0, 1],
+            ),
+            (
+                Tensor::new(&[2], Data::U8(vec![9, 255])).expect("u8"),
+                vec![9, 255],
+            ),
         ];
-        for t in &tensors {
-            let want = t.payload_le_bytes();
-            let mut got = vec![0xEE; t.byte_size()];
-            t.write_payload_le(&mut got);
-            assert_eq!(got, want);
-            assert!(t.payload_le_eq(&want));
-            let mut flipped = want.clone();
-            flipped[0] ^= 1;
-            assert!(!t.payload_le_eq(&flipped), "one flipped bit must differ");
-            assert!(!t.payload_le_eq(&want[1..]), "a short buffer must differ");
+        for (t, want) in &cases {
+            assert_eq!(&t.payload_le_bytes(), want, "{}", t.dtype_name());
+            assert_eq!(want.len(), t.byte_size());
         }
     }
 

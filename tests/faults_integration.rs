@@ -200,45 +200,13 @@ fn generous_deadline_and_budget_do_not_fail_inference() {
 }
 
 #[test]
-fn arena_alloc_failure_degrades_to_heap_with_identical_outputs() {
-    let _x = sod2_faults::exclusive();
-    let model = zoo_model();
-    let inputs = zoo_inputs(&model);
-    let mut e = engine(&model, Sod2Options::default());
-    let out = infer_with_fault(&mut e, &inputs, Site::ArenaAlloc, Trigger::Nth(1), 0)
-        .expect("arena failure must degrade, not error");
-    let mut fresh = engine(&model, Sod2Options::default());
-    let reference = fresh.infer(&inputs).expect("fresh engine inference");
-    for (a, b) in out.iter().zip(&reference.outputs) {
-        assert_eq!(a.payload_le_bytes(), b.payload_le_bytes());
-    }
-    assert_reusable(&mut e, &model, &inputs);
-}
-
-#[test]
-fn arena_write_failure_falls_back_per_tensor_with_identical_outputs() {
-    let _x = sod2_faults::exclusive();
-    let model = zoo_model();
-    let inputs = zoo_inputs(&model);
-    let mut e = engine(&model, Sod2Options::default());
-    let out = infer_with_fault(&mut e, &inputs, Site::ArenaWrite, Trigger::Every(1), 0)
-        .expect("slab write failure must fall back, not error");
-    let mut fresh = engine(&model, Sod2Options::default());
-    let reference = fresh.infer(&inputs).expect("fresh engine inference");
-    for (a, b) in out.iter().zip(&reference.outputs) {
-        assert_eq!(a.payload_le_bytes(), b.payload_le_bytes());
-    }
-    assert_reusable(&mut e, &model, &inputs);
-}
-
-#[test]
 fn corrupted_bindings_survive_with_identical_outputs() {
     let _x = sod2_faults::exclusive();
     let model = zoo_model();
     let inputs = zoo_inputs(&model);
     let mut e = engine(&model, Sod2Options::default());
     let out = infer_with_fault(&mut e, &inputs, Site::Bindings, Trigger::Nth(1), 0)
-        .expect("corrupted bindings must degrade to heap execution");
+        .expect("corrupted bindings must degrade to an empty plan, not error");
     let mut fresh = engine(&model, Sod2Options::default());
     let reference = fresh.infer(&inputs).expect("fresh engine inference");
     for (a, b) in out.iter().zip(&reference.outputs) {

@@ -232,20 +232,20 @@ proptest! {
         }
     }
 
-    /// Arena-backed and heap execution agree bit-for-bit on random graphs
-    /// while the profiler is recording, and the profiled results match the
-    /// unprofiled ones — observability must be purely read-only.
+    /// The engine's results while the profiler is recording match the
+    /// unprofiled ones on random graphs — observability must be purely
+    /// read-only.
     #[test]
-    fn arena_heap_equivalence_holds_under_profiling(
+    fn profiled_engine_matches_unprofiled(
         recipe in recipe_strategy(), n in 1usize..6, seed in 0u64..1000,
     ) {
         let c = 3;
         let g = build_graph(&recipe, c);
-        let run = |arena: bool| {
+        let run = || {
             let mut engine = sod2_frameworks::Sod2Engine::new(
                 g.clone(),
                 sod2_device::DeviceProfile::s888_cpu(),
-                sod2_frameworks::Sod2Options { arena_exec: arena, ..Default::default() },
+                sod2_frameworks::Sod2Options::default(),
                 &Default::default(),
             );
             sod2_frameworks::Engine::infer(&mut engine, &[input_for(n, c, seed)]).expect("infer")
@@ -253,29 +253,19 @@ proptest! {
         let _session = sod2_obs::session_guard();
         sod2_obs::set_enabled(true);
         sod2_obs::begin();
-        let (arena_on, heap_on) = (run(true), run(false));
+        let on = run();
         let _ = sod2_obs::take();
         sod2_obs::set_enabled(false);
-        let (arena_off, heap_off) = (run(true), run(false));
+        let off = run();
 
         prop_assert_eq!(
-            arena_on.outputs[0].payload_le_bytes(),
-            heap_on.outputs[0].payload_le_bytes(),
-            "arena and heap outputs diverged under profiling"
+            on.outputs[0].payload_le_bytes(),
+            off.outputs[0].payload_le_bytes(),
+            "profiling changed the result"
         );
-        prop_assert_eq!(
-            arena_on.outputs[0].payload_le_bytes(),
-            arena_off.outputs[0].payload_le_bytes(),
-            "profiling changed the arena-path result"
-        );
-        prop_assert_eq!(
-            heap_on.outputs[0].payload_le_bytes(),
-            heap_off.outputs[0].payload_le_bytes(),
-            "profiling changed the heap-path result"
-        );
-        prop_assert_eq!(arena_on.alloc_events, arena_off.alloc_events);
-        prop_assert_eq!(arena_on.arena_backed, arena_off.arena_backed);
-        prop_assert_eq!(arena_on.peak_memory_bytes, arena_off.peak_memory_bytes);
+        prop_assert_eq!(on.alloc_events, off.alloc_events);
+        prop_assert_eq!(on.arena_backed, off.arena_backed);
+        prop_assert_eq!(on.peak_memory_bytes, off.peak_memory_bytes);
     }
 
     /// The full SoD² engine agrees bitwise with plain execution on random

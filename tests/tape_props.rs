@@ -115,12 +115,11 @@ fn input_for(n: usize, c: usize, seed: u64) -> Tensor {
 }
 
 /// Runs one engine configuration and returns (output payloads, reported
-/// peak bytes, heap-allocation events, arena-served intermediates).
+/// peak bytes, priced allocation events, intermediates the plan covers).
 fn run_mode(
     graph: &Graph,
     inputs: &[Tensor],
     wavefront: bool,
-    arena: bool,
     threads: usize,
 ) -> (Vec<Vec<u8>>, usize, usize, usize) {
     with_threads(threads, || {
@@ -129,7 +128,6 @@ fn run_mode(
             DeviceProfile::s888_cpu(),
             Sod2Options {
                 wavefront_exec: wavefront,
-                arena_exec: arena,
                 ..Sod2Options::default()
             },
             &Default::default(),
@@ -148,9 +146,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// The engine is bitwise-identical to the reference for every
-    /// combination of wavefront scheduling, worker count, and tensor
-    /// backing, and its deterministic memory metrics depend only on the
-    /// backing.
+    /// combination of wavefront scheduling and worker count, and its
+    /// deterministic memory metrics depend on neither.
     #[test]
     fn tape_matches_tree_walk_bitwise(chains in chains_strategy(),
                                       folds in proptest::collection::vec(any::<u8>(), 3),
@@ -170,24 +167,18 @@ proptest! {
             .iter()
             .map(|t| t.payload_le_bytes())
             .collect();
-        for arena in [true, false] {
-            let serial = run_mode(&g, &inputs, false, arena, 1);
-            for wavefront in [false, true] {
-                for threads in [1usize, 4] {
-                    let run = run_mode(&g, &inputs, wavefront, arena, threads);
-                    prop_assert_eq!(&run.0, &reference,
-                        "outputs diverged (wavefront={}, arena={}, threads={})",
-                        wavefront, arena, threads);
-                    prop_assert_eq!(run.1, serial.1,
-                        "peak diverged (wavefront={}, arena={}, threads={})",
-                        wavefront, arena, threads);
-                    prop_assert_eq!(run.2, serial.2,
-                        "alloc events diverged (wavefront={}, arena={}, threads={})",
-                        wavefront, arena, threads);
-                    prop_assert_eq!(run.3, serial.3,
-                        "arena residency diverged (wavefront={}, arena={}, threads={})",
-                        wavefront, arena, threads);
-                }
+        let serial = run_mode(&g, &inputs, false, 1);
+        for wavefront in [false, true] {
+            for threads in [1usize, 4] {
+                let run = run_mode(&g, &inputs, wavefront, threads);
+                prop_assert_eq!(&run.0, &reference,
+                    "outputs diverged (wavefront={}, threads={})", wavefront, threads);
+                prop_assert_eq!(run.1, serial.1,
+                    "peak diverged (wavefront={}, threads={})", wavefront, threads);
+                prop_assert_eq!(run.2, serial.2,
+                    "alloc events diverged (wavefront={}, threads={})", wavefront, threads);
+                prop_assert_eq!(run.3, serial.3,
+                    "plan coverage diverged (wavefront={}, threads={})", wavefront, threads);
             }
         }
     }

@@ -82,7 +82,6 @@ fn run_mode(
     graph: &Graph,
     input: &Tensor,
     wavefront: bool,
-    arena: bool,
     threads: usize,
 ) -> (Vec<Vec<u8>>, usize, usize) {
     with_threads(threads, || {
@@ -91,7 +90,6 @@ fn run_mode(
             DeviceProfile::s888_cpu(),
             Sod2Options {
                 wavefront_exec: wavefront,
-                arena_exec: arena,
                 ..Sod2Options::default()
             },
             &Default::default(),
@@ -108,9 +106,9 @@ fn run_mode(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Wavefront execution is bitwise-identical to serial execution, for
-    /// every combination of worker count and tensor backing, and it does
-    /// not perturb the deterministic serial-schedule stats.
+    /// Wavefront execution is bitwise-identical to serial execution at
+    /// every worker count, and it does not perturb the deterministic
+    /// serial-schedule stats.
     #[test]
     fn wavefront_matches_serial_bitwise(chains in chains_strategy(),
                                         folds in proptest::collection::vec(any::<u8>(), 4),
@@ -118,19 +116,13 @@ proptest! {
         let g = build_branchy(c, &chains, &folds);
         sod2_ir::validate(&g).expect("generated graph valid");
         let input = input_for(n, c, seed);
-        for arena in [true, false] {
-            let (serial_out, serial_peak, serial_allocs) =
-                run_mode(&g, &input, false, arena, 1);
-            for threads in [1usize, 4] {
-                let (wave_out, wave_peak, wave_allocs) =
-                    run_mode(&g, &input, true, arena, threads);
-                prop_assert_eq!(&wave_out, &serial_out,
-                    "outputs diverged (threads={}, arena={})", threads, arena);
-                prop_assert_eq!(wave_peak, serial_peak,
-                    "reported peak diverged (threads={}, arena={})", threads, arena);
-                prop_assert_eq!(wave_allocs, serial_allocs,
-                    "alloc events diverged (threads={}, arena={})", threads, arena);
-            }
+        let (serial_out, serial_peak, serial_allocs) = run_mode(&g, &input, false, 1);
+        for threads in [1usize, 4] {
+            let (wave_out, wave_peak, wave_allocs) = run_mode(&g, &input, true, threads);
+            prop_assert_eq!(&wave_out, &serial_out, "outputs diverged (threads={})", threads);
+            prop_assert_eq!(wave_peak, serial_peak, "reported peak diverged (threads={})", threads);
+            prop_assert_eq!(wave_allocs, serial_allocs,
+                "alloc events diverged (threads={})", threads);
         }
     }
 }

@@ -1,8 +1,8 @@
 #!/bin/bash
 # CI gate: build, tests (both thread configs), formatting, lints, the static
 # analyzer over every model in the zoo, bench smoke runs, the serving bench
-# (dynamic batching + chaos-under-traffic), and the perf-regression gate
-# against the checked-in baselines.
+# (dynamic batching + chaos-under-traffic), traced host benchmark smoke
+# runs, and the perf-regression gate against the checked-in baselines.
 #
 # Usage:
 #   ./ci.sh                      # run every stage in order
@@ -10,7 +10,8 @@
 #                                #   | test-release-kernels (sod2-kernels and
 #                                #   sod2-tensor tests in release) | fmt
 #                                #   | clippy | zoo | analyze | chaos | bench
-#                                #   | serve | gate
+#                                #   | serve | hostbench (short traced host
+#                                #   benchmark runs) | gate
 #   ./ci.sh --update-baselines   # run bench + serve, then overwrite the
 #                                #   checked-in BENCH_kernels.json /
 #                                #   BENCH_zoo.json / BENCH_serve.json with
@@ -37,9 +38,9 @@ UPDATE_BASELINES=0
 for arg in "$@"; do
     case "$arg" in
         --update-baselines) UPDATE_BASELINES=1 ;;
-        build|test-par|test-serial|test-release-kernels|fmt|clippy|zoo|analyze|chaos|bench|serve|gate|all) MODE="$arg" ;;
+        build|test-par|test-serial|test-release-kernels|fmt|clippy|zoo|analyze|chaos|bench|serve|hostbench|gate|all) MODE="$arg" ;;
         *)
-            echo "usage: ./ci.sh [build|test-par|test-serial|test-release-kernels|fmt|clippy|zoo|analyze|chaos|bench|serve|gate] [--update-baselines]" >&2
+            echo "usage: ./ci.sh [build|test-par|test-serial|test-release-kernels|fmt|clippy|zoo|analyze|chaos|bench|serve|hostbench|gate] [--update-baselines]" >&2
             exit 2
             ;;
     esac
@@ -283,6 +284,26 @@ stage_serve() {
     fi
 }
 
+stage_hostbench() {
+    # Host benchmark smoke: a short traced run of a closed-loop and the
+    # open-loop workload, reusing the build stage's binary in target/. A
+    # run reports `"correct": true` only when every response is bitwise
+    # the reference's and, on the closed loop, the traced split adds up
+    # with at most 5% of `infer` outside a phase span — so a change that
+    # leaves per-inference work outside a phase fails here, not in the
+    # next benchmark run.
+    for w in short-seq serve-open; do
+        echo "--- hostbench $w ---"
+        local last
+        last=$(CARGO_TARGET_DIR=target python3 hostbench/run.py \
+            --workload "$w" --seed 1 --seconds 4 --trace 1 | tail -n 1)
+        echo "$last"
+        echo "$last" | python3 -c \
+            'import json, sys; sys.exit(0 if json.load(sys.stdin).get("correct") is True else 1)' \
+            || { echo "FATAL: hostbench $w is not correct" >&2; exit 1; }
+    done
+}
+
 stage_gate() {
     local gate=./target/release/perf_gate
     for f in "$CI_OUT/BENCH_kernels.json" "$CI_OUT/BENCH_zoo.json" "$CI_OUT/BENCH_serve.json"; do
@@ -313,6 +334,7 @@ run_stage analyze stage_analyze
 run_stage chaos stage_chaos
 run_stage bench stage_bench
 run_stage serve stage_serve
+run_stage hostbench stage_hostbench
 run_stage gate stage_gate
 
 echo "=== CI OK ==="

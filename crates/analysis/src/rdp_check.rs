@@ -10,7 +10,7 @@ use std::collections::HashMap;
 
 /// Cross-validates RDP's lattice state against shapes recorded by a
 /// concrete execution (`observed` maps tensor → concrete dims, typically
-/// `RunOutcome::concrete_shapes`).
+/// `RunRecord::concrete_shapes` of a tape run).
 ///
 /// - A `Ranked` lattice value whose rank differs from the observed rank is
 ///   unsound (`rdp/rank-mismatch`, error).

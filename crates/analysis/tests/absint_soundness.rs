@@ -272,7 +272,7 @@ fn build_random_graph(rng: &mut StdRng) -> (Graph, Vec<Tensor>) {
 /// Runs the graph on a serial tape in topological order.
 fn run_on_tape(g: &Graph, inputs: &[Tensor]) -> RunOutcome {
     let tape = compile_tape(g, &g.topo_order(), None, None, None, None).expect("compile tape");
-    execute_tape(g, inputs, &tape, &ExecConfig::default(), None, false).expect("tape run")
+    execute_tape(g, inputs, &tape, &ExecConfig::default(), false).expect("tape run")
 }
 
 proptest! {

@@ -10,6 +10,8 @@
 //! kernel times recorded serially, greedily list-scheduled onto N virtual
 //! workers. The makespan number is what the pool's decomposition achieves
 //! when N cores actually exist, independent of this host's core count.
+//! Each chunk's time is the median of [`CHUNK_RECORDINGS`] serial
+//! recordings, so one chunk slowed by host noise does not move it.
 //!
 //! Each conv, GEMM and broadcast-multiply row also records
 //! `ratio_vs_naive`: the one-thread wall time of the independent
@@ -38,6 +40,12 @@ use sod2_tensor::Tensor;
 use std::time::Instant;
 
 const THREADS: [usize; 3] = [1, 2, 4];
+
+/// Serial chunk-time recordings whose per-chunk median is scheduled. On a
+/// shared 2-vCPU host single chunk samples spread by about 30%; with 5 or
+/// 11 recordings `speedup_makespan` still moved by up to 7% or 12%
+/// between back-to-back runs, with 31 by at most 3.6%.
+const CHUNK_RECORDINGS: usize = 31;
 
 /// Floor asserted on every conv row's `ratio_vs_naive`.
 const MIN_CONV_RATIO: f64 = 2.0;
@@ -95,7 +103,8 @@ struct KernelEntry {
     chunks: usize,
     /// Measured wallclock at each real thread count.
     wall_secs: [f64; 3],
-    /// Greedy list-schedule of recorded chunk times onto N virtual workers.
+    /// Greedy list-schedule of the per-chunk median recorded times onto N
+    /// virtual workers.
     makespan_secs: [f64; 3],
     /// Reference-over-kernel one-thread wall ratio (conv, GEMM and
     /// broadcast multiply rows).
@@ -104,7 +113,17 @@ struct KernelEntry {
 
 impl KernelEntry {
     fn measure(name: &'static str, desc: String, flops: f64, run: impl Fn() + Sync) -> KernelEntry {
-        let ((), chunk_secs) = record_chunks(&run);
+        let recordings: Vec<Vec<f64>> = (0..CHUNK_RECORDINGS)
+            .map(|_| record_chunks(&run).1)
+            .collect();
+        let chunk_count = recordings.iter().map(Vec::len).min().unwrap_or(0);
+        let chunk_secs: Vec<f64> = (0..chunk_count)
+            .map(|i| {
+                let mut times: Vec<f64> = recordings.iter().map(|r| r[i]).collect();
+                times.sort_by(f64::total_cmp);
+                times[times.len() / 2]
+            })
+            .collect();
         let makespan_secs = [
             scheduled_makespan(&chunk_secs, 1),
             scheduled_makespan(&chunk_secs, 2),
@@ -496,11 +515,14 @@ fn main() {
     if let Some(path) = json_path {
         let mut s = String::from("{\n");
         s.push_str(&format!("  \"host_cores\": {host_cores},\n"));
-        s.push_str(concat!(
-            "  \"speedup_basis\": \"speedup_makespan is the greedy list-schedule of ",
-            "serially recorded per-chunk times onto N virtual workers (the pool's ",
-            "decomposition quality); wallclock_secs is measured on this host and ",
-            "cannot exceed 1x scaling when host_cores is 1\",\n"
+        s.push_str(&format!(
+            concat!(
+                "  \"speedup_basis\": \"speedup_makespan is the greedy list-schedule of ",
+                "per-chunk times, each the median of {} serial recordings, onto N ",
+                "virtual workers (the pool's decomposition quality); wallclock_secs is ",
+                "measured on this host and cannot exceed 1x scaling when host_cores is 1\",\n"
+            ),
+            CHUNK_RECORDINGS
         ));
         s.push_str("  \"kernels\": [\n");
         let k: Vec<String> = kernels.iter().map(KernelEntry::json).collect();

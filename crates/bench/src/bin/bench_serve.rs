@@ -253,10 +253,11 @@ fn solo_reference(model: &DynModel, workload: &[WorkloadRequest]) -> Vec<SoloRef
     workload
         .iter()
         .map(|req| {
-            let stats = engine.infer(&req.inputs).expect("solo reference infer");
+            let run = engine.infer(&req.inputs).expect("solo reference infer");
+            let stats = engine.price(&run);
             let full_s = stats.latency.total();
             SoloRef {
-                outputs: stats.outputs,
+                outputs: run.outputs,
                 full_s,
                 cached_s: full_s - stats.latency.reinit,
                 peak_bytes: stats.peak_memory_bytes,

@@ -10,10 +10,10 @@
 //!   which are identical across hosts and runs, and
 //! - informational wallclock numbers — `wall_ms_best`, `kernel_ms`,
 //!   `kernel_coverage` (kernel wall over infer wall, both on the thread
-//!   that called `infer`), `dmp_ms` (the `dmp_pre_plan` and
-//!   `dmp_post_plan` phase wall per run), `dispatch_ns_per_node` (infer
-//!   wall outside kernels and DMP, per node per run) — which the gate
-//!   ignores.
+//!   that called `infer`), `dmp_ms` (the `dmp_pre_plan` phase wall per
+//!   run), `dispatch_ns_per_node` (infer wall outside kernels and DMP, per
+//!   node per run) — which the gate ignores. The gated metrics come from
+//!   pricing the last run after the measured loop.
 //!
 //! Every model's engine outputs must agree bitwise with the serial heap
 //! reference interpreter (`sod2_runtime::execute`) run on the model graph.
@@ -148,20 +148,20 @@ fn measure(model: &sod2_models::DynModel, iters: usize, absint: bool) -> ZooEntr
     );
     let tape_len = engine.tape_stats().map(|s| s.tape_len).unwrap_or(0);
     // Warmup: first inference pays DMP plan construction.
-    let mut stats = engine.infer(&inputs).expect("warmup infer");
-    assert_bitwise(&stats.outputs);
+    let mut run = engine.infer(&inputs).expect("warmup infer");
+    assert_bitwise(&run.outputs);
     let mut wall_best = f64::INFINITY;
-    let mut trace = None;
     for _ in 0..iters {
         let t0 = Instant::now();
-        let (run, priced) = engine.infer_traced(&inputs).expect("infer");
+        run = engine.infer(&inputs).expect("infer");
         wall_best = wall_best.min(t0.elapsed().as_secs_f64());
-        (stats, trace) = (run, Some(priced));
     }
     let prof = sod2_obs::take();
     sod2_obs::set_enabled(false);
-    let wave = trace
-        .and_then(|t| engine.wave_stats(&t))
+    // The last inference, priced off the measured path.
+    let stats = engine.price(&run);
+    let wave = engine
+        .wave_stats(&stats.trace)
         .expect("wavefront stats after wavefront-mode inference");
 
     let infer_ns = prof.cat_total_ns("infer");

@@ -2,7 +2,7 @@
 //! CPU and GPU profiles. Every size is new to the engines, so MNN pays a
 //! re-initialization each time while SoD² stays flat.
 
-use sod2_bench::BenchConfig;
+use sod2_bench::{priced, BenchConfig};
 use sod2_device::DeviceProfile;
 use sod2_frameworks::{Engine, MnnLike, Sod2Engine, Sod2Options};
 use sod2_models::yolo_v6;
@@ -33,8 +33,8 @@ fn main() {
             // one-time re-initialization (reported in Table 1).
             let _ = mnn.infer(&inputs).expect("mnn warm");
             let _ = sod2.infer(&inputs).expect("sod2 warm");
-            let m = mnn.infer(&inputs).expect("mnn");
-            let d = sod2.infer(&inputs).expect("sod2");
+            let m = priced(&mut mnn, &inputs);
+            let d = priced(&mut sod2, &inputs);
             println!(
                 "{:>6} {:>12.1} {:>12.1}",
                 s,

@@ -1,7 +1,7 @@
 //! **Figure 11**: speedup over TFLite when TFLite's memory consumption is
 //! capped at SoD²'s peak (overflow handled by XLA-style rematerialization).
 
-use sod2_bench::{mean, sample_inputs, BenchConfig};
+use sod2_bench::{mean, priced, sample_inputs, BenchConfig};
 use sod2_device::DeviceProfile;
 use sod2_frameworks::{Engine, Sod2Engine, Sod2Options, TfLiteLike};
 use sod2_models::{ranet, skipnet};
@@ -26,7 +26,7 @@ fn main() {
             // First pass: find SoD2's peak to use as the budget.
             let peaks: Vec<usize> = inputs
                 .iter()
-                .map(|i| sod2.infer(i).expect("sod2").peak_memory_bytes)
+                .map(|i| priced(&mut sod2, i).peak_memory_bytes)
                 .collect();
             let budget = peaks.iter().copied().max().unwrap_or(0);
             let mut tflite =
@@ -35,8 +35,8 @@ fn main() {
             let mut t_lat = Vec::new();
             for i in &inputs {
                 let _ = tflite.infer(i); // warm: amortize re-initialization
-                s_lat.push(sod2.infer(i).expect("sod2").latency.total());
-                t_lat.push(tflite.infer(i).expect("tflite").latency.total());
+                s_lat.push(priced(&mut sod2, i).latency.total());
+                t_lat.push(priced(&mut tflite, i).latency.total());
             }
             println!("{:<14} {:>9.2}x", model.name, mean(&t_lat) / mean(&s_lat));
         }

@@ -2,9 +2,9 @@
 //! the fully static DNNFusion-style compilation of a frozen model — same
 //! inputs, shapes fixed ahead of time for the static build.
 
-use sod2_bench::{mean, BenchConfig};
+use sod2_bench::{mean, priced, BenchConfig};
 use sod2_device::DeviceProfile;
-use sod2_frameworks::{bindings_from_inputs, Engine, Sod2Engine, Sod2Options};
+use sod2_frameworks::{bindings_from_inputs, Sod2Engine, Sod2Options};
 use sod2_models::{ranet, skipnet};
 
 fn main() {
@@ -48,8 +48,8 @@ fn main() {
             let mut s_lat = Vec::new();
             let mut d_lat = Vec::new();
             for i in &inputs {
-                s_lat.push(static_build.infer(i).expect("static").latency.total());
-                d_lat.push(dynamic_build.infer(i).expect("dynamic").latency.total());
+                s_lat.push(priced(&mut static_build, i).latency.total());
+                d_lat.push(priced(&mut dynamic_build, i).latency.total());
             }
             let overhead = mean(&d_lat) / mean(&s_lat) - 1.0;
             println!("{:<14} {:>11.1}%", model.name, overhead * 100.0);

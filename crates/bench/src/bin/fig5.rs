@@ -1,9 +1,9 @@
 //! **Figure 5**: memory reduction of the RDP-enabled optimization ladder
 //! (No-opt → +Fusion → +SEP → +DMP) on four models, mobile CPU.
 
-use sod2_bench::{mean, sample_inputs, BenchConfig};
+use sod2_bench::{mean, priced, sample_inputs, BenchConfig};
 use sod2_device::DeviceProfile;
-use sod2_frameworks::{Engine, Sod2Engine, Sod2Options};
+use sod2_frameworks::{Sod2Engine, Sod2Options};
 use sod2_fusion::FusionPolicy;
 use sod2_models::{blockdrop, codebert, ranet, stable_diffusion_encoder};
 
@@ -72,7 +72,7 @@ fn main() {
             );
             let ms: Vec<f64> = inputs
                 .iter()
-                .map(|i| e.infer(i).expect("runs").peak_memory_bytes as f64)
+                .map(|i| priced(&mut e, i).peak_memory_bytes as f64)
                 .collect();
             mems.push(mean(&ms));
         }

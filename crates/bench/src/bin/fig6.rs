@@ -1,9 +1,9 @@
 //! **Figure 6**: execution speedup of the optimization ladder
 //! (No-opt → +Fusion → +SEP → +DMP → +MVC) on CPU and GPU.
 
-use sod2_bench::{mean, sample_inputs, BenchConfig};
+use sod2_bench::{mean, priced, sample_inputs, BenchConfig};
 use sod2_device::DeviceProfile;
-use sod2_frameworks::{Engine, Sod2Engine, Sod2Options};
+use sod2_frameworks::{Sod2Engine, Sod2Options};
 use sod2_fusion::FusionPolicy;
 use sod2_models::{blockdrop, codebert, ranet, stable_diffusion_encoder};
 
@@ -51,7 +51,7 @@ fn main() {
                 );
                 let ls: Vec<f64> = inputs
                     .iter()
-                    .map(|i| e.infer(i).expect("runs").latency.total())
+                    .map(|i| priced(&mut e, i).latency.total())
                     .collect();
                 lats.push(mean(&ls));
             }

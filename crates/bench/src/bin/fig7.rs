@@ -5,7 +5,7 @@ use sod2_bench::BenchConfig;
 use sod2_fusion::{fuse, FusionPolicy};
 use sod2_models::{blockdrop, codebert, ranet, stable_diffusion_encoder};
 use sod2_plan::{naive_unit_order, UnitGraph};
-use sod2_runtime::{compile_tape, execute_tape, ExecConfig};
+use sod2_runtime::{compile_tape, execute_tape, price_tape, ExecConfig};
 
 fn main() {
     let cfg = BenchConfig::from_args(1);
@@ -33,17 +33,11 @@ fn main() {
             let order = units.node_order(&naive_unit_order(&units));
             let tape =
                 compile_tape(&model.graph, &order, Some(&plan), None, None, None).expect("lowers");
-            let outcome = execute_tape(
-                &model.graph,
-                &inputs,
-                &tape,
-                &ExecConfig::default(),
-                None,
-                false,
-            )
-            .expect("runs");
+            let outcome = execute_tape(&model.graph, &inputs, &tape, &ExecConfig::default(), false)
+                .expect("runs");
+            let priced = price_tape(&model.graph, &tape, &outcome.record, None, None);
             // Intermediate-result size: total materialized bytes this run.
-            ir_bytes.push(outcome.alloc_sizes.iter().sum::<usize>() as f64);
+            ir_bytes.push(priced.alloc_sizes.iter().sum::<usize>() as f64);
         }
         println!(
             "{:<22}  {:>9.2} {:>9.2} {:>9.2}   {:>9.2} {:>9.2} {:>9.2}",

@@ -2,7 +2,7 @@
 //! execution path* — SoD²'s `<Switch, Combine>` support disabled, both
 //! engines executing all branches and stripping invalid results.
 
-use sod2_bench::{mean, sample_inputs, BenchConfig};
+use sod2_bench::{mean, priced, sample_inputs, BenchConfig};
 use sod2_device::DeviceProfile;
 use sod2_frameworks::{Engine, MnnLike, Sod2Engine, Sod2Options};
 use sod2_models::{blockdrop, convnet_aig, ranet, skipnet};
@@ -36,8 +36,8 @@ fn main() {
         let mut m_mem = Vec::new();
         for i in &inputs {
             let _ = mnn.infer(i); // warm: amortize re-initialization
-            let s = sod2.infer(i).expect("sod2");
-            let m = mnn.infer(i).expect("mnn");
+            let s = priced(&mut sod2, i);
+            let m = priced(&mut mnn, i);
             s_lat.push(s.latency.total());
             s_mem.push(s.peak_memory_bytes as f64);
             m_lat.push(m.latency.total());

@@ -6,6 +6,7 @@ use sod2_bench::BenchConfig;
 use sod2_device::DeviceProfile;
 use sod2_frameworks::{Engine, MnnLike};
 use sod2_models::{codebert, conformer, yolo_v6};
+use sod2_runtime::TraceEvent;
 
 fn main() {
     let cfg = BenchConfig::from_args(1);
@@ -21,9 +22,16 @@ fn main() {
             let mut engine = MnnLike::new(model.graph.clone(), profile.clone());
             // A fresh shape forces a full re-initialization.
             let (_, inputs) = model.sample_inputs(&mut rng);
-            let stats = engine.infer(&inputs).expect("inference");
-            let (sl, st, alloc) = engine
-                .last_reinit_phases
+            let run = engine.infer(&inputs).expect("inference");
+            let stats = engine.price(&run);
+            let (sl, st, alloc) = stats
+                .trace
+                .events
+                .iter()
+                .find_map(|e| match *e {
+                    TraceEvent::Reinit { sl, st, alloc } => Some((sl, st, alloc)),
+                    _ => None,
+                })
                 .expect("first inference re-initializes");
             let infer_ms = (stats.latency.total() - (sl + st + alloc)) * 1e3;
             println!(

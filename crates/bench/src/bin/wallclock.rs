@@ -33,11 +33,9 @@ fn main() {
         // Warm once (compile-side caches, allocator warmup).
         let _ = e.infer(&inputs[0]);
         let start = Instant::now();
-        let mut modeled = 0.0;
-        for i in &inputs {
-            modeled += e.infer(i).expect("runs").latency.total();
-        }
+        let runs: Vec<_> = inputs.iter().map(|i| e.infer(i).expect("runs")).collect();
         let host_ms = start.elapsed().as_secs_f64() * 1e3 / cfg.samples as f64;
+        let modeled: f64 = runs.iter().map(|r| e.price(r).latency.total()).sum();
         println!(
             "{:<8} {:>14.2} {:>16.3}",
             e.name(),
@@ -46,7 +44,7 @@ fn main() {
         );
     }
     println!();
-    println!("(host times include per-engine bookkeeping — planning, lifetime");
-    println!(" extraction — on a development machine; modeled times are the");
-    println!(" cost-model milliseconds used throughout the tables.)");
+    println!("(host times cover `infer` only — execution plus SoD2's pre-plan —");
+    println!(" on a development machine; modeled times are the cost-model");
+    println!(" milliseconds used throughout the tables, priced after the clock stops.)");
 }

@@ -15,7 +15,7 @@ pub mod gate;
 
 use sod2_device::DeviceProfile;
 use sod2_frameworks::{
-    Engine, MnnLike, OrtLike, Sod2Engine, Sod2Options, TfLiteLike, TvmNimbleLike,
+    Engine, InferenceStats, MnnLike, OrtLike, Sod2Engine, Sod2Options, TfLiteLike, TvmNimbleLike,
 };
 use sod2_models::{DynModel, ModelScale};
 use sod2_prng::rngs::StdRng;
@@ -100,6 +100,19 @@ pub fn tflite_engine(model: &DynModel, profile: &DeviceProfile) -> TfLiteLike {
     TfLiteLike::new(model.graph.clone(), profile.clone())
 }
 
+/// Runs one inference and prices it on the engine's device profile.
+///
+/// # Panics
+///
+/// Panics (with the engine name) when the inference fails — bench
+/// binaries treat that as a harness bug.
+pub fn priced<E: Engine + ?Sized>(engine: &mut E, inputs: &[Tensor]) -> InferenceStats {
+    let run = engine
+        .infer(inputs)
+        .unwrap_or_else(|e| panic!("{} failed: {e}", engine.name()));
+    engine.price(&run)
+}
+
 /// Samples `n` model inputs (sizes vary per the model's spec).
 pub fn sample_inputs(model: &DynModel, n: usize, rng: &mut StdRng) -> Vec<Vec<Tensor>> {
     (0..n).map(|_| model.sample_inputs(rng).1).collect()
@@ -138,9 +151,7 @@ impl Aggregate {
     pub fn collect(engine: &mut dyn Engine, inputs: &[Vec<Tensor>]) -> Aggregate {
         let mut agg = Aggregate::default();
         for ins in inputs {
-            let stats = engine
-                .infer(ins)
-                .unwrap_or_else(|e| panic!("{} failed: {e}", engine.name()));
+            let stats = priced(engine, ins);
             agg.latencies.push(stats.latency.total());
             agg.memories.push(stats.peak_memory_bytes as f64);
         }

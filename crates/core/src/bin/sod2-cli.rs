@@ -451,10 +451,11 @@ fn run(args: &[String]) {
         &Default::default(),
     );
     match engine.infer(&inputs) {
-        Ok(stats) => {
+        Ok(run) => {
+            let stats = engine.price(&run);
             println!("model   : {} @ size {}", model.name, model.round_size(size));
             println!("device  : {}", profile.name);
-            println!("output  : {:?}", stats.outputs[0].shape());
+            println!("output  : {:?}", run.outputs[0].shape());
             println!("latency : {:.3} ms", stats.latency.total() * 1e3);
             println!(
                 "          kernels {:.3} ms, allocs {:.3} ms, planning {:.3} ms",
@@ -520,7 +521,7 @@ fn profile_cmd(args: &[String]) {
     // the pool work of the inference loop.
     let busy_before = sod2_obs::counter("pool.busy_ns");
     for _ in 0..iters {
-        match engine.infer_traced(&inputs) {
+        match engine.infer(&inputs) {
             Ok(run) => last_run = Some(run),
             Err(e) => {
                 eprintln!("inference failed: {e}");
@@ -537,7 +538,9 @@ fn profile_cmd(args: &[String]) {
     sod2_obs::set_enabled(false);
     let serve_ok = live_server.as_ref().map(|(_, ok)| *ok);
 
-    let (stats, trace) = last_run.expect("at least one iteration ran");
+    // The last inference, priced outside the capture window: the profile
+    // shows the request path only.
+    let stats = engine.price(&last_run.expect("at least one iteration ran"));
     // Kernel time is booked as `bench_zoo` books it: the outermost kernel
     // spans inside inference, on the calling thread.
     let infer_ns = prof.cat_total_ns("infer");
@@ -559,7 +562,7 @@ fn profile_cmd(args: &[String]) {
     } else {
         0.0
     };
-    let wave = engine.wave_stats(&trace);
+    let wave = engine.wave_stats(&stats.trace);
     let tape = engine.tape_stats();
     let counter = |name: &str| prof.counters.get(name).copied().unwrap_or(0);
     let (elisions, pruned, nac_used) = (
@@ -1432,7 +1435,8 @@ fn compare(args: &[String]) {
         let mut mem = 0.0;
         for i in &inputs {
             match e.infer(i) {
-                Ok(s) => {
+                Ok(run) => {
+                    let s = e.price(&run);
                     lat += s.latency.total() * 1e3;
                     mem += s.peak_memory_bytes as f64 / (1024.0 * 1024.0);
                 }

@@ -44,7 +44,8 @@
 
 pub use sod2_device::{DeviceKind, DeviceProfile};
 pub use sod2_frameworks::{
-    Engine, InferenceStats, MnnLike, OrtLike, Sod2Engine, Sod2Options, TfLiteLike, TvmNimbleLike,
+    Engine, InferenceStats, MnnLike, OrtLike, Run, Sod2Engine, Sod2Options, TfLiteLike,
+    TvmNimbleLike,
 };
 pub use sod2_fusion::FusionPolicy;
 pub use sod2_ir::{Graph, Op};
@@ -114,8 +115,13 @@ impl CompiledModel {
     /// # Errors
     ///
     /// Propagates executor errors (kernel failures, malformed inputs).
-    pub fn run(&mut self, inputs: &[Tensor]) -> Result<InferenceStats, ExecError> {
+    pub fn run(&mut self, inputs: &[Tensor]) -> Result<Run, ExecError> {
         self.engine.infer(inputs)
+    }
+
+    /// Prices a run of this model on its device profile.
+    pub fn price(&self, run: &Run) -> InferenceStats {
+        self.engine.price(run)
     }
 
     /// The underlying engine (analysis results, fusion plan, partitions).

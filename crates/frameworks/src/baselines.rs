@@ -20,7 +20,7 @@
 //! All baselines execute **all** control-flow branches and strip invalid
 //! results, as the paper observes of these frameworks.
 
-use crate::common::{shape_key, Engine, InferenceStats};
+use crate::common::{observed_bytes, shape_key, Engine, InferenceStats, Run};
 use sod2_device::{price_reinit, DeviceProfile, OpCost};
 use sod2_fusion::{fuse, FusionPolicy};
 use sod2_ir::{Graph, TensorId};
@@ -28,7 +28,8 @@ use sod2_mem::{peak_live_bytes, plan_best_fit, rematerialize, size_class_peak, T
 use sod2_plan::{naive_unit_order, unit_lifetimes, UnitGraph};
 use sod2_rdp::{analyze, RdpResult, ShapeClass};
 use sod2_runtime::{
-    compile_tape, execute_tape, ExecConfig, ExecError, RunOutcome, TapeProgram, TraceEvent,
+    compile_tape, execute_tape, price_tape, ExecConfig, ExecError, ExecutionTrace, RunRecord,
+    TapePrice, TapeProgram, TraceEvent,
 };
 use sod2_tensor::Tensor;
 use std::collections::HashSet;
@@ -68,7 +69,7 @@ impl Compiled {
         }
     }
 
-    fn run(&self, inputs: &[Tensor]) -> Result<RunOutcome, ExecError> {
+    fn run(&self, inputs: &[Tensor], reinitialized: bool) -> Result<Run, ExecError> {
         let tape = self
             .tape
             .as_ref()
@@ -79,21 +80,49 @@ impl Compiled {
             execute_all_branches: true,
             ..ExecConfig::default()
         };
-        execute_tape(&self.graph, inputs, tape, &cfg, None, false)
+        let outcome = execute_tape(&self.graph, inputs, tape, &cfg, false)?;
+        Ok(Run {
+            outputs: outcome.outputs,
+            record: outcome.record,
+            layout: None,
+            pre_plan_hit: false,
+            reinitialized,
+        })
     }
 
-    fn observed_lifetimes(&self, outcome: &RunOutcome) -> Vec<TensorLife> {
-        let size_of = |t: TensorId| -> usize {
-            outcome
-                .concrete_shapes
-                .get(&t)
-                .map(|s| s.iter().product::<usize>() * self.graph.tensor(t).dtype.size_bytes())
-                .unwrap_or(0)
-        };
+    /// The tape's priced replay of `run`: every materialized intermediate
+    /// allocates, kernels priced untuned.
+    fn price(&self, run: &Run) -> TapePrice {
+        match &self.tape {
+            Ok(tape) => price_tape(&self.graph, tape, &run.record, None, None),
+            Err(_) => TapePrice::default(),
+        }
+    }
+
+    fn observed_lifetimes(&self, record: &RunRecord) -> Vec<TensorLife> {
+        let size_of = |t: TensorId| observed_bytes(&self.graph, record, t);
         unit_lifetimes(&self.graph, &self.unit_graph, &self.unit_order, &size_of)
             .into_iter()
             .filter(|l| l.size > 0)
             .collect()
+    }
+
+    /// The stats of a strategy's priced trace.
+    fn stats(
+        &self,
+        run: &Run,
+        alloc_events: usize,
+        trace: ExecutionTrace,
+        peak: usize,
+    ) -> InferenceStats {
+        InferenceStats {
+            latency: trace.price(&self.profile),
+            peak_memory_bytes: peak,
+            reinitialized: run.reinitialized,
+            alloc_events,
+            arena_backed: 0,
+            trace,
+        }
     }
 }
 
@@ -101,9 +130,6 @@ impl Compiled {
 pub struct MnnLike {
     compiled: Compiled,
     seen_shapes: HashSet<Vec<Vec<usize>>>,
-    /// The latest re-initialization phase costs `(sl, st, alloc)` in
-    /// seconds — the Table 1 report reads these.
-    pub last_reinit_phases: Option<(f64, f64, f64)>,
 }
 
 impl MnnLike {
@@ -115,7 +141,6 @@ impl MnnLike {
         MnnLike {
             compiled: Compiled::new(graph, profile, FusionPolicy::Rdp),
             seen_shapes: HashSet::new(),
-            last_reinit_phases: None,
         }
     }
 }
@@ -125,35 +150,27 @@ impl Engine for MnnLike {
         "MNN"
     }
 
-    fn infer(&mut self, inputs: &[Tensor]) -> Result<InferenceStats, ExecError> {
-        let key = shape_key(inputs);
-        let reinit = self.seen_shapes.insert(key);
-        let outcome = self.compiled.run(inputs)?;
-        let alloc_events = outcome.alloc_sizes.len();
-        let lives = self.compiled.observed_lifetimes(&outcome);
+    fn infer(&mut self, inputs: &[Tensor]) -> Result<Run, ExecError> {
+        let reinit = self.seen_shapes.insert(shape_key(inputs));
+        self.compiled.run(inputs, reinit)
+    }
+
+    fn price(&self, run: &Run) -> InferenceStats {
+        let tp = self.compiled.price(run);
+        let lives = self.compiled.observed_lifetimes(&run.record);
         let plan = plan_best_fit(&lives);
-        let mut trace = outcome.trace;
-        if reinit {
+        let mut trace = tp.trace;
+        if run.reinitialized {
             let (sl, st, alloc) = price_reinit(
                 &self.compiled.profile,
                 self.compiled.graph.num_nodes(),
-                outcome.alloc_sizes.len(),
+                tp.alloc_sizes.len(),
                 plan.peak,
             );
-            self.last_reinit_phases = Some((sl, st, alloc));
             trace.push(TraceEvent::Reinit { sl, st, alloc });
-        } else {
-            self.last_reinit_phases = None;
         }
-        let latency = trace.price(&self.compiled.profile);
-        Ok(InferenceStats {
-            outputs: outcome.outputs,
-            latency,
-            peak_memory_bytes: plan.peak,
-            reinitialized: reinit,
-            alloc_events,
-            arena_backed: 0,
-        })
+        self.compiled
+            .stats(run, tp.alloc_sizes.len(), trace, plan.peak)
     }
 }
 
@@ -177,28 +194,23 @@ impl Engine for OrtLike {
         "ORT"
     }
 
-    fn infer(&mut self, inputs: &[Tensor]) -> Result<InferenceStats, ExecError> {
-        let outcome = self.compiled.run(inputs)?;
-        let alloc_events = outcome.alloc_sizes.len();
-        let lives = self.compiled.observed_lifetimes(&outcome);
+    fn infer(&mut self, inputs: &[Tensor]) -> Result<Run, ExecError> {
+        self.compiled.run(inputs, false)
+    }
+
+    fn price(&self, run: &Run) -> InferenceStats {
+        let tp = self.compiled.price(run);
+        let lives = self.compiled.observed_lifetimes(&run.record);
         // Pooling (BFC-style) allocator without lifetime planning: requests
         // round up to power-of-two size classes, freed chunks stay in their
         // class — internal fragmentation plus per-class retention, over the
         // unfused lifetimes (more tensors than the fused engines hold).
         let peak = size_class_peak(&lives);
-        let mut trace = outcome.trace;
-        for &b in &outcome.alloc_sizes {
+        let mut trace = tp.trace;
+        for &b in &tp.alloc_sizes {
             trace.push(TraceEvent::Alloc { bytes: b });
         }
-        let latency = trace.price(&self.compiled.profile);
-        Ok(InferenceStats {
-            outputs: outcome.outputs,
-            latency,
-            peak_memory_bytes: peak,
-            reinitialized: false,
-            alloc_events,
-            arena_backed: 0,
-        })
+        self.compiled.stats(run, tp.alloc_sizes.len(), trace, peak)
     }
 }
 
@@ -237,10 +249,13 @@ impl Engine for TvmNimbleLike {
         "TVM-N"
     }
 
-    fn infer(&mut self, inputs: &[Tensor]) -> Result<InferenceStats, ExecError> {
-        let outcome = self.compiled.run(inputs)?;
-        let alloc_events = outcome.alloc_sizes.len();
-        let mut lives = self.compiled.observed_lifetimes(&outcome);
+    fn infer(&mut self, inputs: &[Tensor]) -> Result<Run, ExecError> {
+        self.compiled.run(inputs, false)
+    }
+
+    fn price(&self, run: &Run) -> InferenceStats {
+        let tp = self.compiled.price(run);
+        let mut lives = self.compiled.observed_lifetimes(&run.record);
         // The VM's register file holds tensors to the end of the enclosing
         // sub-function scope rather than freeing at last use: extend every
         // lifetime, then serve from size-class pools without planning.
@@ -253,22 +268,14 @@ impl Engine for TvmNimbleLike {
             }
         }
         let peak = size_class_peak(&lives);
-        let mut trace = outcome.trace;
+        let mut trace = tp.trace;
         for _ in 0..self.dynamic_ops {
             trace.push(TraceEvent::ShapeFunc);
         }
-        for &b in &outcome.alloc_sizes {
+        for &b in &tp.alloc_sizes {
             trace.push(TraceEvent::Alloc { bytes: b });
         }
-        let latency = trace.price(&self.compiled.profile);
-        Ok(InferenceStats {
-            outputs: outcome.outputs,
-            latency,
-            peak_memory_bytes: peak,
-            reinitialized: false,
-            alloc_events,
-            arena_backed: 0,
-        })
+        self.compiled.stats(run, tp.alloc_sizes.len(), trace, peak)
     }
 }
 
@@ -303,13 +310,15 @@ impl Engine for TfLiteLike {
         "TFLite"
     }
 
-    fn infer(&mut self, inputs: &[Tensor]) -> Result<InferenceStats, ExecError> {
-        let key = shape_key(inputs);
-        let reinit = self.seen_shapes.insert(key);
-        let outcome = self.compiled.run(inputs)?;
-        let alloc_events = outcome.alloc_sizes.len();
-        let mut lives = self.compiled.observed_lifetimes(&outcome);
-        let mut trace = outcome.trace;
+    fn infer(&mut self, inputs: &[Tensor]) -> Result<Run, ExecError> {
+        let reinit = self.seen_shapes.insert(shape_key(inputs));
+        self.compiled.run(inputs, reinit)
+    }
+
+    fn price(&self, run: &Run) -> InferenceStats {
+        let tp = self.compiled.price(run);
+        let mut lives = self.compiled.observed_lifetimes(&run.record);
+        let mut trace = tp.trace;
         let mut remat_bytes = 0usize;
         if let Some(budget) = self.budget {
             if peak_live_bytes(&lives) > budget {
@@ -336,23 +345,16 @@ impl Engine for TfLiteLike {
             });
         }
         let plan = plan_best_fit(&lives);
-        if reinit {
+        if run.reinitialized {
             let (sl, st, alloc) = price_reinit(
                 &self.compiled.profile,
                 self.compiled.graph.num_nodes(),
-                outcome.alloc_sizes.len(),
+                tp.alloc_sizes.len(),
                 plan.peak,
             );
             trace.push(TraceEvent::Reinit { sl, st, alloc });
         }
-        let latency = trace.price(&self.compiled.profile);
-        Ok(InferenceStats {
-            outputs: outcome.outputs,
-            latency,
-            peak_memory_bytes: plan.peak,
-            reinitialized: reinit,
-            alloc_events,
-            arena_backed: 0,
-        })
+        self.compiled
+            .stats(run, tp.alloc_sizes.len(), trace, plan.peak)
     }
 }

@@ -1,15 +1,33 @@
 //! The engine interface and shared helpers.
 
 use sod2_ir::Graph;
-use sod2_runtime::{ExecError, LatencyBreakdown};
+use sod2_mem::ArenaLayout;
+use sod2_runtime::{ExecError, ExecutionTrace, LatencyBreakdown, RunRecord};
 use sod2_sym::{Bindings, DimExpr, ShapeValue};
 use sod2_tensor::Tensor;
+use std::sync::Arc;
 
-/// Result of one inference through an engine.
+/// One inference through an engine: its outputs plus what
+/// [`Engine::price`] replays. Holds no intermediate tensor.
 #[derive(Debug)]
-pub struct InferenceStats {
+pub struct Run {
     /// Output tensors.
     pub outputs: Vec<Tensor>,
+    /// What the tape run observed: per register, produced or dead, with
+    /// its shape and byte size.
+    pub record: RunRecord,
+    /// The DMP pre-plan the inference was admitted against (`None` for
+    /// engines without DMP).
+    pub layout: Option<Arc<ArenaLayout>>,
+    /// Whether the pre-plan came from the engine's cache.
+    pub pre_plan_hit: bool,
+    /// Whether this inference triggered a re-initialization.
+    pub reinitialized: bool,
+}
+
+/// One inference priced by its engine's cost model ([`Engine::price`]).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct InferenceStats {
     /// Priced latency breakdown on the engine's device profile.
     pub latency: LatencyBreakdown,
     /// Peak intermediate-memory footprint the engine's allocator reserved
@@ -27,6 +45,10 @@ pub struct InferenceStats {
     /// Materialized intermediates the priced model places inside the DMP
     /// plan's one arena allocation (0 for engines without DMP).
     pub arena_backed: usize,
+    /// The priced trace: the tape's kernel events plus the engine's
+    /// strategy events (allocations, planning, re-initialization, shape
+    /// functions).
+    pub trace: ExecutionTrace,
 }
 
 /// A DNN execution engine — SoD² or one of the baselines.
@@ -39,12 +61,30 @@ pub trait Engine: Send {
     /// Engine display name.
     fn name(&self) -> &'static str;
 
-    /// Runs one inference.
+    /// Runs one inference: execution only, no pricing.
     ///
     /// # Errors
     ///
     /// Propagates executor errors.
-    fn infer(&mut self, inputs: &[Tensor]) -> Result<InferenceStats, ExecError>;
+    fn infer(&mut self, inputs: &[Tensor]) -> Result<Run, ExecError>;
+
+    /// Prices a run on this engine's device profile: a pure replay
+    /// of the run's record through the cost model. Pricing one run twice
+    /// gives equal stats. `run` must come from this engine's
+    /// [`Engine::infer`].
+    fn price(&self, run: &Run) -> InferenceStats;
+}
+
+/// Bytes of `t` as a run produced it — its observed shape at the graph's
+/// element size — or 0 when no instruction produced it: the size of `t` in
+/// the lifetimes an engine plans after the fact.
+pub(crate) fn observed_bytes(graph: &Graph, record: &RunRecord, t: sod2_ir::TensorId) -> usize {
+    match record.shape(t) {
+        Some(s) if record.produced(t) => {
+            s.iter().product::<usize>() * graph.tensor(t).dtype.size_bytes()
+        }
+        _ => 0,
+    }
 }
 
 /// Extracts symbol bindings by matching the graph's symbolic input

@@ -30,7 +30,8 @@
 //!     Sod2Options::default(),
 //!     &Default::default(),
 //! );
-//! let stats = engine.infer(&inputs)?;
+//! let run = engine.infer(&inputs)?;
+//! let stats = engine.price(&run);
 //! assert!(stats.latency.total() > 0.0);
 //! # Ok(())
 //! # }
@@ -41,5 +42,5 @@ mod common;
 mod sod2_engine;
 
 pub use baselines::{MnnLike, OrtLike, TfLiteLike, TvmNimbleLike};
-pub use common::{bindings_from_inputs, shape_key, Engine, InferenceStats};
+pub use common::{bindings_from_inputs, shape_key, Engine, InferenceStats, Run};
 pub use sod2_engine::{CostPrediction, Sod2Engine, Sod2Options, DEFAULT_PRE_PLAN_CACHE_CAP};

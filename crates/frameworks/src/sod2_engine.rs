@@ -3,7 +3,7 @@
 //! control flow. Each optimization can be toggled off for the Fig. 5/6
 //! breakdown studies.
 
-use crate::common::{bindings_from_inputs, Engine, InferenceStats};
+use crate::common::{bindings_from_inputs, observed_bytes, Engine, InferenceStats, Run};
 use sod2_device::DeviceProfile;
 use sod2_fusion::{fuse, FusionPlan, FusionPolicy};
 use sod2_ir::{Graph, NodeId, Op, TensorId};
@@ -15,8 +15,8 @@ use sod2_plan::{
 };
 use sod2_rdp::{analyze, RdpResult};
 use sod2_runtime::{
-    compile_tape, execute_tape, BakedVariant, ExecConfig, ExecError, ExecutionTrace, RunOutcome,
-    TapeProgram, TapeStats, TraceEvent, WaveExecPlan,
+    compile_tape, execute_tape, price_tape, BakedVariant, ExecConfig, ExecError, ExecutionTrace,
+    RunRecord, TapeProgram, TapeStats, TraceEvent, WaveExecPlan,
 };
 use sod2_sym::Bindings;
 use sod2_tensor::Tensor;
@@ -511,6 +511,12 @@ impl Sod2Engine {
         self.tape.as_deref().ok()
     }
 
+    /// The compiled graph the tape runs on: folded, with proven-dead
+    /// `Switch` arms pruned when absint is on.
+    pub fn graph(&self) -> &Graph {
+        &self.graph
+    }
+
     /// The planned node order the tape was lowered from.
     pub fn node_order(&self) -> &[NodeId] {
         &self.node_order
@@ -521,8 +527,8 @@ impl Sod2Engine {
         self.wave_schedule.as_ref()
     }
 
-    /// Wavefront statistics of one inference from its priced trace (as
-    /// returned by [`Sod2Engine::infer_traced`]); `None` with wavefront
+    /// Wavefront statistics of one inference from its priced trace
+    /// ([`InferenceStats::trace`], from [`Engine::price`]); `None` with wavefront
     /// execution off. Prices each kernel event, attributes it to its
     /// unit, list-schedules every wave onto [`WAVE_WORKERS`] workers and
     /// walks the unit DAG for the critical path. Purely trace-derived — no
@@ -716,16 +722,10 @@ impl Sod2Engine {
         })
     }
 
-    /// Lifetimes of the tensors materialized in `outcome`, on the planned
-    /// order (dead-branch tensors excluded — a native-control-flow win).
-    fn observed_lifetimes(&self, outcome: &RunOutcome) -> Vec<TensorLife> {
-        let size_of = |t: TensorId| -> usize {
-            outcome
-                .concrete_shapes
-                .get(&t)
-                .map(|s| s.iter().product::<usize>() * self.graph.tensor(t).dtype.size_bytes())
-                .unwrap_or(0)
-        };
+    /// Lifetimes of the tensors a run produced, on the planned order
+    /// (dead-branch tensors excluded — a native-control-flow win).
+    fn observed_lifetimes(&self, record: &RunRecord) -> Vec<TensorLife> {
+        let size_of = |t: TensorId| observed_bytes(&self.graph, record, t);
         // Always over the serial SEP order: `peak_memory_bytes` is the
         // §4.4.1 offset-plan metric, comparable across engines and modes.
         // The concurrent peak of wavefront execution is reported separately
@@ -805,13 +805,73 @@ impl Sod2Engine {
         Arc::new(ArenaLayout::new(&lives, &plan, &bounded))
     }
 
-    /// Runs inference and returns the priced trace alongside the stats:
-    /// the tape's kernel events plus the engine's allocation and planning
-    /// events, the input of [`Sod2Engine::wave_stats`].
-    pub fn infer_traced(
-        &mut self,
-        inputs: &[Tensor],
-    ) -> Result<(InferenceStats, ExecutionTrace), ExecError> {
+    /// Runs the full diagnostic suite over the compiled pipeline and one
+    /// concrete inference on the engine's own tape (serial, heap-backed):
+    /// IR lints, the RDP fixpoint audit plus cross-validation against the
+    /// shapes this execution observed, plan verification, and the
+    /// memory-planner comparison.
+    ///
+    /// # Errors
+    ///
+    /// [`ExecError::BadInputs`] when the inputs don't bind the graph's
+    /// symbols, [`ExecError::Internal`] when the plan failed to lower, and
+    /// any error the inference itself raises.
+    pub fn diagnose(&mut self, inputs: &[Tensor]) -> Result<sod2_analysis::Report, ExecError> {
+        use sod2_analysis as an;
+        let bindings = bindings_from_inputs(&self.graph, inputs).map_err(ExecError::BadInputs)?;
+        let mut report = an::Report::new();
+        report.extend(an::lint_graph(&self.graph));
+        if report.has_errors() {
+            return Ok(report);
+        }
+        let (_, solver_report, trace) = sod2_rdp::analyze_traced(&self.graph);
+        report.extend(an::check_monotonicity(&self.graph, &trace));
+        report.extend(an::report_inconsistencies(&solver_report));
+        report.extend(an::verify_fusion(&self.graph, &self.fusion_plan));
+        report.extend(an::verify_unit_order(&self.unit_graph, &self.unit_order));
+        report.extend(an::verify_node_order(&self.graph, &self.node_order));
+        if let Some(tp) = self.tape() {
+            report.extend(an::verify_tape(
+                &self.graph,
+                &self.node_order,
+                Some(&self.fusion_plan),
+                tp,
+            ));
+        }
+        let tape = self
+            .tape
+            .as_deref()
+            .map_err(|e| ExecError::Internal(format!("tape lowering failed: {e}")))?;
+        let cfg = ExecConfig {
+            version_table: self.table.as_deref(),
+            execute_all_branches: !self.opts.native_control_flow,
+            nan_guard: self.opts.nan_guard,
+            memory_budget: self.opts.memory_budget,
+        };
+        let outcome = execute_tape(&self.graph, inputs, tape, &cfg, false)?;
+        report.extend(an::verify_observed_shapes(
+            &self.graph,
+            &self.rdp,
+            &outcome.record.concrete_shapes(),
+            &bindings,
+        ));
+        let lives = self.observed_lifetimes(&outcome.record);
+        let plan = plan_sod2(&lives);
+        report.extend(an::verify_memory_plan(&lives, &plan, 1));
+        report.extend(an::compare_planners(&lives));
+        Ok(report)
+    }
+}
+
+impl Engine for Sod2Engine {
+    fn name(&self) -> &'static str {
+        "SoD2"
+    }
+
+    /// Bindings, the cached DMP pre-plan, budget admission and execution:
+    /// the per-inference work SoD² does, each in its phase span. Nothing is
+    /// priced here.
+    fn infer(&mut self, inputs: &[Tensor]) -> Result<Run, ExecError> {
         let _infer_span = sod2_obs::span!("infer", "Sod2Engine::infer");
         sod2_obs::counter_add("infer.count", 1);
         // A plan that failed to lower cannot run: there is no second
@@ -866,6 +926,8 @@ impl Sod2Engine {
             if self.opts.absint {
                 sod2_obs::counter_add("absint.nac_bounds_used", layout.bounded_keys() as u64);
             }
+            // The plan this inference is admitted against.
+            sod2_obs::gauge_max("mem.plan_peak_bytes", layout.peak() as u64);
             // Budget admission at DMP time: the plan's peak is known before
             // any kernel runs, so an over-budget inference is rejected
             // without doing (or allocating) any work.
@@ -899,7 +961,6 @@ impl Sod2Engine {
                         inputs,
                         tape,
                         &cfg,
-                        layout.as_deref(),
                         self.wave_schedule.is_some(),
                     )
                 })
@@ -917,8 +978,41 @@ impl Sod2Engine {
                 }
             }
         };
+        // Debug-mode verification: RDP's predictions must agree with what
+        // execution observed.
+        #[cfg(debug_assertions)]
+        if !bindings_corrupted {
+            let mut stage = sod2_analysis::Report::new();
+            stage.extend(sod2_analysis::verify_observed_shapes(
+                &self.graph,
+                &self.rdp,
+                &outcome.record.concrete_shapes(),
+                &bindings,
+            ));
+            debug_assert!(
+                !stage.has_errors(),
+                "inference failed verification:\n{}",
+                stage.render_text(Some(&self.graph))
+            );
+        }
+        Ok(Run {
+            outputs: outcome.outputs,
+            record: outcome.record,
+            layout,
+            pre_plan_hit,
+            reinitialized: false,
+        })
+    }
+
+    /// The post-plan over observed lifetimes, the tape's priced replay
+    /// against the admitted pre-plan, and the engine's allocation and
+    /// planning events.
+    fn price(&self, run: &Run) -> InferenceStats {
+        let Ok(tape) = self.tape.as_deref() else {
+            return InferenceStats::default();
+        };
         let post_span = sod2_obs::span!("phase", "dmp_post_plan");
-        let lives = self.observed_lifetimes(&outcome);
+        let lives = self.observed_lifetimes(&run.record);
         // Dynamic memory planning (§4.4.1): with DMP the offset plan packs
         // tensors into one arena; without it the engine falls back to a
         // pooling allocator (size-class high-water marks — what running
@@ -931,33 +1025,26 @@ impl Sod2Engine {
             p
         };
         drop(post_span);
-        sod2_obs::gauge_max("mem.plan_peak_bytes", plan.peak as u64);
-        // Debug-mode verification: RDP's predictions must agree with what
-        // execution observed, and the offset plan must be sound.
+        // Debug-mode verification: the offset plan must be sound.
         #[cfg(debug_assertions)]
-        if !bindings_corrupted {
+        if self.opts.dmp {
             let mut stage = sod2_analysis::Report::new();
-            stage.extend(sod2_analysis::verify_observed_shapes(
-                &self.graph,
-                &self.rdp,
-                &outcome.concrete_shapes,
-                &bindings,
-            ));
-            if self.opts.dmp {
-                stage.extend(sod2_analysis::verify_memory_plan(&lives, &plan, 1));
-            }
+            stage.extend(sod2_analysis::verify_memory_plan(&lives, &plan, 1));
             debug_assert!(
                 !stage.has_errors(),
-                "inference failed verification:\n{}",
+                "post-plan failed verification:\n{}",
                 stage.render_text(Some(&self.graph))
             );
         }
-        // Pricing: the engine's overhead events on top of the tape's
-        // kernel trace.
-        let price_span = sod2_obs::span!("phase", "price_trace");
-        let alloc_events = outcome.alloc_sizes.len();
-        let arena_backed = outcome.arena_backed;
-        let mut trace = outcome.trace;
+        let _price_span = sod2_obs::span!("phase", "price_trace");
+        let tp = price_tape(
+            &self.graph,
+            tape,
+            &run.record,
+            run.layout.as_deref(),
+            self.table.as_deref(),
+        );
+        let mut trace = tp.trace;
         if self.opts.dmp {
             // One arena allocation per inference, plus the (cheap) runtime
             // plan-generation work, proportional to the sub-graph count.
@@ -967,7 +1054,7 @@ impl Sod2Engine {
             // priced model reflects what serving traffic actually pays on
             // repeat shapes.
             trace.push(TraceEvent::Alloc { bytes: plan.peak });
-            if !pre_plan_hit {
+            if !run.pre_plan_hit {
                 let plan_gen = self.unit_order.len() as f64 * self.profile.reinit_sl_per_node * 0.1;
                 trace.push(TraceEvent::Reinit {
                     sl: plan_gen,
@@ -979,88 +1066,16 @@ impl Sod2Engine {
         // Every intermediate outside the plan is paid per allocation: the
         // dynamic residue with DMP (empty unless some tensor resolved to
         // `nac`), every materialized intermediate without it.
-        for &b in &outcome.alloc_sizes {
+        for &b in &tp.alloc_sizes {
             trace.push(TraceEvent::Alloc { bytes: b });
         }
-        let latency = trace.price(&self.profile);
-        drop(price_span);
-        Ok((
-            InferenceStats {
-                outputs: outcome.outputs,
-                latency,
-                peak_memory_bytes: plan.peak,
-                reinitialized: false,
-                alloc_events,
-                arena_backed,
-            },
+        InferenceStats {
+            latency: trace.price(&self.profile),
+            peak_memory_bytes: plan.peak,
+            reinitialized: run.reinitialized,
+            alloc_events: tp.alloc_sizes.len(),
+            arena_backed: tp.arena_backed,
             trace,
-        ))
-    }
-
-    /// Runs the full diagnostic suite over the compiled pipeline and one
-    /// concrete inference on the engine's own tape (serial, heap-backed):
-    /// IR lints, the RDP fixpoint audit plus cross-validation against the
-    /// shapes this execution observed, plan verification, and the
-    /// memory-planner comparison.
-    ///
-    /// # Errors
-    ///
-    /// [`ExecError::BadInputs`] when the inputs don't bind the graph's
-    /// symbols, [`ExecError::Internal`] when the plan failed to lower, and
-    /// any error the inference itself raises.
-    pub fn diagnose(&mut self, inputs: &[Tensor]) -> Result<sod2_analysis::Report, ExecError> {
-        use sod2_analysis as an;
-        let bindings = bindings_from_inputs(&self.graph, inputs).map_err(ExecError::BadInputs)?;
-        let mut report = an::Report::new();
-        report.extend(an::lint_graph(&self.graph));
-        if report.has_errors() {
-            return Ok(report);
         }
-        let (_, solver_report, trace) = sod2_rdp::analyze_traced(&self.graph);
-        report.extend(an::check_monotonicity(&self.graph, &trace));
-        report.extend(an::report_inconsistencies(&solver_report));
-        report.extend(an::verify_fusion(&self.graph, &self.fusion_plan));
-        report.extend(an::verify_unit_order(&self.unit_graph, &self.unit_order));
-        report.extend(an::verify_node_order(&self.graph, &self.node_order));
-        if let Some(tp) = self.tape() {
-            report.extend(an::verify_tape(
-                &self.graph,
-                &self.node_order,
-                Some(&self.fusion_plan),
-                tp,
-            ));
-        }
-        let tape = self
-            .tape
-            .as_deref()
-            .map_err(|e| ExecError::Internal(format!("tape lowering failed: {e}")))?;
-        let cfg = ExecConfig {
-            version_table: self.table.as_deref(),
-            execute_all_branches: !self.opts.native_control_flow,
-            nan_guard: self.opts.nan_guard,
-            memory_budget: self.opts.memory_budget,
-        };
-        let outcome = execute_tape(&self.graph, inputs, tape, &cfg, None, false)?;
-        report.extend(an::verify_observed_shapes(
-            &self.graph,
-            &self.rdp,
-            &outcome.concrete_shapes,
-            &bindings,
-        ));
-        let lives = self.observed_lifetimes(&outcome);
-        let plan = plan_sod2(&lives);
-        report.extend(an::verify_memory_plan(&lives, &plan, 1));
-        report.extend(an::compare_planners(&lives));
-        Ok(report)
-    }
-}
-
-impl Engine for Sod2Engine {
-    fn name(&self) -> &'static str {
-        "SoD2"
-    }
-
-    fn infer(&mut self, inputs: &[Tensor]) -> Result<InferenceStats, ExecError> {
-        self.infer_traced(inputs).map(|(stats, _)| stats)
     }
 }

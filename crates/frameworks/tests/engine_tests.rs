@@ -5,7 +5,7 @@
 
 use sod2_device::DeviceProfile;
 use sod2_frameworks::{
-    Engine, MnnLike, OrtLike, Sod2Engine, Sod2Options, TfLiteLike, TvmNimbleLike,
+    Engine, InferenceStats, MnnLike, OrtLike, Sod2Engine, Sod2Options, TfLiteLike, TvmNimbleLike,
 };
 use sod2_models::{all_models, codebert, skipnet, yolo_v6, DynModel, ModelScale};
 use sod2_prng::rngs::StdRng;
@@ -26,6 +26,14 @@ fn engines_for(model: &DynModel) -> Vec<Box<dyn Engine>> {
         Box::new(TvmNimbleLike::new(model.graph.clone(), p.clone())),
         Box::new(TfLiteLike::new(model.graph.clone(), p)),
     ]
+}
+
+/// One inference, priced by its engine.
+fn priced<E: Engine + ?Sized>(e: &mut E, inputs: &[Tensor]) -> InferenceStats {
+    let run = e
+        .infer(inputs)
+        .unwrap_or_else(|err| panic!("{} failed: {err}", e.name()));
+    e.price(&run)
 }
 
 fn inputs_for(model: &DynModel, seed: u64, n: usize) -> Vec<Vec<Tensor>> {
@@ -101,8 +109,8 @@ fn mnn_amortizes_repeat_shapes() {
     let mut rng = StdRng::seed_from_u64(23);
     let inputs = model.make_inputs(32, &mut rng);
     let mut mnn = MnnLike::new(model.graph.clone(), DeviceProfile::s888_cpu());
-    let first = mnn.infer(&inputs).expect("mnn");
-    let second = mnn.infer(&inputs).expect("mnn");
+    let first = priced(&mut mnn, &inputs);
+    let second = priced(&mut mnn, &inputs);
     assert!(first.reinitialized && !second.reinitialized);
     assert!(
         first.latency.total() > 2.0 * second.latency.total(),
@@ -121,7 +129,7 @@ fn sod2_has_lowest_memory_and_latency_under_changing_shapes() {
         let mut avg_memory = vec![0.0f64; engines.len()];
         for inputs in &samples {
             for (i, e) in engines.iter_mut().enumerate() {
-                let s = e.infer(inputs).expect("runs");
+                let s = priced(e.as_mut(), inputs);
                 avg_latency[i] += s.latency.total();
                 avg_memory[i] += s.peak_memory_bytes as f64;
             }
@@ -187,7 +195,7 @@ fn optimization_ladder_is_monotone_in_memory() {
         .iter()
         .map(|o| {
             let mut e = Sod2Engine::new(model.graph.clone(), p.clone(), *o, &bindings);
-            e.infer(&inputs).expect("runs").peak_memory_bytes
+            priced(&mut e, &inputs).peak_memory_bytes
         })
         .collect();
     assert!(
@@ -229,11 +237,12 @@ fn dmp_layout_splits_the_allocation_stream_across_zoo() {
         let (mut planned, mut unplanned) = (engine(true), engine(false));
         for (round, inputs) in inputs_for(&model, 11, 3).iter().enumerate() {
             let ctx = format!("{} (round {round})", model.name);
-            let a = planned.infer(inputs).expect("dmp infer");
-            let b = unplanned.infer(inputs).expect("no-dmp infer");
-            for (x, y) in a.outputs.iter().zip(&b.outputs) {
+            let a_run = planned.infer(inputs).expect("dmp infer");
+            let b_run = unplanned.infer(inputs).expect("no-dmp infer");
+            for (x, y) in a_run.outputs.iter().zip(&b_run.outputs) {
                 assert_eq!(x.payload_le_bytes(), y.payload_le_bytes(), "{ctx}");
             }
+            let (a, b) = (planned.price(&a_run), unplanned.price(&b_run));
             assert!(a.arena_backed > 0, "{ctx}: the plan covered nothing");
             assert_eq!(b.arena_backed, 0, "{ctx}: no plan, nothing covered");
             assert_eq!(
@@ -243,33 +252,6 @@ fn dmp_layout_splits_the_allocation_stream_across_zoo() {
             );
         }
     }
-}
-
-/// Only DMP engines keep pre-plans: repeat bindings hit the cache with
-/// DMP on, and an engine without DMP neither caches nor counts hits.
-#[test]
-fn pre_plan_cache_serves_only_dmp_engines() {
-    let model = codebert(ModelScale::Tiny);
-    let inputs = model.make_inputs(48, &mut StdRng::seed_from_u64(3));
-    let hits = |dmp: bool| {
-        let opts = Sod2Options {
-            dmp,
-            ..Default::default()
-        };
-        let p = DeviceProfile::s888_cpu();
-        let mut e = Sod2Engine::new(model.graph.clone(), p, opts, &Default::default());
-        let _session = sod2_obs::session_guard();
-        sod2_obs::set_enabled(true);
-        sod2_obs::begin();
-        for _ in 0..3 {
-            e.infer(&inputs).expect("infer");
-        }
-        let profile = sod2_obs::take();
-        sod2_obs::set_enabled(false);
-        profile.counters.get("dmp.pre_plan_cache_hits").copied()
-    };
-    assert_eq!(hits(true), Some(2));
-    assert_eq!(hits(false), None);
 }
 
 #[test]
@@ -289,8 +271,8 @@ fn mvc_reduces_latency_only() {
         Sod2Options::default(),
         &Default::default(),
     );
-    let s1 = e1.infer(&inputs).expect("runs");
-    let s2 = e2.infer(&inputs).expect("runs");
+    let s1 = priced(&mut e1, &inputs);
+    let s2 = priced(&mut e2, &inputs);
     assert!(s2.latency.total() < s1.latency.total());
     assert_eq!(s1.peak_memory_bytes, s2.peak_memory_bytes);
 }
@@ -302,14 +284,14 @@ fn tflite_budget_triggers_rematerialization() {
     let inputs = model.make_inputs(64, &mut rng);
     let p = DeviceProfile::s888_cpu();
     let mut unbounded = TfLiteLike::new(model.graph.clone(), p.clone());
-    let base = unbounded.infer(&inputs).expect("runs");
+    let base = priced(&mut unbounded, &inputs);
     let budget = base.peak_memory_bytes / 2;
     let mut bounded = TfLiteLike::new(model.graph.clone(), p).with_memory_budget(budget);
-    let capped = bounded.infer(&inputs).expect("runs");
+    let capped = priced(&mut bounded, &inputs);
     assert!(capped.peak_memory_bytes <= base.peak_memory_bytes);
     // Same-shape second inference isolates the remat kernel cost.
-    let base2 = unbounded.infer(&inputs).expect("runs");
-    let capped2 = bounded.infer(&inputs).expect("runs");
+    let base2 = priced(&mut unbounded, &inputs);
+    let capped2 = priced(&mut bounded, &inputs);
     assert!(capped2.latency.total() >= base2.latency.total());
 }
 
@@ -337,8 +319,8 @@ fn native_control_flow_beats_execute_all() {
     let mut t_native = 0.0;
     let mut t_all = 0.0;
     for inputs in &samples {
-        t_native += native.infer(inputs).expect("runs").latency.total();
-        t_all += all.infer(inputs).expect("runs").latency.total();
+        t_native += priced(&mut native, inputs).latency.total();
+        t_all += priced(&mut all, inputs).latency.total();
     }
     assert!(
         t_native <= t_all,

@@ -5,11 +5,13 @@
 //!   scheduling — must produce the reference interpreter's outputs bitwise,
 //!   and the engine's memory metrics must not depend on the schedule.
 //! - Runtime level: a serial heap tape run — the executor the baselines,
-//!   `diagnose` and the figures price — must account for exactly what the
-//!   plain reference observes: bitwise outputs, one allocation per
-//!   produced tensor that is not fusion-internal, one fused op per live
-//!   compute node, and a live peak no higher than the reference's, under
-//!   every fusion policy, with native and execute-all control flow.
+//!   `diagnose` and the figures price — priced by replaying its record
+//!   must account for exactly what the plain reference observes: bitwise
+//!   outputs, one allocation per produced tensor that is not
+//!   fusion-internal, one fused op per live compute node, and a live peak
+//!   no higher than the reference's, under every fusion policy, with
+//!   native and execute-all control flow. Serial and wave dispatch of one
+//!   tape leave equal records, so they price equally.
 
 use sod2_device::DeviceProfile;
 use sod2_frameworks::{Engine, Sod2Engine, Sod2Options};
@@ -19,7 +21,7 @@ use sod2_mvc::VersionTable;
 use sod2_plan::{naive_unit_order, UnitGraph};
 use sod2_prng::rngs::StdRng;
 use sod2_prng::SeedableRng;
-use sod2_runtime::{compile_tape, execute, execute_tape, ExecConfig, TraceEvent};
+use sod2_runtime::{compile_tape, execute, execute_tape, price_tape, ExecConfig, TraceEvent};
 use sod2_tensor::Tensor;
 use std::collections::HashSet;
 
@@ -91,9 +93,9 @@ fn engine_matches_reference_on_zoo() {
             let [serial, waves] = &mut engines;
             let a = serial.infer(inputs).expect("serial infer");
             let b = waves.infer(inputs).expect("wavefront infer");
-            for stats in [&a, &b] {
-                assert_eq!(stats.outputs.len(), reference.outputs.len());
-                for (x, y) in stats.outputs.iter().zip(&reference.outputs) {
+            for run in [&a, &b] {
+                assert_eq!(run.outputs.len(), reference.outputs.len());
+                for (x, y) in run.outputs.iter().zip(&reference.outputs) {
                     assert_eq!(
                         x.payload_le_bytes(),
                         y.payload_le_bytes(),
@@ -103,6 +105,7 @@ fn engine_matches_reference_on_zoo() {
                 }
             }
             let ctx = &model.name;
+            let (a, b) = (serial.price(&a), waves.price(&b));
             assert_eq!(a.peak_memory_bytes, b.peak_memory_bytes, "{ctx}: peak");
             assert_eq!(a.alloc_events, b.alloc_events, "{ctx}: alloc events");
             assert_eq!(a.arena_backed, b.arena_backed, "{ctx}: plan coverage");
@@ -143,7 +146,8 @@ fn serial_tape_accounting_matches_reference_observations() {
                     model.name
                 );
                 let want = execute(g, inputs, &cfg).expect("reference run");
-                let got = execute_tape(g, inputs, &tape, &cfg, None, false).expect("tape run");
+                let got = execute_tape(g, inputs, &tape, &cfg, false).expect("tape run");
+                let priced = price_tape(g, &tape, &got.record, None, cfg.version_table);
                 let payloads = |outs: &[Tensor]| -> Vec<Vec<u8>> {
                     outs.iter().map(Tensor::payload_le_bytes).collect()
                 };
@@ -162,7 +166,7 @@ fn serial_tape_accounting_matches_reference_observations() {
                         shape.iter().product::<usize>() * g.tensor(t).dtype.size_bytes()
                     })
                     .collect();
-                let mut allocated = got.alloc_sizes.clone();
+                let mut allocated = priced.alloc_sizes.clone();
                 produced.sort_unstable();
                 allocated.sort_unstable();
                 assert_eq!(allocated, produced, "{ctx}: allocation stream");
@@ -173,7 +177,7 @@ fn serial_tape_accounting_matches_reference_observations() {
                     .filter_map(|&t| g.producer(t))
                     .filter(|&n| !g.node(n).op.is_control_flow())
                     .collect();
-                let fused_ops: usize = got
+                let fused_ops: usize = priced
                     .trace
                     .events
                     .iter()
@@ -184,10 +188,63 @@ fn serial_tape_accounting_matches_reference_observations() {
                     .sum();
                 assert_eq!(fused_ops, live_compute.len(), "{ctx}: fused ops");
                 assert!(
-                    got.peak_live_bytes <= want.peak_live_bytes,
+                    priced.peak_live_bytes <= want.peak_live_bytes,
                     "{ctx}: tape peak {} above the reference's {}",
-                    got.peak_live_bytes,
+                    priced.peak_live_bytes,
                     want.peak_live_bytes
+                );
+            }
+        }
+    }
+}
+
+/// Dispatch mode does not change what a run records: one wavefront-compiled
+/// tape, run serially and in waves at one and four workers, leaves equal
+/// records and so equal prices — every zoo model plus the branchy demo,
+/// with native and execute-all control flow.
+#[test]
+fn dispatch_mode_does_not_change_the_record() {
+    let profile = DeviceProfile::s888_cpu();
+    let (table, _) =
+        VersionTable::load_or_tune(&profile, 0xC0DE, sod2_mvc::cache::cache_dir().as_deref());
+    let mut models = all_models(ModelScale::Tiny);
+    models.push(branchy_demo(ModelScale::Tiny));
+    for model in models {
+        let inputs = &inputs_for(&model, 53, 1)[0];
+        for native_control_flow in [true, false] {
+            let engine = engine_with(
+                &model,
+                Sod2Options {
+                    wavefront_exec: true,
+                    native_control_flow,
+                    ..Sod2Options::default()
+                },
+            );
+            let (g, tape) = (engine.graph(), engine.tape().expect("lowers"));
+            let cfg = ExecConfig {
+                version_table: Some(&table),
+                execute_all_branches: !native_control_flow,
+                ..ExecConfig::default()
+            };
+            let record = |wavefront: bool, threads: usize| {
+                sod2_pool::with_threads(threads, || {
+                    execute_tape(g, inputs, tape, &cfg, wavefront).expect("tape run")
+                })
+                .record
+            };
+            let serial = record(false, 1);
+            let want = price_tape(g, tape, &serial, None, Some(&table));
+            for (wavefront, threads) in [(false, 4), (true, 1), (true, 4)] {
+                let ctx = format!(
+                    "{} (native={native_control_flow}, wavefront={wavefront}, threads={threads})",
+                    model.name
+                );
+                let got = record(wavefront, threads);
+                assert_eq!(got, serial, "{ctx}: record");
+                assert_eq!(
+                    price_tape(g, tape, &got, None, Some(&table)),
+                    want,
+                    "{ctx}: price"
                 );
             }
         }

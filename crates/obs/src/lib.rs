@@ -7,9 +7,9 @@
 //! - **Spans** — scoped wall-clock intervals with thread attribution and
 //!   nesting depth, recorded by RAII guards from the [`span!`] macro.
 //!   Compile stages (RDP solve, fusion, SEP, DMP planning), per-operator /
-//!   per-fused-group kernel execution, pool task run time, and the
-//!   inference phases (bindings, DMP pre/post-plan, execute, pricing) all
-//!   appear as spans.
+//!   per-fused-group kernel execution, pool task run time, the inference
+//!   phases (bindings, DMP pre-plan, execute) and the pricing phases that
+//!   run after it (DMP post-plan, price-trace) all appear as spans.
 //! - **Counters and gauges** — monotonically added counts
 //!   ([`counter_add`]), last-value gauges ([`gauge_set`]) and high-water
 //!   marks ([`gauge_max`]): plan peak bytes, peak live bytes, residual
@@ -425,7 +425,7 @@ impl Profile {
 
     /// Wall time booked to inference on the thread that called `infer`, as
     /// `(kernel_ns, dmp_ns)`: the outermost `kernel` spans nested in an
-    /// `infer` span, and the `dmp_pre_plan` / `dmp_post_plan` phase spans.
+    /// `infer` span, and the `dmp_pre_plan` phase spans.
     /// Kernel spans at compile time (constant folding, arm-prune
     /// verification) and on pool workers (wave units evaluated in
     /// parallel) are excluded, so neither sum exceeds the infer wall it is
@@ -442,7 +442,7 @@ impl Profile {
                 if s.cat == "kernel" && !stack.contains(&"kernel") {
                     kernel += s.dur_ns;
                 }
-                if s.cat == "phase" && matches!(s.name.as_str(), "dmp_pre_plan" | "dmp_post_plan") {
+                if s.cat == "phase" && s.name == "dmp_pre_plan" {
                     dmp += s.dur_ns;
                 }
             }
@@ -667,12 +667,13 @@ mod tests {
                 rec("kernel", "gemm", 0, 2, 55, 10),
                 // A pool worker: not the calling thread.
                 rec("kernel", "unit", 1, 0, 56, 20),
-                rec("phase", "dmp_post_plan", 0, 1, 90, 3),
+                // Pricing after `infer` returned: not inference time.
+                rec("phase", "dmp_post_plan", 0, 0, 120, 3),
             ],
             ..Default::default()
         };
         assert!(p.check_nesting().is_ok());
-        assert_eq!(p.infer_kernel_dmp_ns(), (30, 10));
+        assert_eq!(p.infer_kernel_dmp_ns(), (30, 7));
     }
 
     #[test]

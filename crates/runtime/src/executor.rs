@@ -10,9 +10,9 @@
 //! oracle the tape and the engines are checked against.
 //!
 //! The register-machine tape ([`crate::tape`]) is the only executor that
-//! plans, fuses, accounts and prices. The pieces both executors share —
-//! control-flow routing, fences, live-byte accounting, variant selection —
-//! live here.
+//! plans and fuses, and the only one [`crate::price_tape`] prices. The
+//! pieces both executors share — control-flow routing, fences, live-byte
+//! accounting, variant selection — live here.
 
 use sod2_ir::{ConstData, Graph, Node, Op, TensorId};
 use sod2_kernels::{execute_op_with_variants, ConvParams, GemmParams, KernelError};
@@ -242,16 +242,14 @@ pub(crate) fn fence_value(
     Ok(())
 }
 
-/// Adds a freshly materialized tensor to live memory, raising the peak
-/// and enforcing the runtime budget rung.
+/// Adds a freshly materialized tensor to live memory, enforcing the
+/// runtime budget rung.
 pub(crate) fn charge_live(
     live_bytes: &mut usize,
-    peak: &mut usize,
     bytes: usize,
     budget: Option<usize>,
 ) -> Result<(), ExecError> {
     *live_bytes += bytes;
-    *peak = (*peak).max(*live_bytes);
     match budget {
         Some(budget) if *live_bytes > budget => Err(ExecError::BudgetExceeded {
             needed: *live_bytes,
@@ -332,12 +330,8 @@ pub fn execute(
             };
             fence_value(cfg.nan_guard, &node.name, t, &tensor)?;
             concrete_shapes.insert(t, tensor.shape().to_vec());
-            charge_live(
-                &mut live_bytes,
-                &mut peak,
-                tensor.byte_size(),
-                cfg.memory_budget,
-            )?;
+            charge_live(&mut live_bytes, tensor.byte_size(), cfg.memory_budget)?;
+            peak = peak.max(live_bytes);
             env[t.0 as usize] = Slot::Live(tensor);
         }
         for &t in released {
@@ -376,19 +370,18 @@ pub(crate) fn output_of(env: &[Slot], t: TensorId) -> Result<&Tensor, ExecError>
 
 /// `Switch` over slots: routes the data tensor to the selected branch
 /// output — to every output in execute-all mode — and marks the rest dead.
-/// Returns the per-output results and the branches executed.
+/// The live results are the branches executed.
 pub(crate) fn eval_switch<V: SlotView + ?Sized>(
     env: &V,
     inputs: &[TensorId],
     num_branches: usize,
     execute_all: bool,
-) -> Result<(Vec<Option<Tensor>>, usize), ExecError> {
+) -> Result<Vec<Option<Tensor>>, ExecError> {
     let data = live(env, inputs[0])?;
     let sel = selector(live(env, inputs[1])?, num_branches)?;
-    let out = (0..num_branches)
+    Ok((0..num_branches)
         .map(|k| (execute_all || k == sel).then(|| data.clone()))
-        .collect();
-    Ok((out, if execute_all { num_branches } else { 1 }))
+        .collect())
 }
 
 /// `Combine` over slots: publishes the selected branch's tensor. A dead
@@ -414,7 +407,7 @@ fn run_node(
 ) -> Result<Vec<Option<Tensor>>, ExecError> {
     match &node.op {
         Op::Switch { num_branches } => {
-            Ok(eval_switch(env, &node.inputs, *num_branches, cfg.execute_all_branches)?.0)
+            eval_switch(env, &node.inputs, *num_branches, cfg.execute_all_branches)
         }
         Op::Combine { num_branches } => Ok(vec![eval_combine(env, &node.inputs, *num_branches)?]),
         op => {

@@ -4,10 +4,15 @@
 //!
 //! - [`compile_tape`] / [`execute_tape`]: the production executor — the
 //!   compiled plan lowered once to a register-machine tape, run serially
-//!   or in wavefronts, with every materialized intermediate accounted
-//!   against the DMP layout ([`sod2_mem::ArenaLayout`]) when one is
-//!   given. It is the one executor that plans, fuses and accounts: the
-//!   engine and the baselines all price its [`RunOutcome`],
+//!   or in wavefronts. A run does only what execution needs and returns
+//!   its outputs plus a [`RunRecord`]: per register, produced or dead,
+//!   with its shape and byte size,
+//! - [`price_tape`]: the cost model's side, off the request path — a
+//!   replay of a run's record over the tape that yields the kernel trace,
+//!   the allocation stream outside a DMP layout
+//!   ([`sod2_mem::ArenaLayout`]), the count the layout admits and the live
+//!   peak ([`TapePrice`]). The engine and the baselines all price through
+//!   it,
 //! - [`execute`]: the serial, heap-only reference interpreter — node by
 //!   node in topological order, with native `<Switch, Combine>` control
 //!   flow (dead branches skipped) or the baselines' execute-all-branches
@@ -45,13 +50,15 @@
 
 mod executor;
 pub mod passes;
+mod price;
 pub mod tape;
 mod trace;
 
 pub use executor::{execute, ExecConfig, ExecError, ReferenceRun};
 pub use passes::{eliminate_dead_nodes, fold_constants, PassStats};
+pub use price::{price_tape, TapePrice};
 pub use tape::{
-    compile_tape, execute_tape, BakedVariant, Instr, InstrKind, RegRelease, RunOutcome, TapeChain,
-    TapeProgram, TapeStats, WaveExecPlan,
+    compile_tape, execute_tape, BakedVariant, Instr, InstrKind, RegRelease, RunOutcome, RunRecord,
+    TapeChain, TapeProgram, TapeStats, WaveExecPlan,
 };
 pub use trace::{ExecutionTrace, LatencyBreakdown, TraceEvent};

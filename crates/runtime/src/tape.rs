@@ -8,10 +8,7 @@
 //! - **registers**: the register file is a dense `Vec<Slot>` indexed by
 //!   `TensorId`, so operand/result "slots" are plain indices and two
 //!   concurrently-live tensors can never alias a register by
-//!   construction. The DMP layout ([`ArenaLayout`]) is keyed by the same
-//!   indices: a materialized register it admits is accounted as planned,
-//!   and the rest (the `nac`-sized residue) as per-tensor heap
-//!   allocations. Kernels allocate every payload on the heap either way.
+//!   construction. The DMP layout is keyed by the same indices.
 //! - **releases**: the per-occurrence refcount discipline is replayed at
 //!   compile time (`sod2_plan::plan_tape_layout`, which the reference
 //!   shares), so each instruction carries the list of registers whose
@@ -27,33 +24,30 @@
 //!   identical to serial dispatch regardless of worker count or timing.
 //!
 //! The tape is immutable and intended to be `Arc`-shared across replicas;
-//! the register file and accounting scratch are per-inference. It is the
-//! only executor that plans, fuses and accounts: the engine runs it with
-//! its full plan, and the baselines, `diagnose` and the figures run it
-//! serially on the heap with theirs. Deadline checks at instruction
-//! boundaries, memory-budget accounting, NaN fences honoring absint
-//! certificates, fault-probe sites and the priced trace-event stream all
-//! live here. Its outputs are bitwise those of the reference
-//! [`crate::execute`] — `tests/tape_props.rs`,
-//! `crates/frameworks/tests/tape_exec.rs` and `bench_zoo` enforce it — and
-//! its accounting is checked against what the reference observes: every
-//! produced tensor, every live compute node, and the live peak. A DMP
-//! layout only moves tensors it admits from the allocation stream to the
-//! planned count.
+//! the register file and the run record are per-inference. It is the only
+//! executor that plans and fuses: the engine runs it with its full plan,
+//! and the baselines, `diagnose` and the figures run it serially on the
+//! heap with theirs. A run does only what execution needs — kernels,
+//! dead-branch routing, releases, NaN fences honoring absint certificates,
+//! deadline checks and the live-byte memory budget — and returns its
+//! outputs plus a [`RunRecord`]. Pricing is a separate replay of that
+//! record ([`crate::price_tape`]), off the request path. Outputs are
+//! bitwise those of the reference [`crate::execute`] —
+//! `tests/tape_props.rs`, `crates/frameworks/tests/tape_exec.rs` and
+//! `bench_zoo` enforce it — and the replayed accounting is checked against
+//! what the reference observes: every produced tensor, every live compute
+//! node, and the live peak.
 
 use crate::executor::{
     charge_live, check_inputs, const_tensors, eval_combine, eval_switch, fence_outputs,
     fence_value, live, output_of, release_slot, select_variants, ExecConfig, ExecError, Slot,
     SlotView,
 };
-use crate::trace::{ExecutionTrace, TraceEvent};
 use sod2_fusion::FusionPlan;
 use sod2_ir::{Graph, NodeId, Op, TensorId};
 use sod2_kernels::{
     execute_op_with_variants, fused::FusedStep, fused_elementwise, ConvParams, GemmParams,
 };
-use sod2_mem::ArenaLayout;
-use sod2_mvc::VersionTable;
 use sod2_tensor::Tensor;
 use std::collections::HashMap;
 
@@ -62,23 +56,102 @@ use std::collections::HashMap;
 pub struct RunOutcome {
     /// Output tensors, in `graph.outputs()` order.
     pub outputs: Vec<Tensor>,
-    /// Kernel-only execution trace (engines add their overhead events).
-    pub trace: ExecutionTrace,
-    /// Peak bytes of simultaneously live materialized intermediates.
-    pub peak_live_bytes: usize,
-    /// Sizes (bytes) of every materialized intermediate the DMP layout
-    /// does not admit, in production order — the per-tensor allocation
-    /// stream engines price. A priced-model count: kernels heap-allocate
-    /// every payload regardless.
-    pub alloc_sizes: Vec<usize>,
-    /// Concrete shape of every tensor that was produced.
-    pub concrete_shapes: HashMap<TensorId, Vec<usize>>,
+    /// What the run observed, for [`crate::price_tape`] to replay.
+    pub record: RunRecord,
+}
+
+/// How a run left one register.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) enum RegState {
+    /// Never written: a constant, a fusion-internal chain member, or a
+    /// register the run did not reach.
+    #[default]
+    Absent,
+    /// A graph input.
+    Input,
+    /// Produced by an instruction.
+    Produced,
+    /// Killed by a dead branch.
+    Dead,
+}
+
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct RegEntry {
+    bytes: usize,
+    start: u32,
+    rank: u16,
+    state: RegState,
+}
+
+/// What one tape run observed, for [`crate::price_tape`] to replay: per
+/// register, whether it held a graph input, was produced or died on a dead
+/// branch, with its shape and byte size; plus the branch count. Shapes
+/// share one flat dims buffer and no tensor is held, so keeping a record
+/// keeps no payload alive. Serial and wave dispatch commit in tape order,
+/// so they leave equal records.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RunRecord {
+    regs: Vec<RegEntry>,
+    dims: Vec<usize>,
     /// How many `Switch` branches executed (live + dead-but-executed).
     pub branches_executed: usize,
-    /// How many materialized intermediates the DMP layout admits: the
-    /// tensors priced inside the plan's one arena allocation instead of
-    /// one allocation each.
-    pub arena_backed: usize,
+}
+
+impl RunRecord {
+    fn new(registers: usize) -> Self {
+        RunRecord {
+            regs: vec![RegEntry::default(); registers],
+            ..RunRecord::default()
+        }
+    }
+
+    /// Records `t` as an input or a produced result with `tensor`'s shape.
+    pub(crate) fn note(&mut self, t: TensorId, state: RegState, tensor: &Tensor) {
+        self.regs[t.0 as usize] = RegEntry {
+            bytes: tensor.byte_size(),
+            start: self.dims.len() as u32,
+            rank: tensor.rank() as u16,
+            state,
+        };
+        self.dims.extend_from_slice(tensor.shape());
+    }
+
+    fn kill(&mut self, t: TensorId) {
+        self.regs[t.0 as usize].state = RegState::Dead;
+    }
+
+    /// Whether an instruction produced `t`.
+    pub fn produced(&self, t: TensorId) -> bool {
+        self.regs[t.0 as usize].state == RegState::Produced
+    }
+
+    /// Byte size of `t` when the run took it as input or produced it, else 0.
+    pub fn bytes(&self, t: TensorId) -> usize {
+        match self.regs[t.0 as usize] {
+            RegEntry {
+                state: RegState::Input | RegState::Produced,
+                bytes,
+                ..
+            } => bytes,
+            _ => 0,
+        }
+    }
+
+    /// Shape of `t` when the run took it as input or produced it.
+    pub fn shape(&self, t: TensorId) -> Option<&[usize]> {
+        let e = self.regs[t.0 as usize];
+        matches!(e.state, RegState::Input | RegState::Produced)
+            .then(|| &self.dims[e.start as usize..e.start as usize + e.rank as usize])
+    }
+
+    /// Concrete shape of every tensor an instruction produced.
+    pub fn concrete_shapes(&self) -> HashMap<TensorId, Vec<usize>> {
+        (0..self.regs.len() as u32)
+            .map(TensorId)
+            .filter(|&t| self.produced(t))
+            .filter_map(|t| Some((t, self.shape(t)?.to_vec())))
+            .collect()
+    }
 }
 
 /// A static parallel schedule at node granularity: `waves[w][j]` is the
@@ -153,7 +226,7 @@ pub struct RegRelease {
 /// position so live-memory accounting is that of member-by-member commit.
 #[derive(Debug, Clone)]
 pub struct TapeChain {
-    plan: ChainPlan,
+    pub(crate) plan: ChainPlan,
     /// Member nodes in commit order (head first).
     pub members: Vec<NodeId>,
     /// Each member's single output register, in commit order (the last
@@ -233,13 +306,11 @@ pub struct Instr {
     pub releases: Vec<RegRelease>,
     /// Original fusion group id (the `group` field of trace events).
     pub gid: usize,
-    /// Dense group index into the per-inference accumulator array.
+    /// Dense group index into the pricing replay's accumulator array.
     pub gidx: u32,
     /// Statically the last member of its group in execution order: emits
     /// the group's kernel trace event when the group did countable work.
     pub group_tail: bool,
-    /// Live non-control-flow results accumulate group cost.
-    pub count_cost: bool,
     /// Tuned kernel variant selected at compile time (RDP-known shapes);
     /// `None` falls back to runtime selection.
     pub variant: Option<BakedVariant>,
@@ -257,9 +328,9 @@ pub struct TapeProgram {
     register_count: usize,
     /// Constant registers, prebuilt once (per-inference installation is
     /// an `Arc` clone, not a payload rebuild).
-    consts: Vec<(TensorId, Tensor)>,
-    /// Dense group count (size of the per-inference accumulator array).
-    num_groups: usize,
+    pub(crate) consts: Vec<(TensorId, Tensor)>,
+    /// Dense group count (size of the pricing replay's accumulator array).
+    pub(crate) num_groups: usize,
     /// Graph nodes the tape covers (chain members included).
     node_count: usize,
 }
@@ -425,7 +496,6 @@ pub fn compile_tape(
                         gid,
                         gidx,
                         group_tail,
-                        count_cost: false,
                         variant: None,
                     });
                     instr_of_pos.push(idx as u32);
@@ -477,7 +547,6 @@ pub fn compile_tape(
             gid,
             gidx,
             group_tail,
-            count_cost: !node.op.is_control_flow(),
             variant: baked_variants.and_then(|m| m.get(&nid).copied()),
         });
         instr_of_pos.push(idx as u32);
@@ -556,63 +625,9 @@ pub fn compile_tape(
     })
 }
 
-/// Cost accumulated by one fusion group as its members commit; the group
-/// emits one kernel trace event when its last member retires.
-#[derive(Debug, Clone, Default)]
-struct GroupAcc {
-    /// Flops of every countable member.
-    flops: f64,
-    /// Countable (live, non-control-flow) members so far.
-    ops: usize,
-    /// Lowest tuned-variant efficiency among the group's hotspot members.
-    eff: Option<f64>,
-    /// Bytes read from tensors produced outside the group.
-    ext_read: f64,
-    /// Bytes written to tensors that leave the group.
-    ext_write: f64,
-}
-
-impl GroupAcc {
-    /// Folds a hotspot member's tuned-variant efficiency (looked up by its
-    /// first live output) into the group's.
-    fn note_efficiency(
-        &mut self,
-        table: Option<&VersionTable>,
-        op: &Op,
-        first_out: Option<&Tensor>,
-    ) {
-        let (Some(table), Some(out)) = (table, first_out) else {
-            return;
-        };
-        if let Some((m, n)) = hotspot_mn(op, out) {
-            let e = match op {
-                Op::Conv2d { .. } => table.conv_efficiency_of(m, n),
-                _ => table.efficiency(m, n),
-            };
-            self.eff = Some(self.eff.map_or(e, |prev| prev.min(e)));
-        }
-    }
-
-    /// The group's kernel trace event.
-    fn event(&self, name: String, working_set: usize, group: usize) -> TraceEvent {
-        TraceEvent::Kernel {
-            name,
-            cost: sod2_device::OpCost {
-                flops: self.flops,
-                bytes_read: self.ext_read,
-                bytes_written: self.ext_write,
-            },
-            efficiency: self.eff,
-            working_set,
-            fused_ops: self.ops,
-            group,
-        }
-    }
-}
-
 /// One step of a pre-planned fused chain (operand held by tensor id).
 #[derive(Debug, Clone)]
-enum ChainStep {
+pub(crate) enum ChainStep {
     Unary(sod2_ir::UnaryOp),
     Clip {
         min: f32,
@@ -627,10 +642,10 @@ enum ChainStep {
 
 /// A fused-group execution plan: a linear element-wise chain.
 #[derive(Debug, Clone)]
-struct ChainPlan {
+pub(crate) struct ChainPlan {
     members: Vec<NodeId>,
-    seed: TensorId,
-    steps: Vec<ChainStep>,
+    pub(crate) seed: TensorId,
+    pub(crate) steps: Vec<ChainStep>,
     final_output: TensorId,
 }
 
@@ -728,38 +743,12 @@ fn build_chains(graph: &Graph, fusion: &FusionPlan) -> (HashMap<NodeId, usize>, 
     (member_of, plans)
 }
 
-/// The outcome of evaluating a fused chain: the final tensor (`None` when
-/// an input branch was dead) plus the cost attribution its trace event
-/// needs.
-struct ChainEval {
-    result: Option<Tensor>,
-    flops: f64,
-    ext_read: f64,
-}
-
-impl ChainEval {
-    /// The chain's fused kernel event (`None` for a dead chain), with the
-    /// working set measured before any member releases.
-    fn event(&self, members: usize, live_bytes: usize, group: usize) -> Option<TraceEvent> {
-        let out = self.result.as_ref()?;
-        Some(TraceEvent::Kernel {
-            name: format!("fused[{members}]"),
-            cost: sod2_device::OpCost {
-                flops: self.flops,
-                bytes_read: self.ext_read,
-                bytes_written: out.byte_size() as f64,
-            },
-            efficiency: None,
-            working_set: live_bytes + out.byte_size(),
-            fused_ops: members,
-            group,
-        })
-    }
-}
-
-/// Evaluates (or kills) a whole fused chain. Pure: reads tensors through
-/// the view, produces an owned result.
-fn eval_chain<V: SlotView + ?Sized>(env: &V, chain: &ChainPlan) -> Result<ChainEval, ExecError> {
+/// Evaluates (or kills) a whole fused chain: `None` when an input branch
+/// was dead. Pure: reads tensors through the view, produces an owned result.
+fn eval_chain<V: SlotView + ?Sized>(
+    env: &V,
+    chain: &ChainPlan,
+) -> Result<Option<Tensor>, ExecError> {
     let mut dead = matches!(env.slot(chain.seed), Slot::Dead);
     for st in &chain.steps {
         if let ChainStep::Binary { other, .. } = st {
@@ -767,110 +756,42 @@ fn eval_chain<V: SlotView + ?Sized>(env: &V, chain: &ChainPlan) -> Result<ChainE
         }
     }
     if dead {
-        return Ok(ChainEval {
-            result: None,
-            flops: 0.0,
-            ext_read: 0.0,
-        });
+        return Ok(None);
     }
     let unavailable = |what: &str, t: TensorId| {
         ExecError::ControlFlow(format!("fused chain {what} {t} unavailable"))
     };
     let seed = live(env, chain.seed).map_err(|_| unavailable("seed", chain.seed))?;
     let mut steps: Vec<FusedStep<'_>> = Vec::with_capacity(chain.steps.len());
-    let mut ext_read = seed.byte_size() as f64;
-    let mut flops_per_elem = 0.0f64;
     for st in &chain.steps {
         steps.push(match st {
-            ChainStep::Unary(u) => {
-                flops_per_elem += 4.0;
-                FusedStep::Unary(*u)
-            }
-            ChainStep::Clip { min, max } => {
-                flops_per_elem += 1.0;
-                FusedStep::Clip {
-                    min: *min,
-                    max: *max,
-                }
-            }
+            ChainStep::Unary(u) => FusedStep::Unary(*u),
+            ChainStep::Clip { min, max } => FusedStep::Clip {
+                min: *min,
+                max: *max,
+            },
             ChainStep::Binary {
                 op,
                 other,
                 chain_is_lhs,
-            } => {
-                flops_per_elem += 1.0;
-                let t = live(env, *other).map_err(|_| unavailable("operand", *other))?;
-                ext_read += t.byte_size() as f64;
-                FusedStep::Binary {
-                    op: *op,
-                    other: t,
-                    chain_is_lhs: *chain_is_lhs,
-                }
-            }
+            } => FusedStep::Binary {
+                op: *op,
+                other: live(env, *other).map_err(|_| unavailable("operand", *other))?,
+                chain_is_lhs: *chain_is_lhs,
+            },
         });
     }
-    let out = fused_elementwise(seed, &steps)?;
-    Ok(ChainEval {
-        flops: flops_per_elem * out.numel() as f64,
-        ext_read,
-        result: Some(out),
-    })
-}
-
-/// Output-matrix dimensions for multi-version hotspot kernels, from the
-/// first output.
-fn hotspot_mn(op: &Op, out: &Tensor) -> Option<(usize, usize)> {
-    let s = out.shape();
-    match op {
-        Op::MatMul | Op::Gemm { .. } if s.len() >= 2 => Some((s[s.len() - 2], s[s.len() - 1])),
-        Op::Conv2d { .. } if s.len() == 4 => Some((s[1], s[2] * s[3])),
-        _ => None,
-    }
-}
-
-/// The precomputed evaluation of one instruction, produced by a wave's
-/// parallel phase and consumed by the serial commit phase.
-enum TapeEval {
-    Chain(ChainEval),
-    Plain {
-        results: Vec<Option<Tensor>>,
-        branches: usize,
-    },
-}
-
-/// Reusable per-inference scratch: shape buffers for cost accounting.
-/// Capacities stabilize after the first few instructions, so the
-/// steady-state dispatch loop performs no bookkeeping allocations.
-#[derive(Default)]
-struct Scratch {
-    in_shapes: Vec<Vec<usize>>,
-    out_shapes: Vec<Vec<usize>>,
-}
-
-fn fill_shapes(bufs: &mut Vec<Vec<usize>>, count: usize) {
-    if bufs.len() < count {
-        bufs.resize(count, Vec::new());
-    }
-    for b in bufs.iter_mut().take(count) {
-        b.clear();
-    }
+    Ok(Some(fused_elementwise(seed, &steps)?))
 }
 
 /// Mutable per-inference state of the tape VM.
-struct TapeState<'a> {
+struct TapeState {
     env: Vec<Slot>,
-    trace: ExecutionTrace,
+    record: RunRecord,
     live_bytes: usize,
-    peak: usize,
-    alloc_sizes: Vec<usize>,
-    concrete_shapes: HashMap<TensorId, Vec<usize>>,
-    branches_executed: usize,
-    arena_backed: usize,
-    groups: Vec<GroupAcc>,
-    layout: Option<&'a ArenaLayout>,
 }
 
-impl TapeState<'_> {
+impl TapeState {
     fn install_output(
         &mut self,
         cfg: &ExecConfig<'_>,
@@ -887,18 +808,17 @@ impl TapeState<'_> {
         } else {
             fence_value(cfg.nan_guard, name, t, &tensor)?;
         }
-        self.concrete_shapes.insert(t, tensor.shape().to_vec());
+        self.record.note(t, RegState::Produced, &tensor);
         if materialized {
-            let b = tensor.byte_size();
-            if self.layout.is_some_and(|l| l.admits(t.0 as usize, b)) {
-                self.arena_backed += 1;
-            } else {
-                self.alloc_sizes.push(b);
-            }
-            charge_live(&mut self.live_bytes, &mut self.peak, b, cfg.memory_budget)?;
+            charge_live(&mut self.live_bytes, tensor.byte_size(), cfg.memory_budget)?;
         }
         self.env[t.0 as usize] = Slot::Live(tensor);
         Ok(())
+    }
+
+    fn kill(&mut self, t: TensorId) {
+        self.env[t.0 as usize] = Slot::Dead;
+        self.record.kill(t);
     }
 
     /// Applies an instruction's precompiled releases.
@@ -916,17 +836,15 @@ impl TapeState<'_> {
 }
 
 /// Commits one instruction: evaluate (or consume the wave phase's
-/// precomputed evaluation), account group cost, install results, apply
-/// the precompiled releases, and emit the group trace event at the
-/// group's statically-known tail. The single mutation point of tape
-/// state in both dispatch modes.
+/// precomputed results), install results, record them, and apply the
+/// precompiled releases. The single mutation point of tape state in both
+/// dispatch modes.
 fn commit_instr(
     graph: &Graph,
     cfg: &ExecConfig<'_>,
-    st: &mut TapeState<'_>,
-    scratch: &mut Scratch,
+    st: &mut TapeState,
     instr: &Instr,
-    pre: Option<TapeEval>,
+    pre: Option<Vec<Option<Tensor>>>,
 ) -> Result<(), ExecError> {
     if sod2_pool::deadline_exceeded() {
         return Err(ExecError::DeadlineExceeded);
@@ -942,68 +860,16 @@ fn commit_instr(
     } else {
         None
     };
-
-    if let InstrKind::Chain(tc) = &instr.kind {
-        let ev = match pre {
-            Some(TapeEval::Chain(ev)) => ev,
-            Some(_) => {
-                return Err(ExecError::Internal(
-                    "precomputed evaluation mismatch at chain instruction".into(),
-                ))
-            }
-            None => eval_chain(st.env.as_slice(), &tc.plan)?,
-        };
-        return commit_chain(graph, cfg, st, instr, tc, ev);
-    }
-
-    let (results, branches) = match pre {
-        Some(TapeEval::Plain { results, branches }) => (results, branches),
-        Some(_) => {
-            return Err(ExecError::Internal(
-                "precomputed evaluation mismatch at plain instruction".into(),
-            ))
-        }
-        None => eval_plain(graph, cfg, instr, st.env.as_slice())?,
+    let results = match pre {
+        Some(results) => results,
+        None => eval_instr(graph, cfg, instr, st.env.as_slice())?,
     };
-    st.branches_executed += branches;
-
-    // Group cost accounting before results move into registers (input
-    // registers are still live at this point).
-    if instr.count_cost && results.iter().any(Option::is_some) {
-        fill_shapes(&mut scratch.in_shapes, instr.inputs.len());
-        for (k, &t) in instr.inputs.iter().enumerate() {
-            if let Slot::Live(ten) = &st.env[t.0 as usize] {
-                scratch.in_shapes[k].extend_from_slice(ten.shape());
-            }
-        }
-        let n_live = results.iter().flatten().count();
-        fill_shapes(&mut scratch.out_shapes, n_live);
-        for (k, ten) in results.iter().flatten().enumerate() {
-            scratch.out_shapes[k].extend_from_slice(ten.shape());
-        }
-        let cost = sod2_device::op_cost(
-            &node.op,
-            &scratch.in_shapes[..instr.inputs.len()],
-            &scratch.out_shapes[..n_live],
-            4,
-        );
-        let acc = &mut st.groups[instr.gidx as usize];
-        acc.flops += cost.flops;
-        acc.ops += 1;
-        for (k, &t) in instr.inputs.iter().enumerate() {
-            if let (true, Slot::Live(ten)) = (instr.in_external[k], &st.env[t.0 as usize]) {
-                acc.ext_read += ten.byte_size() as f64;
-            }
-        }
-        for (k, ten) in results.iter().enumerate() {
-            if let (Some(ten), false) = (ten, instr.out_internal[k]) {
-                acc.ext_write += ten.byte_size() as f64;
-            }
-        }
-        acc.note_efficiency(cfg.version_table, &node.op, results.iter().flatten().next());
+    if let InstrKind::Chain(tc) = &instr.kind {
+        return commit_chain(graph, cfg, st, tc, results.into_iter().next().flatten());
     }
-
-    // Install results into their registers.
+    if matches!(instr.kind, InstrKind::Branch { .. }) {
+        st.record.branches_executed += results.iter().flatten().count();
+    }
     for (k, result) in results.into_iter().enumerate() {
         let t = instr.outputs[k];
         match result {
@@ -1015,42 +881,39 @@ fn commit_instr(
                 !instr.out_internal[k],
                 tensor,
             )?,
-            None => st.env[t.0 as usize] = Slot::Dead,
+            None => st.kill(t),
         }
     }
-
     st.apply_releases(&instr.releases);
-
-    let acc = &st.groups[instr.gidx as usize];
-    if instr.group_tail && acc.ops > 0 {
-        let event = acc.event(node.name.clone(), st.live_bytes, instr.gid);
-        st.trace.push(event);
-    }
     Ok(())
 }
 
-/// Evaluates a plain (non-chain) instruction against a register view.
-fn eval_plain<V: SlotView + ?Sized>(
+/// Evaluates one instruction against a register view: one result per
+/// output register (a chain's final output alone), `None` where a branch
+/// is dead.
+fn eval_instr<V: SlotView + ?Sized>(
     graph: &Graph,
     cfg: &ExecConfig<'_>,
     instr: &Instr,
     view: &V,
-) -> Result<(Vec<Option<Tensor>>, usize), ExecError> {
-    // Dead-input propagation (Select handles its own deadness).
+) -> Result<Vec<Option<Tensor>>, ExecError> {
+    // Dead-input propagation (Select handles its own deadness; chains
+    // carry no operand list and check theirs in `eval_chain`).
     if !matches!(instr.kind, InstrKind::Select { .. })
         && instr
             .inputs
             .iter()
             .any(|&t| matches!(view.slot(t), Slot::Dead))
     {
-        return Ok((vec![None; instr.outputs.len()], 0));
+        return Ok(vec![None; instr.outputs.len()]);
     }
     match &instr.kind {
+        InstrKind::Chain(tc) => Ok(vec![eval_chain(view, &tc.plan)?]),
         InstrKind::Branch { num_branches } => {
             eval_switch(view, &instr.inputs, *num_branches, cfg.execute_all_branches)
         }
         InstrKind::Select { num_branches } => {
-            Ok((vec![eval_combine(view, &instr.inputs, *num_branches)?], 0))
+            Ok(vec![eval_combine(view, &instr.inputs, *num_branches)?])
         }
         InstrKind::Kernel => {
             let op = &graph.node(instr.nid).op;
@@ -1073,11 +936,8 @@ fn eval_plain<V: SlotView + ?Sized>(
                 let (gemm, conv) = instr_variants(instr, op, &ins, cfg);
                 execute_op_with_variants(op, &ins, gemm, conv)?
             };
-            Ok((outs.into_iter().map(Some).collect(), 0))
+            Ok(outs.into_iter().map(Some).collect())
         }
-        InstrKind::Chain(_) => Err(ExecError::Internal(
-            "chain instruction reached the plain evaluator".into(),
-        )),
     }
 }
 
@@ -1115,23 +975,18 @@ fn instr_variants(
     }
 }
 
-/// Commits a fused-chain instruction member by member: the fused trace
-/// event at the head (working set measured before any release), each
-/// member's releases at its original position, and the final-output
-/// install at the tail.
+/// Commits a fused-chain instruction member by member: each member's
+/// releases at its original position, and the final-output install at the
+/// tail.
 fn commit_chain(
     graph: &Graph,
     cfg: &ExecConfig<'_>,
-    st: &mut TapeState<'_>,
-    instr: &Instr,
+    st: &mut TapeState,
     tc: &TapeChain,
-    ev: ChainEval,
+    result: Option<Tensor>,
 ) -> Result<(), ExecError> {
     let n = tc.member_releases.len();
-    if let Some(event) = ev.event(tc.members.len(), st.live_bytes, instr.gid) {
-        st.trace.push(event);
-    }
-    match ev.result {
+    match result {
         Some(out) => {
             // Head and mid members release at their original positions;
             // the tail installs the final output first, then releases.
@@ -1148,7 +1003,7 @@ fn commit_chain(
             // Dead chain: every member output dies, releases interleaved
             // in member order.
             for (k, releases) in tc.member_releases.iter().enumerate() {
-                st.env[tc.member_outputs[k].0 as usize] = Slot::Dead;
+                st.kill(tc.member_outputs[k]);
                 st.apply_releases(releases);
             }
         }
@@ -1167,7 +1022,7 @@ fn eval_tape_unit(
     tape: &TapeProgram,
     env: &[Slot],
     range: (u32, u32),
-) -> Result<Vec<TapeEval>, ExecError> {
+) -> Result<Vec<Vec<Option<Tensor>>>, ExecError> {
     let mut overlay = Overlay::default();
     let (start, end) = (range.0 as usize, range.1 as usize);
     let mut out = Vec::with_capacity(end - start);
@@ -1181,55 +1036,23 @@ fn eval_tape_unit(
             base: env,
             overlay: &overlay,
         };
-        let slot_of = |r: &Option<Tensor>| r.clone().map_or(Slot::Dead, Slot::Live);
-        let ev = match &instr.kind {
-            InstrKind::Chain(tc) => {
-                let ev = eval_chain(&view, &tc.plan)?;
-                overlay.insert(tc.final_reg.0 as usize, slot_of(&ev.result));
-                TapeEval::Chain(ev)
-            }
-            _ => {
-                let (results, branches) = eval_plain(graph, cfg, instr, &view)?;
-                for (t, r) in instr.outputs.iter().zip(&results) {
-                    overlay.insert(t.0 as usize, slot_of(r));
-                }
-                TapeEval::Plain { results, branches }
-            }
-        };
-        out.push(ev);
+        let results = eval_instr(graph, cfg, instr, &view)?;
+        for (t, r) in instr.outputs.iter().zip(&results) {
+            overlay.insert(t.0 as usize, r.clone().map_or(Slot::Dead, Slot::Live));
+        }
+        out.push(results);
     }
     Ok(out)
 }
 
-/// Closes a run: re-checks the deadline (an expiry inside the last
-/// instruction's pool region skipped chunk bodies with no later
-/// instruction boundary to catch it, so expired runs never return
-/// outputs) and publishes the run's memory and control-flow counters.
-fn finish_run(st: &TapeState<'_>) -> Result<(), ExecError> {
-    if sod2_pool::deadline_exceeded() {
-        return Err(ExecError::DeadlineExceeded);
-    }
-    sod2_obs::gauge_max("exec.peak_live_bytes", st.peak as u64);
-    sod2_obs::counter_add("exec.heap_fallback_allocs", st.alloc_sizes.len() as u64);
-    sod2_obs::counter_add(
-        "exec.heap_fallback_bytes",
-        st.alloc_sizes.iter().map(|&b| b as u64).sum(),
-    );
-    sod2_obs::counter_add("exec.arena_backed", st.arena_backed as u64);
-    sod2_obs::counter_add("exec.branches_executed", st.branches_executed as u64);
-    Ok(())
-}
-
-/// Executes a compiled tape on concrete inputs.
+/// Executes a compiled tape on concrete inputs and records what pricing
+/// needs ([`RunRecord`]).
 ///
 /// `cfg` supplies the run-time knobs the reference shares (version table,
 /// execute-all-branches, NaN guard, memory budget); plan decisions were
-/// baked into the tape at compile time. `layout` is the DMP pre-plan of
-/// this inference: each materialized intermediate it admits counts in
-/// [`RunOutcome::arena_backed`], every other one in
-/// [`RunOutcome::alloc_sizes`] (all of them when `None`). `wavefront`
-/// selects between the serial dispatch loop and two-phase wave execution
-/// over the tape's compiled `(start, end)` ranges.
+/// baked into the tape at compile time. `wavefront` selects between the
+/// serial dispatch loop and two-phase wave execution over the tape's
+/// compiled `(start, end)` ranges; both leave the same record.
 ///
 /// # Errors
 ///
@@ -1240,31 +1063,23 @@ pub fn execute_tape(
     inputs: &[Tensor],
     tape: &TapeProgram,
     cfg: &ExecConfig<'_>,
-    layout: Option<&ArenaLayout>,
     wavefront: bool,
 ) -> Result<RunOutcome, ExecError> {
     check_inputs(graph, inputs, cfg.nan_guard)?;
     let mut env: Vec<Slot> = vec![Slot::Missing; tape.register_count];
+    let mut record = RunRecord::new(tape.register_count);
     for (t, tensor) in &tape.consts {
         env[t.0 as usize] = Slot::Live(tensor.clone());
     }
     for (&t, tensor) in graph.inputs().iter().zip(inputs) {
+        record.note(t, RegState::Input, tensor);
         env[t.0 as usize] = Slot::Live(tensor.clone());
     }
-
     let mut st = TapeState {
         env,
-        trace: ExecutionTrace::new(),
+        record,
         live_bytes: 0,
-        peak: 0,
-        alloc_sizes: Vec::new(),
-        concrete_shapes: HashMap::new(),
-        branches_executed: 0,
-        arena_backed: 0,
-        groups: vec![GroupAcc::default(); tape.num_groups],
-        layout,
     };
-    let mut scratch = Scratch::default();
 
     sod2_obs::gauge_max("exec.tape_len", tape.instrs.len() as u64);
     sod2_obs::gauge_max("exec.register_count", tape.register_count as u64);
@@ -1282,14 +1097,7 @@ pub fn execute_tape(
                 // submission overhead and no precompute pass.
                 for &(s, e) in wave {
                     for idx in s..e {
-                        commit_instr(
-                            graph,
-                            cfg,
-                            &mut st,
-                            &mut scratch,
-                            &tape.instrs[idx as usize],
-                            None,
-                        )?;
+                        commit_instr(graph, cfg, &mut st, &tape.instrs[idx as usize], None)?;
                     }
                 }
                 continue;
@@ -1303,7 +1111,8 @@ pub fn execute_tape(
             // workers do not inherit submitter thread-locals).
             let threads = sod2_pool::current_threads();
             let deadline = sod2_pool::current_deadline();
-            let mut slots: Vec<Option<Result<Vec<TapeEval>, ExecError>>> = Vec::new();
+            type UnitEval = Result<Vec<Vec<Option<Tensor>>>, ExecError>;
+            let mut slots: Vec<Option<UnitEval>> = Vec::new();
             slots.resize_with(wave.len(), || None);
             {
                 let env_ref = &st.env;
@@ -1317,7 +1126,7 @@ pub fn execute_tape(
             }
             // Phase B: publish serially in tape order — the register
             // publish moves Arc-backed tensors, no payload copies.
-            let mut evals: Vec<Vec<TapeEval>> = Vec::with_capacity(wave.len());
+            let mut evals = Vec::with_capacity(wave.len());
             for (idx, slot) in slots.into_iter().enumerate() {
                 match slot {
                     Some(Ok(unit_evals)) => evals.push(unit_evals),
@@ -1337,15 +1146,9 @@ pub fn execute_tape(
                 }
             }
             for (&(s, e), unit_evals) in wave.iter().zip(evals) {
-                for (idx, ev) in (s..e).zip(unit_evals) {
-                    commit_instr(
-                        graph,
-                        cfg,
-                        &mut st,
-                        &mut scratch,
-                        &tape.instrs[idx as usize],
-                        Some(ev),
-                    )?;
+                for (idx, results) in (s..e).zip(unit_evals) {
+                    let instr = &tape.instrs[idx as usize];
+                    commit_instr(graph, cfg, &mut st, instr, Some(results))?;
                 }
             }
         }
@@ -1353,11 +1156,17 @@ pub fn execute_tape(
         sod2_obs::gauge_max("exec.max_wave_width", max_width as u64);
     } else {
         for instr in &tape.instrs {
-            commit_instr(graph, cfg, &mut st, &mut scratch, instr, None)?;
+            commit_instr(graph, cfg, &mut st, instr, None)?;
         }
     }
 
-    finish_run(&st)?;
+    // An expiry inside the last instruction's pool region skipped chunk
+    // bodies with no later instruction boundary to catch it, so expired
+    // runs never return outputs.
+    if sod2_pool::deadline_exceeded() {
+        return Err(ExecError::DeadlineExceeded);
+    }
+    sod2_obs::counter_add("exec.branches_executed", st.record.branches_executed as u64);
     let outputs = graph
         .outputs()
         .iter()
@@ -1366,11 +1175,6 @@ pub fn execute_tape(
     fence_outputs(cfg.nan_guard, &outputs)?;
     Ok(RunOutcome {
         outputs,
-        trace: st.trace,
-        peak_live_bytes: st.peak,
-        alloc_sizes: st.alloc_sizes,
-        concrete_shapes: st.concrete_shapes,
-        branches_executed: st.branches_executed,
-        arena_backed: st.arena_backed,
+        record: st.record,
     })
 }

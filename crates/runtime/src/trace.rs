@@ -9,7 +9,7 @@
 use sod2_device::{price_alloc, price_kernel, DeviceProfile, OpCost};
 
 /// One priceable event.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TraceEvent {
     /// A kernel (possibly a fused group) execution.
     Kernel {
@@ -82,7 +82,7 @@ impl std::fmt::Display for LatencyBreakdown {
 }
 
 /// An execution trace.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExecutionTrace {
     /// The events, in execution order.
     pub events: Vec<TraceEvent>,

@@ -1,6 +1,6 @@
 //! Executor integration tests: correctness and control flow on the
-//! reference, and — on a serial heap tape, the one executor that accounts
-//! — the accounting effects that power the paper's optimization
+//! reference, and — on a serial heap tape priced by replaying its run
+//! record — the accounting effects that power the paper's optimization
 //! comparisons.
 
 use sod2_device::DeviceProfile;
@@ -11,7 +11,8 @@ use sod2_mvc::VersionTable;
 use sod2_plan::{naive_unit_order, UnitGraph};
 use sod2_rdp::analyze;
 use sod2_runtime::{
-    compile_tape, execute, execute_tape, ExecConfig, ExecError, RunOutcome, WaveExecPlan,
+    compile_tape, execute, execute_tape, price_tape, ExecConfig, ExecError, RunRecord, TapePrice,
+    TapeProgram, WaveExecPlan,
 };
 use sod2_sym::DimExpr;
 use sod2_tensor::Tensor;
@@ -32,6 +33,30 @@ fn relu_chain(n: usize) -> Graph {
     g
 }
 
+/// A tape run and its priced replay.
+struct Priced {
+    outputs: Vec<Tensor>,
+    record: RunRecord,
+    price: TapePrice,
+}
+
+/// Runs `tape` serially and prices the run against `layout`.
+fn run_and_price(
+    g: &Graph,
+    inputs: &[Tensor],
+    tape: &TapeProgram,
+    cfg: &ExecConfig<'_>,
+    layout: Option<&ArenaLayout>,
+) -> Priced {
+    let run = execute_tape(g, inputs, tape, cfg, false).expect("tape run");
+    let price = price_tape(g, tape, &run.record, layout, cfg.version_table);
+    Priced {
+        outputs: run.outputs,
+        record: run.record,
+        price,
+    }
+}
+
 /// Runs `g` on a serial heap tape lowered with `fusion` (and its chains)
 /// in naive unit order — topological order without a plan.
 fn run_tape(
@@ -39,7 +64,7 @@ fn run_tape(
     inputs: &[Tensor],
     fusion: Option<&FusionPlan>,
     cfg: &ExecConfig<'_>,
-) -> RunOutcome {
+) -> Priced {
     let order: Vec<NodeId> = match fusion {
         Some(f) => {
             let units = UnitGraph::build(g, f);
@@ -48,18 +73,18 @@ fn run_tape(
         None => g.topo_order(),
     };
     let tape = compile_tape(g, &order, fusion, None, None, None).expect("compile tape");
-    execute_tape(g, inputs, &tape, cfg, None, false).expect("tape run")
+    run_and_price(g, inputs, &tape, cfg, None)
 }
 
-/// Runs `g` on the tape, serially in topological order, accounted
-/// against a DMP layout giving each `(tensor, planned size)` a private
-/// slot; the keys in `bounded` (ascending) are sized at an upper bound.
+/// Runs `g` on the tape, serially in topological order, priced against a
+/// DMP layout giving each `(tensor, planned size)` a private slot; the
+/// keys in `bounded` (ascending) are sized at an upper bound.
 fn run_tape_with_layout(
     g: &Graph,
     inputs: &[Tensor],
     slots: &[(TensorId, usize)],
     bounded: &[usize],
-) -> RunOutcome {
+) -> Priced {
     let lives: Vec<TensorLife> = slots
         .iter()
         .map(|&(t, size)| TensorLife::new(t.0 as usize, size, 0, vec![]))
@@ -72,15 +97,7 @@ fn run_tape_with_layout(
     }
     let layout = ArenaLayout::new(&lives, &MemoryPlan { offsets, peak }, bounded);
     let tape = compile_tape(g, &g.topo_order(), None, None, None, None).expect("compile tape");
-    execute_tape(
-        g,
-        inputs,
-        &tape,
-        &ExecConfig::default(),
-        Some(&layout),
-        false,
-    )
-    .expect("tape run")
+    run_and_price(g, inputs, &tape, &ExecConfig::default(), Some(&layout))
 }
 
 #[test]
@@ -94,7 +111,7 @@ fn chain_executes_correctly() {
         run.outputs[0].payload_le_bytes(),
         out.outputs[0].payload_le_bytes()
     );
-    assert_eq!(run.trace.kernel_count(), 3);
+    assert_eq!(run.price.trace.kernel_count(), 3);
 }
 
 #[test]
@@ -135,14 +152,14 @@ fn switch_combine_selects_branch() {
     let r1 = run(1, false);
     assert_eq!(r1.outputs[0].as_f32().expect("f32"), &[1.0, -2.0]);
     // Dead branch skipped: only one branch kernel ran.
-    assert_eq!(r0.trace.kernel_count(), 1);
-    assert_eq!(r0.branches_executed, 1);
+    assert_eq!(r0.price.trace.kernel_count(), 1);
+    assert_eq!(r0.record.branches_executed, 1);
 
     // Execute-all mode: both branches run, same final answer.
     let ra = run(0, true);
     assert_eq!(ra.outputs[0].as_f32().expect("f32"), &[0.0, 2.0]);
-    assert_eq!(ra.trace.kernel_count(), 2);
-    assert_eq!(ra.branches_executed, 2);
+    assert_eq!(ra.price.trace.kernel_count(), 2);
+    assert_eq!(ra.record.branches_executed, 2);
 }
 
 #[test]
@@ -155,9 +172,9 @@ fn fusion_reduces_materialized_memory_not_results() {
     let plan = fuse(&g, &rdp, FusionPolicy::Rdp);
     let fused = run_tape(&g, &input, Some(&plan), &ExecConfig::default());
     assert!(plain.outputs[0].approx_eq(&fused.outputs[0], 0.0));
-    assert!(fused.peak_live_bytes < plain.peak_live_bytes);
-    assert!(fused.trace.kernel_count() < plain.trace.kernel_count());
-    assert!(fused.alloc_sizes.len() < plain.alloc_sizes.len());
+    assert!(fused.price.peak_live_bytes < plain.price.peak_live_bytes);
+    assert!(fused.price.trace.kernel_count() < plain.price.trace.kernel_count());
+    assert!(fused.price.alloc_sizes.len() < plain.price.alloc_sizes.len());
 }
 
 #[test]
@@ -191,8 +208,8 @@ fn version_table_changes_cost_not_output() {
     );
     assert!(plain.outputs[0].approx_eq(&tuned.outputs[0], 1e-3));
     // Tuned latency is lower on the same device profile.
-    let t_plain = plain.trace.price(&profile).total();
-    let t_tuned = tuned.trace.price(&profile).total();
+    let t_plain = plain.price.trace.price(&profile).total();
+    let t_tuned = tuned.price.trace.price(&profile).total();
     assert!(t_tuned < t_plain, "tuned {t_tuned} vs plain {t_plain}");
 }
 
@@ -283,6 +300,7 @@ fn fused_interpreter_matches_nodewise_execution() {
     );
     // The fused path emits a single fused kernel event.
     let fused_events: Vec<_> = fused
+        .price
         .trace
         .events
         .iter()
@@ -295,7 +313,7 @@ fn fused_interpreter_matches_nodewise_execution() {
         .collect();
     assert_eq!(fused_events, vec![4]);
     // Only the chain's final output materializes.
-    assert_eq!(fused.alloc_sizes.len(), 1);
+    assert_eq!(fused.price.alloc_sizes.len(), 1);
 }
 
 #[test]
@@ -352,8 +370,8 @@ fn three_way_switch_routes_correctly() {
         for (g_v, &x_v) in got.iter().zip(&[-1.0f32, 0.0, 2.0]) {
             assert!((g_v - expect[s as usize](x_v)).abs() < 1e-6, "sel={s}");
         }
-        assert_eq!(out.trace.kernel_count(), 1, "exactly one branch ran");
-        assert_eq!(out.branches_executed, 1);
+        assert_eq!(out.price.trace.kernel_count(), 1, "exactly one branch ran");
+        assert_eq!(out.record.branches_executed, 1);
     }
 }
 
@@ -373,11 +391,11 @@ fn tape_accounting_follows_the_layout() {
 
     let heap = run_tape(&g, &inputs, None, &ExecConfig::default());
     assert_eq!(
-        heap.alloc_sizes,
+        heap.price.alloc_sizes,
         vec![16; 5],
         "no layout: every one allocates"
     );
-    assert_eq!(heap.arena_backed, 0);
+    assert_eq!(heap.price.arena_backed, 0);
 
     // a: an exact slot of its size. b: an exact slot of the wrong size.
     // c: no slot. d: a bounded slot its payload overruns. e: a bounded
@@ -386,14 +404,18 @@ fn tape_accounting_follows_the_layout() {
     let mut bounded = [d.0 as usize, e.0 as usize];
     bounded.sort_unstable();
     let run = run_tape_with_layout(&g, &inputs, &slots, &bounded);
-    assert_eq!(run.arena_backed, 2, "a and e are covered by the plan");
-    assert_eq!(run.alloc_sizes, vec![16; 3], "b, c and d are the residue");
+    assert_eq!(run.price.arena_backed, 2, "a and e are covered by the plan");
+    assert_eq!(
+        run.price.alloc_sizes,
+        vec![16; 3],
+        "b, c and d are the residue"
+    );
     assert_eq!(
         run.outputs[0].payload_le_bytes(),
         heap.outputs[0].payload_le_bytes(),
         "accounting never changes outputs"
     );
-    assert_eq!(run.peak_live_bytes, heap.peak_live_bytes);
+    assert_eq!(run.price.peak_live_bytes, heap.price.peak_live_bytes);
 }
 
 #[test]

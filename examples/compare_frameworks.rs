@@ -51,7 +51,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut lat = Vec::new();
         let mut mem = Vec::new();
         for i in &inputs {
-            let s = e.infer(i)?;
+            let run = e.infer(i)?;
+            let s = e.price(&run);
             lat.push(s.latency.total() * 1e3);
             mem.push(s.peak_memory_bytes as f64 / (1024.0 * 1024.0));
         }

@@ -62,8 +62,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &Default::default(),
     );
     let (_, inputs) = model.sample_inputs(&mut rng);
-    let a = native.infer(&inputs)?;
-    let b = execute_all.infer(&inputs)?;
+    let (a, b) = (native.infer(&inputs)?, execute_all.infer(&inputs)?);
+    let (a, b) = (native.price(&a), execute_all.price(&b));
     println!();
     println!(
         "native control flow : {:.2} ms, peak {} B",

@@ -36,8 +36,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     for len in [16usize, 48, 96, 32, 48] {
         let inputs = model.make_inputs(len, &mut rng);
-        let s = sod2.infer(&inputs)?;
-        let m = mnn.infer(&inputs)?;
+        let (s, m) = (sod2.infer(&inputs)?, mnn.infer(&inputs)?);
+        let (s, m) = (sod2.price(&s), mnn.price(&m));
         println!(
             "{len:>6} {:>14.2} {:>14.2} {:>12}",
             s.latency.total() * 1e3,

@@ -39,10 +39,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 4. Run at several batch sizes — no re-initialization, stable latency.
     for n in [1usize, 16, 64, 7] {
         let input = Tensor::from_f32(&[n, 16], vec![0.5; n * 16]);
-        let stats = model.run(&[input])?;
+        let run = model.run(&[input])?;
+        let stats = model.price(&run);
         println!(
             "N={n:>3}: out {:?}, latency {:.3} ms, peak intermediates {} B, reinit={}",
-            stats.outputs[0].shape(),
+            run.outputs[0].shape(),
             stats.latency.total() * 1e3,
             stats.peak_memory_bytes,
             stats.reinitialized

@@ -11,19 +11,23 @@ use sod2_plan::{
 };
 use sod2_prng::rngs::StdRng;
 use sod2_prng::SeedableRng;
-use sod2_runtime::{compile_tape, execute, execute_tape, ExecConfig, ExecError, RunOutcome};
+use sod2_runtime::{
+    compile_tape, execute, execute_tape, price_tape, ExecConfig, ExecError, RunOutcome, TapePrice,
+};
 use sod2_tensor::Tensor;
 
 /// Runs `model` on a serial heap tape lowered with `fusion` (and its
-/// fused chains) in `order`.
+/// fused chains) in `order`, and prices the run.
 fn run_on_tape(
     graph: &sod2_ir::Graph,
     inputs: &[Tensor],
     fusion: &FusionPlan,
     order: &[sod2_ir::NodeId],
-) -> Result<RunOutcome, ExecError> {
+) -> Result<(RunOutcome, TapePrice), ExecError> {
     let tape = compile_tape(graph, order, Some(fusion), None, None, None)?;
-    execute_tape(graph, inputs, &tape, &ExecConfig::default(), None, false)
+    let run = execute_tape(graph, inputs, &tape, &ExecConfig::default(), false)?;
+    let price = price_tape(graph, &tape, &run.record, None, None);
+    Ok((run, price))
 }
 
 #[test]
@@ -33,11 +37,11 @@ fn every_model_compiles_and_runs_through_the_facade() {
         let mut rng = StdRng::seed_from_u64(5);
         for _ in 0..2 {
             let (_, inputs) = model.sample_inputs(&mut rng);
-            let stats = compiled
+            let run = compiled
                 .run(&inputs)
                 .unwrap_or_else(|e| panic!("{} failed: {e}", model.name));
-            assert!(!stats.outputs.is_empty(), "{}", model.name);
-            assert!(stats.latency.total() > 0.0);
+            assert!(!run.outputs.is_empty(), "{}", model.name);
+            assert!(compiled.price(&run).latency.total() > 0.0);
         }
     }
 }
@@ -53,12 +57,12 @@ fn fusion_preserves_results_on_every_model() {
             .unwrap_or_else(|e| panic!("{}: {e}", model.name));
         let ug = UnitGraph::build(&model.graph, &plan);
         let order = ug.node_order(&naive_unit_order(&ug));
-        let fused = run_on_tape(&model.graph, &inputs, &plan, &order)
+        let (fused, priced) = run_on_tape(&model.graph, &inputs, &plan, &order)
             .unwrap_or_else(|e| panic!("{}: {e}", model.name));
         for (a, b) in base.outputs.iter().zip(&fused.outputs) {
             assert!(a.approx_eq(b, 1e-4), "{} fused output differs", model.name);
         }
-        assert!(fused.peak_live_bytes <= base.peak_live_bytes);
+        assert!(priced.peak_live_bytes <= base.peak_live_bytes);
     }
 }
 
@@ -89,9 +93,9 @@ fn sep_order_preserves_results_and_never_hurts_peak() {
 
         let mut rng = StdRng::seed_from_u64(9);
         let (_, inputs) = model.sample_inputs(&mut rng);
-        let a = run_on_tape(&model.graph, &inputs, &fusion, &ug.node_order(&naive))
+        let (a, _) = run_on_tape(&model.graph, &inputs, &fusion, &ug.node_order(&naive))
             .unwrap_or_else(|e| panic!("{}: {e}", model.name));
-        let b = run_on_tape(&model.graph, &inputs, &fusion, &ep.node_order)
+        let (b, _) = run_on_tape(&model.graph, &inputs, &fusion, &ep.node_order)
             .unwrap_or_else(|e| panic!("{}: {e}", model.name));
         for (x, y) in a.outputs.iter().zip(&b.outputs) {
             assert!(x.approx_eq(y, 1e-4), "{} SEP output differs", model.name);
@@ -167,9 +171,10 @@ fn paper_orderings_hold_across_the_zoo() {
         for _ in 0..3 {
             let (_, inputs) = model.sample_inputs(&mut rng);
             for (i, e) in engines.iter_mut().enumerate() {
-                let s = e
+                let run = e
                     .infer(&inputs)
                     .unwrap_or_else(|err| panic!("{} on {}: {err}", e.name(), model.name));
+                let s = e.price(&run);
                 total[i] += s.latency.total();
                 mem[i] += s.peak_memory_bytes as f64;
             }

@@ -14,9 +14,11 @@ use sod2_obs::json::Value;
 use sod2_pool::with_threads;
 use sod2_prng::rngs::StdRng;
 use sod2_prng::SeedableRng;
+use sod2_serve::{Server, ServerConfig, TenantSpec};
 
 /// One profiled session: compile CodeBERT (tiny) and run `iters`
-/// inferences at a fixed input, returning the profile and the last stats.
+/// inferences at a fixed input, pricing each inside the capture window,
+/// returning the profile and the last stats.
 ///
 /// Runs with wavefront execution off: kernel time is attributed to kernel
 /// spans only on the serial schedule (in wavefront mode compute happens in
@@ -42,7 +44,8 @@ fn profiled_run(
         );
         let mut stats = None;
         for _ in 0..iters {
-            stats = Some(engine.infer(&inputs).expect("infer"));
+            let run = engine.infer(&inputs).expect("infer");
+            stats = Some(engine.price(&run));
         }
         stats.expect("at least one iter")
     });
@@ -224,7 +227,9 @@ fn disabled_profiler_is_observationally_inert() {
             Sod2Options::default(),
             &Default::default(),
         );
-        engine.infer(&inputs).expect("infer")
+        let run = engine.infer(&inputs).expect("infer");
+        let stats = engine.price(&run);
+        (run.outputs, stats)
     };
 
     sod2_obs::set_enabled(false);
@@ -244,8 +249,9 @@ fn disabled_profiler_is_observationally_inert() {
     assert!(!on_profile.spans.is_empty());
 
     // Identical numeric results either way: profiling is read-only.
-    assert_eq!(off.outputs.len(), on.outputs.len());
-    for (a, b) in off.outputs.iter().zip(&on.outputs) {
+    let ((off_outputs, off), (on_outputs, on)) = (off, on);
+    assert_eq!(off_outputs.len(), on_outputs.len());
+    for (a, b) in off_outputs.iter().zip(&on_outputs) {
         assert_eq!(a.shape(), b.shape());
         assert_eq!(a.payload_le_bytes(), b.payload_le_bytes());
     }
@@ -274,4 +280,82 @@ fn profiled_metrics_are_deterministic_across_runs() {
     for key in ["exec.arena_backed", "pool.chunks", "pool.regions"] {
         assert_eq!(p1.counters.get(key), p2.counters.get(key), "counter {key}");
     }
+}
+
+/// The request path prices nothing: a traced `infer` records only the
+/// bindings, pre-plan and execute phases and no priced counter, pricing
+/// the run afterwards is a pure function of it, and a request served by
+/// the real server records no pricing span on any thread.
+#[test]
+fn the_request_path_prices_nothing() {
+    let _session = sod2_obs::session_guard();
+    let model = codebert(ModelScale::Tiny);
+    let inputs = model.make_inputs(32, &mut StdRng::seed_from_u64(5));
+    let mut engine = Sod2Engine::new(
+        model.graph.clone(),
+        DeviceProfile::s888_cpu(),
+        Sod2Options::default(),
+        &Default::default(),
+    );
+    let priced_counters = |p: &sod2_obs::Profile| -> Vec<String> {
+        p.counters
+            .keys()
+            .filter(|k| k.starts_with("exec.heap_fallback_") || *k == "exec.arena_backed")
+            .cloned()
+            .collect()
+    };
+    sod2_obs::set_enabled(true);
+    sod2_obs::begin();
+    let run = engine.infer(&inputs).expect("infer");
+    let profile = sod2_obs::take();
+    let phases: Vec<&str> = profile
+        .spans
+        .iter()
+        .filter(|s| s.cat == "phase")
+        .map(|s| s.name.as_str())
+        .collect();
+    assert_eq!(phases, ["bindings", "dmp_pre_plan", "execute"]);
+    let leaked = priced_counters(&profile);
+    assert!(
+        leaked.is_empty(),
+        "infer recorded priced counters: {leaked:?}"
+    );
+
+    // Pricing is a pure replay: twice over one run gives equal stats, and
+    // it is where the priced counters come from.
+    sod2_obs::begin();
+    let first = engine.price(&run);
+    let second = engine.price(&run);
+    let profile = sod2_obs::take();
+    assert_eq!(first, second);
+    assert!(first.latency.total() > 0.0);
+    assert!(priced_counters(&profile).contains(&"exec.arena_backed".to_string()));
+
+    sod2_obs::begin();
+    let server = Server::start(
+        engine,
+        vec![TenantSpec::new("t")],
+        ServerConfig {
+            replicas: 2,
+            fault_injector: None,
+            ..ServerConfig::default()
+        },
+    );
+    let response = server.submit("t", inputs).expect("admitted").wait();
+    let outputs = response.result.expect("served");
+    server.shutdown();
+    let profile = sod2_obs::take();
+    sod2_obs::set_enabled(false);
+    assert_eq!(outputs.len(), run.outputs.len());
+    for (a, b) in outputs.iter().zip(&run.outputs) {
+        assert_eq!(a.payload_le_bytes(), b.payload_le_bytes());
+    }
+    assert!(profile.cat_count("infer") >= 1, "the request ran no infer");
+    let priced: Vec<&str> = profile
+        .spans
+        .iter()
+        .map(|s| s.name.as_str())
+        .filter(|n| matches!(*n, "dmp_post_plan" | "price_trace"))
+        .collect();
+    assert!(priced.is_empty(), "serving priced a request: {priced:?}");
 }

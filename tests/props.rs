@@ -9,7 +9,7 @@ use sod2_fusion::{fuse, FusionPolicy};
 use sod2_ir::{BinaryOp, ConstData, DType, Graph, Op, TensorId, UnaryOp};
 use sod2_plan::{naive_unit_order, UnitGraph};
 use sod2_rdp::analyze;
-use sod2_runtime::{compile_tape, execute, execute_tape, ExecConfig};
+use sod2_runtime::{compile_tape, execute, execute_tape, price_tape, ExecConfig};
 use sod2_tensor::Tensor;
 
 /// A recipe for one generated node.
@@ -220,7 +220,6 @@ proptest! {
                 std::slice::from_ref(&input),
                 &tape,
                 &ExecConfig::default(),
-                None,
                 false,
             )
             .expect("fused run");
@@ -228,7 +227,8 @@ proptest! {
                 base.outputs[0].payload_le_bytes() == got.outputs[0].payload_le_bytes(),
                 "{policy:?} changed the result"
             );
-            prop_assert!(got.peak_live_bytes <= base.peak_live_bytes);
+            let priced = price_tape(&g, &tape, &got.record, None, None);
+            prop_assert!(priced.peak_live_bytes <= base.peak_live_bytes);
         }
     }
 
@@ -248,19 +248,22 @@ proptest! {
                 sod2_frameworks::Sod2Options::default(),
                 &Default::default(),
             );
-            sod2_frameworks::Engine::infer(&mut engine, &[input_for(n, c, seed)]).expect("infer")
+            let run = sod2_frameworks::Engine::infer(&mut engine, &[input_for(n, c, seed)])
+                .expect("infer");
+            let stats = sod2_frameworks::Engine::price(&engine, &run);
+            (run, stats)
         };
         let _session = sod2_obs::session_guard();
         sod2_obs::set_enabled(true);
         sod2_obs::begin();
-        let on = run();
+        let (on_run, on) = run();
         let _ = sod2_obs::take();
         sod2_obs::set_enabled(false);
-        let off = run();
+        let (off_run, off) = run();
 
         prop_assert_eq!(
-            on.outputs[0].payload_le_bytes(),
-            off.outputs[0].payload_le_bytes(),
+            on_run.outputs[0].payload_le_bytes(),
+            off_run.outputs[0].payload_le_bytes(),
             "profiling changed the result"
         );
         prop_assert_eq!(on.alloc_events, off.alloc_events);

@@ -132,9 +132,10 @@ fn run_mode(
             },
             &Default::default(),
         );
-        let stats = engine.infer(inputs).expect("infer");
+        let run = engine.infer(inputs).expect("infer");
+        let stats = engine.price(&run);
         (
-            stats.outputs.iter().map(|t| t.payload_le_bytes()).collect(),
+            run.outputs.iter().map(|t| t.payload_le_bytes()).collect(),
             stats.peak_memory_bytes,
             stats.alloc_events,
             stats.arena_backed,

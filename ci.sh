@@ -158,13 +158,12 @@ stage_zoo() {
     for m in $models; do
         echo "--- analyze $m ---"
         $CLI analyze "$m" --json > /dev/null
-        # End-to-end inference on the register-machine tape, accounted
-        # against the DMP plan, with serial and wavefront scheduling.
-        SOD2_WAVEFRONT=0 $CLI run "$m" > /dev/null
-        SOD2_WAVEFRONT=1 $CLI run "$m" > /dev/null
+        # End-to-end inference on the register-machine tape in SEP's
+        # order, accounted against the DMP plan.
+        $CLI run "$m" > /dev/null
         count=$((count + 1))
     done
-    echo "analyzed + ran $count models (serial + wavefront)"
+    echo "analyzed + ran $count models"
     # Profile end-to-end: the Chrome trace must be written, and `profile`
     # exits non-zero unless its kernel coverage (outermost kernel spans
     # inside inference on the calling thread, over infer wall) lies in
@@ -236,12 +235,8 @@ stage_chaos() {
     # (plus the deadline/budget hardening paths) must end in a typed error
     # or a recovered inference, and the engine must stay reusable with
     # bitwise-identical outputs. Any WEDGED/PANICKED/unexpected cell exits
-    # non-zero, and so does a fault site no cell injects. The hardening
-    # paths must hold under serial and wavefront scheduling alike.
-    echo "--- chaos (serial) ---"
-    SOD2_WAVEFRONT=0 $CLI chaos --all --seed 42
-    echo "--- chaos (wavefront) ---"
-    SOD2_WAVEFRONT=1 $CLI chaos --all --seed 42
+    # non-zero, and so does a fault site no cell injects.
+    $CLI chaos --all --seed 42
 }
 
 stage_bench() {

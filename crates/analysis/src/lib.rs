@@ -16,12 +16,11 @@
 //!   be dependency-valid topological orders, fusion groups must not
 //!   leak fused-away tensors to external consumers, and wavefront
 //!   schedules must be legal parallel schedules (dependence-respecting
-//!   waves, peak within slack, no concurrently-live arena aliasing);
+//!   waves, peak within slack);
 //! - [`tape_check`] — tape↔plan correspondence: the lowered instruction
 //!   stream must cover every planned node exactly once in a
-//!   dependence-valid order, its release schedule must match a refcount
-//!   replay, wave ranges must tile the tape, and no register may be read
-//!   and written by concurrent units of one wave.
+//!   dependence-valid order, and its release schedule must match a
+//!   refcount replay.
 //!
 //! [`analyze_static`] is the one-call driver used by `sod2-cli analyze`
 //! and the engines' debug-mode verification stage.
@@ -113,22 +112,15 @@ pub fn analyze_static(graph: &Graph) -> Report {
     report.extend(verify_unit_order(&ug, &naive_unit_order(&ug)));
 
     // Stage 4b: wavefront schedule over the SEP order, verified as a
-    // parallel schedule against a DMP plan over its own live ranges.
+    // parallel schedule.
     let wave_opts = WavefrontOptions::default();
     let ws = plan_wavefronts(graph, &ug, &plan.unit_order, &size_of, wave_opts);
-    let wave_lives: Vec<sod2_mem::TensorLife> =
-        sod2_plan::wavefront_lifetimes(graph, &ug, &ws.waves, &size_of)
-            .into_iter()
-            .filter(|l| l.size > 0)
-            .collect();
-    let wave_plan = sod2_mem::plan_sod2(&wave_lives);
     report.extend(verify_wavefront_schedule(
         graph,
         &ug,
         &ws,
         &size_of,
         wave_opts.slack,
-        Some(&wave_plan),
     ));
 
     // Stage 5: memory plans over the SEP order's lifetimes.

@@ -2,13 +2,12 @@
 //! dependency-valid topological orders, no fusion group may fuse away
 //! a tensor that a consumer outside the group (or the caller) still reads,
 //! and wavefront schedules must be legal parallel schedules (dependence-
-//! respecting waves, memory peak within the configured slack, no two
-//! concurrently-live tensors sharing arena bytes).
+//! respecting waves, memory peak within the configured slack).
 
 use crate::diag::{Anchor, Diagnostic};
 use sod2_fusion::FusionPlan;
 use sod2_ir::{Graph, NodeId, TensorId};
-use sod2_mem::{peak_live_bytes, verify_plan, MemoryPlan, PlanViolation};
+use sod2_mem::peak_live_bytes;
 use sod2_plan::{wavefront_lifetimes, UnitGraph, WavefrontSchedule};
 use std::collections::{HashMap, HashSet, VecDeque};
 
@@ -119,17 +118,13 @@ pub fn verify_node_order(graph: &Graph, order: &[NodeId]) -> Vec<Diagnostic> {
 /// 2. every unit's predecessors sit in a *strictly earlier* wave — units
 ///    sharing a wave run concurrently, so a same-wave dependency is a race,
 /// 3. the schedule's concurrent peak (at wave granularity) matches its
-///    declared `parallel_peak` and stays within `serial_peak × (1+slack)`,
-/// 4. when a DMP offset plan is supplied, no two tensors live in the same
-///    wave may share arena bytes (the plan must be computed from the
-///    *parallel* live ranges, not the serial ones).
+///    declared `parallel_peak` and stays within `serial_peak × (1+slack)`.
 pub fn verify_wavefront_schedule(
     graph: &Graph,
     ug: &UnitGraph,
     ws: &WavefrontSchedule,
     size_of: &dyn Fn(TensorId) -> usize,
     slack: f64,
-    mem_plan: Option<&MemoryPlan>,
 ) -> Vec<Diagnostic> {
     let flat: Vec<usize> = ws.waves.iter().flatten().copied().collect();
     let mut out = verify_unit_order(ug, &flat);
@@ -185,32 +180,6 @@ pub fn verify_wavefront_schedule(
         ));
     }
 
-    // Aliasing under concurrency: tensors the plan places must not overlap
-    // while live in the same wave. Keys absent from the plan are served
-    // from the heap and cannot alias — skip them.
-    if let Some(plan) = mem_plan {
-        let planned: Vec<_> = lives
-            .iter()
-            .filter(|l| l.size > 0 && plan.offsets.contains_key(&l.key))
-            .cloned()
-            .collect();
-        for v in verify_plan(&planned, plan) {
-            let msg = match &v {
-                PlanViolation::Overlap { a, b, step } => format!(
-                    "tensors {a} and {b} share arena bytes while both live \
-                     in wave {step}"
-                ),
-                other => other.to_string(),
-            };
-            let anchor = match &v {
-                PlanViolation::Overlap { a, .. }
-                | PlanViolation::MissingOffset { key: a }
-                | PlanViolation::ExceedsArena { key: a, .. }
-                | PlanViolation::Misaligned { key: a, .. } => Anchor::Tensor(TensorId(*a as u32)),
-            };
-            out.push(Diagnostic::error("plan/wave-alias", anchor, msg));
-        }
-    }
     out.sort_by_key(|d| d.message.clone());
     out
 }

@@ -6,11 +6,8 @@
 //! code, what the tape *must* look like for the compiled plan — every
 //! node lowered exactly once in a dependence-valid order, operand and
 //! result registers wired to the graph, the release schedule exactly
-//! matching a replay of the executor's refcount discipline, wave ranges
-//! tiling the tape, and no register read by one unit of a wave while
-//! written by a concurrent one (register indices are tensor ids, so
-//! concurrently-live tensors can never alias a slot; the hazard left to
-//! check is cross-unit use inside one wave).
+//! matching a replay of the executor's refcount discipline, and one group
+//! tail per fusion group.
 
 use crate::diag::{Anchor, Diagnostic};
 use sod2_fusion::FusionPlan;
@@ -188,8 +185,7 @@ pub fn verify_tape(
     // Release schedule: replay the executor's refcount discipline over the
     // flattened sequence and require the tape's precompiled lists to match
     // it exactly — same registers, same order, correct flags. A release
-    // while uses remain would free a live register (wave-granularity
-    // liveness violation); a missed one leaks it.
+    // while uses remain would free a live register; a missed one leaks it.
     let consumer_index = graph.consumer_index();
     let mut remaining = vec![0u32; graph.num_tensors()];
     for t in graph.tensor_ids() {
@@ -229,80 +225,6 @@ pub fn verify_tape(
                         r.is_intermediate, r.is_output
                     ),
                 ));
-            }
-        }
-    }
-
-    // Wave ranges tile the tape in order, and no unit of a wave reads a
-    // register a concurrent unit of the same wave writes.
-    let waves = tape.waves();
-    if !waves.is_empty() {
-        let mut expected = 0u32;
-        for wave in waves {
-            for &(start, end) in wave {
-                if start != expected || end < start {
-                    out.push(Diagnostic::error(
-                        "tape/wave-gap",
-                        Anchor::Graph,
-                        format!("wave range [{start}, {end}) does not tile the tape at {expected}"),
-                    ));
-                }
-                expected = end.max(expected);
-            }
-        }
-        if expected as usize != tape.instrs().len() {
-            out.push(Diagnostic::error(
-                "tape/wave-gap",
-                Anchor::Graph,
-                format!(
-                    "wave ranges cover {expected} instruction(s) of {}",
-                    tape.instrs().len()
-                ),
-            ));
-        }
-        for wave in waves {
-            let unit_io: Vec<(HashSet<TensorId>, HashSet<TensorId>)> = wave
-                .iter()
-                .map(|&(start, end)| {
-                    let mut reads = HashSet::new();
-                    let mut writes = HashSet::new();
-                    for instr in
-                        &tape.instrs()[start as usize..(end as usize).min(tape.instrs().len())]
-                    {
-                        match &instr.kind {
-                            InstrKind::Chain(tc) => {
-                                for &m in &tc.members {
-                                    reads.extend(graph.node(m).inputs.iter().copied());
-                                }
-                                writes.extend(tc.member_outputs.iter().copied());
-                            }
-                            _ => {
-                                reads.extend(instr.inputs.iter().copied());
-                                writes.extend(instr.outputs.iter().copied());
-                            }
-                        }
-                    }
-                    (reads, writes)
-                })
-                .collect();
-            for (i, (reads, _)) in unit_io.iter().enumerate() {
-                for (j, (_, writes)) in unit_io.iter().enumerate() {
-                    if i == j {
-                        continue;
-                    }
-                    for &t in reads {
-                        if writes.contains(&t) {
-                            out.push(Diagnostic::error(
-                                "tape/wave-hazard",
-                                Anchor::Tensor(t),
-                                format!(
-                                    "register {t} read by wave unit {i} while written by \
-                                     concurrent unit {j}"
-                                ),
-                            ));
-                        }
-                    }
-                }
             }
         }
     }
@@ -357,7 +279,7 @@ mod tests {
         // engine's unit-granularity planner guarantees.
         let ug = sod2_plan::UnitGraph::build(&g, &fusion);
         let order = ug.node_order(&sod2_plan::naive_unit_order(&ug));
-        let tape = compile_tape(&g, &order, Some(&fusion), None, None, None).expect("compile");
+        let tape = compile_tape(&g, &order, Some(&fusion), None, None).expect("compile");
         let diags = verify_tape(&g, &order, Some(&fusion), &tape);
         assert!(diags.is_empty(), "{diags:?}");
     }
@@ -366,7 +288,7 @@ mod tests {
     fn unfused_tape_verifies_clean() {
         let g = diamond();
         let order: Vec<NodeId> = (0..g.num_nodes() as u32).map(NodeId).collect();
-        let tape = compile_tape(&g, &order, None, None, None, None).expect("compile");
+        let tape = compile_tape(&g, &order, None, None, None).expect("compile");
         let diags = verify_tape(&g, &order, None, &tape);
         assert!(diags.is_empty(), "{diags:?}");
     }
@@ -376,7 +298,7 @@ mod tests {
         let g = diamond();
         let order: Vec<NodeId> = (0..g.num_nodes() as u32).map(NodeId).collect();
         let short = &order[..order.len() - 1];
-        let tape = compile_tape(&g, short, None, None, None, None).expect("compile");
+        let tape = compile_tape(&g, short, None, None, None).expect("compile");
         let diags = verify_tape(&g, &order, None, &tape);
         assert!(
             diags.iter().any(|d| d.code == "tape/node-missing"),

@@ -459,46 +459,12 @@ fn fires_plan_wave_dependency_on_concurrent_producer_consumer() {
         max_width: order.len(),
         splits: 0,
     };
-    let r = report_of(verify_wavefront_schedule(&g, &ug, &ws, &|_| 64, 0.5, None));
+    let r = report_of(verify_wavefront_schedule(&g, &ug, &ws, &|_| 64, 0.5));
     assert!(
         r.has_code("plan/wave-dependency"),
         "{}",
         r.render_text(None)
     );
-}
-
-#[test]
-fn fires_plan_wave_alias_on_concurrently_live_shared_bytes() {
-    let (g, ug, _) = fanout_setup();
-    // Legal waves from the real planner...
-    let ws = sod2_plan::plan_wavefronts(
-        &g,
-        &ug,
-        &(0..ug.units.len()).collect::<Vec<_>>(),
-        &|_| 64,
-        sod2_plan::WavefrontOptions::default(),
-    );
-    assert!(
-        ws.max_width >= 2,
-        "a and b must share a wave: {:?}",
-        ws.waves
-    );
-    // ...but an offset plan that aliases every tensor at offset 0, so the
-    // two concurrently-live branch outputs share arena bytes.
-    let lives = sod2_plan::wavefront_lifetimes(&g, &ug, &ws.waves, &|_| 64);
-    let aliased = MemoryPlan {
-        offsets: lives.iter().map(|l| (l.key, 0)).collect(),
-        peak: 64,
-    };
-    let r = report_of(verify_wavefront_schedule(
-        &g,
-        &ug,
-        &ws,
-        &|_| 64,
-        0.5,
-        Some(&aliased),
-    ));
-    assert!(r.has_code("plan/wave-alias"), "{}", r.render_text(None));
 }
 
 #[test]
@@ -516,28 +482,14 @@ fn fires_plan_wave_peak_on_understated_or_overbound_peak() {
         parallel_peak: 0,
         ..ws.clone()
     };
-    let r = report_of(verify_wavefront_schedule(
-        &g,
-        &ug,
-        &lied,
-        &|_| 64,
-        0.5,
-        None,
-    ));
+    let r = report_of(verify_wavefront_schedule(&g, &ug, &lied, &|_| 64, 0.5));
     assert!(r.has_code("plan/wave-peak"), "{}", r.render_text(None));
     // Or shrink the claimed serial peak so the bound cannot hold.
     let overbound = WavefrontSchedule {
         serial_peak: 1,
         ..ws
     };
-    let r = report_of(verify_wavefront_schedule(
-        &g,
-        &ug,
-        &overbound,
-        &|_| 64,
-        0.0,
-        None,
-    ));
+    let r = report_of(verify_wavefront_schedule(&g, &ug, &overbound, &|_| 64, 0.0));
     assert!(r.has_code("plan/wave-peak"), "{}", r.render_text(None));
 }
 
@@ -546,19 +498,7 @@ fn clean_wavefront_schedule_verifies() {
     let (g, ug, order) = fanout_setup();
     let opts = sod2_plan::WavefrontOptions::default();
     let ws = sod2_plan::plan_wavefronts(&g, &ug, &order, &|_| 64, opts);
-    let lives: Vec<TensorLife> = sod2_plan::wavefront_lifetimes(&g, &ug, &ws.waves, &|_| 64)
-        .into_iter()
-        .filter(|l| l.size > 0)
-        .collect();
-    let plan = sod2_mem::plan_sod2(&lives);
-    let r = report_of(verify_wavefront_schedule(
-        &g,
-        &ug,
-        &ws,
-        &|_| 64,
-        opts.slack,
-        Some(&plan),
-    ));
+    let r = report_of(verify_wavefront_schedule(&g, &ug, &ws, &|_| 64, opts.slack));
     assert!(!r.has_errors(), "{}", r.render_text(Some(&g)));
 }
 

@@ -31,10 +31,9 @@ fn main() {
             layer_counts.push(plan.layer_count() as f64);
             let units = UnitGraph::build(&model.graph, &plan);
             let order = units.node_order(&naive_unit_order(&units));
-            let tape =
-                compile_tape(&model.graph, &order, Some(&plan), None, None, None).expect("lowers");
-            let outcome = execute_tape(&model.graph, &inputs, &tape, &ExecConfig::default(), false)
-                .expect("runs");
+            let tape = compile_tape(&model.graph, &order, Some(&plan), None, None).expect("lowers");
+            let outcome =
+                execute_tape(&model.graph, &inputs, &tape, &ExecConfig::default()).expect("runs");
             let priced = price_tape(&model.graph, &tape, &outcome.record, None, None);
             // Intermediate-result size: total materialized bytes this run.
             ir_bytes.push(priced.alloc_sizes.iter().sum::<usize>() as f64);

@@ -43,10 +43,9 @@
 //! The sweep first checks its own coverage: a `sod2_faults::ALL_SITES`
 //! site that no cell injects exits non-zero before any cell runs.
 //!
-//! Every engine the CLI builds runs with `Sod2Options::default()` except
-//! for wavefront execution, which the `SOD2_WAVEFRONT` environment
-//! variable sets once for the whole process (`0`/`false`/`off`/`no` runs
-//! serially; unset or any other value keeps the default, on).
+//! Every engine the CLI builds starts from `Sod2Options::default()` and
+//! runs its tape serially in SEP's order; the wavefront lines of `profile`
+//! are a priced analysis of that run, never executed.
 //!
 //! `tune` runs the two-stage multi-version tuner (hierarchized space →
 //! GA → wallclock playoff) for a device and prints the per-class version
@@ -61,28 +60,8 @@ use sod2_models::{all_models, model_by_name, DynModel, ModelScale};
 use sod2_prng::rngs::StdRng;
 use sod2_prng::SeedableRng;
 use sod2_rdp::ShapeClass;
-use std::sync::OnceLock;
-
-/// Whether engines run wavefront execution, parsed from `SOD2_WAVEFRONT`
-/// once in `main`.
-static WAVEFRONT: OnceLock<bool> = OnceLock::new();
-
-/// The options every engine the CLI builds starts from.
-fn engine_options() -> Sod2Options {
-    Sod2Options {
-        wavefront_exec: WAVEFRONT.get().copied().unwrap_or(true),
-        ..Sod2Options::default()
-    }
-}
 
 fn main() {
-    let wavefront = std::env::var("SOD2_WAVEFRONT").map_or(true, |v| {
-        !matches!(
-            v.trim().to_ascii_lowercase().as_str(),
-            "0" | "false" | "off" | "no"
-        )
-    });
-    let _ = WAVEFRONT.set(wavefront);
     let args: Vec<String> = std::env::args().collect();
     let cmd = args.get(1).map(String::as_str).unwrap_or("help");
     match cmd {
@@ -195,7 +174,7 @@ fn analyze(args: &[String]) {
     let engine = Sod2Engine::new(
         model.graph.clone(),
         DeviceProfile::s888_cpu(),
-        engine_options(),
+        Sod2Options::default(),
         &Default::default(),
     );
     println!(
@@ -421,7 +400,7 @@ fn diagnose_model(model: &DynModel) -> sod2_analysis::Report {
     let mut engine = Sod2Engine::new(
         model.graph.clone(),
         DeviceProfile::s888_cpu(),
-        engine_options(),
+        Sod2Options::default(),
         &Default::default(),
     );
     let mut rng = StdRng::seed_from_u64(42);
@@ -447,7 +426,7 @@ fn run(args: &[String]) {
     let mut engine = Sod2Engine::new(
         model.graph.clone(),
         profile.clone(),
-        engine_options(),
+        Sod2Options::default(),
         &Default::default(),
     );
     match engine.infer(&inputs) {
@@ -512,7 +491,7 @@ fn profile_cmd(args: &[String]) {
         profile.clone(),
         Sod2Options {
             nan_guard: true,
-            ..engine_options()
+            ..Sod2Options::default()
         },
         &Default::default(),
     );
@@ -581,44 +560,25 @@ fn profile_cmd(args: &[String]) {
     if json {
         // Wrap the profile JSON with run metadata so downstream tools get
         // a single self-describing document.
-        let wave_json = match &wave {
-            Some(w) => format!(
-                "{{\"wave_count\": {}, \"max_width\": {}, \"splits\": {}, \
-                 \"serial_ms\": {:.6}, \"scheduled_makespan_ms\": {:.6}, \
-                 \"serial_peak_bytes\": {}, \"parallel_peak_bytes\": {}}}",
-                w.wave_count,
-                w.max_width,
-                w.splits,
-                w.serial_s * 1e3,
-                w.makespan_s * 1e3,
-                w.serial_peak,
-                w.parallel_peak,
-            ),
-            None => "null".to_string(),
-        };
+        let wave_json = format!(
+            "{{\"wave_count\": {}, \"max_width\": {}, \"splits\": {}, \
+             \"serial_ms\": {:.6}, \"scheduled_makespan_ms\": {:.6}, \
+             \"serial_peak_bytes\": {}, \"parallel_peak_bytes\": {}}}",
+            wave.wave_count,
+            wave.max_width,
+            wave.splits,
+            wave.serial_s * 1e3,
+            wave.makespan_s * 1e3,
+            wave.serial_peak,
+            wave.parallel_peak,
+        );
         let tape_json = match &tape {
-            Some(t) => {
-                let waves: Vec<String> = t
-                    .waves
-                    .iter()
-                    .map(|w| {
-                        let ranges: Vec<String> =
-                            w.iter().map(|&(s, e)| format!("[{s},{e}]")).collect();
-                        format!("[{}]", ranges.join(","))
-                    })
-                    .collect();
-                format!(
-                    "{{\"tape_len\": {}, \"register_count\": {}, \
-                     \"register_file_bytes\": {}, \"chain_count\": {}, \
-                     \"const_count\": {}, \"waves\": [{}]}}",
-                    t.tape_len,
-                    t.register_count,
-                    t.register_file_bytes,
-                    t.chain_count,
-                    t.const_count,
-                    waves.join(",")
-                )
-            }
+            Some(t) => format!(
+                "{{\"tape_len\": {}, \"register_count\": {}, \
+                 \"register_file_bytes\": {}, \"chain_count\": {}, \
+                 \"const_count\": {}}}",
+                t.tape_len, t.register_count, t.register_file_bytes, t.chain_count, t.const_count,
+            ),
             None => "null".to_string(),
         };
         let serve_json = match serve_ok {
@@ -711,54 +671,26 @@ fn profile_cmd(args: &[String]) {
                  {} chain(s), {} prebuilt const(s)",
                 t.tape_len, t.register_count, t.register_file_bytes, t.chain_count, t.const_count
             );
-            if !t.waves.is_empty() {
-                let rendered: Vec<String> = t
-                    .waves
-                    .iter()
-                    .map(|w| {
-                        w.iter()
-                            .map(|&(s, e)| format!("[{s},{e})"))
-                            .collect::<Vec<_>>()
-                            .join(" ")
-                    })
-                    .collect();
-                println!("tape wave: {}", rendered.join(" | "));
-            }
-            let (waves_run, wave_units, max_width) = (
-                counter("exec.waves"),
-                counter("exec.wave_units"),
-                counter("exec.max_wave_width"),
-            );
-            if waves_run > 0 {
-                println!(
-                    "tape occ : {:.2} unit(s)/wave across {} executed wave(s), max width {}",
-                    wave_units as f64 / waves_run as f64,
-                    waves_run,
-                    max_width
-                );
-            }
         }
-        if let Some(w) = &wave {
-            println!(
-                "wavefront: {} waves, max width {}, {} split(s)",
-                w.wave_count, w.max_width, w.splits,
-            );
-            println!(
-                "makespan : {:.3} ms scheduled @4 workers vs {:.3} ms serial ({:.2}x)",
-                w.makespan_s * 1e3,
-                w.serial_s * 1e3,
-                if w.makespan_s > 0.0 {
-                    w.serial_s / w.makespan_s
-                } else {
-                    1.0
-                },
-            );
-            println!(
-                "wave mem : parallel peak {:.2} MB vs serial peak {:.2} MB",
-                w.parallel_peak as f64 / (1024.0 * 1024.0),
-                w.serial_peak as f64 / (1024.0 * 1024.0),
-            );
-        }
+        println!(
+            "wavefront: {} waves, max width {}, {} split(s)",
+            wave.wave_count, wave.max_width, wave.splits,
+        );
+        println!(
+            "makespan : {:.3} ms scheduled @4 workers vs {:.3} ms serial ({:.2}x)",
+            wave.makespan_s * 1e3,
+            wave.serial_s * 1e3,
+            if wave.makespan_s > 0.0 {
+                wave.serial_s / wave.makespan_s
+            } else {
+                1.0
+            },
+        );
+        println!(
+            "wave mem : parallel peak {:.2} MB vs serial peak {:.2} MB",
+            wave.parallel_peak as f64 / (1024.0 * 1024.0),
+            wave.serial_peak as f64 / (1024.0 * 1024.0),
+        );
         if let Some(ok) = serve_ok {
             let g = |n: &str| prof.counters.get(n).copied().unwrap_or(0);
             let circuits: Vec<String> = prof
@@ -803,7 +735,7 @@ fn profile_serve_session(
     let template = Sod2Engine::new(
         model.graph.clone(),
         device.clone(),
-        engine_options(),
+        Sod2Options::default(),
         &Default::default(),
     );
     let tenants = vec![
@@ -993,7 +925,7 @@ fn chaos_cell_body(
     let mut reference = Sod2Engine::new(
         graph.clone(),
         DeviceProfile::s888_cpu(),
-        engine_options(),
+        Sod2Options::default(),
         &Default::default(),
     );
     let reference_out = match reference.infer(&inputs) {
@@ -1005,7 +937,7 @@ fn chaos_cell_body(
         deadline: cell.deadline,
         memory_budget: cell.budget,
         nan_guard: cell.nan_guard,
-        ..engine_options()
+        ..Sod2Options::default()
     };
     let mut engine = Sod2Engine::new(graph, DeviceProfile::s888_cpu(), opts, &Default::default());
 
@@ -1066,7 +998,7 @@ fn chaos_dispatch_body(graph: sod2::Graph, inputs: Vec<sod2::Tensor>, seed: u64)
         let mut reference = Sod2Engine::new(
             graph.clone(),
             device.clone(),
-            engine_options(),
+            Sod2Options::default(),
             &Default::default(),
         );
         let reference_out = match reference.infer(&inputs) {
@@ -1077,7 +1009,7 @@ fn chaos_dispatch_body(graph: sod2::Graph, inputs: Vec<sod2::Tensor>, seed: u64)
             let mut engine = Sod2Engine::new(
                 graph.clone(),
                 device.clone(),
-                engine_options(),
+                Sod2Options::default(),
                 &Default::default(),
             );
             match sod2_faults::FaultPlan::parse(&format!("seed={seed};kernel.error:nth={nth}")) {
@@ -1418,7 +1350,7 @@ fn compare(args: &[String]) {
         Box::new(Sod2Engine::new(
             model.graph.clone(),
             profile.clone(),
-            engine_options(),
+            Sod2Options::default(),
             &Default::default(),
         )),
         Box::new(OrtLike::new(model.graph.clone(), profile.clone())),

@@ -57,7 +57,7 @@ impl Compiled {
         // The strategy's fusion plan with its chains, in naive unit order;
         // no certificates, waves or baked variants.
         let node_order = unit_graph.node_order(&unit_order);
-        let tape = compile_tape(&graph, &node_order, Some(&fusion_plan), None, None, None)
+        let tape = compile_tape(&graph, &node_order, Some(&fusion_plan), None, None)
             .map_err(|e| e.to_string());
         Compiled {
             graph,
@@ -80,7 +80,7 @@ impl Compiled {
             execute_all_branches: true,
             ..ExecConfig::default()
         };
-        let outcome = execute_tape(&self.graph, inputs, tape, &cfg, false)?;
+        let outcome = execute_tape(&self.graph, inputs, tape, &cfg)?;
         Ok(Run {
             outputs: outcome.outputs,
             record: outcome.record,

@@ -10,13 +10,13 @@ use sod2_ir::{Graph, NodeId, Op, TensorId};
 use sod2_mem::{plan_sod2, size_class_peak, verify_plan, ArenaLayout, MemoryPlan, TensorLife};
 use sod2_mvc::VersionTable;
 use sod2_plan::{
-    naive_unit_order, partition_units, plan_order, plan_wavefronts, unit_lifetimes,
-    wavefront_lifetimes, Partition, SepOptions, UnitGraph, WavefrontOptions, WavefrontSchedule,
+    naive_unit_order, partition_units, plan_order, plan_wavefronts, unit_lifetimes, Partition,
+    SepOptions, UnitGraph, WavefrontOptions,
 };
 use sod2_rdp::{analyze, RdpResult};
 use sod2_runtime::{
     compile_tape, execute_tape, price_tape, BakedVariant, ExecConfig, ExecError, ExecutionTrace,
-    RunRecord, TapeProgram, TapeStats, TraceEvent, WaveExecPlan,
+    RunRecord, TapeProgram, TapeStats, TraceEvent,
 };
 use sod2_sym::Bindings;
 use sod2_tensor::Tensor;
@@ -55,12 +55,6 @@ pub struct Sod2Options {
     /// Fail with [`ExecError::NumericFault`] when a non-finite value
     /// reaches an output instead of returning poisoned results.
     pub nan_guard: bool,
-    /// Execute independent SEP units of one wavefront concurrently on the
-    /// shared worker pool (inter-op parallelism). Results stay bitwise
-    /// identical to serial execution; only scheduling changes. Waves are
-    /// planned with [`WavefrontOptions::default`]: the concurrent peak may
-    /// exceed the serial SEP peak by at most half.
-    pub wavefront_exec: bool,
     /// Consume abstract-interpretation certificates: prune `Switch` arms
     /// with proven-constant selectors at compile time (requires
     /// `native_control_flow`; the pruned graph is verified
@@ -88,7 +82,6 @@ impl Default for Sod2Options {
             deadline: None,
             memory_budget: None,
             nan_guard: false,
-            wavefront_exec: true,
             absint: true,
             pre_plan_cache_cap: DEFAULT_PRE_PLAN_CACHE_CAP,
         }
@@ -104,17 +97,18 @@ impl Sod2Options {
             sep: false,
             dmp: false,
             mvc: false,
-            wavefront_exec: false,
             absint: false,
             ..Sod2Options::default()
         }
     }
 }
 
-/// Deterministic wavefront statistics of one inference, derived from the
-/// static schedule and its priced kernel trace (no wallclock): the
-/// makespan is what greedy list scheduling of the priced unit costs onto
-/// [`WAVE_WORKERS`] workers achieves, wave by wave. Priced on demand by
+/// Deterministic wavefront statistics of one inference: a priced analysis
+/// of how far inter-op parallelism could shorten the serial run, never
+/// executed. Derived from a wavefront schedule over the SEP order and the
+/// run's priced kernel trace (no wallclock): the makespan is what greedy
+/// list scheduling of the priced unit costs onto [`WAVE_WORKERS`] workers
+/// achieves, wave by wave. Computed on demand by
 /// [`Sod2Engine::wave_stats`], off the request path.
 #[derive(Debug, Clone, Copy)]
 pub struct WaveStats {
@@ -168,16 +162,16 @@ pub struct Sod2Engine {
     fusion_plan: FusionPlan,
     unit_graph: UnitGraph,
     partitions: Vec<Partition>,
+    /// SEP's unit order (naive without SEP): the order the tape runs and
+    /// the DMP plans cover.
     unit_order: Vec<usize>,
-    /// The SEP (serial) unit order, before wavefront flattening — the
-    /// schedule serial-granularity memory metrics are quoted on.
-    sep_unit_order: Vec<usize>,
     node_order: Vec<NodeId>,
+    /// The representative bindings order planning sized tensors at; the
+    /// wavefront analysis sizes them the same way.
+    repr_bindings: Bindings,
     /// `Arc`-shared so `fork_replica` hands every serving replica the same
     /// tuned table without re-tuning or copying.
     table: Option<Arc<VersionTable>>,
-    /// The static wavefront schedule (unit granularity), when enabled.
-    wave_schedule: Option<WavefrontSchedule>,
     /// The plan compiled to a flat instruction tape, or why lowering
     /// failed (every inference then fails with [`ExecError::Internal`]).
     tape: Result<Arc<TapeProgram>, String>,
@@ -192,11 +186,26 @@ pub struct Sod2Engine {
 /// real serving traffic cycles through a handful of shape configurations).
 pub const DEFAULT_PRE_PLAN_CACHE_CAP: usize = 8;
 
+/// Value static planning gives symbols the representative bindings leave
+/// unbound.
+const DEFAULT_DIM: i64 = 32;
+
+/// A tensor's byte size for static planning: its symbolic byte count at
+/// `bindings` with unbound symbols at `dim`, and 4 KiB when RDP cannot
+/// size it. Relative magnitudes are what planning compares.
+fn repr_bytes(rdp: &RdpResult, graph: &Graph, bindings: &Bindings, dim: i64, t: TensorId) -> usize {
+    rdp.symbolic_bytes(graph, t)
+        .and_then(|e| e.eval_with_default(bindings, dim))
+        .map(|b| b.max(0) as usize)
+        .unwrap_or(4096)
+}
+
 impl Sod2Engine {
     /// Compiles a graph for a device (the pre-deployment phase, §4.1).
     ///
     /// `repr_bindings` provide representative symbol values used only to
-    /// compare symbolic tensor sizes during execution-order planning.
+    /// compare symbolic tensor sizes during execution-order planning (and
+    /// later by [`Sod2Engine::wave_stats`]).
     pub fn new(
         graph: Graph,
         profile: DeviceProfile,
@@ -247,16 +256,8 @@ impl Sod2Engine {
             let partitions = partition_units(&graph, &rdp, &fusion_plan, &unit_graph);
             (unit_graph, partitions)
         };
-        // Representative sizes for order planning: symbolic byte counts
-        // evaluated at the provided bindings, unspecified symbols at a
-        // moderate default so relative magnitudes stay meaningful.
-        const DEFAULT_DIM: i64 = 32;
-        let size_of = |t: TensorId| -> usize {
-            rdp.symbolic_bytes(&graph, t)
-                .and_then(|e| e.eval_with_default(repr_bindings, DEFAULT_DIM))
-                .map(|b| b.max(0) as usize)
-                .unwrap_or(4096)
-        };
+        // Representative sizes for order planning.
+        let size_of = |t: TensorId| repr_bytes(&rdp, &graph, repr_bindings, DEFAULT_DIM, t);
         let sep_span = sod2_obs::span!("stage", "sep_plan");
         let unit_order = if opts.sep {
             let planned = plan_order(
@@ -278,12 +279,7 @@ impl Sod2Engine {
             // plan must not regress against the as-built baseline.
             const DIM_SWEEP: [i64; 5] = [8, 16, 32, 64, 128];
             let objective = |order: &[usize], dim: i64| -> usize {
-                let size_at = |t: TensorId| -> usize {
-                    rdp.symbolic_bytes(&graph, t)
-                        .and_then(|e| e.eval_with_default(repr_bindings, dim))
-                        .map(|b| b.max(0) as usize)
-                        .unwrap_or(4096)
-                };
+                let size_at = |t: TensorId| repr_bytes(&rdp, &graph, repr_bindings, dim, t);
                 let lives: Vec<TensorLife> = unit_lifetimes(&graph, &unit_graph, order, &size_at)
                     .into_iter()
                     .filter(|l| l.size > 0)
@@ -305,43 +301,6 @@ impl Sod2Engine {
         } else {
             naive_unit_order(&unit_graph)
         };
-        // Wavefront schedule over the chosen unit order: dependence-
-        // respecting level sets, split until the concurrent peak fits
-        // within `serial_peak × (1 + slack)`. The executed unit order
-        // becomes the flattened wave order (still a valid topological
-        // order — outputs are order-independent).
-        let wave_opts = WavefrontOptions::default();
-        let wave_schedule = if opts.wavefront_exec {
-            let _s = sod2_obs::span!("stage", "wavefront_plan");
-            Some(plan_wavefronts(
-                &graph,
-                &unit_graph,
-                &unit_order,
-                &size_of,
-                wave_opts,
-            ))
-        } else {
-            None
-        };
-        // Keep the SEP order for serial-granularity memory reporting; the
-        // *executed* order becomes the flattened wave order when waves are
-        // on (both are valid topological orders — outputs are identical).
-        let sep_unit_order = unit_order.clone();
-        let unit_order = match &wave_schedule {
-            Some(ws) => ws.flat_unit_order(),
-            None => unit_order,
-        };
-        let wave_exec = wave_schedule.as_ref().map(|ws| WaveExecPlan {
-            waves: ws
-                .waves
-                .iter()
-                .map(|wave| {
-                    wave.iter()
-                        .map(|&u| unit_graph.units[u].nodes.clone())
-                        .collect()
-                })
-                .collect(),
-        });
         let node_order = unit_graph.node_order(&unit_order);
         drop(sep_span);
         let table = if opts.mvc {
@@ -393,10 +352,10 @@ impl Sod2Engine {
             baked
         });
         // Lower the compiled plan to the execution tape: a flat instruction
-        // stream with registers, release lists, group tails, and wave
-        // ranges all resolved at compile time. A lowering failure is kept
-        // and returned by every inference as a typed error; there is no
-        // other executor to fall back to.
+        // stream with registers, release lists and group tails all resolved
+        // at compile time. A lowering failure is kept and returned by every
+        // inference as a typed error; there is no other executor to fall
+        // back to.
         let tape = {
             let _s = sod2_obs::span!("stage", "tape_compile");
             compile_tape(
@@ -404,7 +363,6 @@ impl Sod2Engine {
                 &node_order,
                 Some(&fusion_plan),
                 opts.absint.then_some(certs.finite.as_slice()),
-                wave_exec.as_ref(),
                 baked_variants.as_ref(),
             )
             .map(Arc::new)
@@ -421,22 +379,6 @@ impl Sod2Engine {
             stage.extend(sod2_analysis::verify_fusion(&graph, &fusion_plan));
             stage.extend(sod2_analysis::verify_unit_order(&unit_graph, &unit_order));
             stage.extend(sod2_analysis::verify_node_order(&graph, &node_order));
-            if let Some(ws) = &wave_schedule {
-                let wave_lives: Vec<TensorLife> =
-                    wavefront_lifetimes(&graph, &unit_graph, &ws.waves, &size_of)
-                        .into_iter()
-                        .filter(|l| l.size > 0)
-                        .collect();
-                let wave_plan = plan_sod2(&wave_lives);
-                stage.extend(sod2_analysis::verify_wavefront_schedule(
-                    &graph,
-                    &unit_graph,
-                    ws,
-                    &size_of,
-                    wave_opts.slack,
-                    Some(&wave_plan),
-                ));
-            }
             if let Ok(tp) = &tape {
                 stage.extend(sod2_analysis::verify_tape(
                     &graph,
@@ -461,10 +403,9 @@ impl Sod2Engine {
             unit_graph,
             partitions,
             unit_order,
-            sep_unit_order,
             node_order,
+            repr_bindings: repr_bindings.clone(),
             table,
-            wave_schedule,
             tape,
             pre_plan_cache: Vec::new(),
         }
@@ -490,10 +431,9 @@ impl Sod2Engine {
             unit_graph: self.unit_graph.clone(),
             partitions: self.partitions.clone(),
             unit_order: self.unit_order.clone(),
-            sep_unit_order: self.sep_unit_order.clone(),
             node_order: self.node_order.clone(),
+            repr_bindings: self.repr_bindings.clone(),
             table: self.table.clone(),
-            wave_schedule: self.wave_schedule.clone(),
             tape: self.tape.clone(),
             pre_plan_cache: self.pre_plan_cache.clone(),
         }
@@ -522,20 +462,24 @@ impl Sod2Engine {
         &self.node_order
     }
 
-    /// The compiled wavefront schedule, when wavefront execution is on.
-    pub fn wave_schedule(&self) -> Option<&WavefrontSchedule> {
-        self.wave_schedule.as_ref()
-    }
-
     /// Wavefront statistics of one inference from its priced trace
-    /// ([`InferenceStats::trace`], from [`Engine::price`]); `None` with wavefront
-    /// execution off. Prices each kernel event, attributes it to its
-    /// unit, list-schedules every wave onto [`WAVE_WORKERS`] workers and
-    /// walks the unit DAG for the critical path. Purely trace-derived — no
-    /// wallclock — so the makespan is reproducible across runs and
-    /// machines.
-    pub fn wave_stats(&self, trace: &ExecutionTrace) -> Option<WaveStats> {
-        let ws = self.wave_schedule.as_ref()?;
+    /// ([`InferenceStats::trace`], from [`Engine::price`]). Plans
+    /// wavefronts over the unit order at the representative sizes
+    /// [`Sod2Engine::new`] planned with, prices each kernel event,
+    /// attributes it to its unit, list-schedules every wave onto
+    /// [`WAVE_WORKERS`] workers and walks the unit DAG for the critical
+    /// path. Purely trace-derived — no wallclock — so the makespan is
+    /// reproducible across runs and machines.
+    pub fn wave_stats(&self, trace: &ExecutionTrace) -> WaveStats {
+        let size_of =
+            |t: TensorId| repr_bytes(&self.rdp, &self.graph, &self.repr_bindings, DEFAULT_DIM, t);
+        let ws = plan_wavefronts(
+            &self.graph,
+            &self.unit_graph,
+            &self.unit_order,
+            &size_of,
+            WavefrontOptions::default(),
+        );
         let unit_secs = self.priced_unit_seconds(trace);
         let serial_s: f64 = unit_secs.values().sum();
         let makespan_s: f64 = ws
@@ -562,7 +506,7 @@ impl Sod2Engine {
             cp.insert(u, from + own);
             critical_s = critical_s.max(from + own);
         }
-        Some(WaveStats {
+        WaveStats {
             wave_count: ws.waves.len(),
             max_width: ws.max_width,
             splits: ws.splits,
@@ -571,7 +515,7 @@ impl Sod2Engine {
             critical_s,
             serial_peak: ws.serial_peak,
             parallel_peak: ws.parallel_peak,
-        })
+        }
     }
 
     /// Prices each kernel event individually and attributes the seconds to
@@ -618,7 +562,8 @@ impl Sod2Engine {
         &self.partitions
     }
 
-    /// The planned unit order.
+    /// The planned unit order: SEP's (naive without SEP), the order the
+    /// tape runs.
     pub fn unit_order(&self) -> &[usize] {
         &self.unit_order
     }
@@ -726,19 +671,10 @@ impl Sod2Engine {
     /// (dead-branch tensors excluded — a native-control-flow win).
     fn observed_lifetimes(&self, record: &RunRecord) -> Vec<TensorLife> {
         let size_of = |t: TensorId| observed_bytes(&self.graph, record, t);
-        // Always over the serial SEP order: `peak_memory_bytes` is the
-        // §4.4.1 offset-plan metric, comparable across engines and modes.
-        // The concurrent peak of wavefront execution is reported separately
-        // in [`WaveStats::parallel_peak`], bounded by the slack knob.
-        unit_lifetimes(
-            &self.graph,
-            &self.unit_graph,
-            &self.sep_unit_order,
-            &size_of,
-        )
-        .into_iter()
-        .filter(|l| l.size > 0)
-        .collect()
+        unit_lifetimes(&self.graph, &self.unit_graph, &self.unit_order, &size_of)
+            .into_iter()
+            .filter(|l| l.size > 0)
+            .collect()
     }
 
     /// Builds the DMP pre-plan for one bindings value: RDP sizes at these
@@ -785,16 +721,12 @@ impl Sod2Engine {
                 s => s,
             }
         };
-        // With wavefront execution the plan must be valid under *concurrent*
-        // liveness: wave-granularity lifetimes treat every tensor of a wave
-        // as live across the whole wave.
-        let lives: Vec<TensorLife> = match &self.wave_schedule {
-            Some(ws) => wavefront_lifetimes(&self.graph, &self.unit_graph, &ws.waves, &eff_size),
-            None => unit_lifetimes(&self.graph, &self.unit_graph, &self.unit_order, &eff_size),
-        }
-        .into_iter()
-        .filter(|l| l.size > 0)
-        .collect();
+        // Liveness over the order the tape runs.
+        let lives: Vec<TensorLife> =
+            unit_lifetimes(&self.graph, &self.unit_graph, &self.unit_order, &eff_size)
+                .into_iter()
+                .filter(|l| l.size > 0)
+                .collect();
         let plan = plan_sod2(&lives);
         debug_assert!(
             verify_plan(&lives, &plan).is_empty(),
@@ -848,7 +780,7 @@ impl Sod2Engine {
             nan_guard: self.opts.nan_guard,
             memory_budget: self.opts.memory_budget,
         };
-        let outcome = execute_tape(&self.graph, inputs, tape, &cfg, false)?;
+        let outcome = execute_tape(&self.graph, inputs, tape, &cfg)?;
         report.extend(an::verify_observed_shapes(
             &self.graph,
             &self.rdp,
@@ -955,15 +887,7 @@ impl Engine for Sod2Engine {
             // Panics from kernels or pool chunks are converted to a typed
             // error here so a failed inference can never wedge the engine.
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                sod2_pool::with_deadline(deadline, || {
-                    execute_tape(
-                        &self.graph,
-                        inputs,
-                        tape,
-                        &cfg,
-                        self.wave_schedule.is_some(),
-                    )
-                })
+                sod2_pool::with_deadline(deadline, || execute_tape(&self.graph, inputs, tape, &cfg))
             }));
             match result {
                 Ok(run) => run?,

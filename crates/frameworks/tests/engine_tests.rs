@@ -5,9 +5,13 @@
 
 use sod2_device::DeviceProfile;
 use sod2_frameworks::{
-    Engine, InferenceStats, MnnLike, OrtLike, Sod2Engine, Sod2Options, TfLiteLike, TvmNimbleLike,
+    bindings_from_inputs, Engine, InferenceStats, MnnLike, OrtLike, Sod2Engine, Sod2Options,
+    TfLiteLike, TvmNimbleLike,
 };
+use sod2_ir::TensorId;
+use sod2_mem::{plan_sod2, TensorLife};
 use sod2_models::{all_models, codebert, skipnet, yolo_v6, DynModel, ModelScale};
+use sod2_plan::unit_lifetimes;
 use sod2_prng::rngs::StdRng;
 use sod2_prng::SeedableRng;
 use sod2_tensor::Tensor;
@@ -251,6 +255,47 @@ fn dmp_layout_splits_the_allocation_stream_across_zoo() {
                 "{ctx}: the layout must only split the allocation stream"
             );
         }
+    }
+}
+
+/// The DMP pre-plan covers the order the engine runs: on every Tiny zoo
+/// model and Full CodeBERT at mid-range size, the peak budget admission
+/// checks (`predict`'s) is the offset plan over unit lifetimes in the
+/// engine's own unit order, sized by RDP at the inputs' bindings.
+#[test]
+fn pre_plan_covers_the_executed_order() {
+    let mut models = all_models(ModelScale::Tiny);
+    models.push(codebert(ModelScale::Full));
+    for model in models {
+        let size = {
+            let (lo, hi) = model.size_range();
+            model.round_size((lo + hi) / 2)
+        };
+        let inputs = model.make_inputs(size, &mut StdRng::seed_from_u64(11));
+        let engine = Sod2Engine::new(
+            model.graph.clone(),
+            DeviceProfile::s888_cpu(),
+            Sod2Options::default(),
+            &Default::default(),
+        );
+        let (g, rdp) = (engine.graph(), engine.rdp());
+        let bindings = bindings_from_inputs(g, &inputs).expect("inputs bind the graph");
+        let rdp_size = |t: TensorId| -> usize {
+            rdp.symbolic_bytes(g, t)
+                .and_then(|e| e.eval(&bindings))
+                .map_or(0, |b| b.max(0) as usize)
+        };
+        let lives: Vec<TensorLife> =
+            unit_lifetimes(g, engine.unit_graph(), engine.unit_order(), &rdp_size)
+                .into_iter()
+                .filter(|l| l.size > 0)
+                .collect();
+        assert_eq!(
+            engine.predict(&inputs).expect("predict").peak_bytes,
+            plan_sod2(&lives).peak,
+            "{}@{size}: the pre-plan must cover the executed order",
+            model.name
+        );
     }
 }
 

@@ -1,17 +1,17 @@
 //! The tape on the full zoo, checked against the serial heap reference.
 //!
 //! - Engine level: compiling a model and running it on the register-machine
-//!   tape — with folding, pruning, fusion, DMP accounting, and wavefront
-//!   scheduling — must produce the reference interpreter's outputs bitwise,
-//!   and the engine's memory metrics must not depend on the schedule.
+//!   tape — with folding, pruning, fusion and DMP accounting — must produce
+//!   the reference interpreter's outputs bitwise, and the engine's memory
+//!   metrics must not depend on the worker count.
 //! - Runtime level: a serial heap tape run — the executor the baselines,
 //!   `diagnose` and the figures price — priced by replaying its record
 //!   must account for exactly what the plain reference observes: bitwise
 //!   outputs, one allocation per produced tensor that is not
 //!   fusion-internal, one fused op per live compute node, and a live peak
 //!   no higher than the reference's, under every fusion policy, with
-//!   native and execute-all control flow. Serial and wave dispatch of one
-//!   tape leave equal records, so they price equally.
+//!   native and execute-all control flow. Runs of one tape at one and four
+//!   workers leave equal records, so they price equally.
 
 use sod2_device::DeviceProfile;
 use sod2_frameworks::{Engine, Sod2Engine, Sod2Options};
@@ -69,30 +69,24 @@ fn tape_compiles_for_every_zoo_model() {
 }
 
 /// The engine's outputs equal the reference interpreter's bitwise on all
-/// 10 zoo models plus the branchy demo, with wavefront scheduling on and
-/// off; peak memory, allocation events, and the tensors the DMP plan
-/// covers do not depend on the schedule.
+/// 10 zoo models plus the branchy demo, at one and four workers; peak
+/// memory, allocation events, and the tensors the DMP plan covers do not
+/// depend on the worker count.
 #[test]
 fn engine_matches_reference_on_zoo() {
     let mut models = all_models(ModelScale::Tiny);
     models.push(branchy_demo(ModelScale::Tiny));
     for model in models {
         let samples = inputs_for(&model, 23, 2);
-        let mut engines = [false, true].map(|wavefront| {
-            engine_with(
-                &model,
-                Sod2Options {
-                    wavefront_exec: wavefront,
-                    ..Sod2Options::default()
-                },
-            )
-        });
+        let mut engine = engine_with(&model, Sod2Options::default());
         for inputs in &samples {
             let reference =
                 execute(&model.graph, inputs, &ExecConfig::default()).expect("reference run");
-            let [serial, waves] = &mut engines;
-            let a = serial.infer(inputs).expect("serial infer");
-            let b = waves.infer(inputs).expect("wavefront infer");
+            let mut infer = |threads: usize| {
+                sod2_pool::with_threads(threads, || engine.infer(inputs))
+                    .unwrap_or_else(|e| panic!("{} at {threads} thread(s): {e}", model.name))
+            };
+            let (a, b) = (infer(1), infer(4));
             for run in [&a, &b] {
                 assert_eq!(run.outputs.len(), reference.outputs.len());
                 for (x, y) in run.outputs.iter().zip(&reference.outputs) {
@@ -105,7 +99,7 @@ fn engine_matches_reference_on_zoo() {
                 }
             }
             let ctx = &model.name;
-            let (a, b) = (serial.price(&a), waves.price(&b));
+            let (a, b) = (engine.price(&a), engine.price(&b));
             assert_eq!(a.peak_memory_bytes, b.peak_memory_bytes, "{ctx}: peak");
             assert_eq!(a.alloc_events, b.alloc_events, "{ctx}: alloc events");
             assert_eq!(a.arena_backed, b.arena_backed, "{ctx}: plan coverage");
@@ -133,7 +127,7 @@ fn serial_tape_accounting_matches_reference_observations() {
             let internal = fusion.internal_tensors(g);
             let units = UnitGraph::build(g, &fusion);
             let order = units.node_order(&naive_unit_order(&units));
-            let tape = compile_tape(g, &order, Some(&fusion), None, None, None)
+            let tape = compile_tape(g, &order, Some(&fusion), None, None)
                 .unwrap_or_else(|e| panic!("{}: lowering failed: {e}", model.name));
             for execute_all_branches in [false, true] {
                 let cfg = ExecConfig {
@@ -146,7 +140,7 @@ fn serial_tape_accounting_matches_reference_observations() {
                     model.name
                 );
                 let want = execute(g, inputs, &cfg).expect("reference run");
-                let got = execute_tape(g, inputs, &tape, &cfg, false).expect("tape run");
+                let got = execute_tape(g, inputs, &tape, &cfg).expect("tape run");
                 let priced = price_tape(g, &tape, &got.record, None, cfg.version_table);
                 let payloads = |outs: &[Tensor]| -> Vec<Vec<u8>> {
                     outs.iter().map(Tensor::payload_le_bytes).collect()
@@ -198,12 +192,12 @@ fn serial_tape_accounting_matches_reference_observations() {
     }
 }
 
-/// Dispatch mode does not change what a run records: one wavefront-compiled
-/// tape, run serially and in waves at one and four workers, leaves equal
-/// records and so equal prices — every zoo model plus the branchy demo,
-/// with native and execute-all control flow.
+/// The worker count does not change what a run records: one engine's tape,
+/// run at one and four workers, leaves equal records and so equal prices —
+/// every zoo model plus the branchy demo, with native and execute-all
+/// control flow.
 #[test]
-fn dispatch_mode_does_not_change_the_record() {
+fn worker_count_does_not_change_the_record() {
     let profile = DeviceProfile::s888_cpu();
     let (table, _) =
         VersionTable::load_or_tune(&profile, 0xC0DE, sod2_mvc::cache::cache_dir().as_deref());
@@ -215,7 +209,6 @@ fn dispatch_mode_does_not_change_the_record() {
             let engine = engine_with(
                 &model,
                 Sod2Options {
-                    wavefront_exec: true,
                     native_control_flow,
                     ..Sod2Options::default()
                 },
@@ -226,27 +219,20 @@ fn dispatch_mode_does_not_change_the_record() {
                 execute_all_branches: !native_control_flow,
                 ..ExecConfig::default()
             };
-            let record = |wavefront: bool, threads: usize| {
+            let record = |threads: usize| {
                 sod2_pool::with_threads(threads, || {
-                    execute_tape(g, inputs, tape, &cfg, wavefront).expect("tape run")
+                    execute_tape(g, inputs, tape, &cfg).expect("tape run")
                 })
                 .record
             };
-            let serial = record(false, 1);
-            let want = price_tape(g, tape, &serial, None, Some(&table));
-            for (wavefront, threads) in [(false, 4), (true, 1), (true, 4)] {
-                let ctx = format!(
-                    "{} (native={native_control_flow}, wavefront={wavefront}, threads={threads})",
-                    model.name
-                );
-                let got = record(wavefront, threads);
-                assert_eq!(got, serial, "{ctx}: record");
-                assert_eq!(
-                    price_tape(g, tape, &got, None, Some(&table)),
-                    want,
-                    "{ctx}: price"
-                );
-            }
+            let (one, four) = (record(1), record(4));
+            let ctx = format!("{} (native={native_control_flow})", model.name);
+            assert_eq!(four, one, "{ctx}: record");
+            assert_eq!(
+                price_tape(g, tape, &four, None, Some(&table)),
+                price_tape(g, tape, &one, None, Some(&table)),
+                "{ctx}: price"
+            );
         }
     }
 }

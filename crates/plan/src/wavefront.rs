@@ -1,8 +1,11 @@
 //! Wavefront scheduling: SEP generalized from "order minimizing peak" to
 //! "schedule maximizing width subject to peak ≤ serial_peak × (1 + slack)".
+//! A priced analysis of inter-op parallelism: the engine runs the SEP
+//! order serially, and the schedule feeds only its wavefront statistics
+//! and the static verifier.
 //!
 //! The SEP unit order (§4.3) is partitioned into *wavefronts* — sets of
-//! mutually independent units that may execute concurrently. Waves are
+//! mutually independent units that could execute concurrently. Waves are
 //! packed greedily in SEP order: each wave admits every *ready* unit (all
 //! predecessors in strictly earlier waves) whose admission keeps the
 //! wave-granularity concurrent peak within `serial_peak × (1 + slack)`;
@@ -13,12 +16,11 @@
 //! concurrently-inflight chains adapts to the memory bound. The packed
 //! schedule is always within the bound; [`plan_wavefronts`] says why.
 //!
-//! Lifetimes at *wave* granularity ([`wavefront_lifetimes`]) are the load-
-//! bearing artifact: every tensor consumed by a wave stays live through the
-//! whole wave, and every tensor produced by a wave is live from that wave
-//! on. A DMP offset plan computed from these lifetimes can never alias two
-//! tensors that are live in the same wave, which is what makes arena-backed
-//! parallel execution safe.
+//! The memory bound is priced over lifetimes at *wave* granularity
+//! ([`wavefront_lifetimes`]): every tensor consumed by a wave stays live
+//! through the whole wave, and every tensor produced by a wave is live from
+//! that wave on — the granularity at which concurrent execution could
+//! overlap lifetimes.
 
 use crate::order::order_peak_bytes;
 use crate::units::UnitGraph;
@@ -61,13 +63,6 @@ pub struct WavefrontSchedule {
     pub max_width: usize,
     /// Ready units the memory bound deferred to a later wave.
     pub splits: usize,
-}
-
-impl WavefrontSchedule {
-    /// The schedule flattened back into a unit order.
-    pub fn flat_unit_order(&self) -> Vec<usize> {
-        self.waves.iter().flatten().copied().collect()
-    }
 }
 
 /// Plans dependence-respecting wavefronts over `unit_order` (which must be
@@ -219,9 +214,9 @@ pub fn plan_wavefronts(
 
 /// Builds lifetime records at *wave* granularity: one step per wave, a
 /// tensor's def at its producer's wave and uses at its consumers' waves
-/// (graph outputs held through the last wave). A memory plan over these
-/// lifetimes never aliases two tensors live in the same wave, so it is
-/// safe under concurrent execution of that wave.
+/// (graph outputs held through the last wave). Their peak is a schedule's
+/// concurrent peak, which `verify_wavefront_schedule` in `sod2-analysis`
+/// re-derives.
 pub fn wavefront_lifetimes(
     graph: &Graph,
     ug: &UnitGraph,
@@ -288,7 +283,7 @@ mod tests {
 
     fn assert_legal(ug: &UnitGraph, ws: &WavefrontSchedule) {
         // Every unit exactly once.
-        let mut flat = ws.flat_unit_order();
+        let mut flat = ws.waves.concat();
         assert_eq!(flat.len(), ug.len());
         flat.sort_unstable();
         assert_eq!(flat, (0..ug.len()).collect::<Vec<_>>());
@@ -367,7 +362,7 @@ mod tests {
         assert_eq!(lives.len(), ug.producer.len());
         // Wave-granularity peak is never below the serial-order peak of the
         // flattened schedule (concurrency can only add live bytes).
-        let flat = ws.flat_unit_order();
+        let flat = ws.waves.concat();
         let flat_peak = order_peak_bytes(&g, &ug, &flat, &|_t| 64);
         assert!(peak_live_bytes(&lives) >= flat_peak.min(ws.serial_peak));
     }

@@ -134,11 +134,6 @@ pub fn with_deadline<R>(deadline: Option<Instant>, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// The cooperative deadline installed on this thread, if any.
-pub fn current_deadline() -> Option<Instant> {
-    DEADLINE.with(Cell::get)
-}
-
 /// Whether this thread's cooperative deadline has passed. Cheap when no
 /// deadline is installed (one thread-local read); executors call this at
 /// node boundaries to cancel doomed inferences.

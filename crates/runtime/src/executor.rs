@@ -122,23 +122,10 @@ pub(crate) enum Slot {
     Dead,
 }
 
-/// Read access to tensor slots: the committed environment itself, or the
-/// tape's wave-phase view of it through a unit-local overlay.
-pub(crate) trait SlotView {
-    /// The slot of tensor `t`.
-    fn slot(&self, t: TensorId) -> &Slot;
-}
-
-impl SlotView for [Slot] {
-    fn slot(&self, t: TensorId) -> &Slot {
-        &self[t.0 as usize]
-    }
-}
-
 /// The live tensor in `t`'s slot, or the control-flow error naming why
 /// there is none.
-pub(crate) fn live<V: SlotView + ?Sized>(env: &V, t: TensorId) -> Result<&Tensor, ExecError> {
-    match env.slot(t) {
+pub(crate) fn live(env: &[Slot], t: TensorId) -> Result<&Tensor, ExecError> {
+    match &env[t.0 as usize] {
         Slot::Live(ten) => Ok(ten),
         Slot::Dead => Err(ExecError::ControlFlow(format!("{t} is dead"))),
         Slot::Missing => Err(ExecError::ControlFlow(format!("{t} was never produced"))),
@@ -371,8 +358,8 @@ pub(crate) fn output_of(env: &[Slot], t: TensorId) -> Result<&Tensor, ExecError>
 /// `Switch` over slots: routes the data tensor to the selected branch
 /// output — to every output in execute-all mode — and marks the rest dead.
 /// The live results are the branches executed.
-pub(crate) fn eval_switch<V: SlotView + ?Sized>(
-    env: &V,
+pub(crate) fn eval_switch(
+    env: &[Slot],
     inputs: &[TensorId],
     num_branches: usize,
     execute_all: bool,
@@ -387,12 +374,12 @@ pub(crate) fn eval_switch<V: SlotView + ?Sized>(
 /// `Combine` over slots: publishes the selected branch's tensor. A dead
 /// selector means the whole merge region sits inside an outer dead branch
 /// (nested gating), so the merge result is dead.
-pub(crate) fn eval_combine<V: SlotView + ?Sized>(
-    env: &V,
+pub(crate) fn eval_combine(
+    env: &[Slot],
     inputs: &[TensorId],
     num_branches: usize,
 ) -> Result<Option<Tensor>, ExecError> {
-    if matches!(env.slot(inputs[num_branches]), Slot::Dead) {
+    if matches!(env[inputs[num_branches].0 as usize], Slot::Dead) {
         return Ok(None);
     }
     let sel = selector(live(env, inputs[num_branches])?, num_branches)?;

@@ -3,8 +3,8 @@
 //! Executes extended computational graphs on concrete tensors:
 //!
 //! - [`compile_tape`] / [`execute_tape`]: the production executor — the
-//!   compiled plan lowered once to a register-machine tape, run serially
-//!   or in wavefronts. A run does only what execution needs and returns
+//!   compiled plan lowered once to a register-machine tape and run in one
+//!   serial dispatch loop. A run does only what execution needs and returns
 //!   its outputs plus a [`RunRecord`]: per register, produced or dead,
 //!   with its shape and byte size,
 //! - [`price_tape`]: the cost model's side, off the request path — a
@@ -59,6 +59,6 @@ pub use passes::{eliminate_dead_nodes, fold_constants, PassStats};
 pub use price::{price_tape, TapePrice};
 pub use tape::{
     compile_tape, execute_tape, BakedVariant, Instr, InstrKind, RegRelease, RunOutcome, RunRecord,
-    TapeChain, TapeProgram, TapeStats, WaveExecPlan,
+    TapeChain, TapeProgram, TapeStats,
 };
 pub use trace::{ExecutionTrace, LatencyBreakdown, TraceEvent};

@@ -16,12 +16,9 @@
 //! - **fused chains** become single [`InstrKind::Chain`] instructions
 //!   with inlined member lists; `Switch`/`Combine` lower to
 //!   [`InstrKind::Branch`]/[`InstrKind::Select`] over register indices.
-//! - **waves**: a wavefront schedule ([`WaveExecPlan`]) becomes
-//!   `(start, end)` index ranges over the tape. Phase A evaluates the
-//!   units of a wave concurrently on `sod2-pool` against the committed
-//!   register file; phase B commits their results serially in tape order
-//!   by moving `Arc`-backed tensors (no payload copy). Outputs are bitwise
-//!   identical to serial dispatch regardless of worker count or timing.
+//!
+//! One serial loop dispatches the tape in the planned order (SEP's, for
+//! the engine); kernels parallelize inside themselves on `sod2-pool`.
 //!
 //! The tape is immutable and intended to be `Arc`-shared across replicas;
 //! the register file and the run record are per-inference. It is the only
@@ -41,7 +38,6 @@
 use crate::executor::{
     charge_live, check_inputs, const_tensors, eval_combine, eval_switch, fence_outputs,
     fence_value, live, output_of, release_slot, select_variants, ExecConfig, ExecError, Slot,
-    SlotView,
 };
 use sod2_fusion::FusionPlan;
 use sod2_ir::{Graph, NodeId, Op, TensorId};
@@ -87,8 +83,7 @@ struct RegEntry {
 /// register, whether it held a graph input, was produced or died on a dead
 /// branch, with its shape and byte size; plus the branch count. Shapes
 /// share one flat dims buffer and no tensor is held, so keeping a record
-/// keeps no payload alive. Serial and wave dispatch commit in tape order,
-/// so they leave equal records.
+/// keeps no payload alive.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunRecord {
     regs: Vec<RegEntry>,
@@ -151,56 +146,6 @@ impl RunRecord {
             .filter(|&t| self.produced(t))
             .filter_map(|t| Some((t, self.shape(t)?.to_vec())))
             .collect()
-    }
-}
-
-/// A static parallel schedule at node granularity: `waves[w][j]` is the
-/// node list of job `j` of wave `w` (one schedulable unit, in execution
-/// order). Units within a wave are mutually independent by construction
-/// (they come from distinct units of one SEP wavefront), so their
-/// evaluation may run concurrently; waves execute in order with a barrier
-/// between them. The flattened plan must equal the tape's node order.
-#[derive(Debug, Clone, Default)]
-pub struct WaveExecPlan {
-    /// wave → job/unit → nodes (each inner list in execution order).
-    pub waves: Vec<Vec<Vec<NodeId>>>,
-}
-
-/// Reusable scratch overlay for unit-local results awaiting commit: a
-/// flat `(key, slot)` list scanned back-to-front so the latest write of a
-/// key wins. Units are a handful of instructions, so a linear scan beats a
-/// `HashMap`.
-#[derive(Default)]
-struct Overlay {
-    entries: Vec<(usize, Slot)>,
-}
-
-impl Overlay {
-    fn insert(&mut self, key: usize, slot: Slot) {
-        self.entries.push((key, slot));
-    }
-
-    fn get(&self, key: usize) -> Option<&Slot> {
-        self.entries
-            .iter()
-            .rev()
-            .find(|(k, _)| *k == key)
-            .map(|(_, s)| s)
-    }
-}
-
-/// The committed register file seen through a unit-local overlay holding
-/// results produced earlier in the same unit: what a wave unit's phase-A
-/// evaluation reads.
-struct EnvView<'e> {
-    base: &'e [Slot],
-    overlay: &'e Overlay,
-}
-
-impl SlotView for EnvView<'_> {
-    fn slot(&self, t: TensorId) -> &Slot {
-        let key = t.0 as usize;
-        self.overlay.get(key).unwrap_or(&self.base[key])
     }
 }
 
@@ -321,9 +266,6 @@ pub struct Instr {
 #[derive(Debug, Clone)]
 pub struct TapeProgram {
     instrs: Vec<Instr>,
-    /// Wavefront schedule as `(start, end)` instruction ranges: one range
-    /// per unit, grouped by wave. Empty when compiled without a wave plan.
-    waves: Vec<Vec<(u32, u32)>>,
     /// Registers in the file (= `graph.num_tensors()`).
     register_count: usize,
     /// Constant registers, prebuilt once (per-inference installation is
@@ -351,19 +293,12 @@ pub struct TapeStats {
     pub const_count: usize,
     /// Graph nodes the tape covers (chain members included).
     pub node_count: usize,
-    /// Wavefront ranges: per wave, each unit's `(start, end)` span.
-    pub waves: Vec<Vec<(u32, u32)>>,
 }
 
 impl TapeProgram {
     /// The instruction stream (read-only; `verify_tape` walks it).
     pub fn instrs(&self) -> &[Instr] {
         &self.instrs
-    }
-
-    /// Wavefront `(start, end)` instruction ranges, grouped by wave.
-    pub fn waves(&self) -> &[Vec<(u32, u32)>] {
-        &self.waves
     }
 
     /// Registers in the file.
@@ -384,29 +319,25 @@ impl TapeProgram {
                 .count(),
             const_count: self.consts.len(),
             node_count: self.node_count,
-            waves: self.waves.clone(),
         }
     }
 }
 
 /// Compiles a planned graph into an execution tape: the release schedule
-/// comes from `sod2_plan::plan_tape_layout` over `node_order`, every
+/// comes from `sod2_plan::plan_tape_layout` over `node_order`, and every
 /// fusion group that forms an element-wise chain becomes one chain
-/// instruction, and the optional wavefront schedule becomes instruction
-/// ranges. Without a fusion plan every node is its own group and no
+/// instruction. Without a fusion plan every node is its own group and no
 /// chain forms.
 ///
 /// # Errors
 ///
 /// Returns [`ExecError::BadInputs`] for constants with unknown shapes
-/// and [`ExecError::Internal`] when the wave plan does not flatten to
-/// the execution order or a fused chain is malformed.
+/// and [`ExecError::Internal`] when a fused chain is malformed.
 pub fn compile_tape(
     graph: &Graph,
     node_order: &[NodeId],
     fusion: Option<&FusionPlan>,
     finite_outputs: Option<&[bool]>,
-    wave_plan: Option<&WaveExecPlan>,
     baked_variants: Option<&HashMap<NodeId, BakedVariant>>,
 ) -> Result<TapeProgram, ExecError> {
     let layout = sod2_plan::plan_tape_layout(graph, node_order);
@@ -445,7 +376,6 @@ pub fn compile_tape(
 
     let mut gidx_of: HashMap<usize, u32> = HashMap::new();
     let mut instrs: Vec<Instr> = Vec::with_capacity(node_order.len());
-    let mut instr_of_pos: Vec<u32> = Vec::with_capacity(node_order.len());
     // Chain instructions under construction: chain idx → instr idx.
     let mut chain_instr: HashMap<usize, usize> = HashMap::new();
 
@@ -498,7 +428,6 @@ pub fn compile_tape(
                         group_tail,
                         variant: None,
                     });
-                    instr_of_pos.push(idx as u32);
                 }
                 Some(&idx) => {
                     let InstrKind::Chain(tc) = &mut instrs[idx].kind else {
@@ -510,7 +439,6 @@ pub fn compile_tape(
                     tc.member_outputs.push(out_reg);
                     tc.member_releases.push(releases);
                     instrs[idx].group_tail |= group_tail;
-                    instr_of_pos.push(idx as u32);
                 }
             }
             continue;
@@ -530,7 +458,6 @@ pub fn compile_tape(
             .iter()
             .map(|&t| graph.producer(t).is_none_or(|p| group_of(p) != gid))
             .collect();
-        let idx = instrs.len();
         instrs.push(Instr {
             nid,
             kind,
@@ -549,7 +476,6 @@ pub fn compile_tape(
             group_tail,
             variant: baked_variants.and_then(|m| m.get(&nid).copied()),
         });
-        instr_of_pos.push(idx as u32);
     }
 
     // Every chain must have been walked end to end.
@@ -567,57 +493,8 @@ pub fn compile_tape(
         }
     }
 
-    // Lower the wavefront schedule to instruction ranges; units must tile
-    // the tape in order (chains never straddle a unit boundary because a
-    // chain is a whole fusion unit).
-    let mut waves: Vec<Vec<(u32, u32)>> = Vec::new();
-    if let Some(wp) = wave_plan {
-        let mut pos = 0usize;
-        let mut expected = 0u32;
-        for wave in &wp.waves {
-            let mut ranges = Vec::with_capacity(wave.len());
-            for unit in wave {
-                if unit.is_empty() {
-                    continue;
-                }
-                if pos + unit.len() > node_order.len() {
-                    return Err(ExecError::Internal(
-                        "wave plan covers more nodes than the execution order".into(),
-                    ));
-                }
-                for (off, &nid) in unit.iter().enumerate() {
-                    if node_order[pos + off] != nid {
-                        return Err(ExecError::Internal(format!(
-                            "wave plan diverges from the execution order at position {}",
-                            pos + off
-                        )));
-                    }
-                }
-                let start = instr_of_pos[pos];
-                let end = instr_of_pos[pos + unit.len() - 1] + 1;
-                if start != expected || end < start {
-                    return Err(ExecError::Internal(format!(
-                        "wave unit range [{start}, {end}) does not tile the tape at {expected}"
-                    )));
-                }
-                expected = end;
-                ranges.push((start, end));
-                pos += unit.len();
-            }
-            waves.push(ranges);
-        }
-        if pos != node_order.len() || expected as usize != instrs.len() {
-            return Err(ExecError::Internal(format!(
-                "wave plan flattens to {} node(s) that differ from the execution order ({})",
-                pos,
-                node_order.len()
-            )));
-        }
-    }
-
     Ok(TapeProgram {
         instrs,
-        waves,
         register_count: layout.register_count,
         consts: const_tensors(graph)?,
         num_groups: gidx_of.len(),
@@ -744,15 +621,12 @@ fn build_chains(graph: &Graph, fusion: &FusionPlan) -> (HashMap<NodeId, usize>, 
 }
 
 /// Evaluates (or kills) a whole fused chain: `None` when an input branch
-/// was dead. Pure: reads tensors through the view, produces an owned result.
-fn eval_chain<V: SlotView + ?Sized>(
-    env: &V,
-    chain: &ChainPlan,
-) -> Result<Option<Tensor>, ExecError> {
-    let mut dead = matches!(env.slot(chain.seed), Slot::Dead);
+/// was dead. Pure: reads the register file, produces an owned result.
+fn eval_chain(env: &[Slot], chain: &ChainPlan) -> Result<Option<Tensor>, ExecError> {
+    let mut dead = matches!(env[chain.seed.0 as usize], Slot::Dead);
     for st in &chain.steps {
         if let ChainStep::Binary { other, .. } = st {
-            dead |= matches!(env.slot(*other), Slot::Dead);
+            dead |= matches!(env[other.0 as usize], Slot::Dead);
         }
     }
     if dead {
@@ -835,35 +709,22 @@ impl TapeState {
     }
 }
 
-/// Commits one instruction: evaluate (or consume the wave phase's
-/// precomputed results), install results, record them, and apply the
-/// precompiled releases. The single mutation point of tape state in both
-/// dispatch modes.
+/// Commits one instruction: evaluate it, install its results, record
+/// them, and apply the precompiled releases. The single mutation point of
+/// tape state.
 fn commit_instr(
     graph: &Graph,
     cfg: &ExecConfig<'_>,
     st: &mut TapeState,
     instr: &Instr,
-    pre: Option<Vec<Option<Tensor>>>,
 ) -> Result<(), ExecError> {
     if sod2_pool::deadline_exceeded() {
         return Err(ExecError::DeadlineExceeded);
     }
     let node = graph.node(instr.nid);
-    // Serial commits evaluate in place, so the kernel span covers
-    // execution, installation, and release.
-    // Wave commits consumed a phase-A evaluation that already ran under
-    // its own kernel span; the bookkeeping here gets none, which is what
-    // makes `kernel_coverage` measure compute in wavefront mode.
-    let _kernel_span = if pre.is_none() {
-        Some(sod2_obs::span!("kernel", "{}", node.name))
-    } else {
-        None
-    };
-    let results = match pre {
-        Some(results) => results,
-        None => eval_instr(graph, cfg, instr, st.env.as_slice())?,
-    };
+    // The kernel span covers execution, installation, and release.
+    let _kernel_span = sod2_obs::span!("kernel", "{}", node.name);
+    let results = eval_instr(graph, cfg, instr, &st.env)?;
     if let InstrKind::Chain(tc) = &instr.kind {
         return commit_chain(graph, cfg, st, tc, results.into_iter().next().flatten());
     }
@@ -888,14 +749,14 @@ fn commit_instr(
     Ok(())
 }
 
-/// Evaluates one instruction against a register view: one result per
+/// Evaluates one instruction against the register file: one result per
 /// output register (a chain's final output alone), `None` where a branch
 /// is dead.
-fn eval_instr<V: SlotView + ?Sized>(
+fn eval_instr(
     graph: &Graph,
     cfg: &ExecConfig<'_>,
     instr: &Instr,
-    view: &V,
+    env: &[Slot],
 ) -> Result<Vec<Option<Tensor>>, ExecError> {
     // Dead-input propagation (Select handles its own deadness; chains
     // carry no operand list and check theirs in `eval_chain`).
@@ -903,26 +764,26 @@ fn eval_instr<V: SlotView + ?Sized>(
         && instr
             .inputs
             .iter()
-            .any(|&t| matches!(view.slot(t), Slot::Dead))
+            .any(|&t| matches!(env[t.0 as usize], Slot::Dead))
     {
         return Ok(vec![None; instr.outputs.len()]);
     }
     match &instr.kind {
-        InstrKind::Chain(tc) => Ok(vec![eval_chain(view, &tc.plan)?]),
+        InstrKind::Chain(tc) => Ok(vec![eval_chain(env, &tc.plan)?]),
         InstrKind::Branch { num_branches } => {
-            eval_switch(view, &instr.inputs, *num_branches, cfg.execute_all_branches)
+            eval_switch(env, &instr.inputs, *num_branches, cfg.execute_all_branches)
         }
         InstrKind::Select { num_branches } => {
-            Ok(vec![eval_combine(view, &instr.inputs, *num_branches)?])
+            Ok(vec![eval_combine(env, &instr.inputs, *num_branches)?])
         }
         InstrKind::Kernel => {
             let op = &graph.node(instr.nid).op;
             let n_in = instr.inputs.len();
             let outs = if n_in > 0 && n_in <= INLINE_ARITY {
-                let first = live(view, instr.inputs[0])?;
+                let first = live(env, instr.inputs[0])?;
                 let mut arr: [&Tensor; INLINE_ARITY] = [first; INLINE_ARITY];
                 for (k, &t) in instr.inputs.iter().enumerate().skip(1) {
-                    arr[k] = live(view, t)?;
+                    arr[k] = live(env, t)?;
                 }
                 let ins = &arr[..n_in];
                 let (gemm, conv) = instr_variants(instr, op, ins, cfg);
@@ -931,7 +792,7 @@ fn eval_instr<V: SlotView + ?Sized>(
                 let ins = instr
                     .inputs
                     .iter()
-                    .map(|&t| live(view, t))
+                    .map(|&t| live(env, t))
                     .collect::<Result<Vec<&Tensor>, ExecError>>()?;
                 let (gemm, conv) = instr_variants(instr, op, &ins, cfg);
                 execute_op_with_variants(op, &ins, gemm, conv)?
@@ -1011,48 +872,13 @@ fn commit_chain(
     Ok(())
 }
 
-/// Pure phase-A evaluation of one unit's instruction range: reads the
-/// committed register file plus a unit-local overlay, never mutates
-/// shared state, so the units of one wave may evaluate concurrently (a
-/// legal wavefront schedule guarantees no cross-unit dependence within a
-/// wave).
-fn eval_tape_unit(
-    graph: &Graph,
-    cfg: &ExecConfig<'_>,
-    tape: &TapeProgram,
-    env: &[Slot],
-    range: (u32, u32),
-) -> Result<Vec<Vec<Option<Tensor>>>, ExecError> {
-    let mut overlay = Overlay::default();
-    let (start, end) = (range.0 as usize, range.1 as usize);
-    let mut out = Vec::with_capacity(end - start);
-    for instr in &tape.instrs[start..end] {
-        if sod2_pool::deadline_exceeded() {
-            return Err(ExecError::DeadlineExceeded);
-        }
-        let node = graph.node(instr.nid);
-        let _kernel_span = sod2_obs::span!("kernel", "{}", node.name);
-        let view = EnvView {
-            base: env,
-            overlay: &overlay,
-        };
-        let results = eval_instr(graph, cfg, instr, &view)?;
-        for (t, r) in instr.outputs.iter().zip(&results) {
-            overlay.insert(t.0 as usize, r.clone().map_or(Slot::Dead, Slot::Live));
-        }
-        out.push(results);
-    }
-    Ok(out)
-}
-
 /// Executes a compiled tape on concrete inputs and records what pricing
 /// needs ([`RunRecord`]).
 ///
 /// `cfg` supplies the run-time knobs the reference shares (version table,
 /// execute-all-branches, NaN guard, memory budget); plan decisions were
-/// baked into the tape at compile time. `wavefront` selects between the
-/// serial dispatch loop and two-phase wave execution over the tape's
-/// compiled `(start, end)` ranges; both leave the same record.
+/// baked into the tape at compile time. Instructions commit one at a time
+/// in tape order.
 ///
 /// # Errors
 ///
@@ -1063,7 +889,6 @@ pub fn execute_tape(
     inputs: &[Tensor],
     tape: &TapeProgram,
     cfg: &ExecConfig<'_>,
-    wavefront: bool,
 ) -> Result<RunOutcome, ExecError> {
     check_inputs(graph, inputs, cfg.nan_guard)?;
     let mut env: Vec<Slot> = vec![Slot::Missing; tape.register_count];
@@ -1084,80 +909,8 @@ pub fn execute_tape(
     sod2_obs::gauge_max("exec.tape_len", tape.instrs.len() as u64);
     sod2_obs::gauge_max("exec.register_count", tape.register_count as u64);
 
-    if wavefront && !tape.waves.is_empty() {
-        let mut max_width = 0usize;
-        for wave in &tape.waves {
-            max_width = max_width.max(wave.len());
-            if sod2_pool::deadline_exceeded() {
-                return Err(ExecError::DeadlineExceeded);
-            }
-            sod2_obs::counter_add("exec.wave_units", wave.len() as u64);
-            if wave.len() <= 1 {
-                // Single-unit wave: evaluate-and-commit inline, no
-                // submission overhead and no precompute pass.
-                for &(s, e) in wave {
-                    for idx in s..e {
-                        commit_instr(graph, cfg, &mut st, &tape.instrs[idx as usize], None)?;
-                    }
-                }
-                continue;
-            }
-            // Phase A: evaluate the wave's units concurrently against the
-            // committed register file. Each unit becomes one pool job;
-            // kernels inside a unit still open nested pool regions, so
-            // inter-op jobs and intra-op chunks share the same workers.
-            // Thread-count and deadline overrides are captured on the
-            // submitting thread and re-installed inside each job (pool
-            // workers do not inherit submitter thread-locals).
-            let threads = sod2_pool::current_threads();
-            let deadline = sod2_pool::current_deadline();
-            type UnitEval = Result<Vec<Vec<Option<Tensor>>>, ExecError>;
-            let mut slots: Vec<Option<UnitEval>> = Vec::new();
-            slots.resize_with(wave.len(), || None);
-            {
-                let env_ref = &st.env;
-                sod2_pool::scope_chunks(&mut slots, 1, |idx, chunk| {
-                    chunk[0] = Some(sod2_pool::with_threads(threads, || {
-                        sod2_pool::with_deadline(deadline, || {
-                            eval_tape_unit(graph, cfg, tape, env_ref, wave[idx])
-                        })
-                    }));
-                });
-            }
-            // Phase B: publish serially in tape order — the register
-            // publish moves Arc-backed tensors, no payload copies.
-            let mut evals = Vec::with_capacity(wave.len());
-            for (idx, slot) in slots.into_iter().enumerate() {
-                match slot {
-                    Some(Ok(unit_evals)) => evals.push(unit_evals),
-                    // Deterministic error selection: first failing unit in
-                    // job order, regardless of wallclock finish order.
-                    Some(Err(e)) => return Err(e),
-                    // The pool skipped this chunk — only an expired
-                    // deadline does that.
-                    None if sod2_pool::deadline_exceeded() => {
-                        return Err(ExecError::DeadlineExceeded)
-                    }
-                    None => {
-                        return Err(ExecError::Internal(format!(
-                            "wave evaluation slot {idx} was never filled"
-                        )))
-                    }
-                }
-            }
-            for (&(s, e), unit_evals) in wave.iter().zip(evals) {
-                for (idx, results) in (s..e).zip(unit_evals) {
-                    let instr = &tape.instrs[idx as usize];
-                    commit_instr(graph, cfg, &mut st, instr, Some(results))?;
-                }
-            }
-        }
-        sod2_obs::counter_add("exec.waves", tape.waves.len() as u64);
-        sod2_obs::gauge_max("exec.max_wave_width", max_width as u64);
-    } else {
-        for instr in &tape.instrs {
-            commit_instr(graph, cfg, &mut st, instr, None)?;
-        }
+    for instr in &tape.instrs {
+        commit_instr(graph, cfg, &mut st, instr)?;
     }
 
     // An expiry inside the last instruction's pool region skipped chunk

@@ -11,8 +11,7 @@ use sod2_mvc::VersionTable;
 use sod2_plan::{naive_unit_order, UnitGraph};
 use sod2_rdp::analyze;
 use sod2_runtime::{
-    compile_tape, execute, execute_tape, price_tape, ExecConfig, ExecError, RunRecord, TapePrice,
-    TapeProgram, WaveExecPlan,
+    compile_tape, execute, execute_tape, price_tape, ExecConfig, RunRecord, TapePrice, TapeProgram,
 };
 use sod2_sym::DimExpr;
 use sod2_tensor::Tensor;
@@ -48,7 +47,7 @@ fn run_and_price(
     cfg: &ExecConfig<'_>,
     layout: Option<&ArenaLayout>,
 ) -> Priced {
-    let run = execute_tape(g, inputs, tape, cfg, false).expect("tape run");
+    let run = execute_tape(g, inputs, tape, cfg).expect("tape run");
     let price = price_tape(g, tape, &run.record, layout, cfg.version_table);
     Priced {
         outputs: run.outputs,
@@ -72,7 +71,7 @@ fn run_tape(
         }
         None => g.topo_order(),
     };
-    let tape = compile_tape(g, &order, fusion, None, None, None).expect("compile tape");
+    let tape = compile_tape(g, &order, fusion, None, None).expect("compile tape");
     run_and_price(g, inputs, &tape, cfg, None)
 }
 
@@ -96,7 +95,7 @@ fn run_tape_with_layout(
         peak += size;
     }
     let layout = ArenaLayout::new(&lives, &MemoryPlan { offsets, peak }, bounded);
-    let tape = compile_tape(g, &g.topo_order(), None, None, None, None).expect("compile tape");
+    let tape = compile_tape(g, &g.topo_order(), None, None, None).expect("compile tape");
     run_and_price(g, inputs, &tape, &ExecConfig::default(), Some(&layout))
 }
 
@@ -416,20 +415,6 @@ fn tape_accounting_follows_the_layout() {
         "accounting never changes outputs"
     );
     assert_eq!(run.price.peak_live_bytes, heap.price.peak_live_bytes);
-}
-
-#[test]
-fn wave_plan_off_the_execution_order_is_a_typed_lowering_error() {
-    // The engine returns this error from every inference instead of
-    // switching to another executor, so it must be typed, not a panic.
-    let g = relu_chain(3);
-    let order = g.topo_order();
-    let swapped = WaveExecPlan {
-        waves: vec![vec![vec![order[1]], vec![order[0]]], vec![vec![order[2]]]],
-    };
-    let err = compile_tape(&g, &order, None, None, Some(&swapped), None)
-        .expect_err("a wave plan must flatten to the execution order");
-    assert!(matches!(err, ExecError::Internal(_)), "got: {err}");
 }
 
 #[test]

@@ -24,8 +24,8 @@ fn run_on_tape(
     fusion: &FusionPlan,
     order: &[sod2_ir::NodeId],
 ) -> Result<(RunOutcome, TapePrice), ExecError> {
-    let tape = compile_tape(graph, order, Some(fusion), None, None, None)?;
-    let run = execute_tape(graph, inputs, &tape, &ExecConfig::default(), false)?;
+    let tape = compile_tape(graph, order, Some(fusion), None, None)?;
+    let run = execute_tape(graph, inputs, &tape, &ExecConfig::default())?;
     let price = price_tape(graph, &tape, &run.record, None, None);
     Ok((run, price))
 }

@@ -214,13 +214,12 @@ proptest! {
             let plan = fuse(&g, &rdp, policy);
             let units = UnitGraph::build(&g, &plan);
             let order = units.node_order(&naive_unit_order(&units));
-            let tape = compile_tape(&g, &order, Some(&plan), None, None, None).expect("lowers");
+            let tape = compile_tape(&g, &order, Some(&plan), None, None).expect("lowers");
             let got = execute_tape(
                 &g,
                 std::slice::from_ref(&input),
                 &tape,
                 &ExecConfig::default(),
-                false,
             )
             .expect("fused run");
             prop_assert!(

@@ -2,10 +2,9 @@
 //! register-machine tape must be unobservable. For random branchy graphs
 //! with `<Switch, Combine>` control flow, the engine must produce the
 //! serial heap reference interpreter's outputs bitwise, with memory
-//! metrics that do not vary across worker counts (1 and 4) or wavefront
-//! scheduling on/off, under arena and heap tensor backing — and every
+//! metrics that do not vary across worker counts (1 and 4) — and every
 //! fault class (deadline, budget, NaN guard, kernel error) must surface as
-//! the same typed error in serial and wavefront mode.
+//! the same typed error at 1 and 4 workers.
 
 use proptest::prelude::*;
 use sod2::{DeviceProfile, Engine, ExecError, Sod2Engine, Sod2Options, Tensor};
@@ -30,8 +29,8 @@ fn binary_of(i: u8) -> BinaryOp {
 }
 
 /// A branchy graph with both dynamism kinds: several independent unary
-/// chains off one `[N, C]` input folded together pairwise (wavefront
-/// parallelism → tape wave ranges), then routed through a
+/// chains off one `[N, C]` input folded together pairwise (independent
+/// units for SEP to order), then routed through a
 /// `<Switch, Combine>` pair whose arms are short unary chains (control
 /// flow → tape `Branch`/`Select` instructions).
 fn build_graph(c: usize, chains: &[Vec<u8>], folds: &[u8], arms: &[Vec<u8>]) -> Graph {
@@ -119,17 +118,13 @@ fn input_for(n: usize, c: usize, seed: u64) -> Tensor {
 fn run_mode(
     graph: &Graph,
     inputs: &[Tensor],
-    wavefront: bool,
     threads: usize,
 ) -> (Vec<Vec<u8>>, usize, usize, usize) {
     with_threads(threads, || {
         let mut engine = Sod2Engine::new(
             graph.clone(),
             DeviceProfile::s888_cpu(),
-            Sod2Options {
-                wavefront_exec: wavefront,
-                ..Sod2Options::default()
-            },
+            Sod2Options::default(),
             &Default::default(),
         );
         let run = engine.infer(inputs).expect("infer");
@@ -146,9 +141,8 @@ fn run_mode(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The engine is bitwise-identical to the reference for every
-    /// combination of wavefront scheduling and worker count, and its
-    /// deterministic memory metrics depend on neither.
+    /// The engine is bitwise-identical to the reference at every worker
+    /// count, and its deterministic memory metrics do not depend on it.
     #[test]
     fn tape_matches_tree_walk_bitwise(chains in chains_strategy(),
                                       folds in proptest::collection::vec(any::<u8>(), 3),
@@ -168,25 +162,14 @@ proptest! {
             .iter()
             .map(|t| t.payload_le_bytes())
             .collect();
-        let serial = run_mode(&g, &inputs, false, 1);
-        for wavefront in [false, true] {
-            for threads in [1usize, 4] {
-                let run = run_mode(&g, &inputs, wavefront, threads);
-                prop_assert_eq!(&run.0, &reference,
-                    "outputs diverged (wavefront={}, threads={})", wavefront, threads);
-                prop_assert_eq!(run.1, serial.1,
-                    "peak diverged (wavefront={}, threads={})", wavefront, threads);
-                prop_assert_eq!(run.2, serial.2,
-                    "alloc events diverged (wavefront={}, threads={})", wavefront, threads);
-                prop_assert_eq!(run.3, serial.3,
-                    "plan coverage diverged (wavefront={}, threads={})", wavefront, threads);
-            }
-        }
+        let one = run_mode(&g, &inputs, 1);
+        prop_assert_eq!(&one.0, &reference, "outputs diverged from the reference");
+        prop_assert_eq!(run_mode(&g, &inputs, 4), one, "4 workers diverged from 1");
     }
 }
 
-// ---- Fault parity: each failure class surfaces identically in serial ----
-// ---- and wavefront mode, and the engine stays reusable afterwards.   ----
+// ---- Fault parity: each failure class surfaces identically at 1 and 4 ----
+// ---- workers, and the engine stays reusable afterwards.              ----
 
 fn fault_graph() -> (Graph, Vec<Tensor>) {
     let g = build_graph(
@@ -199,14 +182,11 @@ fn fault_graph() -> (Graph, Vec<Tensor>) {
     (g, inputs)
 }
 
-fn engine_mode(g: &Graph, wavefront: bool, opts: Sod2Options) -> Sod2Engine {
+fn engine_mode(g: &Graph, opts: Sod2Options) -> Sod2Engine {
     Sod2Engine::new(
         g.clone(),
         DeviceProfile::s888_cpu(),
-        Sod2Options {
-            wavefront_exec: wavefront,
-            ..opts
-        },
+        opts,
         &Default::default(),
     )
 }
@@ -215,16 +195,16 @@ fn engine_mode(g: &Graph, wavefront: bool, opts: Sod2Options) -> Sod2Engine {
 fn deadline_parity_across_modes() {
     let _x = sod2_faults::exclusive();
     let (g, inputs) = fault_graph();
-    for wavefront in [false, true] {
+    for threads in [1usize, 4] {
         let opts = Sod2Options {
             deadline: Some(std::time::Duration::from_nanos(1)),
             ..Sod2Options::default()
         };
-        let mut e = engine_mode(&g, wavefront, opts);
-        let err = e.infer(&inputs);
+        let mut e = engine_mode(&g, opts);
+        let err = with_threads(threads, || e.infer(&inputs));
         assert!(
             matches!(err, Err(ExecError::DeadlineExceeded)),
-            "wavefront={wavefront}: got {err:?}"
+            "threads={threads}: got {err:?}"
         );
         e.set_deadline(None);
         e.infer(&inputs).expect("engine reusable after deadline");
@@ -235,16 +215,16 @@ fn deadline_parity_across_modes() {
 fn budget_parity_across_modes() {
     let _x = sod2_faults::exclusive();
     let (g, inputs) = fault_graph();
-    for wavefront in [false, true] {
+    for threads in [1usize, 4] {
         let opts = Sod2Options {
             memory_budget: Some(1),
             ..Sod2Options::default()
         };
-        let mut e = engine_mode(&g, wavefront, opts);
-        let err = e.infer(&inputs);
+        let mut e = engine_mode(&g, opts);
+        let err = with_threads(threads, || e.infer(&inputs));
         assert!(
             matches!(err, Err(ExecError::BudgetExceeded { budget: 1, .. })),
-            "wavefront={wavefront}: got {err:?}"
+            "threads={threads}: got {err:?}"
         );
         e.set_memory_budget(None);
         e.infer(&inputs).expect("engine reusable after budget");
@@ -255,21 +235,21 @@ fn budget_parity_across_modes() {
 fn nan_guard_parity_across_modes() {
     let _x = sod2_faults::exclusive();
     let (g, inputs) = fault_graph();
-    for wavefront in [false, true] {
+    for threads in [1usize, 4] {
         sod2_faults::clear();
         let opts = Sod2Options {
             nan_guard: true,
             ..Sod2Options::default()
         };
-        let mut e = engine_mode(&g, wavefront, opts);
+        let mut e = engine_mode(&g, opts);
         sod2_faults::install(FaultPlan::new(1).rule(Site::KernelNan, Trigger::Every(1), 0));
-        let err = e.infer(&inputs);
+        let err = with_threads(threads, || e.infer(&inputs));
         let fired = sod2_faults::fired_count();
         sod2_faults::clear();
-        assert!(fired > 0, "wavefront={wavefront}: kernel.nan never fired");
+        assert!(fired > 0, "threads={threads}: kernel.nan never fired");
         assert!(
             matches!(err, Err(ExecError::NumericFault(_))),
-            "wavefront={wavefront}: got {err:?}"
+            "threads={threads}: got {err:?}"
         );
         e.set_nan_guard(false);
         e.infer(&inputs)
@@ -281,17 +261,17 @@ fn nan_guard_parity_across_modes() {
 fn kernel_error_parity_across_modes() {
     let _x = sod2_faults::exclusive();
     let (g, inputs) = fault_graph();
-    for wavefront in [false, true] {
+    for threads in [1usize, 4] {
         sod2_faults::clear();
-        let mut e = engine_mode(&g, wavefront, Sod2Options::default());
+        let mut e = engine_mode(&g, Sod2Options::default());
         sod2_faults::install(FaultPlan::new(1).rule(Site::KernelError, Trigger::Every(1), 0));
-        let err = e.infer(&inputs);
+        let err = with_threads(threads, || e.infer(&inputs));
         let fired = sod2_faults::fired_count();
         sod2_faults::clear();
-        assert!(fired > 0, "wavefront={wavefront}: kernel.error never fired");
+        assert!(fired > 0, "threads={threads}: kernel.error never fired");
         assert!(
             matches!(err, Err(ExecError::Kernel(_))),
-            "wavefront={wavefront}: got {err:?}"
+            "threads={threads}: got {err:?}"
         );
         e.infer(&inputs)
             .expect("engine reusable after kernel error");

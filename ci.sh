@@ -175,26 +175,31 @@ stage_zoo() {
         $CLI profile "$m" --iters 3 > /dev/null
     done
     # Persistent MVC compilation cache, cold-then-warm: the first tune must
-    # miss and run the GA, the second must hit the on-disk version table
-    # with zero GA generations, and model outputs (fully priced/deterministic
-    # `run` stdout) must be bitwise-identical between the cold-tuned and
-    # warm-loaded engines.
+    # miss, run the GA and time the host playoff; the second must hit the
+    # on-disk version table with zero GA generations and zero playoff
+    # timings and execute the choices the cold playoff made; and model
+    # outputs (fully priced/deterministic `run` stdout) must be
+    # bitwise-identical between the cold-tuned and warm-loaded engines.
     echo "--- mvc cache cold/warm ---"
     local cache="$CI_OUT/mvc-cache"
     rm -rf "$cache"
     SOD2_MVC_CACHE="$cache" $CLI tune --json > "$CI_OUT/tune_cold.json"
     grep -q '"provenance": "miss"' "$CI_OUT/tune_cold.json"
+    grep -Eq '"playoff_timings": [1-9]' "$CI_OUT/tune_cold.json"
     for m in CodeBERT DGNet; do
         SOD2_MVC_CACHE="$cache" $CLI run "$m"
     done > "$CI_OUT/run_mvc_cold.txt"
     SOD2_MVC_CACHE="$cache" $CLI tune --json > "$CI_OUT/tune_warm.json"
     grep -q '"provenance": "hit"' "$CI_OUT/tune_warm.json"
     grep -q '"ga_generations": 0' "$CI_OUT/tune_warm.json"
+    grep -q '"playoff_timings": 0' "$CI_OUT/tune_warm.json"
+    diff <(grep -o '"executed": "[a-z]*"' "$CI_OUT/tune_cold.json") \
+        <(grep -o '"executed": "[a-z]*"' "$CI_OUT/tune_warm.json")
     for m in CodeBERT DGNet; do
         SOD2_MVC_CACHE="$cache" $CLI run "$m"
     done > "$CI_OUT/run_mvc_warm.txt"
     diff "$CI_OUT/run_mvc_cold.txt" "$CI_OUT/run_mvc_warm.txt"
-    echo "mvc cache: cold miss -> warm hit, outputs bitwise-identical"
+    echo "mvc cache: cold miss -> warm hit, same executed choices, outputs bitwise-identical"
 }
 
 stage_analyze() {

@@ -6,7 +6,7 @@
 use crate::common::{bindings_from_inputs, observed_bytes, Engine, InferenceStats, Run};
 use sod2_device::DeviceProfile;
 use sod2_fusion::{fuse, FusionPlan, FusionPolicy};
-use sod2_ir::{Graph, NodeId, Op, TensorId};
+use sod2_ir::{Graph, NodeId, TensorId};
 use sod2_mem::{plan_sod2, size_class_peak, verify_plan, ArenaLayout, MemoryPlan, TensorLife};
 use sod2_mvc::VersionTable;
 use sod2_plan::{
@@ -15,7 +15,7 @@ use sod2_plan::{
 };
 use sod2_rdp::{analyze, RdpResult};
 use sod2_runtime::{
-    compile_tape, execute_tape, price_tape, BakedVariant, ExecConfig, ExecError, ExecutionTrace,
+    bake_variants, compile_tape, execute_tape, price_tape, ExecConfig, ExecError, ExecutionTrace,
     RunRecord, TapeProgram, TapeStats, TraceEvent,
 };
 use sod2_sym::Bindings;
@@ -305,9 +305,9 @@ impl Sod2Engine {
         drop(sep_span);
         let table = if opts.mvc {
             let _s = sod2_obs::span!("stage", "mvc_tune");
-            // Persistent-cache path: a warm cache loads the identical
-            // table with zero GA generations (tuning is deterministic, so
-            // the cache only amortizes cost, never changes selection).
+            // Persistent-cache path: a warm cache loads the table — the
+            // priced selections and the host playoff's executed choices —
+            // with zero GA generations and zero playoff timings.
             let (table, status) = VersionTable::load_or_tune(
                 &profile,
                 0xC0DE,
@@ -320,37 +320,12 @@ impl Sod2Engine {
         } else {
             None
         };
-        // Bake tuned kernel variants into the tape for hotspot nodes whose
-        // output shapes RDP proves concrete under empty bindings: their
-        // shape class — hence their tuned version — is a compile-time
-        // constant, so dispatch skips runtime selection. Data-dependent
-        // (`nac`-shaped) nodes keep selecting per inference.
-        let baked_variants: Option<HashMap<NodeId, BakedVariant>> = table.as_ref().map(|t| {
-            let empty = Bindings::default();
-            let mut baked = HashMap::new();
-            for node in graph.nodes() {
-                let Some(&out) = node.outputs.first() else {
-                    continue;
-                };
-                let Some(shape) = rdp.concrete_shape(out, &empty) else {
-                    continue;
-                };
-                match &node.op {
-                    Op::MatMul | Op::Gemm { .. } if shape.len() >= 2 => {
-                        let m = shape[shape.len() - 2].max(1) as usize;
-                        let n = shape[shape.len() - 1].max(1) as usize;
-                        baked.insert(node.id, BakedVariant::Gemm(t.select(m, n)));
-                    }
-                    Op::Conv2d { .. } if shape.len() == 4 => {
-                        let co = shape[1].max(1) as usize;
-                        let spatial = (shape[2] * shape[3]).max(1) as usize;
-                        baked.insert(node.id, BakedVariant::Conv(t.select_conv(co, spatial)));
-                    }
-                    _ => {}
-                }
-            }
-            baked
-        });
+        // Bake the executed kernel variants into the tape for hotspot
+        // nodes whose output shapes RDP proves concrete under empty
+        // bindings: their shape class — hence their executed version — is
+        // a compile-time constant, so dispatch skips runtime selection.
+        // Data-dependent (`nac`-shaped) nodes keep selecting per inference.
+        let baked_variants = table.as_ref().map(|t| bake_variants(&graph, &rdp, t));
         // Lower the compiled plan to the execution tape: a flat instruction
         // stream with registers, release lists and group tails all resolved
         // at compile time. A lowering failure is kept and returned by every

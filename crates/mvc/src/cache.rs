@@ -1,18 +1,24 @@
 //! Persistent on-disk version-table cache (Nimble-style compilation
 //! amortization, PAPERS.md).
 //!
-//! Tuning is deterministic, so a cached table is exactly the table a cold
-//! tune would produce — the cache only amortizes the GA's cost. Entries are
-//! keyed by (device fingerprint, kernel-space version hash, tuner seed) in
-//! the file name; the header repeats the key and a stale or corrupt file is
-//! ignored with a typed [`CacheError`] and re-tuned.
+//! A table has a priced side, which tuning reproduces exactly for a
+//! (device, seed), and an executed side, which the host playoff measured.
+//! The cache amortizes both: a warm load runs zero GA generations and zero
+//! playoff timings. Entries are keyed by (device fingerprint, kernel-space
+//! version hash, tuner seed, [`HostKey`]) in the file name; the header
+//! repeats the key and a stale or corrupt file is ignored with a typed
+//! [`CacheError`] and re-tuned.
 //!
-//! Format: a versioned line-oriented text file. `f64` values are stored as
-//! the hex of their IEEE bits so a round-trip is exact. Writes go to a
-//! temporary file in the same directory followed by an atomic rename, so
-//! concurrent readers only ever observe complete files.
+//! Format (v2): a versioned line-oriented text file. After the header come
+//! the priced `gemm`/`conv` lines, then one `exec` line per (family,
+//! class): the executed choice and both playoff medians. `f64` values are
+//! stored as the hex of their IEEE bits so a round-trip is exact. Writes
+//! go to a temporary file in the same directory followed by an atomic
+//! rename, so concurrent readers only ever observe complete files. A v1
+//! file has no host in its name, so v1 and v2 readers never read or
+//! replace each other's entries.
 
-use crate::VersionTable;
+use crate::{Family, Playoff, VersionTable};
 use sod2_device::{DeviceProfile, ShapeClass};
 use sod2_kernels::{ConvLoopOrder, ConvParams, GemmParams, LoopOrder, MicroKernel};
 use std::collections::HashMap;
@@ -21,7 +27,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// Magic + format version; bump when the file layout changes.
-const HEADER: &str = "sod2-mvc-cache v1";
+const HEADER: &str = "sod2-mvc-cache v2";
 
 /// Typed diagnostic for every way a cache interaction can fail. A load
 /// failure is never fatal — the caller re-tunes — but the reason is
@@ -188,11 +194,94 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// The cache file for a (device, space, seed) key inside `dir`.
-pub fn cache_file(dir: &Path, profile: &DeviceProfile, space_hash: u64, seed: u64) -> PathBuf {
+/// What a playoff's outcome depends on besides the table itself. Kernel
+/// speed differs across these, so entries measured under one key never
+/// decide execution under another.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct HostKey {
+    /// `std::env::consts::ARCH`.
+    pub(crate) arch: String,
+    /// The CPU model name from `/proc/cpuinfo`, or `unknown`.
+    pub(crate) cpu: String,
+    /// The pool width (`sod2_pool::max_threads()`). A variant's edge over
+    /// the default shifts with it, and processes of different widths may
+    /// share one cache directory.
+    pub(crate) threads: usize,
+    /// Whether the kernels were built with debug assertions, whose
+    /// timings say nothing about an optimized build's.
+    pub(crate) debug: bool,
+}
+
+impl HostKey {
+    /// The key of this process. Read once and cached, like the pool
+    /// width it includes.
+    pub fn current() -> HostKey {
+        static KEY: std::sync::OnceLock<HostKey> = std::sync::OnceLock::new();
+        KEY.get_or_init(|| {
+            let cpu = std::fs::read_to_string("/proc/cpuinfo")
+                .ok()
+                .and_then(|info| {
+                    info.lines()
+                        .filter_map(|l| l.split_once(':'))
+                        .find(|(k, _)| k.trim() == "model name")
+                        .map(|(_, v)| v.split_whitespace().collect::<Vec<_>>().join(" "))
+                })
+                .filter(|m| !m.is_empty())
+                .unwrap_or_else(|| "unknown".to_string());
+            HostKey {
+                arch: std::env::consts::ARCH.to_string(),
+                cpu,
+                threads: sod2_pool::max_threads(),
+                debug: cfg!(debug_assertions),
+            }
+        })
+        .clone()
+    }
+
+    /// The header form: every field, readable.
+    pub fn line(&self) -> String {
+        format!(
+            "{} w{} {} {}",
+            self.arch,
+            self.threads,
+            self.build(),
+            self.cpu
+        )
+    }
+
+    /// The file-name form: the header form's fields, with the CPU model
+    /// hashed.
+    pub fn token(&self) -> String {
+        format!(
+            "{}-w{}-{}-{:08x}",
+            self.arch,
+            self.threads,
+            self.build(),
+            fnv1a(self.cpu.as_bytes()) & 0xffff_ffff
+        )
+    }
+
+    fn build(&self) -> &'static str {
+        if self.debug {
+            "debug"
+        } else {
+            "release"
+        }
+    }
+}
+
+/// The cache file for a (device, space, seed, host) key inside `dir`.
+pub fn cache_file(
+    dir: &Path,
+    profile: &DeviceProfile,
+    space_hash: u64,
+    seed: u64,
+    host: &HostKey,
+) -> PathBuf {
     dir.join(format!(
-        "vtable-{}-{space_hash:016x}-{seed}.txt",
-        device_fingerprint(profile)
+        "vtable-{}-{space_hash:016x}-{seed}-{}.txt",
+        device_fingerprint(profile),
+        host.token()
     ))
 }
 
@@ -225,16 +314,18 @@ pub fn store(
     profile: &DeviceProfile,
     space_hash: u64,
     seed: u64,
+    host: &HostKey,
     table: &VersionTable,
 ) -> Result<PathBuf, CacheError> {
     std::fs::create_dir_all(dir).map_err(|e| io_err(dir, e))?;
-    let path = cache_file(dir, profile, space_hash, seed);
+    let path = cache_file(dir, profile, space_hash, seed, host);
     let mut body = String::new();
     body.push_str(HEADER);
     body.push('\n');
     body.push_str(&format!("device {}\n", device_fingerprint(profile)));
     body.push_str(&format!("space {space_hash:016x}\n"));
     body.push_str(&format!("seed {seed}\n"));
+    body.push_str(&format!("host {}\n", host.line()));
     body.push_str(&format!(
         "base_efficiency {:016x}\n",
         table.base_efficiency.to_bits()
@@ -263,6 +354,20 @@ pub fn store(
             c.loop_order.token(),
             eff.to_bits()
         ));
+    }
+    for class in ShapeClass::all() {
+        for family in Family::ALL {
+            if let Some(p) = table.playoff(family, class) {
+                body.push_str(&format!(
+                    "exec {} {} {} {:016x} {:016x}\n",
+                    family.token(),
+                    class_token(class),
+                    p.executed(),
+                    p.tuned_ms.to_bits(),
+                    p.default_ms.to_bits()
+                ));
+            }
+        }
     }
     // Unique temp name per process+writer so concurrent tuners never step
     // on each other's partial writes; the rename is atomic, so readers see
@@ -295,15 +400,17 @@ pub fn store(
 /// # Errors
 ///
 /// [`CacheError::Io`] when the file is unreadable, [`CacheError::Parse`]
-/// when it is corrupt, [`CacheError::Stale`] when its header disagrees
-/// with the requested key.
+/// when it is corrupt (including an `exec` line whose choice disagrees
+/// with its medians under the margin rule), [`CacheError::Stale`] when
+/// its header disagrees with the requested key.
 pub fn load(
     dir: &Path,
     profile: &DeviceProfile,
     space_hash: u64,
     seed: u64,
+    host: &HostKey,
 ) -> Result<VersionTable, CacheError> {
-    let path = cache_file(dir, profile, space_hash, seed);
+    let path = cache_file(dir, profile, space_hash, seed, host);
     let bytes = std::fs::read(&path).map_err(|e| io_err(&path, e))?;
     let pstr = path.display().to_string();
     // Non-UTF-8 content is corruption, not an I/O condition — callers
@@ -350,6 +457,7 @@ pub fn load(
     header("device", device_fingerprint(profile))?;
     header("space", format!("{space_hash:016x}"))?;
     header("seed", format!("{seed}"))?;
+    header("host", host.line())?;
 
     let f64_bits = |i: usize, s: &str| -> Result<f64, CacheError> {
         u64::from_str_radix(s, 16)
@@ -379,6 +487,7 @@ pub fn load(
 
     let mut versions: HashMap<ShapeClass, (GemmParams, f64)> = HashMap::new();
     let mut conv_versions: HashMap<ShapeClass, (ConvParams, f64)> = HashMap::new();
+    let mut playoffs: HashMap<(Family, ShapeClass), Playoff> = HashMap::new();
     for (i, l) in lines {
         let toks: Vec<&str> = l.split_whitespace().collect();
         if toks.is_empty() {
@@ -421,17 +530,36 @@ pub fn load(
                     return Err(parse_err(i + 1, format!("duplicate conv class `{l}`")));
                 }
             }
+            ["exec", family, class, executed, tuned_bits, default_bits] => {
+                let family = Family::ALL
+                    .into_iter()
+                    .find(|f| f.token() == *family)
+                    .ok_or_else(|| parse_err(i + 1, format!("bad family `{family}`")))?;
+                let class = class_from_token(class)
+                    .ok_or_else(|| parse_err(i + 1, format!("bad class `{class}`")))?;
+                let p = Playoff::decide(f64_bits(i, tuned_bits)?, f64_bits(i, default_bits)?);
+                if *executed != p.executed() {
+                    return Err(parse_err(
+                        i + 1,
+                        format!("executed `{executed}` disagrees with its medians"),
+                    ));
+                }
+                if playoffs.insert((family, class), p).is_some() {
+                    return Err(parse_err(i + 1, format!("duplicate exec line `{l}`")));
+                }
+            }
             _ => return Err(parse_err(i + 1, format!("unrecognized line `{l}`"))),
         }
     }
-    if versions.len() != 3 || conv_versions.len() != 3 {
+    if versions.len() != 3 || conv_versions.len() != 3 || playoffs.len() != 6 {
         return Err(CacheError::Parse {
             path: pstr,
             line: text.lines().count(),
             msg: format!(
-                "incomplete table: {} gemm + {} conv classes (want 3 + 3)",
+                "incomplete table: {} gemm + {} conv classes, {} exec lines (want 3 + 3, 6)",
                 versions.len(),
-                conv_versions.len()
+                conv_versions.len(),
+                playoffs.len()
             ),
         });
     }
@@ -439,5 +567,6 @@ pub fn load(
         versions,
         conv_versions,
         base_efficiency,
+        playoffs,
     })
 }

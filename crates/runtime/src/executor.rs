@@ -410,10 +410,10 @@ fn run_node(
     }
 }
 
-/// Chooses the tuned GEMM/CONV variants for a hotspot op from its *input*
-/// shapes (runtime version selection, paper §4.4.2). `None` means the
-/// default kernels: no table, an op without variants, or a hotspot whose
-/// operand ranks admit no selection.
+/// Chooses the executed GEMM/CONV variants for a hotspot op from its
+/// *input* shapes (runtime version selection, paper §4.4.2). `None` means
+/// the default kernels: no table, an op without variants, or a hotspot
+/// whose operand ranks admit no selection.
 pub(crate) fn select_variants(
     op: &Op,
     ins: &[&Tensor],
@@ -424,7 +424,7 @@ pub(crate) fn select_variants(
         Op::MatMul => {
             let (a, b) = (ins[0].shape(), ins[1].shape());
             (a.len() >= 2 && b.len() >= 2).then(|| {
-                let gemm = table.select(a[a.len() - 2], b[b.len() - 1]);
+                let gemm = table.executed_gemm(a[a.len() - 2], b[b.len() - 1]);
                 (gemm, ConvParams::default())
             })
         }
@@ -433,7 +433,7 @@ pub(crate) fn select_variants(
             (a.len() == 2 && b.len() == 2).then(|| {
                 let m = if *trans_a { a[1] } else { a[0] };
                 let n = if *trans_b { b[0] } else { b[1] };
-                (table.select(m, n), ConvParams::default())
+                (table.executed_gemm(m, n), ConvParams::default())
             })
         }
         Op::Conv2d { spatial, .. } => {
@@ -441,7 +441,7 @@ pub(crate) fn select_variants(
             (x.len() == 4 && w.len() == 4).then(|| {
                 let oh = spatial.out_extent(0, x[2] as i64).max(1) as usize;
                 let ow = spatial.out_extent(1, x[3] as i64).max(1) as usize;
-                (GemmParams::default(), table.select_conv(w[0], oh * ow))
+                (GemmParams::default(), table.executed_conv(w[0], oh * ow))
             })
         }
         _ => None,

@@ -58,7 +58,7 @@ pub use executor::{execute, ExecConfig, ExecError, ReferenceRun};
 pub use passes::{eliminate_dead_nodes, fold_constants, PassStats};
 pub use price::{price_tape, TapePrice};
 pub use tape::{
-    compile_tape, execute_tape, BakedVariant, Instr, InstrKind, RegRelease, RunOutcome, RunRecord,
-    TapeChain, TapeProgram, TapeStats,
+    bake_variants, compile_tape, execute_tape, BakedVariant, Instr, InstrKind, RegRelease,
+    RunOutcome, RunRecord, TapeChain, TapeProgram, TapeStats,
 };
 pub use trace::{ExecutionTrace, LatencyBreakdown, TraceEvent};

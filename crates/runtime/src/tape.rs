@@ -44,6 +44,9 @@ use sod2_ir::{Graph, NodeId, Op, TensorId};
 use sod2_kernels::{
     execute_op_with_variants, fused::FusedStep, fused_elementwise, ConvParams, GemmParams,
 };
+use sod2_mvc::VersionTable;
+use sod2_rdp::RdpResult;
+use sod2_sym::Bindings;
 use sod2_tensor::Tensor;
 use std::collections::HashMap;
 
@@ -188,19 +191,57 @@ pub struct TapeChain {
     pub tail_nid: NodeId,
 }
 
-/// A tuned kernel variant baked into an instruction at compile time.
+/// A kernel variant baked into an instruction at compile time.
 ///
 /// When RDP proves a hotspot node's output shape (`Known` under empty
-/// bindings), its shape class — and therefore its tuned version — is a
-/// compile-time constant, so the tape carries the selected parameters
+/// bindings), its shape class — and therefore its executed version — is a
+/// compile-time constant, so the tape carries the executed parameters
 /// directly and dispatch skips runtime selection entirely. Nodes whose
 /// shapes stay data-dependent keep selecting per inference.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum BakedVariant {
-    /// A tuned GEMM configuration (MatMul / Gemm anchors).
+    /// A GEMM configuration (MatMul / Gemm anchors).
     Gemm(GemmParams),
-    /// A tuned convolution configuration (Conv2d anchors).
+    /// A convolution configuration (Conv2d anchors).
     Conv(ConvParams),
+}
+
+/// The variants to bake into a tape: for every hotspot node whose output
+/// shape RDP proves concrete under empty bindings, the table's executed
+/// configuration for that shape — the default kernel included, where the
+/// host playoff chose it.
+pub fn bake_variants(
+    graph: &Graph,
+    rdp: &RdpResult,
+    table: &VersionTable,
+) -> HashMap<NodeId, BakedVariant> {
+    let empty = Bindings::default();
+    let mut baked = HashMap::new();
+    for node in graph.nodes() {
+        let Some(&out) = node.outputs.first() else {
+            continue;
+        };
+        let Some(shape) = rdp.concrete_shape(out, &empty) else {
+            continue;
+        };
+        match &node.op {
+            Op::MatMul | Op::Gemm { .. } if shape.len() >= 2 => {
+                let m = shape[shape.len() - 2].max(1) as usize;
+                let n = shape[shape.len() - 1].max(1) as usize;
+                baked.insert(node.id, BakedVariant::Gemm(table.executed_gemm(m, n)));
+            }
+            Op::Conv2d { .. } if shape.len() == 4 => {
+                let co = shape[1].max(1) as usize;
+                let spatial = (shape[2] * shape[3]).max(1) as usize;
+                baked.insert(
+                    node.id,
+                    BakedVariant::Conv(table.executed_conv(co, spatial)),
+                );
+            }
+            _ => {}
+        }
+    }
+    baked
 }
 
 /// Instruction opcode.

@@ -3,11 +3,11 @@
 //! record — the accounting effects that power the paper's optimization
 //! comparisons.
 
-use sod2_device::DeviceProfile;
+use sod2_device::{DeviceProfile, ShapeClass};
 use sod2_fusion::{fuse, FusionPlan, FusionPolicy};
 use sod2_ir::{BinaryOp, ConstData, DType, Graph, NodeId, Op, TensorId, UnaryOp};
 use sod2_mem::{ArenaLayout, MemoryPlan, TensorLife};
-use sod2_mvc::VersionTable;
+use sod2_mvc::{Family, GemmParams, Playoff, VersionTable};
 use sod2_plan::{naive_unit_order, UnitGraph};
 use sod2_rdp::analyze;
 use sod2_runtime::{
@@ -194,7 +194,14 @@ fn version_table_changes_cost_not_output() {
     )];
     let plain = run_tape(&g, &input, None, &ExecConfig::default());
     let profile = DeviceProfile::s888_cpu();
-    let table = VersionTable::tune(&profile, 42);
+    let mut table = VersionTable::tune(&profile, 42);
+    // Execute every priced winner, so a non-default variant runs.
+    for class in ShapeClass::all() {
+        for family in Family::ALL {
+            table.set_playoff(family, class, Playoff::decide(1.0, 2.0));
+        }
+    }
+    assert_ne!(table.executed_gemm(128, 32), GemmParams::default());
     let cfg = ExecConfig {
         version_table: Some(&table),
         ..Default::default()

@@ -8,7 +8,8 @@
 #   ./ci.sh                      # run every stage in order
 #   ./ci.sh <stage>              # run one stage: build | test-par | test-serial
 #                                #   | test-release-kernels (sod2-kernels and
-#                                #   sod2-tensor tests in release) | fmt
+#                                #   sod2-tensor tests in release, with the
+#                                #   exhaustive exp/tanh sweep) | fmt
 #                                #   | clippy | zoo | analyze | chaos | bench
 #                                #   | serve | hostbench (short traced host
 #                                #   benchmark runs) | gate
@@ -129,7 +130,10 @@ stage_test_release_kernels() {
     # The kernels' bitwise suites, and the tests of the run walk they read
     # broadcast operands through (sod2-tensor), in the optimized build that
     # actually serves: code generation there may reorder float operands,
-    # which the debug stages above never see.
+    # which the debug stages above never see. The optimized build also
+    # runs the exhaustive accuracy test of `sod2_kernels::math` (every f32
+    # through `exp` and `tanh` against f64; ignored in debug builds), about
+    # 40 s of this stage on two cores.
     cargo test --release -p sod2-kernels -p sod2-tensor -q
 }
 

@@ -13,15 +13,20 @@
 //! Each chunk's time is the median of [`CHUNK_RECORDINGS`] serial
 //! recordings, so one chunk slowed by host noise does not move it.
 //!
-//! Each conv, GEMM and broadcast-multiply row also records
-//! `ratio_vs_naive`: the one-thread wall time of the independent
-//! reference (`conv2d_naive`, `gemm_naive`, `binary_naive`) over that of
+//! Each conv, GEMM, broadcast-multiply, GELU and softmax row also records
+//! `ratio_vs_naive`: the one-thread wall time of a reference over that of
 //! the kernel, measured interleaved in this process as a median of runs.
-//! It is informational (never gated), but the binary asserts a floor on
-//! it — 2.0 for conv (`MIN_CONV_RATIO`), 0.5 for GEMM (`MIN_GEMM_RATIO`),
-//! 8.0 for the broadcast multiply (`MIN_EW_RATIO`) — so a return to a
-//! per-element conv loop, a packed GEMM tile walk or per-element
-//! broadcast index arithmetic fails. The softmax row is informational.
+//! The references are the independent naive kernels (`conv2d_naive`,
+//! `gemm_naive`, `binary_naive`) and, for GELU and softmax, the libm
+//! formulas those kernels ran before `sod2_kernels::math` (scalar `tanhf`
+//! and `expf` calls, a sequential sum and a division; kept in this binary
+//! only). The ratio is informational (never gated), but the binary
+//! asserts a floor on it — 2.0 for conv (`MIN_CONV_RATIO`), 0.5 for GEMM
+//! (`MIN_GEMM_RATIO`), 8.0 for the broadcast multiply (`MIN_EW_RATIO`),
+//! 3.0 for GELU (`MIN_GELU_RATIO`) and 1.5 for softmax
+//! (`MIN_SOFTMAX_RATIO`) — so a return to a per-element conv loop, a
+//! packed GEMM tile walk, per-element broadcast index arithmetic, or
+//! transcendental loops that no longer vectorize fails.
 //!
 //! Each `mvc_classes` row pairs the priced (modeled, gated) selection with
 //! the host playoff that decides what executes: the executed GEMM and conv
@@ -33,8 +38,8 @@
 
 use sod2_device::{conv_efficiency, gemm_efficiency, DeviceProfile, ShapeClass};
 use sod2_frameworks::{Engine, Sod2Engine, Sod2Options};
-use sod2_ir::{BinaryOp, Spatial2d};
-use sod2_kernels::elementwise::{binary, binary_naive};
+use sod2_ir::{BinaryOp, Spatial2d, UnaryOp};
+use sod2_kernels::elementwise::{binary, binary_naive, unary};
 use sod2_kernels::reduce::softmax;
 use sod2_kernels::{
     conv2d_naive, conv2d_with_params, gemm_naive, gemm_tiled, ConvParams, GemmParams,
@@ -66,6 +71,12 @@ const MIN_GEMM_RATIO: f64 = 0.5;
 
 /// Floor asserted on the broadcast multiply row's `ratio_vs_naive`.
 const MIN_EW_RATIO: f64 = 8.0;
+
+/// Floor asserted on the GELU row's `ratio_vs_naive`.
+const MIN_GELU_RATIO: f64 = 3.0;
+
+/// Floor asserted on the softmax row's `ratio_vs_naive`.
+const MIN_SOFTMAX_RATIO: f64 = 1.5;
 
 /// Ceiling asserted on a class's executed non-default variant over the
 /// default kernel, re-timed on the class's playoff problem apart from the
@@ -124,8 +135,8 @@ struct KernelEntry {
     /// Greedy list-schedule of the per-chunk median recorded times onto N
     /// virtual workers.
     makespan_secs: [f64; 3],
-    /// Reference-over-kernel one-thread wall ratio (conv, GEMM and
-    /// broadcast multiply rows).
+    /// Reference-over-kernel one-thread wall ratio (conv, GEMM, broadcast
+    /// multiply, GELU and softmax rows).
     ratio_vs_naive: Option<f64>,
 }
 
@@ -258,9 +269,7 @@ fn elementwise_entry() -> KernelEntry {
         format!("{len} f32 elements"),
         len as f64,
         move || {
-            std::hint::black_box(
-                sod2_kernels::elementwise::unary(sod2_ir::UnaryOp::Exp, &x).expect("unary"),
-            );
+            std::hint::black_box(unary(UnaryOp::Exp, &x).expect("unary"));
         },
     )
 }
@@ -288,19 +297,78 @@ fn binary_mul_entry() -> KernelEntry {
     entry
 }
 
+/// GELU with libm's `tanhf`, one element at a time: the kernel's formula
+/// before `sod2_kernels::math`.
+fn gelu_libm(xs: &[f32]) -> Vec<f32> {
+    let c = (2.0f32 / std::f32::consts::PI).sqrt();
+    xs.iter()
+        .map(|&v| 0.5 * v * (1.0 + (c * (v + 0.044_715 * v * v * v)).tanh()))
+        .collect()
+}
+
+/// Softmax over rows of `len` with libm's `expf`, a sequential sum and a
+/// division: the kernel's row loop before `sod2_kernels::math`.
+fn softmax_libm(xs: &[f32], len: usize) -> Vec<f32> {
+    let mut out = vec![0f32; xs.len()];
+    for (orow, row) in out.chunks_exact_mut(len).zip(xs.chunks_exact(len)) {
+        let mx = row.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v));
+        let mut sum = 0f32;
+        for (o, &v) in orow.iter_mut().zip(row) {
+            *o = (v - mx).exp();
+            sum += *o;
+        }
+        for o in orow {
+            *o /= sum;
+        }
+    }
+    out
+}
+
+/// GELU on StableDiffusion-Enc@40's MLP activation, `[1,400,32]`, against
+/// [`gelu_libm`].
+fn gelu_entry() -> KernelEntry {
+    let (l, d) = (400usize, 32usize);
+    let x = Tensor::from_f32(&[1, l, d], fill(8, l * d));
+    let xs = x.as_f32().expect("f32");
+    let kernel = || {
+        std::hint::black_box(unary(UnaryOp::Gelu, &x).expect("gelu"));
+    };
+    let libm = || {
+        std::hint::black_box(gelu_libm(xs));
+    };
+    let ratio = interleaved_ratio(1, libm, kernel, 100);
+    let desc = format!("1x{l}x{d} f32");
+    assert!(
+        ratio >= MIN_GELU_RATIO,
+        "gelu {desc}: only {ratio:.2}x faster than the libm formula (floor {MIN_GELU_RATIO}x)"
+    );
+    let mut entry = KernelEntry::measure("gelu", desc, (l * d) as f64, kernel);
+    entry.ratio_vs_naive = Some(ratio);
+    entry
+}
+
 /// Softmax over the last axis of StableDiffusion-Enc@40's attention
-/// scores (informational).
+/// scores, against [`softmax_libm`].
 fn softmax_entry() -> KernelEntry {
     let l = 400usize;
     let x = Tensor::from_f32(&[1, l, l], fill(7, l * l));
-    KernelEntry::measure(
-        "softmax",
-        format!("1x{l}x{l} axis -1"),
-        (l * l) as f64,
-        move || {
-            std::hint::black_box(softmax(&x, -1).expect("softmax"));
-        },
-    )
+    let xs = x.as_f32().expect("f32");
+    let kernel = || {
+        std::hint::black_box(softmax(&x, -1).expect("softmax"));
+    };
+    let libm = || {
+        std::hint::black_box(softmax_libm(xs, l));
+    };
+    let ratio = interleaved_ratio(1, libm, kernel, 10);
+    let desc = format!("1x{l}x{l} axis -1");
+    assert!(
+        ratio >= MIN_SOFTMAX_RATIO,
+        "softmax {desc}: only {ratio:.2}x faster than the libm formula \
+         (floor {MIN_SOFTMAX_RATIO}x)"
+    );
+    let mut entry = KernelEntry::measure("softmax", desc, (l * l) as f64, kernel);
+    entry.ratio_vs_naive = Some(ratio);
+    entry
 }
 
 /// Per-shape-class multi-version codegen result: the priced (tuned)
@@ -565,6 +633,7 @@ fn main() {
         conv_entry(8, 8, 32, 20),
         elementwise_entry(),
         binary_mul_entry(),
+        gelu_entry(),
         softmax_entry(),
     ];
     let mvc_profile = DeviceProfile::s888_cpu();

@@ -10,6 +10,7 @@
 
 use crate::canonical_nan;
 use crate::error::{dtype_err, shape_err, KernelError};
+use crate::math;
 use sod2_ir::{BinaryOp, CompareOp, DType, UnaryOp};
 use sod2_tensor::{broadcast_output_shape, BroadcastIndexer, Data, RunWalk, Tensor};
 
@@ -38,10 +39,10 @@ macro_rules! with_unary {
             UnaryOp::Relu => relu,
             UnaryOp::LeakyRelu => leaky_relu,
             UnaryOp::Sigmoid => sigmoid,
-            UnaryOp::Tanh => f32::tanh,
+            UnaryOp::Tanh => math::tanh,
             UnaryOp::Gelu => gelu,
             UnaryOp::Erf => erf_f32,
-            UnaryOp::Exp => f32::exp,
+            UnaryOp::Exp => math::exp,
             UnaryOp::Log => f32::ln,
             UnaryOp::Sqrt => f32::sqrt,
             UnaryOp::Neg => neg,
@@ -133,24 +134,36 @@ fn leaky_relu(v: f32) -> f32 {
     }
 }
 
+// The functions that call `math::exp`/`math::tanh` are
+// `#[inline(always)]`: a call left in `map_f32`'s loop keeps it scalar
+// (GELU on 1×400×32 took 146 µs with a call per element, 37 µs inlined),
+// and the attribute keeps that from resting on LLVM's inlining heuristic.
+
+#[inline(always)]
 fn sigmoid(v: f32) -> f32 {
-    1.0 / (1.0 + (-v).exp())
+    1.0 / (1.0 + math::exp(-v))
 }
 
+/// A NaN input gives `f32::NAN`: the product would otherwise meet the
+/// input's NaN and `tanh`'s in an order code generation may swap.
+#[inline(always)]
 fn gelu(v: f32) -> f32 {
-    0.5 * v * (1.0 + ((2.0f32 / std::f32::consts::PI).sqrt() * (v + 0.044_715 * v * v * v)).tanh())
+    let u = (2.0f32 / std::f32::consts::PI).sqrt() * (v + 0.044_715 * v * v * v);
+    canonical_nan(0.5 * v * (1.0 + math::tanh(u)))
 }
 
 fn neg(v: f32) -> f32 {
     -v
 }
 
+#[inline(always)]
 fn softplus(v: f32) -> f32 {
-    (1.0 + v.exp()).ln()
+    (1.0 + math::exp(v)).ln()
 }
 
+#[inline(always)]
 fn silu(v: f32) -> f32 {
-    v / (1.0 + (-v).exp())
+    v / (1.0 + math::exp(-v))
 }
 
 fn hard_sigmoid(v: f32) -> f32 {
@@ -193,8 +206,10 @@ fn reciprocal(v: f32) -> f32 {
     1.0 / v
 }
 
-/// Abramowitz–Stegun rational approximation of `erf` (|err| < 1.5e-7).
+/// Abramowitz–Stegun rational approximation of `erf` (|err| < 1.5e-7). A
+/// NaN input gives `f32::NAN`, as in [`gelu`].
 #[allow(clippy::excessive_precision)] // published coefficients, kept verbatim
+#[inline(always)]
 fn erf_f32(x: f32) -> f32 {
     let sign = x.signum();
     let x = x.abs();
@@ -203,7 +218,7 @@ fn erf_f32(x: f32) -> f32 {
         * (0.254_829_592
             + t * (-0.284_496_736
                 + t * (1.421_413_741 + t * (-1.453_152_027 + t * 1.061_405_429))));
-    sign * (1.0 - poly * (-x * x).exp())
+    canonical_nan(sign * (1.0 - poly * math::exp(-x * x)))
 }
 
 /// Element-wise binary arithmetic with broadcasting (f32 or i64).

@@ -69,6 +69,7 @@ mod error;
 mod exec;
 pub mod fused;
 pub mod linalg;
+pub mod math;
 pub mod numerics;
 pub mod reduce;
 pub mod shape_ops;

@@ -22,7 +22,9 @@ use sod2_ir::{BinaryOp, CompareOp, UnaryOp};
 /// (kept well under `f32::MAX` so accumulated rounding cannot sneak past).
 pub const F32_SAT: f64 = 1.0e37;
 
-/// Relative slack covering a single f32 operation's rounding.
+/// Relative slack covering a single f32 operation's rounding, and the
+/// error of `math::exp`/`math::tanh` (at most `math::MAX_ULP` ulp, each at
+/// most `f32::EPSILON` relative; asserted below).
 const REL_SLACK: f64 = 1e-5;
 
 /// Absolute slack floor (denormals, zero-crossing results).
@@ -622,6 +624,13 @@ mod tests {
             check_unary(op, 0.5, 2.0, 100);
             check_unary(op, -2.0, -0.5, 100);
         }
+    }
+
+    #[test]
+    fn rel_slack_covers_the_owned_transcendentals() {
+        // An ulp of a normal f32 result y is at most EPSILON · |y|.
+        let bound = f64::from(crate::math::MAX_ULP) * f64::from(f32::EPSILON);
+        assert!(bound < REL_SLACK, "{bound} ≥ {REL_SLACK}");
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Reductions, normalizations, softmax, and top-k.
 
 use crate::error::{dtype_err, shape_err, KernelError};
+use crate::math;
 use sod2_ir::{normalize_axis, ReduceOp};
 use sod2_tensor::{Indexer, Tensor};
 
@@ -154,7 +155,17 @@ pub fn argmax(x: &Tensor, axis: i64, keep_dims: bool) -> Result<Tensor, KernelEr
     Ok(Tensor::from_i64(&out_shape, out))
 }
 
+/// Softmax's lane count: element `a` of a row folds into partial max and
+/// sum `a % SOFTMAX_LANES`, so both folds vectorize.
+const SOFTMAX_LANES: usize = 8;
+
 /// Numerically stable softmax along `axis`.
+///
+/// Each row (the `axis_len` values of one `(outer, inner)` lane) is, in
+/// order: its maximum `m`; `e_a = exp(x_a - m)` (`math::exp`) and their
+/// sum, as [`exp_lane_sum`] defines it; and `e_a · (1 / sum)`. Rows on a
+/// strided axis are gathered into a contiguous buffer first, so every
+/// axis computes the same bits.
 pub fn softmax(x: &Tensor, axis: i64) -> Result<Tensor, KernelError> {
     let xv = x
         .as_f32()
@@ -166,51 +177,87 @@ pub fn softmax(x: &Tensor, axis: i64) -> Result<Tensor, KernelError> {
     let inner: usize = dims[ax + 1..].iter().product();
     let mut out = vec![0f32; xv.len()];
     // One outer block (axis_len * inner contiguous elements) is the unit
-    // of parallelism; lanes inside a block are computed serially.
+    // of parallelism, so a row never spans two chunks.
     let block = axis_len * inner;
     let blocks_per_chunk = (LANE_GRAIN_OPS / block.max(1)).max(1);
     sod2_pool::scope_chunks(&mut out, blocks_per_chunk * block, |off, chunk| {
+        let src = &xv[off..off + chunk.len()];
         if inner == 1 {
-            // The axis is innermost: each block is one contiguous row, and
-            // the same folds run over slices.
-            let rows = xv[off..off + chunk.len()].chunks_exact(block);
-            for (orow, row) in chunk.chunks_exact_mut(block).zip(rows) {
-                let mx = row.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v));
-                let mut sum = 0f32;
-                for (o, &v) in orow.iter_mut().zip(row) {
-                    let e = (v - mx).exp();
-                    *o = e;
-                    sum += e;
-                }
-                for o in orow {
-                    *o /= sum;
-                }
+            // The axis is innermost: each block is one contiguous row.
+            for (orow, row) in chunk.chunks_exact_mut(block).zip(src.chunks_exact(block)) {
+                softmax_row(row, orow);
             }
             return;
         }
-        let o0 = off / block.max(1);
-        for (bi, obuf) in chunk.chunks_exact_mut(block).enumerate() {
-            let o = o0 + bi;
+        let mut lane = vec![0f32; 2 * axis_len];
+        let (row, orow) = lane.split_at_mut(axis_len);
+        for (obuf, xb) in chunk.chunks_exact_mut(block).zip(src.chunks_exact(block)) {
             for i in 0..inner {
-                let src = |a: usize| (o * axis_len + a) * inner + i;
-                let dst = |a: usize| a * inner + i;
-                let mut mx = f32::NEG_INFINITY;
-                for a in 0..axis_len {
-                    mx = mx.max(xv[src(a)]);
+                for (a, r) in row.iter_mut().enumerate() {
+                    *r = xb[a * inner + i];
                 }
-                let mut sum = 0f32;
-                for a in 0..axis_len {
-                    let e = (xv[src(a)] - mx).exp();
-                    obuf[dst(a)] = e;
-                    sum += e;
-                }
-                for a in 0..axis_len {
-                    obuf[dst(a)] /= sum;
+                softmax_row(row, orow);
+                for (a, &o) in orow.iter().enumerate() {
+                    obuf[a * inner + i] = o;
                 }
             }
         }
     });
     Ok(Tensor::from_f32(dims, out))
+}
+
+/// Softmax of one contiguous row into `out`, as [`softmax`] defines it.
+fn softmax_row(row: &[f32], out: &mut [f32]) {
+    let inv = 1.0 / exp_lane_sum(row, lane_max(row), out);
+    for o in out {
+        *o *= inv;
+    }
+}
+
+/// The maximum of `row`, skipping NaNs (−∞ if there is none). Max is
+/// exact, so the lane split changes no value; it only lets the fold
+/// vectorize. A ±0 tie may come out as either zero, which no `exp`
+/// difference can tell apart.
+fn lane_max(row: &[f32]) -> f32 {
+    // `v > m` is false for a NaN `v`, and `m` is never NaN, so this is
+    // `f32::max` without its NaN fix-up.
+    let max = |m: f32, v: f32| if v > m { v } else { m };
+    let mut m = [f32::NEG_INFINITY; SOFTMAX_LANES];
+    let lanes = row.chunks_exact(SOFTMAX_LANES);
+    let rest = lanes.remainder();
+    for c in lanes {
+        for (m, &v) in m.iter_mut().zip(c) {
+            *m = max(*m, v);
+        }
+    }
+    m.iter()
+        .chain(rest)
+        .fold(f32::NEG_INFINITY, |a, &v| max(a, v))
+}
+
+/// Writes `e_a = math::exp(row[a] - mx)` into `out` and returns the sum of
+/// the `e_a` in a fixed order: `e_a` of the first `len - len % 8` adds
+/// into partial sum `a % 8` in ascending `a`; the eight partials combine
+/// as `((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7))`; the remaining
+/// `len % 8` add in ascending order. The partials keep the exp loop
+/// vectorized (a sequential `sum += e` would not), and summing in the
+/// same pass saves a second walk over the row.
+fn exp_lane_sum(row: &[f32], mx: f32, out: &mut [f32]) -> f32 {
+    let mut s = [0f32; SOFTMAX_LANES];
+    let mut outs = out.chunks_exact_mut(SOFTMAX_LANES);
+    let mut rows = row.chunks_exact(SOFTMAX_LANES);
+    for (o, r) in (&mut outs).zip(&mut rows) {
+        for ((o, &v), s) in o.iter_mut().zip(r).zip(&mut s) {
+            *o = math::exp(v - mx);
+            *s += *o;
+        }
+    }
+    let mut sum = ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]));
+    for (o, &v) in outs.into_remainder().iter_mut().zip(rows.remainder()) {
+        *o = math::exp(v - mx);
+        sum += *o;
+    }
+    sum
 }
 
 /// `log(softmax(x))` along `axis`, numerically stable.

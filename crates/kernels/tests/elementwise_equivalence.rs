@@ -9,13 +9,15 @@
 //! - `compare`, `where_select` and `expand` against per-element loops here;
 //! - `unary` and `clip` against their scalar functions mapped one by one;
 //! - fused chains against node-by-node kernel execution;
-//! - `softmax` on every axis against the lane loop kept here.
+//! - `softmax` on every axis against its definition written out per lane
+//!   here.
 
 use proptest::prelude::*;
 use sod2_ir::{BinaryOp, CompareOp, UnaryOp};
 use sod2_kernels::elementwise::{
     binary, binary_naive, clip, compare, unary, unary_fn, where_select,
 };
+use sod2_kernels::math;
 use sod2_kernels::reduce::softmax;
 use sod2_kernels::shape_ops::expand;
 use sod2_kernels::{fused_elementwise, FusedStep};
@@ -61,8 +63,9 @@ const UNARY_OPS: [UnaryOp; 24] = [
 ];
 
 /// Values that are not ordinary finite floats: NaNs of both signs and
-/// another payload, signed zeros, infinities and subnormals.
-const SPECIALS: [f32; 10] = [
+/// another payload, signed zeros, infinities and subnormals; and the edges
+/// of `math::exp` and `math::tanh`.
+const SPECIALS: [f32; 20] = [
     f32::NAN,
     -f32::NAN,
     f32::from_bits(0x7fc0_1234),
@@ -73,6 +76,23 @@ const SPECIALS: [f32; 10] = [
     f32::from_bits(1),
     -f32::from_bits(0x0040_0000),
     f32::MIN_POSITIVE,
+    // Largest subnormal.
+    f32::from_bits(0x007f_ffff),
+    // `exp` overflow: the largest input with a finite result, and the next.
+    f32::from_bits(0x42b1_7217),
+    f32::from_bits(0x42b1_7218),
+    // `exp` flush to zero: the smallest input with a normal result, and
+    // the next below.
+    f32::from_bits(0xc2ae_ac4f),
+    f32::from_bits(0xc2ae_ac50),
+    -104.0,
+    // `tanh`'s branch point between polynomial and exponential, both sides.
+    0.5625,
+    -f32::from_bits(0x3f0f_ffff),
+    // The cut-offs below which `exp` gives 1 (2^-25) and `tanh` its input
+    // (2^-12).
+    f32::from_bits(0x3300_0000),
+    -f32::from_bits(0x3980_0000),
 ];
 
 fn lcg(seed: u64) -> impl FnMut() -> u64 {
@@ -199,30 +219,45 @@ fn indexers(out: &[usize], shapes: &[&[usize]]) -> Vec<BroadcastIndexer> {
         .collect()
 }
 
-/// Today's lane loop of `softmax`, serial: for each `(outer, inner)` lane,
-/// the max fold, then exp-and-sum, then the division.
+/// `softmax` as its documentation defines it, serial, one `(outer,
+/// inner)` lane at a time and written out here apart from the kernel: the
+/// lane's maximum (first over the partial maxima `a % 8` of the first
+/// `len - len % 8` elements, then the rest); `math::exp(x - max)`; the sum
+/// with the same split, the eight partials combined as `((s0 + s1) + (s2 +
+/// s3)) + ((s4 + s5) + (s6 + s7))`; then each value times `1 / sum`.
 fn softmax_reference(x: &Tensor, axis: usize) -> Vec<f32> {
     let xv = x.as_f32().expect("f32");
     let dims = x.shape();
     let axis_len = dims[axis];
     let outer: usize = dims[..axis].iter().product();
     let inner: usize = dims[axis + 1..].iter().product();
+    let split = axis_len - axis_len % 8;
     let mut out = vec![0f32; xv.len()];
     for o in 0..outer {
         for i in 0..inner {
             let at = |a: usize| (o * axis_len + a) * inner + i;
+            let mut m = [f32::NEG_INFINITY; 8];
+            for a in 0..split {
+                m[a % 8] = m[a % 8].max(xv[at(a)]);
+            }
             let mut mx = f32::NEG_INFINITY;
-            for a in 0..axis_len {
-                mx = mx.max(xv[at(a)]);
-            }
-            let mut sum = 0f32;
-            for a in 0..axis_len {
-                let e = (xv[at(a)] - mx).exp();
-                out[at(a)] = e;
-                sum += e;
+            for v in m.into_iter().chain((split..axis_len).map(|a| xv[at(a)])) {
+                mx = mx.max(v);
             }
             for a in 0..axis_len {
-                out[at(a)] /= sum;
+                out[at(a)] = math::exp(xv[at(a)] - mx);
+            }
+            let mut s = [0f32; 8];
+            for a in 0..split {
+                s[a % 8] += out[at(a)];
+            }
+            let mut sum = ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]));
+            for a in split..axis_len {
+                sum += out[at(a)];
+            }
+            let inv = 1.0 / sum;
+            for a in 0..axis_len {
+                out[at(a)] *= inv;
             }
         }
     }
@@ -393,8 +428,7 @@ proptest! {
         prop_assert!(bits(&fused) == bits(&v), "{:?}", steps);
     }
 
-    /// `softmax` on every axis equals the lane loop it had before the
-    /// contiguous-row path.
+    /// `softmax` on every axis equals its definition.
     #[test]
     fn softmax_matches_lane_loop_on_every_axis(
         shape in prop_oneof![
